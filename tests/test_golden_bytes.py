@@ -1,0 +1,76 @@
+"""Byte-identity guard for the JSON export and the model SVG.
+
+``tests/data/golden_digests.json`` holds the sha256 of ``export_json``
+and ``render_svg`` for every corpus word in both variants at all three
+granularities, plus two ladder-style words.  Any change to the model
+pipeline or the encoders must reproduce these bytes exactly.
+
+Regenerate the data file (only when the output format is meant to
+change) with::
+
+    PYTHONPATH=src python tests/test_golden_bytes.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from oracles import random_even_b_words
+from twobridge.conway import ConwayWord, parse_conway
+from twobridge.morse import assemble_stable_map
+from twobridge.render import render_svg
+from twobridge.serialize import export_json
+
+DATA = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+CORPUS_SEED = 20250808
+VARIANTS = ("f2", "f3")
+GRANULARITIES = ("crossing", "region", "fine")
+LADDER_WORDS = ("C(100,2,100)", "C(3,200,3)")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest_pair(model) -> list[str]:
+    return [_sha(export_json(model)), _sha(render_svg(model))]
+
+
+def corpus_digests() -> dict[str, list[str]]:
+    out = {}
+    for entries in random_even_b_words(CORPUS_SEED, 200):
+        word = ConwayWord(entries)
+        for variant in VARIANTS:
+            for granularity in GRANULARITIES:
+                key = f"{entries} {variant} {granularity}"
+                out[key] = _digest_pair(assemble_stable_map(word, variant, granularity))
+    return out
+
+
+def ladder_digests() -> dict[str, list[str]]:
+    return {text: _digest_pair(assemble_stable_map(parse_conway(text), "f2")) for text in LADDER_WORDS}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def test_corpus_bytes_match_golden(golden):
+    got = corpus_digests()
+    assert len(got) == 200 * len(VARIANTS) * len(GRANULARITIES)
+    mismatched = [key for key, pair in got.items() if golden["corpus"].get(key) != pair]
+    assert not mismatched, f"{len(mismatched)} outputs changed, first: {mismatched[:3]}"
+
+
+def test_ladder_bytes_match_golden(golden):
+    assert ladder_digests() == golden["ladder"]
+
+
+if __name__ == "__main__":
+    DATA.write_text(
+        json.dumps({"corpus": corpus_digests(), "ladder": ladder_digests()}, indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {DATA}")
