@@ -23,6 +23,7 @@ from .conway import ConwayWord, all_b_even, twist_number
 from .errors import (
     DuplicateLabelError,
     EvenBRequiredError,
+    NonFiniteVolumeError,
     NonPositiveVolumeError,
     TableParseError,
     TorusCaseError,
@@ -66,6 +67,7 @@ class VolumeRecord:
     source: str
 
     def __post_init__(self):
+        _require_finite(self.volume)
         if self.volume <= 0:
             raise NonPositiveVolumeError(f"volume {self.volume} for {self.label!r}")
         if not self.source:
@@ -95,6 +97,12 @@ class Certificate:
     chain: tuple[str, ...]
 
 
+def _require_finite(volume: float) -> None:
+    """NaN compares false with everything, so it must go before any bound."""
+    if not math.isfinite(volume):
+        raise NonFiniteVolumeError(f"volume must be finite, got {volume}")
+
+
 def weighted_sum(census: SingularFiberCensus) -> int:
     """The complexity weight of one model: |II2| + 2 |II3|."""
     return census.ii2 + 2 * census.ii3
@@ -116,6 +124,7 @@ def smc_upper_bound(word: ConwayWord) -> ComplexityBounds:
 
 def smc_lower_bound_from_volume(volume: float) -> int:
     """ceil(vol / (2 V_oct)): the smallest complexity a hyperbolic volume allows."""
+    _require_finite(volume)
     if volume <= 0:
         raise NonPositiveVolumeError(f"volume must be positive, got {volume}")
     return math.ceil(volume / (2 * V_OCT))
@@ -138,6 +147,7 @@ def certify_smc(
     floating-point noise never certifies.  m = 0 words are inapplicable
     (the upper bound has no content).
     """
+    _require_finite(volume)
     if volume <= 0:
         raise NonPositiveVolumeError(f"volume must be positive, got {volume}")
     if not all_b_even(word):
@@ -232,6 +242,8 @@ def ingest_volume_table(text: str, source: str) -> tuple[VolumeRecord, ...]:
             volume = float(volume_text)
         except ValueError:
             raise TableParseError(line_number, f"bad volume {volume_text!r}") from None
+        if not math.isfinite(volume):
+            raise NonFiniteVolumeError(f"line {line_number}: volume must be finite: {volume}")
         if volume <= 0:
             raise TableParseError(line_number, f"volume must be positive: {volume}")
         if label in labels:

@@ -76,12 +76,6 @@ class PlatDiagram:
             counts[x.region] += 1
         return tuple(counts)
 
-    @property
-    def rectangle(self) -> tuple[int, int, int, int]:
-        """Abstract bounds of the ambient rectangle: one column per crossing
-        plus a cap column at each end, five horizontal levels."""
-        return (0, 0, self.total_crossings + 2, 5)
-
 
 @dataclass(frozen=True)
 class CrossingCensus:
@@ -338,7 +332,6 @@ def strip_decompose(
         ("first_is_type1", strips[0].kind == "type1"),
         ("last_is_type4", strips[-1].kind == "type4"),
         ("type2_count", decomposition.type2_count == decomposition.expected_type2),
-        ("four_strands_per_gamma", True),  # 4-plat: every section meets 4 strands
         ("interior_kinds", all(s.kind in ("type2", "type3") for s in strips[1:-1])),
     )
     return StripDecomposition(

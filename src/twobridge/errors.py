@@ -71,6 +71,10 @@ class NonPositiveVolumeError(TwoBridgeError):
     """Supplied hyperbolic volume is not positive."""
 
 
+class NonFiniteVolumeError(TwoBridgeError):
+    """Supplied hyperbolic volume is infinite or NaN."""
+
+
 class TableParseError(TwoBridgeError):
     """Malformed volume table line."""
 

@@ -19,6 +19,7 @@ through the crossing they contain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -73,22 +74,29 @@ class CrossSection:
         return self.leaf_count - self.trivalent_count == 2
 
     def is_tree(self) -> bool:
-        vertices = set(self.leaves) | set(self.saddles)
-        if len(self.edges) != len(vertices) - 1:
-            return False
-        adjacency = {v: [] for v in vertices}
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = set()
-        stack = [next(iter(vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adjacency[v])
-        return seen == vertices
+        return _is_tree(self.leaves, self.saddles, self.edges)
+
+
+@lru_cache(maxsize=64)
+def _is_tree(leaves, saddles, edges) -> bool:
+    """Connected with one edge fewer than vertices.  Memoised on the
+    shape, since every slice of every model carries the same tree."""
+    vertices = set(leaves) | set(saddles)
+    if len(edges) != len(vertices) - 1:
+        return False
+    adjacency = {v: [] for v in vertices}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = set()
+    stack = [next(iter(vertices))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adjacency[v])
+    return seen == vertices
 
 
 def standard_cross_section(tag: str = "F") -> CrossSection:
@@ -279,61 +287,76 @@ def build_block(
     )
 
 
-def _trace_cycles(nodes, edges):
-    """Cycle decomposition of a 2-regular graph given as an edge list."""
-    adjacency = {node: [] for node in nodes}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for node, nbrs in adjacency.items():
-        if len(nbrs) != 2:
-            raise TraceMismatchError(f"strand graph not 2-regular at {node}")
-    seen = set()
+def _trace_cycles(size: int, ends: list[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Cycle decomposition of a 2-regular graph on nodes ``0..size-1``.
+
+    ``ends`` lists the edges flat, ``[u0, v0, u1, v1, ...]``; node ``i``
+    is the puncture ``(i // 4 + 1, i % 4 + 1)``.  Each node keeps its two
+    neighbours in edge order, and every cycle starts at its smallest node
+    and leaves it towards the first neighbour.
+    """
+    first = [-1] * size
+    second = [-1] * size
+    extra = []
+    for i, x in enumerate(ends):
+        if first[x] < 0:
+            first[x] = ends[i ^ 1]
+        elif second[x] < 0:
+            second[x] = ends[i ^ 1]
+        else:
+            extra.append(x)
+    if extra or -1 in second:
+        short = [second.index(-1)] if -1 in second else []
+        bad = min(extra + short)
+        raise TraceMismatchError(
+            f"strand graph not 2-regular at {(bad // 4 + 1, bad % 4 + 1)}"
+        )
+    labels = [(k, pos) for k in range(1, size // 4 + 1) for pos in LEAVES]
+    seen = bytearray(size)
     cycles = []
-    for start in nodes:
-        if start in seen:
+    for start in range(size):
+        if seen[start]:
             continue
-        cycle = [start]
-        seen.add(start)
-        prev, here = None, start
+        seen[start] = 1
+        cycle = [labels[start]]
+        prev, here = -1, start
         while True:
-            a, b = adjacency[here]
-            nxt = b if a == prev else a
+            nxt = first[here]
+            if nxt == prev:
+                nxt = second[here]
             if nxt == start:
                 break
-            cycle.append(nxt)
-            seen.add(nxt)
+            cycle.append(labels[nxt])
+            seen[nxt] = 1
             prev, here = here, nxt
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
 
 def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
+    """Trace the strands through the blocks: cap arcs at both ends, and
+    each middle block sends puncture ``pos`` of section ``j`` to puncture
+    ``permutation[pos - 1]`` of section ``j + 1``."""
     n = len(blocks) - 1
-    nodes = [(k, pos) for k in range(1, n + 1) for pos in LEAVES]
-    edges = []
-    for a, b in blocks[0].pairing:
-        edges.append(((1, a), (1, b)))
-    for j, block in enumerate(blocks[1:-1], start=1):
-        for pos in LEAVES:
-            edges.append(((j, pos), (j + 1, block.permutation[pos - 1])))
-    for a, b in blocks[-1].pairing:
-        edges.append(((n, a), (n, b)))
-    return DefiniteFoldTrace(components=_trace_cycles(nodes, edges))
+    last = 4 * (n - 1) - 1
+    ends = [x - 1 for pair in blocks[0].pairing for x in pair]
+    for base, block in zip(range(0, 4 * n, 4), blocks[1:-1]):
+        p1, p2, p3, p4 = block.permutation
+        ends += (
+            base, base + 3 + p1,
+            base + 1, base + 3 + p2,
+            base + 2, base + 3 + p3,
+            base + 3, base + 3 + p4,
+        )
+    ends += (last + x for pair in blocks[-1].pairing for x in pair)
+    return DefiniteFoldTrace(components=_trace_cycles(4 * n, ends))
 
 
 def _indefinite_circles(blocks: tuple[BlockMap, ...]) -> int:
-    n = len(blocks) - 1
-    nodes = [(k, s) for k in range(1, n + 1) for s in SADDLES]
-    edges = [((1, "s_hi"), (1, "s_lo")), ((n, "s_hi"), (n, "s_lo"))]
-    for j, block in enumerate(blocks[1:-1], start=1):
-        if block.saddle_map == "swap":
-            edges.append(((j, "s_hi"), (j + 1, "s_lo")))
-            edges.append(((j, "s_lo"), (j + 1, "s_hi")))
-        else:
-            edges.append(((j, "s_hi"), (j + 1, "s_hi")))
-            edges.append(((j, "s_lo"), (j + 1, "s_lo")))
-    return len(_trace_cycles(nodes, edges))
+    """Circles of the indefinite fold set.  Its two curves run through
+    every block ('id' or 'swap' only exchanges which is which) and close
+    up only in 'join' blocks, so each circle takes two of those."""
+    return sum(1 for block in blocks if block.saddle_map == "join") // 2
 
 
 def _census_from_blocks(blocks: tuple[BlockMap, ...], trace: DefiniteFoldTrace) -> SingularFiberCensus:
@@ -383,14 +406,7 @@ def assemble_stable_map(
         )
     blocks = tuple(blocks)
 
-    trace = _definite_trace(blocks)
-    expected_components = component_count(fraction)
-    if trace.count != expected_components:
-        raise TraceMismatchError(
-            f"definite-fold trace has {trace.count} components, "
-            f"fraction {fraction} demands {expected_components}"
-        )
-    census = _census_from_blocks(blocks, trace)
+    trace = _checked_trace(blocks, fraction)
     model = StableMapModel(
         variant=variant,
         word=word,
@@ -398,10 +414,10 @@ def assemble_stable_map(
         strips=strips,
         blocks=blocks,
         sections=sections,
-        census=census,
+        census=_census_from_blocks(blocks, trace),
         trace=trace,
     )
-    validate_model(model)
+    _check_structure(model)
     return model
 
 
@@ -413,19 +429,25 @@ def fiber_census(model: StableMapModel) -> SingularFiberCensus:
 
 def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     """Recompute the closed-curve decomposition of the definite fold set."""
-    trace = _definite_trace(model.blocks)
-    expected = component_count(fraction_of(model.word))
+    return _checked_trace(model.blocks, fraction_of(model.word))
+
+
+def _checked_trace(blocks: tuple[BlockMap, ...], fraction) -> DefiniteFoldTrace:
+    trace = _definite_trace(blocks)
+    expected = component_count(fraction)
     if trace.count != expected:
         raise TraceMismatchError(
-            f"trace has {trace.count} components, expected {expected}"
+            f"definite-fold trace has {trace.count} components, "
+            f"fraction {fraction} demands {expected}"
         )
     return trace
 
 
-def validate_model(model: StableMapModel) -> None:
-    """Structural invariants: strip word legal, blocks glued exactly,
-    Euler count at every slice, census consistent with the block logs and
-    with the variant's count formula."""
+def _check_structure(model: StableMapModel) -> None:
+    """The invariants that do not re-derive the trace: strip word legal,
+    blocks on the right strips and glued exactly, Euler count and tree at
+    every slice, event slices materialised, and the cached census of one
+    fiber type with the variant's count."""
     strips = model.strips
     if not strips.ok:
         failed = [name for name, passed in strips.validation if not passed]
@@ -447,15 +469,14 @@ def validate_model(model: StableMapModel) -> None:
         for section in block.slices:
             if not section.euler_ok or not section.is_tree():
                 raise InvariantViolationError(f"bad slice {section.tag} in {block.kind}")
-        tags = {s.tag for s in block.slices}
-        for event in block.events:
-            if event.slice not in tags:
-                raise InvariantViolationError(
-                    f"event slice {event.slice} not materialized"
-                )
-    census = fiber_census(model)
-    if census != model.census:
-        raise InvariantViolationError("cached census disagrees with block logs")
+        if block.events:
+            tags = {s.tag for s in block.slices}
+            for event in block.events:
+                if event.slice not in tags:
+                    raise InvariantViolationError(
+                        f"event slice {event.slice} not materialized"
+                    )
+    census = model.census
     if census.ii2 and census.ii3:
         raise InvariantViolationError("model mixes II2 and II3 fibers")
     word = model.word
@@ -467,8 +488,15 @@ def validate_model(model: StableMapModel) -> None:
         raise InvariantViolationError(
             f"census ({census.ii2}, {census.ii3}) != expected {expected}"
         )
-    trace = _definite_trace(model.blocks)
-    if trace.count != component_count(fraction_of(word)):
-        raise TraceMismatchError(
-            f"trace has {trace.count} components, fraction demands otherwise"
-        )
+
+
+def validate_model(model: StableMapModel) -> None:
+    """Every invariant assembly checks, plus a fresh trace and census
+    from the blocks compared with the cached ones, so that a model edited
+    after assembly is rejected."""
+    _check_structure(model)
+    trace = trace_definite_folds(model)
+    if trace != model.trace:
+        raise TraceMismatchError("cached trace disagrees with the blocks")
+    if _census_from_blocks(model.blocks, trace) != model.census:
+        raise InvariantViolationError("cached census disagrees with block logs")

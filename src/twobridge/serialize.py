@@ -11,6 +11,7 @@ lossless across slicing conventions.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import format_conway, fraction_of, parse_conway
@@ -32,7 +33,21 @@ _TOP_KEYS = (
 )
 
 
-def _model_document(model: StableMapModel) -> dict:
+def _strip_entry(strip) -> dict:
+    return {"type": strip.kind, "param": strip.param}
+
+
+def _block_entry(block) -> dict:
+    return {
+        "kind": block.kind,
+        "events": [{"kind": e.kind, "slice": e.slice} for e in block.events],
+        "permutation": list(block.permutation),
+    }
+
+
+def _model_document(
+    model: StableMapModel, strip_entry=_strip_entry, block_entry=_block_entry
+) -> dict:
     fraction = fraction_of(model.word)
     census = model.census
     return {
@@ -41,17 +56,8 @@ def _model_document(model: StableMapModel) -> dict:
         "variant": model.variant,
         "granularity": model.granularity,
         "fraction": {"p": fraction.p, "q": fraction.q},
-        "strips": [
-            {"type": strip.kind, "param": strip.param} for strip in model.strips.strips
-        ],
-        "blocks": [
-            {
-                "kind": block.kind,
-                "events": [{"kind": e.kind, "slice": e.slice} for e in block.events],
-                "permutation": list(block.permutation),
-            }
-            for block in model.blocks
-        ],
+        "strips": [strip_entry(strip) for strip in model.strips.strips],
+        "blocks": [block_entry(block) for block in model.blocks],
         "census": {
             "ii2": census.ii2,
             "ii3": census.ii3,
@@ -65,9 +71,50 @@ def _model_document(model: StableMapModel) -> dict:
     }
 
 
+def _entry_text(entry: dict) -> str:
+    """An array entry laid out as ``json.dumps(indent=2)`` puts it two
+    levels deep in the document."""
+    return "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+
+def _strip_text(strip) -> str:
+    return _plain_strip_text(strip.kind, strip.param)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _plain_strip_text(kind: str, param: int) -> str:
+    return _entry_text({"type": kind, "param": param})
+
+
+@lru_cache(maxsize=1024)
+def _plain_block_text(kind: str, permutation: tuple[int, ...]) -> str:
+    return _entry_text({"kind": kind, "events": [], "permutation": list(permutation)})
+
+
+def _block_text(block) -> str:
+    if block.events:  # event slice tags name the block's index: not shared
+        return _entry_text(_block_entry(block))
+    return _plain_block_text(block.kind, block.permutation)
+
+
 def export_json(model: StableMapModel) -> str:
-    """Serialize with deterministic field order; integers only."""
-    return json.dumps(_model_document(model), indent=2) + "\n"
+    """Serialize with deterministic field order; integers only.
+
+    The bytes are those of ``json.dumps(document, indent=2)``, whose
+    encoder is pure Python.  The long "strips" and "blocks" arrays are
+    therefore joined from per-entry text, cached for every strip and for
+    every block without events, so only the short fields and the event
+    blocks go through the encoder.
+    """
+    doc = _model_document(model, _strip_text, _block_text)
+    fields = []
+    for key, value in doc.items():
+        if key in ("strips", "blocks"):
+            text = "[\n" + ",\n".join(value) + "\n  ]" if value else "[]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

@@ -4,7 +4,8 @@ Nothing here reuses the library's arithmetic paths: the determinant
 comes from checkerboard-coloring the plat diagram's complement (faces
 traced from the planar rotation system) and an exact integer Bareiss
 determinant; component counts come from tracing strand endpoints; the
-octahedron volume from summing the Lobachevsky series.
+definite-fold trace of a block sequence from walking an adjacency-list
+graph; the octahedron volume from summing the Lobachevsky series.
 """
 
 from __future__ import annotations
@@ -327,3 +328,44 @@ def random_even_b_words(seed: int, count: int, m_min=1, m_max=6, mag_min=2, mag_
             entries.append(sign * magnitude)
         words.append(tuple(entries))
     return words
+
+
+def oracle_trace(blocks):
+    """Definite-fold components of a block sequence, traced on an
+    adjacency-list graph: the cap pairings of the end blocks close the
+    strands, and each middle block sends puncture ``pos`` of section ``j``
+    to puncture ``permutation[pos - 1]`` of section ``j + 1``.  Reads only
+    ``block.permutation`` and ``block.pairing``.  Each component is the
+    cycle of (section, position) nodes from its first node in
+    section-major order, leaving towards the neighbour added first."""
+    n = len(blocks) - 1
+    nodes = [(k, pos) for k in range(1, n + 1) for pos in (1, 2, 3, 4)]
+    edges = [((1, a), (1, b)) for a, b in blocks[0].pairing]
+    for j, block in enumerate(blocks[1:-1], start=1):
+        for pos in (1, 2, 3, 4):
+            edges.append(((j, pos), (j + 1, block.permutation[pos - 1])))
+    edges.extend(((n, a), (n, b)) for a, b in blocks[-1].pairing)
+
+    adjacency = {node: [] for node in nodes}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    assert all(len(nbrs) == 2 for nbrs in adjacency.values()), "strand graph not 2-regular"
+    seen = set()
+    cycles = []
+    for start in nodes:
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        prev, here = None, start
+        while True:
+            a, b = adjacency[here]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            cycle.append(nxt)
+            seen.add(nxt)
+            prev, here = here, nxt
+        cycles.append(tuple(cycle))
+    return tuple(cycles)

@@ -1,8 +1,15 @@
 """CLI surface: subcommands, exit codes, outputs."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twobridge.cli import run_cli
 
@@ -84,6 +91,28 @@ def test_certify_with_table_label(tmp_path, capsys):
 
 def test_certify_odd_b_exits_2(capsys):
     assert run_cli(["certify", "C(2,1,2)", "--volume", "14.0"]) == 2
+
+
+@pytest.mark.parametrize("volume", ["inf", "-inf", "1e400", "nan"])
+def test_certify_non_finite_volume_exits_1(volume, capsys):
+    assert run_cli(["certify", "C(2,2,2)", f"--volume={volume}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err
+
+
+def test_certify_non_finite_table_volume_exits_1(tmp_path, capsys):
+    table = tmp_path / "volumes.csv"
+    table.write_text("big,C(2,2,2),inf\n")
+    assert run_cli(["certify", "C(2,2,2)", "--volume-table", str(table)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_certify_volume_exit_codes(volume):
+    argv = ["certify", "C(2,2,2)", f"--volume={volume!r}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = run_cli(argv)
+    assert status == (0 if math.isfinite(volume) and volume > 0 else 1)
 
 
 def test_certify_needs_exactly_one_volume_source(capsys):

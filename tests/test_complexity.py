@@ -10,6 +10,7 @@ from oracles import octahedron_volume_oracle
 from twobridge.complexity import (
     DEFAULT_EPSILON,
     V_OCT,
+    VolumeRecord,
     certify_smc,
     ingest_volume_table,
     smc_lower_bound_from_volume,
@@ -21,6 +22,7 @@ from twobridge.conway import ConwayWord
 from twobridge.errors import (
     DuplicateLabelError,
     EvenBRequiredError,
+    NonFiniteVolumeError,
     NonPositiveVolumeError,
     NotReducedAlternatingError,
     TableParseError,
@@ -166,6 +168,26 @@ def test_threshold_algebra(volume_fraction):
         assert smc_lower_bound_from_volume(volume) == 2 == certificate.upper_bound
     if certificate.status == "certified" and volume <= 4 * V_OCT:
         assert smc_lower_bound_from_volume(volume) == 2
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_every_volume_boundary_rejects_non_finite(volume):
+    word = ConwayWord((2, 2, 2))
+    calls = (
+        lambda: smc_lower_bound_from_volume(volume),
+        lambda: certify_smc(word, volume),
+        lambda: VolumeRecord("k", "C(2,2,2)", volume, "t"),
+        lambda: ingest_volume_table(f"k,C(2,2,2),{volume!r}\n", source="t"),
+    )
+    for call in calls:
+        if not math.isfinite(volume):
+            with pytest.raises(NonFiniteVolumeError):
+                call()
+        elif volume <= 0:
+            with pytest.raises((NonPositiveVolumeError, TableParseError)):
+                call()
+        else:
+            call()
 
 
 # --- volume tables ------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Cross-sections, blocks, assembly, censuses, and fold traces."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import plat_component_count_of_entries
+from oracles import oracle_trace, plat_component_count_of_entries
 from twobridge.conway import ConwayWord, component_count, fraction_of
 from twobridge.curves import Column, Strip
 from twobridge.errors import (
+    DegenerateFractionError,
     EvenBRequiredError,
     InvalidStripVariantError,
     InvariantViolationError,
+    TraceMismatchError,
 )
 from twobridge.morse import (
+    CrossSection,
     assemble_stable_map,
     build_block,
     fiber_census,
@@ -55,6 +60,13 @@ def test_standard_cross_section_shape():
     assert section.is_tree()
     assert _acyclic_oracle(section)
     assert section.order == (1, 2, "s_hi", "s_lo", 3, 4)
+
+
+def test_tree_check_is_keyed_on_shape():
+    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
+    assert standard_cross_section().is_tree()
+    assert not cyclic.is_tree()
+    assert not _acyclic_oracle(cyclic)
 
 
 # --- blocks -------------------------------------------------------------------
@@ -183,12 +195,49 @@ def test_validate_model_passes():
 
 
 def test_validate_model_rejects_tampered_census():
-    from dataclasses import replace
-
     model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
-    tampered = replace(model, census=replace(model.census, ii2=3))
+    tampered = replace(model, census=replace(model.census, ii2=model.census.ii2 + 1))
     with pytest.raises(InvariantViolationError):
         validate_model(tampered)
+
+
+def test_validate_model_rejects_tampered_component_count():
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
+    tampered = replace(
+        model,
+        census=replace(model.census, definite_components=model.census.definite_components + 1),
+    )
+    with pytest.raises(InvariantViolationError):
+        validate_model(tampered)
+
+
+def test_validate_model_rejects_another_words_trace():
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
+    other = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    assert other.trace.count == model.trace.count and other.trace != model.trace
+    with pytest.raises(TraceMismatchError):
+        validate_model(replace(model, trace=other.trace))
+
+
+def test_validate_model_rejects_altered_permutation():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    j = next(i for i, block in enumerate(model.blocks) if block.kind == "type2")
+    assert model.blocks[j].permutation == (1, 2, 3, 4)
+    blocks = list(model.blocks)
+    blocks[j] = replace(blocks[j], permutation=(2, 1, 3, 4))
+    assert len(oracle_trace(blocks)) != model.trace.count
+    with pytest.raises(TraceMismatchError):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+@given(even_b_words, st.sampled_from(["crossing", "region", "fine"]), st.sampled_from(["f2", "f3"]))
+def test_trace_matches_adjacency_oracle(word, granularity, variant):
+    try:
+        model = assemble_stable_map(word, variant, granularity)
+    except DegenerateFractionError:
+        return
+    assert model.trace.components == oracle_trace(model.blocks)
+    assert model.census.indefinite_circles == 1
 
 
 @given(even_b_words)
