@@ -2,8 +2,8 @@
 
 ``tests/data/golden_digests.json`` holds the sha256 of ``export_json``
 and ``render_svg`` for every corpus word in both variants at all three
-granularities, plus two ladder-style words.  Any change to the model
-pipeline or the encoders must reproduce these bytes exactly.
+granularities, plus two ladder-style words in both variants.  Any change
+to the model pipeline or the encoders must reproduce these bytes exactly.
 
 Regenerate the data file (only when the output format is meant to
 change) with::
@@ -50,7 +50,11 @@ def corpus_digests() -> dict[str, list[str]]:
 
 
 def ladder_digests() -> dict[str, list[str]]:
-    return {text: _digest_pair(assemble_stable_map(parse_conway(text), "f2")) for text in LADDER_WORDS}
+    return {
+        f"{text} {variant}": _digest_pair(assemble_stable_map(parse_conway(text), variant))
+        for text in LADDER_WORDS
+        for variant in VARIANTS
+    }
 
 
 @pytest.fixture(scope="module")
