@@ -179,16 +179,16 @@ def _cmd_certify(args, out) -> int:
 
 def _cmd_render(args, out) -> int:
     word = parse_conway(args.word)
-    diagram = build_plat_diagram(word)
-    curve = outer_smooth(diagram)
-    if args.subject == "curve":
-        subject = curve if args.variant == "f2" else bigon_reduce(curve)
-    elif args.subject == "strips":
+    if args.subject == "model":
+        subject = assemble_stable_map(word, args.variant, args.granularity)
+    else:
+        curve = outer_smooth(build_plat_diagram(word))
         if args.variant == "f3":
             curve = bigon_reduce(curve)
-        subject = strip_decompose(curve, args.variant, args.granularity)
-    else:
-        subject = assemble_stable_map(word, args.variant, args.granularity)
+        if args.subject == "strips":
+            subject = strip_decompose(curve, args.variant, args.granularity)
+        else:
+            subject = curve
     _write_output(render_svg(subject), args.output, out)
     return EXIT_OK
 

@@ -152,7 +152,10 @@ def parse_conway(text: str) -> ConwayWord:
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
         if token.startswith("-") and len(token) == 1:
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
-        entries.append(int(token))
+        try:
+            entries.append(int(token))
+        except ValueError:  # a digit int() does not read, or too many digits
+            raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}") from None
     return ConwayWord(tuple(entries))
 
 

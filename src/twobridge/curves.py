@@ -17,11 +17,17 @@ Smoothing every outer-adjacent crossing horizontally disconnects the
 curve whose double points are exactly the b-crossings.  Geometry stays
 abstract throughout: strips are combinatorial tokens, and coordinates
 only exist in the SVG renderer.
+
+A curve repeats one Column object per twist region, and a strip
+decomposition one Strip object per run of like columns, so the work
+downstream is per region, not per crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, groupby
+from operator import attrgetter, is_not
 
 from .conway import ConwayWord
 from .errors import (
@@ -155,15 +161,21 @@ class StripDecomposition:
         return all(passed for _, passed in self.validation)
 
 
+def _region_runs(word: ConwayWord) -> list[tuple[int, int, bool, int]]:
+    """Each twist region as ``(region, crossings, outer_adjacent, entry_sign)``."""
+    return [
+        (region, abs(entry), region % 2 == 0, 1 if entry > 0 else -1)
+        for region, entry in enumerate(word.entries)
+    ]
+
+
 def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
     """Lay out the word's twist regions left to right as a capped 4-plat."""
     crossings = []
-    for region, entry in enumerate(word.entries):
-        horizontal = region % 2 == 0
+    for region, count, horizontal, sign in _region_runs(word):
         strands = A_STRANDS if horizontal else B_STRANDS
-        sign = 1 if entry > 0 else -1
         braid_sign = sign if horizontal else -sign
-        for slot in range(abs(entry)):
+        for slot in range(count):
             crossings.append(
                 Crossing(
                     region=region,
@@ -175,6 +187,18 @@ def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
                 )
             )
     return PlatDiagram(word=word, crossings=tuple(crossings))
+
+
+def _runs(items) -> list[tuple[object, int]]:
+    """Maximal runs of one repeated object, as ``(object, length)``.
+
+    Identity, not equality, delimits a run, and the run starts are found
+    at C speed, so a sequence that repeats one object per twist region
+    costs one step per region."""
+    if not items:
+        return []
+    starts = [0, *compress(range(1, len(items)), map(is_not, items, items[1:]))]
+    return [(items[a], b - a) for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
 def crossing_census(d: PlatDiagram) -> CrossingCensus:
@@ -190,10 +214,9 @@ def crossing_census(d: PlatDiagram) -> CrossingCensus:
     )
 
 
-def _closed_components_after_smoothing(columns: tuple[Column, ...]) -> int:
+def _closed_components_after_smoothing(swaps: int) -> int:
     """Components of the leftover curve: top strands 1,2 joined by caps,
     swapped once per surviving double point."""
-    swaps = sum(1 for c in columns if c.kind == "crossing")
     # Strand ends: L1,L2,R1,R2 with caps L1-L2 and R1-R2.
     strand_image = {1: 1, 2: 2} if swaps % 2 == 0 else {1: 2, 2: 1}
     parent = {("L", 1): ("L", 1), ("L", 2): ("L", 2), ("R", 1): ("R", 1), ("R", 2): ("R", 2)}
@@ -214,23 +237,61 @@ def _closed_components_after_smoothing(columns: tuple[Column, ...]) -> int:
     return len({find(x) for x in parent})
 
 
-def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
-    """Smooth every crossing adjacent to the outer region, drop the
-    outermost circle, and forget the remaining crossing information."""
-    columns = tuple(
-        Column(
-            kind="pass" if x.outer_adjacent else "crossing",
-            region=x.region,
-            sign=x.entry_sign,
-        )
-        for x in d.crossings
-    )
-    components = _closed_components_after_smoothing(columns)
+def _smooth(word: ConwayWord, region_runs) -> ImmersedCurve:
+    """The smoothing routine: each run ``(region, crossings,
+    outer_adjacent, entry_sign)`` of like crossings becomes one Column,
+    repeated once per crossing."""
+    columns: list[Column] = []
+    swaps = 0
+    for region, count, outer, sign in region_runs:
+        columns += [Column("pass" if outer else "crossing", region, sign)] * count
+        if not outer:
+            swaps += count
+    components = _closed_components_after_smoothing(swaps)
     if components != 1:
         raise SmoothingDisconnectError(
             f"{components} closed curves remain after removing the outermost circle"
         )
-    return ImmersedCurve(word=d.word, variant="f2", columns=columns, removed_circles=1)
+    return ImmersedCurve(word=word, variant="f2", columns=tuple(columns), removed_circles=1)
+
+
+def _smooth_word(word: ConwayWord) -> ImmersedCurve:
+    """``outer_smooth(build_plat_diagram(word))`` straight from the twist
+    regions, without a Crossing per crossing."""
+    return _smooth(word, _region_runs(word))
+
+
+def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
+    """Smooth every crossing adjacent to the outer region, drop the
+    outermost circle, and forget the remaining crossing information."""
+    key = attrgetter("region", "outer_adjacent", "entry_sign")
+    return _smooth(
+        d.word,
+        [(region, len(list(group)), outer, sign) for (region, outer, sign), group in groupby(d.crossings, key)],
+    )
+
+
+def _column_runs(columns: tuple[Column, ...]) -> list[tuple[Column, int, int]]:
+    """Maximal runs of columns of one kind and region, as ``(first
+    column, start, stop)``."""
+    out: list[tuple[Column, int, int]] = []
+    start = 0
+    for col, count in _runs(columns):
+        stop = start + count
+        if out and (out[-1][0].kind, out[-1][0].region) == (col.kind, col.region):
+            out[-1] = (out[-1][0], out[-1][1], stop)
+        else:
+            out.append((col, start, stop))
+        start = stop
+    return out
+
+
+def _per_column(columns, make) -> list:
+    """``[make(c) for c in columns]``, one call per run of one object."""
+    out = []
+    for col, count in _runs(columns):
+        out += [make(col)] * count
+    return out
 
 
 def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
@@ -239,33 +300,28 @@ def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
     if c.variant != "f2":
         raise VariantMismatchError("bigon_reduce expects a pre-reduction curve")
     out: list[Column] = []
-    i = 0
     cols = c.columns
-    while i < len(cols):
-        col = cols[i]
+    for col, start, stop in _column_runs(cols):
         if col.kind != "crossing":
-            out.append(col)
-            i += 1
+            out += cols[start:stop]
             continue
-        j = i
-        while j < len(cols) and cols[j].kind == "crossing" and cols[j].region == col.region:
-            j += 1
-        run = j - i
+        run = stop - start
         if run % 2 != 0:
             raise OddTwistError(
                 f"region {col.region} has {run} double points; pairing impossible"
             )
-        out.extend(Column("tangency", col.region, col.sign) for _ in range(run // 2))
-        i = j
+        out += [Column("tangency", col.region, col.sign)] * (run // 2)
     return ImmersedCurve(
         word=c.word, variant="f3", columns=tuple(out), removed_circles=c.removed_circles
     )
 
 
-def _pass_strips(run: list[Column], granularity: str) -> list[Strip]:
-    if granularity == "region":
-        return [Strip("type3", tuple(run), param=run[0].sign * len(run))]
-    return [Strip("type3", (col,), param=col.sign) for col in run]
+def _pass_strip(col: Column) -> Strip:
+    return Strip("type3", (col,), param=col.sign)
+
+
+def _tangency_strip(col: Column) -> Strip:
+    return Strip("type2", (col,), param=col.sign)
 
 
 def strip_decompose(
@@ -289,16 +345,15 @@ def strip_decompose(
         )
 
     interior: list[Strip] = []
+    type2 = 0
     cols = curve.columns
-    i = 0
-    while i < len(cols):
-        col = cols[i]
-        j = i
-        while j < len(cols) and cols[j].kind == col.kind and cols[j].region == col.region:
-            j += 1
-        run = list(cols[i:j])
+    for col, start, stop in _column_runs(cols):
+        run = cols[start:stop]
         if col.kind == "pass":
-            interior.extend(_pass_strips(run, granularity))
+            if granularity == "region":
+                interior.append(Strip("type3", run, param=col.sign * len(run)))
+            else:
+                interior += _per_column(run, _pass_strip)
         elif col.kind == "crossing":
             expected = abs(curve.word.entries[col.region])
             if len(run) != expected:
@@ -306,18 +361,17 @@ def strip_decompose(
                     f"region {col.region}: {len(run)} double points in one slice, "
                     f"expected the full twist region of {expected}"
                 )
-            interior.append(Strip("type2", tuple(run), param=col.sign * len(run)))
+            interior.append(Strip("type2", run, param=col.sign * len(run)))
+            type2 += 1
         elif col.kind == "tangency":
-            interior.extend(Strip("type2", (c,), param=c.sign) for c in run)
+            interior += _per_column(run, _tangency_strip)
+            type2 += len(run)
         else:
             raise UnsliceableShapeError(f"unknown tile kind {col.kind!r}")
-        i = j
 
     if granularity == "fine":
-        spaced: list[Strip] = []
-        for strip in interior:
-            spaced.append(strip)
-            spaced.append(Strip("type3", (), param=0))
+        spaced: list[Strip] = [Strip("type3", (), param=0)] * (2 * len(interior))
+        spaced[0::2] = interior
         interior = spaced
 
     strips = (Strip("type1"),) + tuple(interior) + (Strip("type4"),)
@@ -331,8 +385,8 @@ def strip_decompose(
     checks = (
         ("first_is_type1", strips[0].kind == "type1"),
         ("last_is_type4", strips[-1].kind == "type4"),
-        ("type2_count", decomposition.type2_count == decomposition.expected_type2),
-        ("interior_kinds", all(s.kind in ("type2", "type3") for s in strips[1:-1])),
+        ("type2_count", type2 == decomposition.expected_type2),
+        ("interior_kinds", all(s.kind in ("type2", "type3") for s, _ in _runs(strips[1:-1]))),
     )
     return StripDecomposition(
         word=curve.word,

@@ -3,10 +3,16 @@
 Each separating segment carries the same standard cross-section: a Morse
 function on a sphere with four extrema (the link punctures, positions
 1,2 maximal and 3,4 minimal) and two saddles, so its Reeb graph is a
-tree with four leaves and two trivalent vertices.  Because the maps are
-cusp-free, no deformation ever creates or destroys critical points, and
-every intermediate slice carries a tree of the same shape; the Euler
-count (#leaves - #trivalent = 2) is checked at every slice.
+tree with four leaves and two trivalent vertices.  An assembled model
+holds that cross-section once and shares it between all segments.
+Because the maps are cusp-free, no deformation ever creates or destroys
+critical points, and every intermediate slice carries a tree of the
+same shape; the Euler count (#leaves - #trivalent = 2) is checked on
+every distinct slice object.
+
+Blocks depend only on their strip, so the event-free blocks of a run of
+one shared strip are one shared block; blocks with events are built one
+per position, since their event slices are named after it.
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -20,14 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, product
+from operator import attrgetter
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
     Strip,
     StripDecomposition,
+    _runs,
+    _smooth_word,
     bigon_reduce,
-    build_plat_diagram,
-    outer_smooth,
     strip_decompose,
 )
 from .errors import (
@@ -243,7 +251,7 @@ def build_block(
     if strip.kind != "type2":
         raise InvalidStripVariantError(f"unknown strip kind {strip.kind!r}")
 
-    content = {c.kind for c in strip.columns}
+    content = set(map(attrgetter("kind"), strip.columns))
     if variant == "f2":
         if content != {"crossing"}:
             raise InvalidStripVariantError(
@@ -287,86 +295,122 @@ def build_block(
     )
 
 
-def _trace_cycles(size: int, ends: list[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Cycle decomposition of a 2-regular graph on nodes ``0..size-1``.
-
-    ``ends`` lists the edges flat, ``[u0, v0, u1, v1, ...]``; node ``i``
-    is the puncture ``(i // 4 + 1, i % 4 + 1)``.  Each node keeps its two
-    neighbours in edge order, and every cycle starts at its smallest node
-    and leaves it towards the first neighbour.
-    """
-    first = [-1] * size
-    second = [-1] * size
-    extra = []
-    for i, x in enumerate(ends):
-        if first[x] < 0:
-            first[x] = ends[i ^ 1]
-        elif second[x] < 0:
-            second[x] = ends[i ^ 1]
-        else:
-            extra.append(x)
-    if extra or -1 in second:
-        short = [second.index(-1)] if -1 in second else []
-        bad = min(extra + short)
+def _cap_partners(block: BlockMap, index: int) -> dict[int, int]:
+    """Each puncture's partner under a cap's arcs."""
+    ends = [x for pair in block.pairing for x in pair]
+    if sorted(ends) != list(LEAVES):
         raise TraceMismatchError(
-            f"strand graph not 2-regular at {(bad // 4 + 1, bad % 4 + 1)}"
+            f"block {index} pairing {block.pairing!r} does not pair the four punctures"
         )
-    labels = [(k, pos) for k in range(1, size // 4 + 1) for pos in LEAVES]
-    seen = bytearray(size)
-    cycles = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        cycle = [labels[start]]
-        prev, here = -1, start
-        while True:
-            nxt = first[here]
-            if nxt == prev:
-                nxt = second[here]
-            if nxt == start:
-                break
-            cycle.append(labels[nxt])
-            seen[nxt] = 1
-            prev, here = here, nxt
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+    return {x: ends[i ^ 1] for i, x in enumerate(ends)}
+
+
+def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
+    """``pos, perm(pos), perm(perm(pos)), ...`` up to the first repeat."""
+    orbit = [pos]
+    nxt = perm[pos - 1]
+    while nxt != pos:
+        orbit.append(nxt)
+        nxt = perm[nxt - 1]
+    return orbit
+
+
+def _sweep(labels: list, section: int, orbit: list[int], count: int) -> list:
+    """The punctures of one strand at sections ``section`` to
+    ``section + count - 1``, entering at ``orbit[0]`` and moved on by
+    the same permutation, whose cycle through it is ``orbit``, at every
+    section.  Puncture ``(k, pos)`` is ``labels[4 * k - 5 + pos]``, so
+    every ``len(orbit)``-th puncture is one slice of ``labels``."""
+    step = len(orbit)
+    stop = 4 * (section + count - 1)
+    if step == 1:
+        return labels[4 * section - 5 + orbit[0] : stop : 4]
+    out = [None] * count
+    for i, pos in enumerate(orbit):
+        out[i::step] = labels[4 * (section + i) - 5 + pos : stop : 4 * step]
+    return out
 
 
 def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
     """Trace the strands through the blocks: cap arcs at both ends, and
     each middle block sends puncture ``pos`` of section ``j`` to puncture
-    ``permutation[pos - 1]`` of section ``j + 1``."""
+    ``permutation[pos - 1]`` of section ``j + 1``.
+
+    Each component starts at its smallest puncture, which lies on the
+    first section, takes the left cap's arc and then sweeps right and
+    left between the caps.  A run of middle blocks with one permutation
+    is crossed in one step (``_sweep``).
+    """
     n = len(blocks) - 1
-    last = 4 * (n - 1) - 1
-    ends = [x - 1 for pair in blocks[0].pairing for x in pair]
-    for base, block in zip(range(0, 4 * n, 4), blocks[1:-1]):
-        p1, p2, p3, p4 = block.permutation
-        ends += (
-            base, base + 3 + p1,
-            base + 1, base + 3 + p2,
-            base + 2, base + 3 + p3,
-            base + 3, base + 3 + p4,
-        )
-    ends += (last + x for pair in blocks[-1].pairing for x in pair)
-    return DefiniteFoldTrace(components=_trace_cycles(4 * n, ends))
-
-
-def _indefinite_circles(blocks: tuple[BlockMap, ...]) -> int:
-    """Circles of the indefinite fold set.  Its two curves run through
-    every block ('id' or 'swap' only exchanges which is which) and close
-    up only in 'join' blocks, so each circle takes two of those."""
-    return sum(1 for block in blocks if block.saddle_map == "join") // 2
+    if n < 1:
+        raise TraceMismatchError("a model needs a cap block at either end")
+    left = _cap_partners(blocks[0], 0)
+    runs = []  # (permutation, number of blocks, section the run starts at)
+    first = 1
+    for perm, group in groupby(map(attrgetter("permutation"), blocks[1:-1])):
+        if sorted(perm) != list(LEAVES):
+            raise TraceMismatchError(
+                f"block {first} permutation {perm!r} does not permute the four punctures"
+            )
+        count = len(list(group))
+        runs.append((perm, count, first))
+        first += count
+    right = _cap_partners(blocks[-1], n)
+    labels = list(product(range(1, n + 1), LEAVES))
+    unseen = set(LEAVES)  # first-section punctures on no component yet
+    components = []
+    while unseen:
+        start = min(unseen)
+        pos = left[start]
+        cycle = [labels[start - 1], labels[pos - 1]]
+        unseen -= {start, pos}
+        while True:
+            for perm, count, first in runs:
+                orbit = _orbit(perm, perm[pos - 1])
+                cycle += _sweep(labels, first + 1, orbit, count)
+                pos = orbit[(count - 1) % len(orbit)]
+            pos = right[pos]
+            if n == 1 and pos == start:
+                break
+            cycle.append(labels[4 * n - 5 + pos])
+            for perm, count, first in reversed(runs):
+                orbit = _orbit(perm, pos)
+                pos = orbit[-count % len(orbit)]
+                back = _sweep(labels, first, _orbit(perm, pos), count)
+                back.reverse()
+                cycle += back
+            if pos == start:  # n > 1: the sweep came back to the start
+                cycle.pop()
+                break
+            unseen.discard(pos)
+            pos = left[pos]
+            if pos == start:
+                break
+            cycle.append(labels[pos - 1])
+            unseen.discard(pos)
+        components.append(tuple(cycle))
+    return DefiniteFoldTrace(components=tuple(components))
 
 
 def _census_from_blocks(blocks: tuple[BlockMap, ...], trace: DefiniteFoldTrace) -> SingularFiberCensus:
-    ii2 = sum(1 for blk in blocks for e in blk.events if e.kind == "II2")
-    ii3 = sum(1 for blk in blocks for e in blk.events if e.kind == "II3")
+    """Event counts from the block logs, one look per run of one block.
+    The indefinite fold set's two curves run through every block ('id'
+    or 'swap' only exchanges which is which) and close up only in 'join'
+    blocks, so each of its circles takes two of those."""
+    ii2 = ii3 = joins = 0
+    for block, count in _runs(blocks):
+        for event in block.events:
+            if event.kind == "II2":
+                ii2 += count
+            elif event.kind == "II3":
+                ii3 += count
+        if block.saddle_map == "join":
+            joins += count
     return SingularFiberCensus(
         ii2=ii2,
         ii3=ii3,
         definite_components=trace.count,
-        indefinite_circles=_indefinite_circles(blocks),
+        indefinite_circles=joins // 2,
     )
 
 
@@ -385,25 +429,24 @@ def assemble_stable_map(
             f"{word} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    diagram = build_plat_diagram(word)
-    curve = outer_smooth(diagram)
+    curve = _smooth_word(word)
     if variant == "f3":
         curve = bigon_reduce(curve)
     strips = strip_decompose(curve, variant, granularity)
 
-    n = strips.n
-    sections = tuple(standard_cross_section(f"F{k}") for k in range(1, n + 1))
+    section = standard_cross_section()
     blocks = []
-    for j, strip in enumerate(strips.strips):
-        blocks.append(
-            build_block(
-                strip,
-                variant,
-                index=j,
-                entry=sections[j - 1] if j >= 1 else None,
-                exit_section=sections[j] if j < n else None,
-            )
-        )
+    for strip, count in _runs(strips.strips):
+        j = len(blocks)
+        block = build_block(strip, variant, index=j, entry=section, exit_section=section)
+        if block.events:  # event slice tags name the block's index
+            blocks.append(block)
+            blocks += [
+                build_block(strip, variant, index=k, entry=section, exit_section=section)
+                for k in range(j + 1, j + count)
+            ]
+        else:
+            blocks += [block] * count
     blocks = tuple(blocks)
 
     trace = _checked_trace(blocks, fraction)
@@ -413,7 +456,7 @@ def assemble_stable_map(
         granularity=granularity,
         strips=strips,
         blocks=blocks,
-        sections=sections,
+        sections=(section,) * strips.n,
         census=_census_from_blocks(blocks, trace),
         trace=trace,
     )
@@ -443,32 +486,49 @@ def _checked_trace(blocks: tuple[BlockMap, ...], fraction) -> DefiniteFoldTrace:
     return trace
 
 
+def _check_glued(left: BlockMap, right: BlockMap) -> None:
+    if left.exit is not None or right.entry is not None:
+        shared_left = left.exit if left.exit is not None else left.entry
+        shared_right = right.entry if right.entry is not None else right.exit
+        if shared_left is not shared_right and shared_left != shared_right:
+            raise InvariantViolationError(
+                f"gluing mismatch between {left.kind} and {right.kind}"
+            )
+
+
 def _check_structure(model: StableMapModel) -> None:
     """The invariants that do not re-derive the trace: strip word legal,
     blocks on the right strips and glued exactly, Euler count and tree at
     every slice, event slices materialised, and the cached census of one
-    fiber type with the variant's count."""
+    fiber type with the variant's count.
+
+    Each distinct block, block/strip pair and section object is checked
+    once, so a run of one shared block costs one check, while any object
+    put in after assembly is still looked at."""
     strips = model.strips
     if not strips.ok:
         failed = [name for name, passed in strips.validation if not passed]
         raise InvariantViolationError(f"strip validation failed: {failed}")
-    if len(model.blocks) != len(strips.strips):
+    blocks = model.blocks
+    if len(blocks) != len(strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
-    for block, strip in zip(model.blocks, strips.strips):
+    pairs = dict(zip(zip(map(id, blocks), map(id, strips.strips)), zip(blocks, strips.strips)))
+    for block, strip in pairs.values():
         if block.kind != strip.kind:
             raise InvariantViolationError(f"block {block.kind} on strip {strip.kind}")
-    for left, right in zip(model.blocks, model.blocks[1:]):
-        if left.exit is not None or right.entry is not None:
-            shared_left = left.exit if left.exit is not None else left.entry
-            shared_right = right.entry if right.entry is not None else right.exit
-            if shared_left != shared_right:
-                raise InvariantViolationError(
-                    f"gluing mismatch between {left.kind} and {right.kind}"
-                )
-    for block in model.blocks:
+    block_runs = _runs(blocks)
+    for block, repeats in block_runs:
+        if repeats > 1:  # the block is glued to itself along its run
+            _check_glued(block, block)
+    for (left, _), (right, _) in zip(block_runs, block_runs[1:]):
+        _check_glued(left, right)
+    checked = set()
+    for block in {id(block): block for block, _ in block_runs}.values():
         for section in block.slices:
-            if not section.euler_ok or not section.is_tree():
-                raise InvariantViolationError(f"bad slice {section.tag} in {block.kind}")
+            if id(section) not in checked:
+                checked.add(id(section))
+                if not section.euler_ok or not section.is_tree():
+                    raise InvariantViolationError(f"bad slice {section.tag} in {block.kind}")
         if block.events:
             tags = {s.tag for s in block.slices}
             for event in block.events:

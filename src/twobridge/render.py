@@ -9,7 +9,10 @@ SVG is never imported.
 
 from __future__ import annotations
 
-from .curves import ImmersedCurve, StripDecomposition
+import re
+from itertools import repeat
+
+from .curves import ImmersedCurve, StripDecomposition, _runs
 from .morse import StableMapModel
 
 MARGIN = 16
@@ -43,6 +46,17 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
         f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
         f'stroke="black" stroke-width="2"{dash}/>'
     )
+
+
+def _filled(template: str, *columns: range) -> list[str]:
+    """``template.format(*row)`` for each row of ``zip(*columns)``, with
+    each number turned into text once: the template is split at its
+    ``{i}`` fields and every output line joined from the pieces."""
+    pieces = re.split(r"\{(\d)\}", template)  # text, field, text, ...
+    texts = [list(map(str, column)) for column in columns]
+    rows = len(texts[0])
+    parts = (repeat(p, rows) if i % 2 == 0 else texts[int(p)] for i, p in enumerate(pieces))
+    return list(map("".join, zip(*parts)))
 
 
 def _render_curve(curve: ImmersedCurve) -> str:
@@ -89,32 +103,36 @@ def _render_curve(curve: ImmersedCurve) -> str:
     return _svg(width, height, parts)
 
 
+def _strip_rect(kind: str) -> str:
+    """The rect of a strip of ``kind``, with ``{0}`` for its x."""
+    if kind == "type2":
+        fill = "#ffd27f"
+        cls = "strip strip-type2"
+    elif kind in ("type1", "type4"):
+        fill = "#e8e8e8"
+        cls = f"strip strip-{kind}"
+    else:
+        fill = "white"
+        cls = "strip strip-type3"
+    return (
+        f'<rect class="{cls}" x="{{0}}" y="{STRIP_TOP}" width="{STRIP_W}" '
+        f'height="{STRIP_BOT - STRIP_TOP}" fill="{fill}" stroke="none"/>'
+    )
+
+
 def _strip_rects(strips, left: int) -> list[str]:
     parts = []
-    for i, strip in enumerate(strips):
-        x = left + i * STRIP_W
-        if strip.kind == "type2":
-            fill = "#ffd27f"
-            cls = "strip strip-type2"
-        elif strip.kind in ("type1", "type4"):
-            fill = "#e8e8e8"
-            cls = f"strip strip-{strip.kind}"
-        else:
-            fill = "white"
-            cls = "strip strip-type3"
-        parts.append(
-            f'<rect class="{cls}" x="{x}" y="{STRIP_TOP}" width="{STRIP_W}" '
-            f'height="{STRIP_BOT - STRIP_TOP}" fill="{fill}" stroke="none"/>'
-        )
+    x = left
+    for strip, count in _runs(strips):
+        end = x + count * STRIP_W
+        parts += _filled(_strip_rect(strip.kind), range(x, end, STRIP_W))
+        x = end
     return parts
 
 
 def _gamma_lines(count: int, left: int) -> list[str]:
-    parts = []
-    for k in range(1, count):
-        x = left + k * STRIP_W
-        parts.append(_line(x, STRIP_TOP, x, STRIP_BOT, "gamma"))
-    return parts
+    template = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma")
+    return _filled(template, range(left + STRIP_W, left + count * STRIP_W, STRIP_W))
 
 
 def _render_strips(decomposition: StripDecomposition) -> str:
@@ -132,19 +150,19 @@ def _render_strips(decomposition: StripDecomposition) -> str:
     return _svg(width, height, parts)
 
 
-def _tree_glyph(x: int, y: int) -> str:
-    """The standard cross-section tree: two leaves above, two below."""
-    half = TREE_W // 2
+def _tree_glyph(y: int) -> str:
+    """The standard cross-section tree: two leaves above, two below, with
+    ``{0}``, ``{1}`` and ``{2}`` for its left, middle and right x."""
     top = y
     s_hi = y + TREE_H // 3
     s_lo = y + 2 * TREE_H // 3
     bot = y + TREE_H
     segs = [
-        _line(x - half, top, x, s_hi, "reeb-edge"),
-        _line(x + half, top, x, s_hi, "reeb-edge"),
-        _line(x, s_hi, x, s_lo, "reeb-edge"),
-        _line(x, s_lo, x - half, bot, "reeb-edge"),
-        _line(x, s_lo, x + half, bot, "reeb-edge"),
+        _line("{0}", top, "{1}", s_hi, "reeb-edge"),
+        _line("{2}", top, "{1}", s_hi, "reeb-edge"),
+        _line("{1}", s_hi, "{1}", s_lo, "reeb-edge"),
+        _line("{1}", s_lo, "{0}", bot, "reeb-edge"),
+        _line("{1}", s_lo, "{2}", bot, "reeb-edge"),
     ]
     return '<g class="reeb-tree">' + "".join(segs) + "</g>"
 
@@ -162,17 +180,25 @@ def _render_model(model: StableMapModel) -> str:
     )
     parts.extend(_gamma_lines(len(strips), left))
     mid_y = (STRIP_TOP + STRIP_BOT) // 2
-    for i, block in enumerate(model.blocks):
-        cx = left + i * STRIP_W + STRIP_W // 2
-        for j, event in enumerate(block.events):
-            cy = mid_y + (j - len(block.events) // 2) * 14
-            cls = "event-ii2" if event.kind == "II2" else "event-ii3"
-            parts.append(
-                f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>'
-            )
-    tree_y = STRIP_BOT + MARGIN
-    for k in range(1, len(strips)):
-        parts.append(_tree_glyph(left + k * STRIP_W, tree_y))
+    i = 0
+    for block, count in _runs(model.blocks):
+        for cx in range(left + i * STRIP_W + STRIP_W // 2, left + (i + count) * STRIP_W, STRIP_W):
+            for j, event in enumerate(block.events):
+                cy = mid_y + (j - len(block.events) // 2) * 14
+                cls = "event-ii2" if event.kind == "II2" else "event-ii3"
+                parts.append(
+                    f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>'
+                )
+        i += count
+    # One tree beneath each separator, at x = left + k * STRIP_W.
+    separators = range(left + STRIP_W, left + len(strips) * STRIP_W, STRIP_W)
+    half = TREE_W // 2
+    parts += _filled(
+        _tree_glyph(STRIP_BOT + MARGIN),
+        range(separators.start - half, separators.stop - half, STRIP_W),
+        separators,
+        range(separators.start + half, separators.stop + half, STRIP_W),
+    )
     return _svg(width, height, parts)
 
 

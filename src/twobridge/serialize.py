@@ -11,10 +11,12 @@ lossless across slicing conventions.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import format_conway, fraction_of, parse_conway
+from .curves import _runs
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError
 from .morse import StableMapModel, assemble_stable_map
 
@@ -45,6 +47,14 @@ def _block_entry(block) -> dict:
     }
 
 
+def _mapped(items, entry) -> list:
+    """``[entry(x) for x in items]``, one call per run of one object."""
+    out = []
+    for item, count in _runs(items):
+        out += [entry(item)] * count
+    return out
+
+
 def _model_document(
     model: StableMapModel, strip_entry=_strip_entry, block_entry=_block_entry
 ) -> dict:
@@ -56,8 +66,8 @@ def _model_document(
         "variant": model.variant,
         "granularity": model.granularity,
         "fraction": {"p": fraction.p, "q": fraction.q},
-        "strips": [strip_entry(strip) for strip in model.strips.strips],
-        "blocks": [block_entry(block) for block in model.blocks],
+        "strips": _mapped(model.strips.strips, strip_entry),
+        "blocks": _mapped(model.blocks, block_entry),
         "census": {
             "ii2": census.ii2,
             "ii3": census.ii3,
@@ -91,10 +101,36 @@ def _plain_block_text(kind: str, permutation: tuple[int, ...]) -> str:
     return _entry_text({"kind": kind, "events": [], "permutation": list(permutation)})
 
 
+_SLICE = "\0"  # stands in for the event slice tags in a cached block text
+_SLICE_TEXT = json.dumps(_SLICE)
+
+
+@lru_cache(maxsize=1024)
+def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> list[str] | None:
+    """The text of a block with events, split where the slice tags go;
+    None if the stand-in shows up anywhere else."""
+    text = _entry_text(
+        {
+            "kind": kind,
+            "events": [{"kind": k, "slice": _SLICE} for k in event_kinds],
+            "permutation": list(permutation),
+        }
+    )
+    parts = text.split(_SLICE_TEXT)
+    return parts if len(parts) == len(event_kinds) + 1 else None
+
+
 def _block_text(block) -> str:
-    if block.events:  # event slice tags name the block's index: not shared
+    if not block.events:
+        return _plain_block_text(block.kind, block.permutation)
+    # Event slice tags name the block's index, so only the rest is shared.
+    parts = _event_block_parts(block.kind, tuple(e.kind for e in block.events), block.permutation)
+    if parts is None:
         return _entry_text(_block_entry(block))
-    return _plain_block_text(block.kind, block.permutation)
+    text = [parts[0]]
+    for event, part in zip(block.events, parts[1:]):
+        text += (json.dumps(event.slice), part)
+    return "".join(text)
 
 
 def export_json(model: StableMapModel) -> str:
@@ -102,9 +138,10 @@ def export_json(model: StableMapModel) -> str:
 
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python.  The long "strips" and "blocks" arrays are
-    therefore joined from per-entry text, cached for every strip and for
-    every block without events, so only the short fields and the event
-    blocks go through the encoder.
+    therefore joined from per-entry text: one text per run of one shared
+    strip or block, cached for every strip and every block without
+    events, and cached up to the slice tags for blocks with events.
+    Only the short fields go through the encoder.
     """
     doc = _model_document(model, _strip_text, _block_text)
     fields = []
@@ -134,16 +171,45 @@ def _require_int(value, where: str) -> int:
     return value
 
 
+# The opening of every exported document, up to the fields that
+# determine the model.
+_CANONICAL_HEAD = re.compile(
+    r'\{\n  "schema_version": "1",\n  "conway": "([^"\\\n]*)",\n'
+    r'  "variant": "(f2|f3)",\n  "granularity": "(crossing|region|fine)",\n'
+)
+
+
+def _canonical_model(text) -> StableMapModel | None:
+    """The model whose export is exactly ``text``, if there is one.
+
+    Such a document passes every check of ``import_json``: its fields
+    are those of a fresh assembly by construction."""
+    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
+    if head is None:
+        return None
+    try:
+        model = assemble_stable_map(parse_conway(head[1]), head[2], head[3])
+    except TwoBridgeError:
+        return None
+    return model if export_json(model) == text else None
+
+
 def import_json(text: str) -> StableMapModel:
     """Reconstruct a model from document text and revalidate everything.
 
     The word, variant, and granularity determine a fresh assembly; the
     document's strips, blocks, census, fraction, and bounds must all
     agree with it, otherwise the document is internally inconsistent.
+    A document that is byte for byte the export of that assembly is
+    accepted as it stands; any other is parsed and checked field by
+    field, schema first.
     """
+    model = _canonical_model(text)
+    if model is not None:
+        return model
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # ValueError covers JSONDecodeError
         raise SchemaError(f"not valid JSON: {err}") from None
     _require_keys(doc, _TOP_KEYS, "document")
     if doc["schema_version"] != SCHEMA_VERSION:
@@ -175,6 +241,12 @@ def import_json(text: str) -> StableMapModel:
             raise SchemaError(f"blocks[{i}].permutation must be a permutation of 1..4")
     for key in ("ii2", "ii3", "definite_components", "indefinite_circles"):
         _require_int(doc["census"][key], f"census.{key}")
+    for key in ("p", "q"):
+        _require_int(doc["fraction"][key], f"fraction.{key}")
+    for key in ("smc_upper", "weighted_sum"):
+        _require_int(doc["bounds"][key], f"bounds.{key}")
+    if not isinstance(doc["conway"], str):
+        raise SchemaError(f"conway: expected a string, got {doc['conway']!r}")
 
     try:
         word = parse_conway(doc["conway"])

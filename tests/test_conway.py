@@ -73,6 +73,13 @@ def test_parse_rejects_bad_grammar(bad):
         parse_conway(bad)
 
 
+@pytest.mark.parametrize("bad", ["C(\u00b2)", "C(" + "1" * 5000 + ")"])
+def test_parse_rejects_integers_int_cannot_read(bad):
+    # a superscript digit passes str.isdigit; 5000 digits exceed int()'s limit
+    with pytest.raises(ConwaySyntaxError):
+        parse_conway(bad)
+
+
 @given(words)
 def test_format_parse_roundtrip(word):
     assert parse_conway(format_conway(word)) == word

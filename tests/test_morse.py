@@ -230,6 +230,33 @@ def test_validate_model_rejects_altered_permutation():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
+def test_sections_share_one_standard_cross_section():
+    model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
+    assert len(model.sections) == len(model.blocks) - 1
+    assert all(section is model.sections[0] for section in model.sections)
+    assert model.sections[0] == standard_cross_section()
+
+
+def test_validate_model_checks_a_block_swapped_into_a_shared_run():
+    model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
+    block = model.blocks[2]
+    assert block.kind == "type3" and model.blocks[3] is block
+    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
+    blocks = list(model.blocks)
+    blocks[3] = replace(block, slices=(block.entry, cyclic, block.exit))
+    with pytest.raises(InvariantViolationError):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+def test_trace_rejects_blocks_that_lose_a_strand():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    for j, field, value in ((2, "permutation", (1, 1, 3, 4)), (0, "pairing", ((1, 2),))):
+        blocks = list(model.blocks)
+        blocks[j] = replace(blocks[j], **{field: value})
+        with pytest.raises(TraceMismatchError):
+            trace_definite_folds(replace(model, blocks=tuple(blocks)))
+
+
 @given(even_b_words, st.sampled_from(["crossing", "region", "fine"]), st.sampled_from(["f2", "f3"]))
 def test_trace_matches_adjacency_oracle(word, granularity, variant):
     try:

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
-from twobridge.errors import InvariantViolationError, SchemaError
+from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
 from twobridge.morse import assemble_stable_map
 from twobridge.serialize import export_json, import_json
 
@@ -122,3 +124,60 @@ def test_odd_b_document_rejected(model):
     doc["conway"] = "C(2,1,2)"
     with pytest.raises(InvariantViolationError):
         import_json(json.dumps(doc))
+
+
+def test_non_canonical_layout_still_loads(model):
+    # same fields, other whitespace: not the export's bytes, so fully checked
+    compact = json.dumps(json.loads(export_json(model)))
+    assert compact != export_json(model)
+    assert import_json(compact) == model
+
+
+def test_non_integer_fraction_rejected():
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
+    doc = json.loads(export_json(model))
+    assert doc["fraction"] == {"p": 12, "q": 5}
+    doc["fraction"]["p"] = 12.0
+    with pytest.raises(SchemaError):
+        import_json(json.dumps(doc))
+
+
+def test_boolean_bound_rejected():
+    model = assemble_stable_map(ConwayWord((3,)), "f2")
+    doc = json.loads(export_json(model))
+    assert doc["bounds"]["smc_upper"] == 0
+    doc["bounds"]["smc_upper"] = False
+    with pytest.raises(SchemaError):
+        import_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("conway", [5, None, ["C(3,2,3)"]])
+def test_non_string_conway_rejected(model, conway):
+    doc = json.loads(export_json(model))
+    doc["conway"] = conway
+    with pytest.raises(SchemaError):
+        import_json(json.dumps(doc))
+
+
+def test_deeply_nested_text_rejected():
+    with pytest.raises(SchemaError):
+        import_json("[" * 200000 + "]" * 200000)
+
+
+_DOCUMENT = export_json(assemble_stable_map(ConwayWord((3, 2, 3)), "f2"))
+_TOP_KEYS = tuple(json.loads(_DOCUMENT))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@given(st.sampled_from(_TOP_KEYS), json_values)
+def test_any_field_value_raises_only_library_errors(key, value):
+    doc = json.loads(_DOCUMENT)
+    doc[key] = value
+    try:
+        import_json(json.dumps(doc))
+    except TwoBridgeError:
+        pass
