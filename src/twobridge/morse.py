@@ -10,9 +10,10 @@ critical points, and every intermediate slice carries a tree of the
 same shape; the Euler count (#leaves - #trivalent = 2) is checked on
 every distinct slice object.
 
-Blocks depend only on their strip, so the event-free blocks of a run of
-one shared strip are one shared block; blocks with events are built one
-per position, since their event slices are named after it.
+A block without events depends only on its strip's kind and the parity
+of the strip's crossings, so an assembled model holds one such block per
+kind and parity, repeated; blocks with events are built one per
+position, since their event slices are named after it.
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -366,6 +367,10 @@ def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
         unseen -= {start, pos}
         while True:
             for perm, count, first in runs:
+                if count == 1:
+                    pos = perm[pos - 1]
+                    cycle.append(labels[4 * first - 1 + pos])
+                    continue
                 orbit = _orbit(perm, perm[pos - 1])
                 cycle += _sweep(labels, first + 1, orbit, count)
                 pos = orbit[(count - 1) % len(orbit)]
@@ -374,6 +379,10 @@ def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
                 break
             cycle.append(labels[4 * n - 5 + pos])
             for perm, count, first in reversed(runs):
+                if count == 1:
+                    pos = perm.index(pos) + 1
+                    cycle.append(labels[4 * first - 5 + pos])
+                    continue
                 orbit = _orbit(perm, pos)
                 pos = orbit[-count % len(orbit)]
                 back = _sweep(labels, first, _orbit(perm, pos), count)
@@ -435,18 +444,26 @@ def assemble_stable_map(
     strips = strip_decompose(curve, variant, granularity)
 
     section = standard_cross_section()
+    # A block without events depends only on its strip's kind and on the
+    # parity of the strip's crossings, so one object serves every strip
+    # with the same pair.
+    shared = {}
     blocks = []
     for strip, count in _runs(strips.strips):
-        j = len(blocks)
-        block = build_block(strip, variant, index=j, entry=section, exit_section=section)
-        if block.events:  # event slice tags name the block's index
-            blocks.append(block)
-            blocks += [
-                build_block(strip, variant, index=k, entry=section, exit_section=section)
-                for k in range(j + 1, j + count)
-            ]
-        else:
-            blocks += [block] * count
+        key = (strip.kind, len(strip.columns) % 2)
+        block = shared.get(key)
+        if block is None:
+            j = len(blocks)
+            block = build_block(strip, variant, index=j, entry=section, exit_section=section)
+            if block.events:  # event slice tags name the block's index
+                blocks.append(block)
+                blocks += [
+                    build_block(strip, variant, index=k, entry=section, exit_section=section)
+                    for k in range(j + 1, j + count)
+                ]
+                continue
+            shared[key] = block
+        blocks += [block] * count
     blocks = tuple(blocks)
 
     trace = _checked_trace(blocks, fraction)

@@ -10,7 +10,9 @@ SVG is never imported.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from functools import lru_cache
+from itertools import groupby, repeat
+from operator import attrgetter
 
 from .curves import ImmersedCurve, StripDecomposition, _runs
 from .morse import StableMapModel
@@ -48,11 +50,17 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
     )
 
 
+@lru_cache(maxsize=64)
+def _pieces(template: str) -> list[str]:
+    """The template split at its ``{i}`` fields: text, field, text, ..."""
+    return re.split(r"\{(\d)\}", template)
+
+
 def _filled(template: str, *columns: range) -> list[str]:
     """``template.format(*row)`` for each row of ``zip(*columns)``, with
-    each number turned into text once: the template is split at its
-    ``{i}`` fields and every output line joined from the pieces."""
-    pieces = re.split(r"\{(\d)\}", template)  # text, field, text, ...
+    each number turned into text once: every output line is joined from
+    the template's pieces and the numbers' text."""
+    pieces = _pieces(template)
     texts = [list(map(str, column)) for column in columns]
     rows = len(texts[0])
     parts = (repeat(p, rows) if i % 2 == 0 else texts[int(p)] for i, p in enumerate(pieces))
@@ -123,9 +131,9 @@ def _strip_rect(kind: str) -> str:
 def _strip_rects(strips, left: int) -> list[str]:
     parts = []
     x = left
-    for strip, count in _runs(strips):
-        end = x + count * STRIP_W
-        parts += _filled(_strip_rect(strip.kind), range(x, end, STRIP_W))
+    for kind, group in groupby(strips, attrgetter("kind")):
+        end = x + len(list(group)) * STRIP_W
+        parts += _filled(_strip_rect(kind), range(x, end, STRIP_W))
         x = end
     return parts
 
@@ -182,13 +190,14 @@ def _render_model(model: StableMapModel) -> str:
     mid_y = (STRIP_TOP + STRIP_BOT) // 2
     i = 0
     for block, count in _runs(model.blocks):
-        for cx in range(left + i * STRIP_W + STRIP_W // 2, left + (i + count) * STRIP_W, STRIP_W):
-            for j, event in enumerate(block.events):
-                cy = mid_y + (j - len(block.events) // 2) * 14
-                cls = "event-ii2" if event.kind == "II2" else "event-ii3"
-                parts.append(
-                    f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>'
-                )
+        if block.events:
+            for cx in range(left + i * STRIP_W + STRIP_W // 2, left + (i + count) * STRIP_W, STRIP_W):
+                for j, event in enumerate(block.events):
+                    cy = mid_y + (j - len(block.events) // 2) * 14
+                    cls = "event-ii2" if event.kind == "II2" else "event-ii3"
+                    parts.append(
+                        f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>'
+                    )
         i += count
     # One tree beneath each separator, at x = left + k * STRIP_W.
     separators = range(left + STRIP_W, left + len(strips) * STRIP_W, STRIP_W)

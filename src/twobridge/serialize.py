@@ -174,7 +174,8 @@ def _require_int(value, where: str) -> int:
 # The opening of every exported document, up to the fields that
 # determine the model.
 _CANONICAL_HEAD = re.compile(
-    r'\{\n  "schema_version": "1",\n  "conway": "([^"\\\n]*)",\n'
+    r'\{\n  "schema_version": ' + re.escape(json.dumps(SCHEMA_VERSION)) + r',\n'
+    r'  "conway": "([^"\\\n]*)",\n'
     r'  "variant": "(f2|f3)",\n  "granularity": "(crossing|region|fine)",\n'
 )
 

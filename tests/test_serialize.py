@@ -181,3 +181,13 @@ def test_any_field_value_raises_only_library_errors(key, value):
         import_json(json.dumps(doc))
     except TwoBridgeError:
         pass
+
+
+def test_exported_text_loads_without_a_parse(model, monkeypatch):
+    text = export_json(model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exported text was parsed")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert import_json(text) == model
