@@ -201,6 +201,14 @@ def _runs(items) -> list[tuple[object, int]]:
     return [(items[a], b - a) for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
+def _mapped(items, f) -> list:
+    """``[f(x) for x in items]``, one call per run of one object."""
+    out = []
+    for item, count in _runs(items):
+        out += [f(item)] * count
+    return out
+
+
 def crossing_census(d: PlatDiagram) -> CrossingCensus:
     sum_a = sum(abs(a) for a in d.word.a_entries)
     sum_b = sum(abs(b) for b in d.word.b_entries)
@@ -264,11 +272,8 @@ def _smooth_word(word: ConwayWord) -> ImmersedCurve:
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     """Smooth every crossing adjacent to the outer region, drop the
     outermost circle, and forget the remaining crossing information."""
-    key = attrgetter("region", "outer_adjacent", "entry_sign")
-    return _smooth(
-        d.word,
-        [(region, len(list(group)), outer, sign) for (region, outer, sign), group in groupby(d.crossings, key)],
-    )
+    runs = groupby(d.crossings, attrgetter("region", "outer_adjacent", "entry_sign"))
+    return _smooth(d.word, [(region, len(list(group)), outer, sign) for (region, outer, sign), group in runs])
 
 
 def _column_runs(columns: tuple[Column, ...]) -> list[tuple[Column, int, int]]:
@@ -283,14 +288,6 @@ def _column_runs(columns: tuple[Column, ...]) -> list[tuple[Column, int, int]]:
         else:
             out.append((col, start, stop))
         start = stop
-    return out
-
-
-def _per_column(columns, make) -> list:
-    """``[make(c) for c in columns]``, one call per run of one object."""
-    out = []
-    for col, count in _runs(columns):
-        out += [make(col)] * count
     return out
 
 
@@ -314,14 +311,6 @@ def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
     return ImmersedCurve(
         word=c.word, variant="f3", columns=tuple(out), removed_circles=c.removed_circles
     )
-
-
-def _pass_strip(col: Column) -> Strip:
-    return Strip("type3", (col,), param=col.sign)
-
-
-def _tangency_strip(col: Column) -> Strip:
-    return Strip("type2", (col,), param=col.sign)
 
 
 def strip_decompose(
@@ -353,7 +342,7 @@ def strip_decompose(
             if granularity == "region":
                 interior.append(Strip("type3", run, param=col.sign * len(run)))
             else:
-                interior += _per_column(run, _pass_strip)
+                interior += _mapped(run, lambda c: Strip("type3", (c,), param=c.sign))
         elif col.kind == "crossing":
             expected = abs(curve.word.entries[col.region])
             if len(run) != expected:
@@ -364,7 +353,7 @@ def strip_decompose(
             interior.append(Strip("type2", run, param=col.sign * len(run)))
             type2 += 1
         elif col.kind == "tangency":
-            interior += _per_column(run, _tangency_strip)
+            interior += _mapped(run, lambda c: Strip("type2", (c,), param=c.sign))
             type2 += len(run)
         else:
             raise UnsliceableShapeError(f"unknown tile kind {col.kind!r}")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import format_conway, fraction_of, parse_conway
-from .curves import _runs
+from .curves import _mapped
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError
 from .morse import StableMapModel, assemble_stable_map
 
@@ -45,14 +45,6 @@ def _block_entry(block) -> dict:
         "events": [{"kind": e.kind, "slice": e.slice} for e in block.events],
         "permutation": list(block.permutation),
     }
-
-
-def _mapped(items, entry) -> list:
-    """``[entry(x) for x in items]``, one call per run of one object."""
-    out = []
-    for item, count in _runs(items):
-        out += [entry(item)] * count
-    return out
 
 
 def _model_document(
