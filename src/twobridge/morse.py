@@ -375,7 +375,7 @@ def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
                 cycle += _sweep(labels, first + 1, orbit, count)
                 pos = orbit[(count - 1) % len(orbit)]
             pos = right[pos]
-            if n == 1 and pos == start:
+            if n == 1 and pos == start:  # both caps on the first section
                 break
             cycle.append(labels[4 * n - 5 + pos])
             for perm, count, first in reversed(runs):

@@ -172,21 +172,6 @@ _CANONICAL_HEAD = re.compile(
 )
 
 
-def _canonical_model(text) -> StableMapModel | None:
-    """The model whose export is exactly ``text``, if there is one.
-
-    Such a document passes every check of ``import_json``: its fields
-    are those of a fresh assembly by construction."""
-    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
-    if head is None:
-        return None
-    try:
-        model = assemble_stable_map(parse_conway(head[1]), head[2], head[3])
-    except TwoBridgeError:
-        return None
-    return model if export_json(model) == text else None
-
-
 def import_json(text: str) -> StableMapModel:
     """Reconstruct a model from document text and revalidate everything.
 
@@ -197,9 +182,16 @@ def import_json(text: str) -> StableMapModel:
     accepted as it stands; any other is parsed and checked field by
     field, schema first.
     """
-    model = _canonical_model(text)
-    if model is not None:
-        return model
+    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
+    model = None
+    if head is not None:
+        try:
+            model = assemble_stable_map(parse_conway(head[1]), head[2], head[3])
+        except TwoBridgeError:
+            pass  # reported below, after the schema checks
+        else:
+            if export_json(model) == text:
+                return model  # an export of a fresh assembly passes every check below
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as err:  # ValueError covers JSONDecodeError
@@ -241,11 +233,12 @@ def import_json(text: str) -> StableMapModel:
     if not isinstance(doc["conway"], str):
         raise SchemaError(f"conway: expected a string, got {doc['conway']!r}")
 
-    try:
-        word = parse_conway(doc["conway"])
-        model = assemble_stable_map(word, doc["variant"], doc["granularity"])
-    except TwoBridgeError as err:
-        raise InvariantViolationError(f"document does not assemble: {err}") from None
+    if model is None or (doc["conway"], doc["variant"], doc["granularity"]) != head.groups():
+        try:
+            word = parse_conway(doc["conway"])
+            model = assemble_stable_map(word, doc["variant"], doc["granularity"])
+        except TwoBridgeError as err:
+            raise InvariantViolationError(f"document does not assemble: {err}") from None
 
     fresh = _model_document(model)
     for key in _TOP_KEYS:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
 from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
+from twobridge import serialize
 from twobridge.morse import assemble_stable_map
 from twobridge.serialize import export_json, import_json
 
@@ -191,3 +192,15 @@ def test_exported_text_loads_without_a_parse(model, monkeypatch):
 
     monkeypatch.setattr(json, "loads", refuse)
     assert import_json(text) == model
+
+
+def test_tampered_export_is_assembled_once(model, monkeypatch):
+    doc = json.loads(export_json(model))
+    doc["census"]["ii2"] = 3
+    text = json.dumps(doc, indent=2) + "\n"  # the export's layout, other bytes
+    calls = []
+    assemble = serialize.assemble_stable_map
+    monkeypatch.setattr(serialize, "assemble_stable_map", lambda *args: calls.append(args) or assemble(*args))
+    with pytest.raises(InvariantViolationError):
+        import_json(text)
+    assert len(calls) == 1
