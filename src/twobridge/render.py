@@ -51,9 +51,9 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
 
 
 @lru_cache(maxsize=64)
-def _pieces(template: str) -> list[str]:
+def _pieces(template: str) -> tuple[str, ...]:
     """The template split at its ``{i}`` fields: text, field, text, ..."""
-    return re.split(r"\{(\d)\}", template)
+    return tuple(re.split(r"\{(\d)\}", template))
 
 
 def _filled(template: str, *columns: range) -> list[str]:

@@ -98,7 +98,7 @@ _SLICE_TEXT = json.dumps(_SLICE)
 
 
 @lru_cache(maxsize=1024)
-def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> list[str] | None:
+def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> tuple[str, ...] | None:
     """The text of a block with events, split where the slice tags go;
     None if the stand-in shows up anywhere else."""
     text = _entry_text(
@@ -108,7 +108,7 @@ def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tup
             "permutation": list(permutation),
         }
     )
-    parts = text.split(_SLICE_TEXT)
+    parts = tuple(text.split(_SLICE_TEXT))
     return parts if len(parts) == len(event_kinds) + 1 else None
 
 
