@@ -93,23 +93,23 @@ def _plain_block_text(kind: str, permutation: tuple[int, ...]) -> str:
     return _entry_text({"kind": kind, "events": [], "permutation": list(permutation)})
 
 
-_SLICE = "\0"  # stands in for the event slice tags in a cached block text
-_SLICE_TEXT = json.dumps(_SLICE)
+_SLICE = '"slice": ' + json.dumps("")  # an event's slice field, tag left empty
 
 
 @lru_cache(maxsize=1024)
-def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> tuple[str, ...] | None:
-    """The text of a block with events, split where the slice tags go;
-    None if the stand-in shows up anywhere else."""
+def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> tuple[str, ...]:
+    """The text of a block with events, split where the slice fields go.
+
+    JSON escapes every quote inside a string, so the quoted ``"slice"``
+    key only occurs as an event's key: one split per event."""
     text = _entry_text(
         {
             "kind": kind,
-            "events": [{"kind": k, "slice": _SLICE} for k in event_kinds],
+            "events": [{"kind": k, "slice": ""} for k in event_kinds],
             "permutation": list(permutation),
         }
     )
-    parts = tuple(text.split(_SLICE_TEXT))
-    return parts if len(parts) == len(event_kinds) + 1 else None
+    return tuple(text.split(_SLICE))
 
 
 def _block_text(block) -> str:
@@ -117,11 +117,9 @@ def _block_text(block) -> str:
         return _plain_block_text(block.kind, block.permutation)
     # Event slice tags name the block's index, so only the rest is shared.
     parts = _event_block_parts(block.kind, tuple(e.kind for e in block.events), block.permutation)
-    if parts is None:
-        return _entry_text(_block_entry(block))
     text = [parts[0]]
     for event, part in zip(block.events, parts[1:]):
-        text += (json.dumps(event.slice), part)
+        text += ('"slice": ', json.dumps(event.slice), part)
     return "".join(text)
 
 
@@ -164,12 +162,29 @@ def _require_int(value, where: str) -> int:
 
 
 # The opening of every exported document, up to the fields that
-# determine the model.
+# determine the model, and its closing lines.
 _CANONICAL_HEAD = re.compile(
     r'\{\n  "schema_version": ' + re.escape(json.dumps(SCHEMA_VERSION)) + r',\n'
     r'  "conway": "([^"\\\n]*)",\n'
     r'  "variant": "(f2|f3)",\n  "granularity": "(crossing|region|fine)",\n'
 )
+_TAIL_START = '\n  "bounds": {\n'
+_CANONICAL_TAIL = re.compile(
+    re.escape(_TAIL_START) + r'    "smc_upper": -?\d+,\n    "weighted_sum": -?\d+\n  \}\n\}\n'
+)
+
+
+def _export_head(text) -> re.Match | None:
+    """The opening of a text that opens and closes as an export does.
+    Only such a text is assembled before it is parsed, so a truncated
+    export is rejected by the parser alone."""
+    if not isinstance(text, str):
+        return None
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    tail = text.rfind(_TAIL_START)
+    return head if tail >= 0 and _CANONICAL_TAIL.fullmatch(text, tail) else None
 
 
 def import_json(text: str) -> StableMapModel:
@@ -180,9 +195,10 @@ def import_json(text: str) -> StableMapModel:
     agree with it, otherwise the document is internally inconsistent.
     A document that is byte for byte the export of that assembly is
     accepted as it stands; any other is parsed and checked field by
-    field, schema first.
+    field, schema first.  Only a text that opens and closes as an export
+    does is assembled before it is parsed.
     """
-    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None
+    head = _export_head(text)
     model = None
     if head is not None:
         try:

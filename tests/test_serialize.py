@@ -204,3 +204,16 @@ def test_tampered_export_is_assembled_once(model, monkeypatch):
     with pytest.raises(InvariantViolationError):
         import_json(text)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("keep", [0.5, -2])
+def test_truncated_export_is_not_assembled(keep, monkeypatch):
+    text = export_json(assemble_stable_map(ConwayWord((100, 2, 100)), "f2"))
+    cut = text[: int(len(text) * keep)] if keep > 0 else text[:keep]
+
+    def refuse(*args):
+        raise AssertionError("a truncated document was assembled")
+
+    monkeypatch.setattr(serialize, "assemble_stable_map", refuse)
+    with pytest.raises(SchemaError):
+        import_json(cut)
