@@ -33,7 +33,7 @@ from .conway import (
     schubert_equivalent,
     twist_number,
 )
-from .curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from .curves import _smooth_word, bigon_reduce, strip_decompose
 from .errors import (
     HypothesisError,
     NotReducedAlternatingError,
@@ -182,7 +182,7 @@ def _cmd_render(args, out) -> int:
     if args.subject == "model":
         subject = assemble_stable_map(word, args.variant, args.granularity)
     else:
-        curve = outer_smooth(build_plat_diagram(word))
+        curve = _smooth_word(word)
         if args.variant == "f3":
             curve = bigon_reduce(curve)
         if args.subject == "strips":

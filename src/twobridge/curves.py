@@ -32,7 +32,6 @@ from operator import attrgetter, is_not
 from .conway import ConwayWord
 from .errors import (
     OddTwistError,
-    SmoothingDisconnectError,
     UnsliceableShapeError,
     VariantMismatchError,
 )
@@ -222,44 +221,14 @@ def crossing_census(d: PlatDiagram) -> CrossingCensus:
     )
 
 
-def _closed_components_after_smoothing(swaps: int) -> int:
-    """Components of the leftover curve: top strands 1,2 joined by caps,
-    swapped once per surviving double point."""
-    # Strand ends: L1,L2,R1,R2 with caps L1-L2 and R1-R2.
-    strand_image = {1: 1, 2: 2} if swaps % 2 == 0 else {1: 2, 2: 1}
-    parent = {("L", 1): ("L", 1), ("L", 2): ("L", 2), ("R", 1): ("R", 1), ("R", 2): ("R", 2)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    union(("L", 1), ("L", 2))
-    union(("R", 1), ("R", 2))
-    for s in (1, 2):
-        union(("L", s), ("R", strand_image[s]))
-    return len({find(x) for x in parent})
-
-
 def _smooth(word: ConwayWord, region_runs) -> ImmersedCurve:
     """The smoothing routine: each run ``(region, crossings,
     outer_adjacent, entry_sign)`` of like crossings becomes one Column,
     repeated once per crossing."""
     columns: list[Column] = []
-    swaps = 0
     for region, count, outer, sign in region_runs:
         columns += [Column("pass" if outer else "crossing", region, sign)] * count
-        if not outer:
-            swaps += count
-    components = _closed_components_after_smoothing(swaps)
-    if components != 1:
-        raise SmoothingDisconnectError(
-            f"{components} closed curves remain after removing the outermost circle"
-        )
+    # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
     return ImmersedCurve(word=word, variant="f2", columns=tuple(columns), removed_circles=1)
 
 

@@ -47,10 +47,6 @@ class TorusCaseError(HypothesisError):
     """m = 0: a single twist region presents a torus link, no volume bound."""
 
 
-class SmoothingDisconnectError(TwoBridgeError):
-    """Outer smoothing left more than one closed curve; modeling bug."""
-
-
 class VariantMismatchError(TwoBridgeError):
     """Curve variant does not match the requested decomposition variant."""
 

@@ -10,10 +10,10 @@ critical points, and every intermediate slice carries a tree of the
 same shape; the Euler count (#leaves - #trivalent = 2) is checked on
 every distinct slice object.
 
-A block without events depends only on its strip's kind and the parity
-of the strip's crossings, so an assembled model holds one such block per
-kind and parity, repeated; blocks with events are built one per
-position, since their event slices are named after it.
+A block depends only on its strip's kind and the parity of the strip's
+crossings, so an assembled model holds one block per kind and parity,
+repeated.  Its event slices carry tags relative to the block, and a
+document names them by position (``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -52,6 +52,12 @@ IDENTITY = (1, 2, 3, 4)
 SWAP_MIDDLE = (1, 3, 2, 4)  # transposition induced by one middle-strand crossing
 SWAP_TOP = (2, 1, 3, 4)  # transposition induced by one top-strand crossing
 CAP_PAIRING = ((1, 2), (3, 4))
+
+# An event slice's tag relative to its block: F' lies just after the
+# block's entry section, F'' just before its exit section.  By position,
+# in block k, they are named F{k}' and F{k+1}'': each relative tag maps
+# to its positioned name and the offset of the section number from k.
+EVENT_SLICES = {"F'": ("F{}'", 0), "F''": ("F{}''", 1)}
 
 
 @dataclass(frozen=True)
@@ -192,15 +198,18 @@ def build_block(
     """Build the catalogued block for one strip token.
 
     ``index`` names the block position so that event slices read F{k}'
-    and F{k+1}''; standalone calls get generic tags.
+    and F{k+1}''; without it they carry the relative tags F' and F''
+    (``EVENT_SLICES``).
     """
     if variant not in ("f2", "f3"):
         raise ValueError(f"unknown variant {variant!r}")
     k = index
     entry_tag = f"F{k}" if k is not None else "F"
     exit_tag = f"F{k + 1}" if k is not None else "G"
-    prime = f"F{k}'" if k is not None else "F'"
-    dprime = f"F{k + 1}''" if k is not None else "F''"
+    prime, dprime = (
+        tag if k is None else name.format(k + offset)
+        for tag, (name, offset) in EVENT_SLICES.items()
+    )
 
     if strip.kind == "type1":
         section = exit_section or standard_cross_section(exit_tag)
@@ -444,25 +453,18 @@ def assemble_stable_map(
     strips = strip_decompose(curve, variant, granularity)
 
     section = standard_cross_section()
-    # A block without events depends only on its strip's kind and on the
-    # parity of the strip's crossings, so one object serves every strip
-    # with the same pair.
+    # A block depends only on its strip's kind and on the parity of the
+    # strip's crossings, so one object serves every strip with the same
+    # pair.  ``strip_decompose`` builds every Type 2 strip of a variant
+    # alike (a whole region of double points, or one tangency), so
+    # ``build_block``'s content check on the first holds for the others.
     shared = {}
     blocks = []
     for strip, count in _runs(strips.strips):
         key = (strip.kind, len(strip.columns) % 2)
         block = shared.get(key)
         if block is None:
-            j = len(blocks)
-            block = build_block(strip, variant, index=j, entry=section, exit_section=section)
-            if block.events:  # event slice tags name the block's index
-                blocks.append(block)
-                blocks += [
-                    build_block(strip, variant, index=k, entry=section, exit_section=section)
-                    for k in range(j + 1, j + count)
-                ]
-                continue
-            shared[key] = block
+            block = shared[key] = build_block(strip, variant, entry=section, exit_section=section)
         blocks += [block] * count
     blocks = tuple(blocks)
 

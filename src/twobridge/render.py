@@ -53,7 +53,7 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
 @lru_cache(maxsize=64)
 def _pieces(template: str) -> tuple[str, ...]:
     """The template split at its ``{i}`` fields: text, field, text, ..."""
-    return tuple(re.split(r"\{(\d)\}", template))
+    return tuple(re.split(r"\{(\d+)\}", template))
 
 
 def _filled(template: str, *columns: range) -> list[str]:

@@ -16,9 +16,10 @@ from functools import lru_cache
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import format_conway, fraction_of, parse_conway
-from .curves import _mapped
+from .curves import _mapped, _runs
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError
-from .morse import StableMapModel, assemble_stable_map
+from .morse import EVENT_SLICES, StableMapModel, assemble_stable_map
+from .render import _filled, _pieces
 
 SCHEMA_VERSION = "1"
 
@@ -39,17 +40,19 @@ def _strip_entry(strip) -> dict:
     return {"type": strip.kind, "param": strip.param}
 
 
-def _block_entry(block) -> dict:
+def _block_entry(kind: str, events: tuple, permutation: tuple[int, ...], slices) -> dict:
+    """A block's entry, with ``slices`` for its events' slice tags."""
     return {
-        "kind": block.kind,
-        "events": [{"kind": e.kind, "slice": e.slice} for e in block.events],
-        "permutation": list(block.permutation),
+        "kind": kind,
+        "events": [{"kind": e.kind, "slice": tag} for e, tag in zip(events, slices)],
+        "permutation": list(permutation),
     }
 
 
-def _model_document(
-    model: StableMapModel, strip_entry=_strip_entry, block_entry=_block_entry
-) -> dict:
+def _model_document(model: StableMapModel, strips: list, blocks: list) -> dict:
+    """The document around the given "strips" and "blocks" arrays: entry
+    texts for ``export_json``, entries for the comparison in
+    ``import_json``."""
     fraction = fraction_of(model.word)
     census = model.census
     return {
@@ -58,8 +61,8 @@ def _model_document(
         "variant": model.variant,
         "granularity": model.granularity,
         "fraction": {"p": fraction.p, "q": fraction.q},
-        "strips": _mapped(model.strips.strips, strip_entry),
-        "blocks": _mapped(model.blocks, block_entry),
+        "strips": strips,
+        "blocks": blocks,
         "census": {
             "ii2": census.ii2,
             "ii3": census.ii3,
@@ -89,38 +92,53 @@ def _plain_strip_text(kind: str, param: int) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _plain_block_text(kind: str, permutation: tuple[int, ...]) -> str:
-    return _entry_text({"kind": kind, "events": [], "permutation": list(permutation)})
+def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> str:
+    """The text of a block, with the field ``{i}`` for the section
+    number in the slice tag of event ``i``."""
+    fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
+    text = _entry_text(_block_entry(kind, events, permutation, fields))
+    if events and len(_pieces(text)) != 2 * len(events) + 1:
+        raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
+    return text
 
 
-_SLICE = '"slice": ' + json.dumps("")  # an event's slice field, tag left empty
+def _block_runs(blocks) -> list[tuple[object, int, list[range]]]:
+    """Each run of one block as ``(block, count, positions)``: per event,
+    the section numbers that name its slice along the run.  A block's
+    event slice tags are relative to it (``EVENT_SLICES``)."""
+    runs = []
+    first = 0
+    for block, count in _runs(blocks):
+        positions = []
+        for event in block.events:
+            if event.slice not in EVENT_SLICES:
+                raise InvariantViolationError(
+                    f"block {first}: event slice {event.slice!r} is none of {list(EVENT_SLICES)}"
+                )
+            start = first + EVENT_SLICES[event.slice][1]
+            positions.append(range(start, start + count))
+        runs.append((block, count, positions))
+        first += count
+    return runs
 
 
-@lru_cache(maxsize=1024)
-def _event_block_parts(kind: str, event_kinds: tuple[str, ...], permutation: tuple[int, ...]) -> tuple[str, ...]:
-    """The text of a block with events, split where the slice fields go.
-
-    JSON escapes every quote inside a string, so the quoted ``"slice"``
-    key only occurs as an event's key: one split per event."""
-    text = _entry_text(
-        {
-            "kind": kind,
-            "events": [{"kind": k, "slice": ""} for k in event_kinds],
-            "permutation": list(permutation),
-        }
-    )
-    return tuple(text.split(_SLICE))
+def _block_texts(blocks) -> list[str]:
+    texts = []
+    for block, count, positions in _block_runs(blocks):
+        template = _block_template(block.kind, block.events, block.permutation)
+        texts += _filled(template, *positions) if positions else [template] * count
+    return texts
 
 
-def _block_text(block) -> str:
-    if not block.events:
-        return _plain_block_text(block.kind, block.permutation)
-    # Event slice tags name the block's index, so only the rest is shared.
-    parts = _event_block_parts(block.kind, tuple(e.kind for e in block.events), block.permutation)
-    text = [parts[0]]
-    for event, part in zip(block.events, parts[1:]):
-        text += ('"slice": ', json.dumps(event.slice), part)
-    return "".join(text)
+def _block_entries(blocks) -> list[dict]:
+    entries = []
+    for block, count, positions in _block_runs(blocks):
+        if not positions:
+            entries += [_block_entry(block.kind, (), block.permutation, ())] * count
+            continue
+        names = [_filled(EVENT_SLICES[e.slice][0].format("{0}"), p) for e, p in zip(block.events, positions)]
+        entries += [_block_entry(block.kind, block.events, block.permutation, row) for row in zip(*names)]
+    return entries
 
 
 def export_json(model: StableMapModel) -> str:
@@ -128,12 +146,11 @@ def export_json(model: StableMapModel) -> str:
 
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python.  The long "strips" and "blocks" arrays are
-    therefore joined from per-entry text: one text per run of one shared
-    strip or block, cached for every strip and every block without
-    events, and cached up to the slice tags for blocks with events.
-    Only the short fields go through the encoder.
+    therefore joined from per-entry text: one cached text per run of one
+    shared strip or block, with the slice tags of a block's events filled
+    in per position.  Only the short fields go through the encoder.
     """
-    doc = _model_document(model, _strip_text, _block_text)
+    doc = _model_document(model, _mapped(model.strips.strips, _strip_text), _block_texts(model.blocks))
     fields = []
     for key, value in doc.items():
         if key in ("strips", "blocks"):
@@ -256,7 +273,7 @@ def import_json(text: str) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    fresh = _model_document(model)
+    fresh = _model_document(model, _mapped(model.strips.strips, _strip_entry), _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
             raise InvariantViolationError(

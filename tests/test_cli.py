@@ -12,6 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twobridge.cli import run_cli
+from twobridge.conway import parse_conway
+from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge.render import render_svg
 
 
 def test_analyze_output(capsys):
@@ -140,6 +143,22 @@ def test_render_subjects(tmp_path, capsys):
                 == 0
             )
             assert target.read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("text", ["C(3,2,3)", "C(2,-4,2,2,-3)", "C(5)"])
+def test_render_curve_and_strips_match_the_library(text, variant, capsys):
+    curve = outer_smooth(build_plat_diagram(parse_conway(text)))
+    if variant == "f3":
+        curve = bigon_reduce(curve)
+    expected = {
+        "curve": render_svg(curve),
+        "strips": render_svg(strip_decompose(curve, variant, "region")),
+    }
+    for subject, svg in expected.items():
+        argv = ["render", text, "--subject", subject, "--variant", variant, "--granularity", "region"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == svg
 
 
 def test_render_f3_curve_shows_tangencies(capsys):

@@ -8,6 +8,7 @@ from twobridge.conway import ConwayWord
 from twobridge.curves import (
     Column,
     ImmersedCurve,
+    _smooth_word,
     bigon_reduce,
     build_plat_diagram,
     crossing_census,
@@ -99,6 +100,11 @@ def test_outer_smooth_invariants(word):
     curve = outer_smooth(build_plat_diagram(word))
     assert curve.double_points == sum(abs(b) for b in word.b_entries)
     assert curve.removed_circles == 1
+
+
+@given(words)
+def test_word_level_smoothing_equals_diagram_smoothing(word):
+    assert _smooth_word(word) == outer_smooth(build_plat_diagram(word))
 
 
 # --- bigon reduction ---------------------------------------------------------

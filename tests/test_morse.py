@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_trace, plat_component_count_of_entries
-from twobridge.conway import ConwayWord, component_count, fraction_of
+from oracles import oracle_trace, plat_component_count_of_entries, random_even_b_words
+from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
 from twobridge.curves import Column, Strip
 from twobridge.errors import (
     DegenerateFractionError,
@@ -235,6 +235,19 @@ def test_sections_share_one_standard_cross_section():
     assert len(model.sections) == len(model.blocks) - 1
     assert all(section is model.sections[0] for section in model.sections)
     assert model.sections[0] == standard_cross_section()
+
+
+def test_models_share_their_blocks_and_sections():
+    # one block per strip kind and crossing parity, one section per tag
+    words = [ConwayWord(entries) for entries in random_even_b_words(20250808, 200)]
+    words += [parse_conway("C(3,200,3)"), parse_conway("C(-3,-200,-3)"), ConwayWord((3, 2) * 100 + (3,))]
+    for word in words:
+        for variant in ("f2", "f3"):
+            for granularity in ("crossing", "region", "fine"):
+                model = assemble_stable_map(word, variant, granularity)
+                blocks = {id(block): block for block in model.blocks}
+                sections = {id(s) for block in blocks.values() for s in block.slices} | set(map(id, model.sections))
+                assert len(blocks) <= 5 and len(sections) <= 3, (word, variant, granularity)
 
 
 def test_validate_model_checks_a_block_swapped_into_a_shared_run():

@@ -1,15 +1,17 @@
 """Model document export, import, and revalidation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
+from twobridge.curves import Column, Strip
 from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
 from twobridge import serialize
-from twobridge.morse import assemble_stable_map
+from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
 
 
@@ -75,6 +77,35 @@ def test_tampered_permutation_rejected(model):
     doc["blocks"][1]["permutation"] = [2, 1, 3, 4]
     with pytest.raises(InvariantViolationError):
         import_json(json.dumps(doc))
+
+
+def test_export_names_event_slices_by_position():
+    model = assemble_stable_map(ConwayWord((2, 4, 2, -2, 2)), "f3")
+    blocks = json.loads(export_json(model))["blocks"]
+    tags = [(j, event["slice"]) for j, block in enumerate(blocks) for event in block["events"]]
+    assert tags == [(j, f"F{j + 1}''") for j, block in enumerate(model.blocks) if block.events]
+    assert {event.slice for block in model.blocks for event in block.events} == {"F''"}
+
+
+def test_export_rejects_a_positioned_event_tag():
+    # a standalone block built at index 4 carries F4' and F5'', not the
+    # relative tags that the export names by position
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    j = next(i for i, block in enumerate(model.blocks) if block.kind == "type2")
+    strip = Strip("type2", (Column("crossing", 1, 1),) * 2, param=2)
+    blocks = list(model.blocks)
+    blocks[j] = build_block(strip, "f2", index=4)
+    with pytest.raises(InvariantViolationError, match=f"block {j}: event slice \"F4'\""):
+        export_json(replace(model, blocks=tuple(blocks)))
+
+
+def test_export_rejects_a_template_field_in_a_block_kind():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f3")
+    j = next(i for i, block in enumerate(model.blocks) if block.events)
+    blocks = list(model.blocks)
+    blocks[j] = replace(blocks[j], kind="type{0}")
+    with pytest.raises(InvariantViolationError, match="template field"):
+        export_json(replace(model, blocks=tuple(blocks)))
 
 
 def test_truncated_text_rejected(model):
