@@ -32,6 +32,7 @@ from operator import attrgetter
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
+    GRANULARITIES,
     Strip,
     StripDecomposition,
     _runs,
@@ -261,7 +262,14 @@ def build_block(
     if strip.kind != "type2":
         raise InvalidStripVariantError(f"unknown strip kind {strip.kind!r}")
 
-    content = set(map(attrgetter("kind"), strip.columns))
+    columns = strip.columns
+    # A whole twist region is one column object repeated: ``count``, which
+    # compares by identity first, confirms that at C speed, and the kind
+    # is read once.
+    if columns and columns.count(columns[0]) == len(columns):
+        content = {columns[0].kind}
+    else:
+        content = set(map(attrgetter("kind"), columns))
     if variant == "f2":
         if content != {"crossing"}:
             raise InvalidStripVariantError(
@@ -441,7 +449,22 @@ def assemble_stable_map(
     exactly 2m II2 events (f2) or half the total vertical crossings as
     II3 events (f3), and its definite-fold trace reproduces the link's
     component count.
+
+    The last model built is kept, keyed on ``(word, variant,
+    granularity)``, and returned again for the same arguments, so that
+    importing the export of a model just built does not build it twice.
+    A model is frozen and a pure function of those arguments, so the kept
+    one equals a fresh one; it passed every check when it was built.  A
+    call that raises is not kept.
     """
+    if variant in ("f2", "f3") and granularity in GRANULARITIES:
+        return _last_model(word, variant, granularity)
+    # An unknown variant or granularity, which need not even hash, takes
+    # the same path to the same error, past the memo.
+    return _assemble(word, variant, granularity)
+
+
+def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapModel:
     if not all_b_even(word):
         raise EvenBRequiredError(
             f"{word} has an odd vertical twist count; the construction needs even b_i"
@@ -481,6 +504,10 @@ def assemble_stable_map(
     )
     _check_structure(model)
     return model
+
+
+# One entry: no model outlives the next assembly.
+_last_model = lru_cache(maxsize=1)(_assemble)
 
 
 def fiber_census(model: StableMapModel) -> SingularFiberCensus:
@@ -531,18 +558,24 @@ def _check_structure(model: StableMapModel) -> None:
     blocks = model.blocks
     if len(blocks) != len(strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
-    pairs = dict(zip(zip(map(id, blocks), map(id, strips.strips)), zip(blocks, strips.strips)))
-    for block, strip in pairs.values():
-        if block.kind != strip.kind:
-            raise InvariantViolationError(f"block {block.kind} on strip {strip.kind}")
+    kinds = list(map(attrgetter("kind"), blocks))
+    strip_kinds = list(map(attrgetter("kind"), strips.strips))
+    if kinds != strip_kinds:
+        kind, strip_kind = next(pair for pair in zip(kinds, strip_kinds) if pair[0] != pair[1])
+        raise InvariantViolationError(f"block {kind} on strip {strip_kind}")
     block_runs = _runs(blocks)
     for block, repeats in block_runs:
         if repeats > 1:  # the block is glued to itself along its run
             _check_glued(block, block)
     for (left, _), (right, _) in zip(block_runs, block_runs[1:]):
         _check_glued(left, right)
+    first = {}  # each distinct block and the index of its first run
+    index = 0
+    for block, repeats in block_runs:
+        first.setdefault(id(block), (block, index))
+        index += repeats
     checked = set()
-    for block in {id(block): block for block, _ in block_runs}.values():
+    for block, index in first.values():
         for section in block.slices:
             if id(section) not in checked:
                 checked.add(id(section))
@@ -551,6 +584,10 @@ def _check_structure(model: StableMapModel) -> None:
         if block.events:
             tags = {s.tag for s in block.slices}
             for event in block.events:
+                if event.slice not in EVENT_SLICES:
+                    raise InvariantViolationError(
+                        f"block {index}: event slice {event.slice!r} is none of {list(EVENT_SLICES)}"
+                    )
                 if event.slice not in tags:
                     raise InvariantViolationError(
                         f"event slice {event.slice} not materialized"

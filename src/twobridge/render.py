@@ -32,14 +32,11 @@ _HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
 def _svg(width: int, height: int, parts: list[str]) -> str:
-    lines = [
-        _HEADER,
+    opening = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
-    ]
-    lines.extend(parts)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">'
+    )
+    return "\n".join([_HEADER, opening, *parts, "</svg>", ""])
 
 
 def _line(x1, y1, x2, y2, cls, dashed=False) -> str:

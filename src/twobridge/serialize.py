@@ -141,6 +141,12 @@ def _block_entries(blocks) -> list[dict]:
     return entries
 
 
+# The last model exported and its text.  A model is matched by identity,
+# never by equality, whose hash walks every block; holding the model
+# keeps its identity from passing to another object.
+_last_export: tuple = (None, "")
+
+
 def export_json(model: StableMapModel) -> str:
     """Serialize with deterministic field order; integers only.
 
@@ -148,8 +154,20 @@ def export_json(model: StableMapModel) -> str:
     encoder is pure Python.  The long "strips" and "blocks" arrays are
     therefore joined from per-entry text: one cached text per run of one
     shared strip or block, with the slice tags of a block's events filled
-    in per position.  Only the short fields go through the encoder.
+    in per position.  Only the short fields go through the encoder.  The
+    text of the last model exported is kept and returned again for the
+    same model object.
     """
+    global _last_export
+    last, text = _last_export
+    if last is model:
+        return text
+    text = _export_text(model)
+    _last_export = (model, text)
+    return text
+
+
+def _export_text(model: StableMapModel) -> str:
     doc = _model_document(model, _mapped(model.strips.strips, _strip_text), _block_texts(model.blocks))
     fields = []
     for key, value in doc.items():
@@ -213,7 +231,10 @@ def import_json(text: str) -> StableMapModel:
     A document that is byte for byte the export of that assembly is
     accepted as it stands; any other is parsed and checked field by
     field, schema first.  Only a text that opens and closes as an export
-    does is assembled before it is parsed.
+    does is assembled before it is parsed.  The export of the model
+    assembled last finds that model and its text kept
+    (``assemble_stable_map``, ``export_json``), so accepting it costs one
+    string comparison.
     """
     head = _export_head(text)
     model = None

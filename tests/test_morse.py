@@ -109,10 +109,14 @@ def test_cap_blocks():
 def test_invalid_strip_variant():
     tangency_strip = Strip("type2", (Column("tangency", 1, 1),), param=1)
     crossing_strip = Strip("type2", (Column("crossing", 1, 1), Column("crossing", 1, 1)), param=2)
+    crossing = Column("crossing", 1, 1)
+    mixed_strip = Strip("type2", (crossing,) * 3 + (Column("tangency", 1, 1),) + (crossing,) * 3, param=7)
     with pytest.raises(InvalidStripVariantError):
         build_block(tangency_strip, "f2")
     with pytest.raises(InvalidStripVariantError):
         build_block(crossing_strip, "f3")
+    with pytest.raises(InvalidStripVariantError):
+        build_block(mixed_strip, "f2")
 
 
 def test_euler_holds_on_every_slice_of_every_block():
@@ -138,8 +142,23 @@ def test_assemble_f3_census():
 
 
 def test_assemble_requires_even_b():
-    with pytest.raises(EvenBRequiredError):
-        assemble_stable_map(ConwayWord((2, 1, 2)), "f2")
+    for _ in range(2):  # an error is never kept as the last model
+        with pytest.raises(EvenBRequiredError):
+            assemble_stable_map(ConwayWord((2, 1, 2)), "f2")
+
+
+def test_assembly_keeps_the_last_model():
+    word = ConwayWord((3, 2, 3))
+    model = assemble_stable_map(word, "f2")
+    assert assemble_stable_map(ConwayWord((3, 2, 3)), "f2", "crossing") is model
+    assert assemble_stable_map(word, "f2", "region") is not model
+    assert assemble_stable_map(word, "f2") == model
+
+
+@pytest.mark.parametrize("variant, granularity", [(["f2"], "crossing"), ("f2", {"crossing"}), ("f4", "crossing")])
+def test_assemble_rejects_unknown_arguments_that_need_not_hash(variant, granularity):
+    with pytest.raises(ValueError, match="unknown"):
+        assemble_stable_map(ConwayWord((3, 2, 3)), variant, granularity)
 
 
 def test_assemble_torus_word():
@@ -258,6 +277,18 @@ def test_validate_model_checks_a_block_swapped_into_a_shared_run():
     blocks = list(model.blocks)
     blocks[3] = replace(block, slices=(block.entry, cyclic, block.exit))
     with pytest.raises(InvariantViolationError):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+def test_validate_model_rejects_a_positioned_event_tag():
+    # build_block(..., index=4) names the event slices F4' and F5'', which
+    # its own slices materialise but no document position can name
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    assert model.blocks[4].kind == "type2"
+    section = model.sections[0]
+    blocks = list(model.blocks)
+    blocks[4] = build_block(model.strips.strips[4], "f2", index=4, entry=section, exit_section=section)
+    with pytest.raises(InvariantViolationError, match="block 4: event slice \"F4'\""):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 

@@ -1,6 +1,8 @@
 """Model document export, import, and revalidation."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from twobridge.conway import ConwayWord
 from twobridge.curves import Column, Strip
 from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
-from twobridge import serialize
+from twobridge import morse, serialize
 from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
 
@@ -55,7 +57,45 @@ def test_export_numbers_are_integers(model):
 
 
 def test_roundtrip_identity(model):
-    assert import_json(export_json(model)) == model
+    assert import_json(export_json(model)) is model
+
+
+def test_roundtrip_without_kept_model_or_text(model, monkeypatch):
+    # the path of a fresh process: nothing assembled or exported yet
+    text = export_json(model)
+    morse._last_model.cache_clear()
+    monkeypatch.setattr(serialize, "_last_export", (None, ""))
+    back = import_json(text)
+    assert back == model and back is not model
+
+
+def test_kept_model_and_text_are_never_another_threads():
+    words = [ConwayWord((k, 2, k)) for k in range(1, 9)]
+    expected = {word: export_json(assemble_stable_map(word, "f2")) for word in words}
+
+    def round_trips(word):
+        for _ in range(50):
+            model = assemble_stable_map(word, "f2")
+            text = export_json(model)
+            if model.word != word or text != expected[word] or import_json(text) != model:
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(words)) as pool:
+            results = list(pool.map(round_trips, words, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * len(words)
+
+
+def test_tampered_model_exported_after_the_original_rejected(model):
+    export_json(model)
+    tampered = replace(model, census=replace(model.census, ii2=model.census.ii2 + 1))
+    with pytest.raises(InvariantViolationError, match="census"):
+        import_json(export_json(tampered))
 
 
 def test_roundtrip_identity_across_variants_and_granularity():
