@@ -199,10 +199,10 @@ def test_criterion_8_structural_invariants():
     _report(8, "Euler per slice, exact gluing, parity trace, granularity invariance")
 
 
-def test_criterion_9_serialization_and_golden_svg(tmp_path):
+def test_criterion_9_serialization_and_golden_svg(tmp_path, cold):
     for word in CORPUS:
         model = assemble_stable_map(word, "f2")
-        assert import_json(export_json(model)) == model
+        assert cold(import_json, export_json(model)) == model
     tampered_model = assemble_stable_map(CORPUS[0], "f2")
     doc = json.loads(export_json(tampered_model))
     doc["census"]["ii2"] += 1

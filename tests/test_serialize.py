@@ -10,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
-from twobridge.curves import Column, Strip
+from oracles import random_even_b_words
+from twobridge.curves import GRANULARITIES, Column, Strip
 from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
-from twobridge import morse, serialize
+from twobridge import serialize
 from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
 
@@ -60,13 +61,24 @@ def test_roundtrip_identity(model):
     assert import_json(export_json(model)) is model
 
 
-def test_roundtrip_without_kept_model_or_text(model, monkeypatch):
-    # the path of a fresh process: nothing assembled or exported yet
+def test_roundtrip_without_kept_model_or_text(model, cold):
     text = export_json(model)
-    morse._last_model.cache_clear()
-    monkeypatch.setattr(serialize, "_last_export", (None, ""))
-    back = import_json(text)
+    back = cold(import_json, text)
     assert back == model and back is not model
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_cold_roundtrip_over_the_corpus_gives_an_equal_model_and_the_same_bytes(variant, granularity, cold):
+    # with nothing kept, import re-assembles and export re-serialises, so
+    # this checks that both are deterministic, not that a kept object
+    # equals itself
+    for entries in random_even_b_words(20250808, 200):
+        model = assemble_stable_map(ConwayWord(entries), variant, granularity)
+        text = export_json(model)
+        back = cold(import_json, text)
+        assert back == model and back is not model
+        assert cold(export_json, back) == text
 
 
 def test_kept_model_and_text_are_never_another_threads():
@@ -98,11 +110,11 @@ def test_tampered_model_exported_after_the_original_rejected(model):
         import_json(export_json(tampered))
 
 
-def test_roundtrip_identity_across_variants_and_granularity():
+def test_roundtrip_identity_across_variants_and_granularity(cold):
     for variant in ("f2", "f3"):
         for granularity in ("crossing", "region", "fine"):
             model = assemble_stable_map(ConwayWord((2, -2, 2)), variant, granularity)
-            assert import_json(export_json(model)) == model
+            assert cold(import_json, export_json(model)) == model
 
 
 def test_tampered_census_rejected(model):
