@@ -24,6 +24,7 @@ from .conway import (
     EquivalencePolicy,
     FailureReport,
     SchubertFraction,
+    _require_size,
     all_b_even,
     component_count,
     even_b_normalize,
@@ -98,7 +99,7 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_build(args, out) -> int:
-    word = parse_conway(args.word)
+    word = _require_size(parse_conway(args.word))
     model = assemble_stable_map(word, args.variant, args.granularity)
     _write_output(export_json(model), args.output, out)
     return EXIT_OK
@@ -178,7 +179,7 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    word = parse_conway(args.word)
+    word = _require_size(parse_conway(args.word))
     if args.subject == "model":
         subject = assemble_stable_map(word, args.variant, args.granularity)
     else:

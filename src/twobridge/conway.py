@@ -27,11 +27,18 @@ from .errors import (
     DegenerateFractionError,
     EvenLengthError,
     NotReducedAlternatingError,
+    WordTooLargeError,
     ZeroEntryError,
 )
 
 DEFAULT_SUM_BOUND = 40
 DEFAULT_LENGTH_BOUND = 11
+
+# The most crossings a word may have where the output holds one entry per
+# crossing: the CLI's build and render, and import_json, whose document
+# does.  A model holds one entry per twist region, so assembly, the
+# census and the certificate take a word of any size.
+MAX_CROSSINGS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class ConwayWord:
 
     @property
     def sum_abs(self) -> int:
-        return sum(abs(e) for e in self.entries)
+        return sum(map(abs, self.entries))
 
     def __str__(self) -> str:
         return format_conway(self)
@@ -157,6 +164,15 @@ def parse_conway(text: str) -> ConwayWord:
         except ValueError:  # a digit int() does not read, or too many digits
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}") from None
     return ConwayWord(tuple(entries))
+
+
+def _require_size(word: ConwayWord) -> ConwayWord:
+    """``word``, if it has at most ``MAX_CROSSINGS`` crossings."""
+    if word.sum_abs > MAX_CROSSINGS:
+        raise WordTooLargeError(
+            f"{word.sum_abs} crossings, more than the limit of {MAX_CROSSINGS}"
+        )
+    return word
 
 
 def format_conway(word: ConwayWord) -> str:

@@ -18,16 +18,20 @@ curve whose double points are exactly the b-crossings.  Geometry stays
 abstract throughout: strips are combinatorial tokens, and coordinates
 only exist in the SVG renderer.
 
-A curve repeats one Column object per twist region, and a strip
-decomposition one Strip object per run of like columns, so the work
-downstream is per region, not per crossing.
+A curve holds one Column object per twist region and a strip
+decomposition one Strip object per run of like columns, each as a run
+``(object, count)`` of a run-length sequence (``_RunSeq``).  So the work
+downstream is per region, not per crossing, and a model's memory does
+not grow with its crossing count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, groupby
-from operator import attrgetter, is_not
+from itertools import accumulate, chain, compress, groupby, repeat, starmap
+from operator import attrgetter, index, is_not, itemgetter
 
 from .conway import ConwayWord
 from .errors import (
@@ -41,6 +45,59 @@ GRANULARITIES = ("crossing", "region", "fine")
 
 A_STRANDS = (2, 3)
 B_STRANDS = (1, 2)
+
+_count = itemgetter(1)  # of a run ``(object, count)``
+
+
+class _RunSeq:
+    """An immutable sequence held as runs of one repeated object.
+
+    ``runs`` is a tuple of ``(object, count)`` pairs with ``count > 0``;
+    adjacent runs may hold the same object.  As a sequence it is
+    ``tuple(self)``: its length, indexing, iteration, ``==``, ``hash``
+    and ``repr`` are those of the expanded tuple, and a slice is that
+    tuple's slice.  Length is
+    O(1), an index is a bisection over the run ends, iteration runs at C
+    speed, and equality with another run-length sequence whose runs line
+    up takes one step per run; only ``hash``, ``repr`` and slices
+    expand."""
+
+    __slots__ = ("runs", "_ends")
+
+    def __init__(self, runs=()):
+        self.runs = runs = tuple(filter(_count, runs))
+        self._ends = tuple(accumulate(map(_count, runs)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        return _expand(self.runs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self)[key]
+        i = index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("tuple index out of range")
+        return self.runs[bisect_right(self._ends, i)][0]
+
+    def __eq__(self, other):
+        if isinstance(other, _RunSeq):
+            return len(self) == len(other) and all(
+                x is y or x == y for x, y in _paired(self.runs, other.runs)
+            )
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -105,16 +162,16 @@ class Column:
 class ImmersedCurve:
     word: ConwayWord
     variant: str  # 'f2' (double points) | 'f3' (tangencies)
-    columns: tuple[Column, ...]
+    columns: Sequence[Column]
     removed_circles: int = 1
 
     @property
     def double_points(self) -> int:
-        return sum(1 for c in self.columns if c.kind == "crossing")
+        return sum(n for c, n in _runs_of(self.columns) if c.kind == "crossing")
 
     @property
     def tangencies(self) -> int:
-        return sum(1 for c in self.columns if c.kind == "tangency")
+        return sum(n for c, n in _runs_of(self.columns) if c.kind == "tangency")
 
     @property
     def tile_word(self) -> tuple[str, ...]:
@@ -128,7 +185,7 @@ class Strip:
     Type 2 strip, the signed crossing count for Type 3 (0 for fillers)."""
 
     kind: str  # 'type1' | 'type2' | 'type3' | 'type4'
-    columns: tuple[Column, ...] = ()
+    columns: Sequence[Column] = ()
     param: int = 0
 
 
@@ -137,7 +194,7 @@ class StripDecomposition:
     word: ConwayWord
     variant: str
     granularity: str
-    strips: tuple[Strip, ...]
+    strips: Sequence[Strip]
     validation: tuple[tuple[str, bool], ...] = field(default=())
 
     @property
@@ -147,7 +204,7 @@ class StripDecomposition:
 
     @property
     def type2_count(self) -> int:
-        return sum(1 for s in self.strips if s.kind == "type2")
+        return sum(n for s, n in _runs_of(self.strips) if s.kind == "type2")
 
     @property
     def expected_type2(self) -> int:
@@ -192,18 +249,40 @@ def _runs(items) -> list[tuple[object, int]]:
     """Maximal runs of one repeated object, as ``(object, length)``.
 
     Identity, not equality, delimits a run, and the run starts are found
-    at C speed, so a sequence that repeats one object per twist region
-    costs one step per region."""
+    at C speed."""
     if not items:
         return []
     starts = [0, *compress(range(1, len(items)), map(is_not, items, items[1:]))]
     return [(items[a], b - a) for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
+def _runs_of(items) -> Sequence[tuple[object, int]]:
+    """The runs of ``items``: those a run-length sequence carries, or
+    ``_runs(items)`` for any other sequence, such as a tuple put into a
+    model after assembly."""
+    return items.runs if isinstance(items, _RunSeq) else _runs(items)
+
+
+def _paired(a, b):
+    """The runs ``a`` and ``b`` of two sequences of one length, side by
+    side: ``(x, y)`` for each stretch where ``a`` holds ``x`` and ``b``
+    holds ``y``.  Runs that line up are paired one step per run; any
+    others item by item."""
+    counts = list(map(_count, a))
+    if counts == list(map(_count, b)):
+        return zip(map(itemgetter(0), a), map(itemgetter(0), b))
+    return zip(_expand(a), _expand(b))
+
+
+def _expand(runs):
+    """The items of ``runs``, at C speed."""
+    return chain.from_iterable(starmap(repeat, runs))
+
+
 def _mapped(items, f) -> list:
     """``[f(x) for x in items]``, one call per run of one object."""
     out = []
-    for item, count in _runs(items):
+    for item, count in _runs_of(items):
         out += [f(item)] * count
     return out
 
@@ -224,12 +303,13 @@ def crossing_census(d: PlatDiagram) -> CrossingCensus:
 def _smooth(word: ConwayWord, region_runs) -> ImmersedCurve:
     """The smoothing routine: each run ``(region, crossings,
     outer_adjacent, entry_sign)`` of like crossings becomes one Column,
-    repeated once per crossing."""
-    columns: list[Column] = []
-    for region, count, outer, sign in region_runs:
-        columns += [Column("pass" if outer else "crossing", region, sign)] * count
+    held once with its crossing count."""
+    columns = _RunSeq(
+        (Column("pass" if outer else "crossing", region, sign), count)
+        for region, count, outer, sign in region_runs
+    )
     # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
-    return ImmersedCurve(word=word, variant="f2", columns=tuple(columns), removed_circles=1)
+    return ImmersedCurve(word=word, variant="f2", columns=columns, removed_circles=1)
 
 
 def _smooth_word(word: ConwayWord) -> ImmersedCurve:
@@ -245,19 +325,14 @@ def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     return _smooth(d.word, [(region, len(list(group)), outer, sign) for (region, outer, sign), group in runs])
 
 
-def _column_runs(columns: tuple[Column, ...]) -> list[tuple[Column, int, int]]:
-    """Maximal runs of columns of one kind and region, as ``(first
-    column, start, stop)``."""
-    out: list[tuple[Column, int, int]] = []
-    start = 0
-    for col, count in _runs(columns):
-        stop = start + count
-        if out and (out[-1][0].kind, out[-1][0].region) == (col.kind, col.region):
-            out[-1] = (out[-1][0], out[-1][1], stop)
-        else:
-            out.append((col, start, stop))
-        start = stop
-    return out
+def _regions(columns: Sequence[Column]):
+    """The runs of ``columns`` grouped by twist region, as ``(kind,
+    region, runs)``.  A region is one run, unless the curve was built by
+    hand with equal columns that are distinct objects."""
+    runs = _runs_of(columns)
+    keys = map(attrgetter("kind", "region"), map(itemgetter(0), runs))
+    for (kind, region), group in groupby(zip(keys, runs), itemgetter(0)):
+        yield kind, region, list(map(itemgetter(1), group))
 
 
 def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
@@ -265,20 +340,19 @@ def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
     self-tangencies; requires every b_i even."""
     if c.variant != "f2":
         raise VariantMismatchError("bigon_reduce expects a pre-reduction curve")
-    out: list[Column] = []
-    cols = c.columns
-    for col, start, stop in _column_runs(cols):
-        if col.kind != "crossing":
-            out += cols[start:stop]
+    runs: list[tuple[Column, int]] = []
+    for kind, region, group in _regions(c.columns):
+        if kind != "crossing":
+            runs += group
             continue
-        run = stop - start
-        if run % 2 != 0:
+        count = sum(map(_count, group))
+        if count % 2 != 0:
             raise OddTwistError(
-                f"region {col.region} has {run} double points; pairing impossible"
+                f"region {region} has {count} double points; pairing impossible"
             )
-        out += [Column("tangency", col.region, col.sign)] * (run // 2)
+        runs.append((Column("tangency", region, group[0][0].sign), count // 2))
     return ImmersedCurve(
-        word=c.word, variant="f3", columns=tuple(out), removed_circles=c.removed_circles
+        word=c.word, variant="f3", columns=_RunSeq(runs), removed_circles=c.removed_circles
     )
 
 
@@ -302,37 +376,39 @@ def strip_decompose(
             f"curve is {curve.variant}-style, decomposition wants {variant}"
         )
 
-    interior: list[Strip] = []
+    interior: list[tuple[Strip, int]] = []  # runs
     type2 = 0
-    cols = curve.columns
-    for col, start, stop in _column_runs(cols):
-        run = cols[start:stop]
-        if col.kind == "pass":
+    for kind, region, group in _regions(curve.columns):
+        sign = group[0][0].sign
+        if kind == "pass":
             if granularity == "region":
-                interior.append(Strip("type3", run, param=col.sign * len(run)))
+                run = _RunSeq(group)
+                interior.append((Strip("type3", run, param=sign * len(run)), 1))
             else:
-                interior += _mapped(run, lambda c: Strip("type3", (c,), param=c.sign))
-        elif col.kind == "crossing":
-            expected = abs(curve.word.entries[col.region])
+                interior += [(Strip("type3", (c,), param=c.sign), n) for c, n in group]
+        elif kind == "crossing":
+            run = _RunSeq(group)
+            expected = abs(curve.word.entries[region])
             if len(run) != expected:
                 raise UnsliceableShapeError(
-                    f"region {col.region}: {len(run)} double points in one slice, "
+                    f"region {region}: {len(run)} double points in one slice, "
                     f"expected the full twist region of {expected}"
                 )
-            interior.append(Strip("type2", run, param=col.sign * len(run)))
+            interior.append((Strip("type2", run, param=sign * len(run)), 1))
             type2 += 1
-        elif col.kind == "tangency":
-            interior += _mapped(run, lambda c: Strip("type2", (c,), param=c.sign))
-            type2 += len(run)
+        elif kind == "tangency":
+            interior += [(Strip("type2", (c,), param=c.sign), n) for c, n in group]
+            type2 += sum(map(_count, group))
         else:
-            raise UnsliceableShapeError(f"unknown tile kind {col.kind!r}")
+            raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
 
     if granularity == "fine":
-        spaced: list[Strip] = [Strip("type3", (), param=0)] * (2 * len(interior))
-        spaced[0::2] = interior
+        single = list(chain.from_iterable(repeat((s, 1), n) for s, n in interior))
+        spaced = [(Strip("type3", (), param=0), 1)] * (2 * len(single))
+        spaced[0::2] = single
         interior = spaced
 
-    strips = (Strip("type1"),) + tuple(interior) + (Strip("type4"),)
+    strips = _RunSeq([(Strip("type1"), 1), *interior, (Strip("type4"), 1)])
     decomposition = StripDecomposition(
         word=curve.word,
         variant=variant,
@@ -344,7 +420,7 @@ def strip_decompose(
         ("first_is_type1", strips[0].kind == "type1"),
         ("last_is_type4", strips[-1].kind == "type4"),
         ("type2_count", type2 == decomposition.expected_type2),
-        ("interior_kinds", all(s.kind in ("type2", "type3") for s, _ in _runs(strips[1:-1]))),
+        ("interior_kinds", set(map(attrgetter("kind"), map(itemgetter(0), interior))) <= {"type2", "type3"}),
     )
     return StripDecomposition(
         word=curve.word,

@@ -47,6 +47,11 @@ class TorusCaseError(HypothesisError):
     """m = 0: a single twist region presents a torus link, no volume bound."""
 
 
+class WordTooLargeError(TwoBridgeError):
+    """A word has more crossings than ``conway.MAX_CROSSINGS``, where the
+    output would hold one entry per crossing."""
+
+
 class VariantMismatchError(TwoBridgeError):
     """Curve variant does not match the requested decomposition variant."""
 

@@ -12,7 +12,9 @@ every distinct slice object.
 
 A block depends only on its strip's kind and the parity of the strip's
 crossings, so an assembled model holds one block per kind and parity,
-repeated.  Its event slices carry tags relative to the block, and a
+repeated, as runs ``(block, count)`` (``curves._RunSeq``): assembly,
+the trace, the census and the structural checks take one step per run.
+Its event slices carry tags relative to the block, and a
 document names them by position (``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
@@ -25,17 +27,20 @@ through the crossing they contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby, product
-from operator import attrgetter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import product, repeat
+from operator import attrgetter, itemgetter, mod
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
     GRANULARITIES,
     Strip,
     StripDecomposition,
-    _runs,
+    _RunSeq,
+    _paired,
+    _runs_of,
     _smooth_word,
     bigon_reduce,
     strip_decompose,
@@ -160,17 +165,30 @@ class SingularFiberCensus:
             raise ValueError("census counts must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiniteFoldTrace:
-    """Closed-curve decomposition of the definite fold set: each component
-    is the cyclic list of (cross-section index, position) punctures it runs
-    through."""
+    """Closed-curve decomposition of the definite fold set of ``blocks``.
 
-    components: tuple[tuple[tuple[int, int], ...], ...]
+    ``count``, the number of components, is found when the trace is
+    built.  ``components`` lists each component as the cyclic list of
+    (cross-section index, position) punctures it runs through; it is
+    written out from the blocks when first read.  Two traces are equal
+    when their components are."""
 
-    @property
-    def count(self) -> int:
-        return len(self.components)
+    count: int
+    blocks: Sequence[BlockMap] = field(repr=False)
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _components(self.blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, DefiniteFoldTrace):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
 
 @dataclass(frozen=True)
@@ -179,8 +197,8 @@ class StableMapModel:
     word: ConwayWord
     granularity: str
     strips: StripDecomposition
-    blocks: tuple[BlockMap, ...]
-    sections: tuple[CrossSection, ...]
+    blocks: Sequence[BlockMap]
+    sections: Sequence[CrossSection]
     census: SingularFiberCensus
     trace: DefiniteFoldTrace
 
@@ -262,14 +280,9 @@ def build_block(
     if strip.kind != "type2":
         raise InvalidStripVariantError(f"unknown strip kind {strip.kind!r}")
 
-    columns = strip.columns
-    # A whole twist region is one column object repeated: ``count``, which
-    # compares by identity first, confirms that at C speed, and the kind
-    # is read once.
-    if columns and columns.count(columns[0]) == len(columns):
-        content = {columns[0].kind}
-    else:
-        content = set(map(attrgetter("kind"), columns))
+    # A whole twist region is one column object repeated, so its kind is
+    # read once.
+    content = {column.kind for column, _ in _runs_of(strip.columns)}
     if variant == "f2":
         if content != {"crossing"}:
             raise InvalidStripVariantError(
@@ -333,6 +346,19 @@ def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
     return orbit
 
 
+@lru_cache(maxsize=1024)
+def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...] | None:
+    """``perm`` applied ``count`` times, indexed by position: 0, then the
+    images of 1..4; None if ``perm`` does not permute 1..4."""
+    if sorted(perm) != list(LEAVES):
+        return None
+    out = [0]
+    for pos in LEAVES:
+        orbit = _orbit(perm, pos)
+        out.append(orbit[count % len(orbit)])
+    return tuple(out)
+
+
 def _sweep(labels: list, section: int, orbit: list[int], count: int) -> list:
     """The punctures of one strand at sections ``section`` to
     ``section + count - 1``, entering at ``orbit[0]`` and moved on by
@@ -349,10 +375,72 @@ def _sweep(labels: list, section: int, orbit: list[int], count: int) -> list:
     return out
 
 
-def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
-    """Trace the strands through the blocks: cap arcs at both ends, and
-    each middle block sends puncture ``pos`` of section ``j`` to puncture
-    ``permutation[pos - 1]`` of section ``j + 1``.
+def _permutation_runs(blocks: Sequence[BlockMap]) -> list[tuple[tuple[int, ...], int, int]]:
+    """The permutations of ``blocks[1:-1]``, the blocks between the caps,
+    as maximal runs of one value: ``(permutation, count, index of its
+    first block)``, read off the runs of ``blocks``."""
+    n = len(blocks) - 1
+    out = []
+    start = 0
+    for block, count in _runs_of(blocks):
+        lo, hi = max(start, 1), min(start + count, n)  # the run, cut to 1..n-1
+        start += count
+        if lo >= hi:
+            continue
+        perm = block.permutation
+        if out and out[-1][0] == perm:
+            out[-1] = (perm, out[-1][1] + hi - lo, out[-1][2])
+        else:
+            out.append((perm, hi - lo, lo))
+    return out
+
+
+def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
+    """Count the components of the definite fold set, one step per run.
+
+    The caps pair the punctures of the first and of the last section,
+    and a run of ``count`` middle blocks with permutation P carries the
+    strands across as P to the power ``count``.  Composed along the runs,
+    they carry section 1 to section n by one permutation T, and the
+    components are the cycles that the left cap's pairing and the right
+    cap's pairing, pulled back by T, make on the four punctures of
+    section 1.
+    """
+    n = len(blocks) - 1
+    if n < 1:
+        raise TraceMismatchError("a model needs a cap block at either end")
+    left = _cap_partners(blocks[0], 0)
+    across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
+    for perm, count, first in _permutation_runs(blocks):
+        # Every permutation of four points has an order dividing 12.
+        power = _power(tuple(perm), count % 12)
+        if power is None:
+            raise TraceMismatchError(
+                f"block {first} permutation {perm!r} does not permute the four punctures"
+            )
+        _, a, b, c, d = across
+        across = (0, power[a], power[b], power[c], power[d])
+    right = _cap_partners(blocks[-1], n)
+    back = {q: p for p, q in enumerate(across)}
+    unseen = set(LEAVES)
+    count = 0
+    while unseen:
+        start = pos = min(unseen)
+        count += 1
+        while True:
+            unseen.discard(pos)
+            pos = left[pos]
+            unseen.discard(pos)
+            pos = back[right[across[pos]]]
+            if pos == start:
+                break
+    return DefiniteFoldTrace(count=count, blocks=blocks)
+
+
+def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Trace the strands through the blocks of a checked trace: cap arcs
+    at both ends, and each middle block sends puncture ``pos`` of section
+    ``j`` to puncture ``permutation[pos - 1]`` of section ``j + 1``.
 
     Each component starts at its smallest puncture, which lies on the
     first section, takes the left cap's arc and then sweeps right and
@@ -360,19 +448,8 @@ def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
     is crossed in one step (``_sweep``).
     """
     n = len(blocks) - 1
-    if n < 1:
-        raise TraceMismatchError("a model needs a cap block at either end")
     left = _cap_partners(blocks[0], 0)
-    runs = []  # (permutation, number of blocks, section the run starts at)
-    first = 1
-    for perm, group in groupby(map(attrgetter("permutation"), blocks[1:-1])):
-        if sorted(perm) != list(LEAVES):
-            raise TraceMismatchError(
-                f"block {first} permutation {perm!r} does not permute the four punctures"
-            )
-        count = len(list(group))
-        runs.append((perm, count, first))
-        first += count
+    runs = _permutation_runs(blocks)
     right = _cap_partners(blocks[-1], n)
     labels = list(product(range(1, n + 1), LEAVES))
     unseen = set(LEAVES)  # first-section punctures on no component yet
@@ -415,16 +492,16 @@ def _definite_trace(blocks: tuple[BlockMap, ...]) -> DefiniteFoldTrace:
             cycle.append(labels[pos - 1])
             unseen.discard(pos)
         components.append(tuple(cycle))
-    return DefiniteFoldTrace(components=tuple(components))
+    return tuple(components)
 
 
-def _census_from_blocks(blocks: tuple[BlockMap, ...], trace: DefiniteFoldTrace) -> SingularFiberCensus:
+def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) -> SingularFiberCensus:
     """Event counts from the block logs, one look per run of one block.
     The indefinite fold set's two curves run through every block ('id'
     or 'swap' only exchanges which is which) and close up only in 'join'
     blocks, so each of its circles takes two of those."""
     ii2 = ii3 = joins = 0
-    for block, count in _runs(blocks):
+    for block, count in _runs_of(blocks):
         for event in block.events:
             if event.kind == "II2":
                 ii2 += count
@@ -480,16 +557,16 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     # strip's crossings, so one object serves every strip with the same
     # pair.  ``strip_decompose`` builds every Type 2 strip of a variant
     # alike (a whole region of double points, or one tangency), so
-    # ``build_block``'s content check on the first holds for the others.
-    shared = {}
-    blocks = []
-    for strip, count in _runs(strips.strips):
-        key = (strip.kind, len(strip.columns) % 2)
-        block = shared.get(key)
-        if block is None:
-            block = shared[key] = build_block(strip, variant, entry=section, exit_section=section)
-        blocks += [block] * count
-    blocks = tuple(blocks)
+    # ``build_block``'s content check on one holds for the others.
+    runs = _runs_of(strips.strips)
+    in_order = list(map(itemgetter(0), runs))
+    parities = map(mod, map(len, map(attrgetter("columns"), in_order)), repeat(2))
+    keys = list(zip(map(attrgetter("kind"), in_order), parities))
+    shared = {
+        key: build_block(strip, variant, entry=section, exit_section=section)
+        for key, strip in dict(zip(keys, in_order)).items()
+    }
+    blocks = _RunSeq(zip(map(shared.__getitem__, keys), map(itemgetter(1), runs)))
 
     trace = _checked_trace(blocks, fraction)
     model = StableMapModel(
@@ -498,7 +575,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         granularity=granularity,
         strips=strips,
         blocks=blocks,
-        sections=(section,) * strips.n,
+        sections=_RunSeq([(section, strips.n)]),
         census=_census_from_blocks(blocks, trace),
         trace=trace,
     )
@@ -521,7 +598,7 @@ def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     return _checked_trace(model.blocks, fraction_of(model.word))
 
 
-def _checked_trace(blocks: tuple[BlockMap, ...], fraction) -> DefiniteFoldTrace:
+def _checked_trace(blocks: Sequence[BlockMap], fraction) -> DefiniteFoldTrace:
     trace = _definite_trace(blocks)
     expected = component_count(fraction)
     if trace.count != expected:
@@ -548,9 +625,9 @@ def _check_structure(model: StableMapModel) -> None:
     every slice, event slices materialised, and the cached census of one
     fiber type with the variant's count.
 
-    Each distinct block, block/strip pair and section object is checked
-    once, so a run of one shared block costs one check, while any object
-    put in after assembly is still looked at."""
+    The checks walk the runs, so a run of one shared block costs one
+    check, and each distinct block and section object is looked at once,
+    so any object put in after assembly is still checked."""
     strips = model.strips
     if not strips.ok:
         failed = [name for name, passed in strips.validation if not passed]
@@ -558,12 +635,10 @@ def _check_structure(model: StableMapModel) -> None:
     blocks = model.blocks
     if len(blocks) != len(strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
-    kinds = list(map(attrgetter("kind"), blocks))
-    strip_kinds = list(map(attrgetter("kind"), strips.strips))
-    if kinds != strip_kinds:
-        kind, strip_kind = next(pair for pair in zip(kinds, strip_kinds) if pair[0] != pair[1])
-        raise InvariantViolationError(f"block {kind} on strip {strip_kind}")
-    block_runs = _runs(blocks)
+    block_runs = _runs_of(blocks)
+    for block, strip in _paired(block_runs, _runs_of(strips.strips)):
+        if block.kind != strip.kind:
+            raise InvariantViolationError(f"block {block.kind} on strip {strip.kind}")
     for block, repeats in block_runs:
         if repeats > 1:  # the block is glued to itself along its run
             _check_glued(block, block)

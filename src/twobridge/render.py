@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _runs
+from .curves import ImmersedCurve, StripDecomposition, _runs_of
 from .morse import StableMapModel
 
 MARGIN = 16
@@ -128,8 +128,10 @@ def _strip_rect(kind: str) -> str:
 def _strip_rects(strips, left: int) -> list[str]:
     parts = []
     x = left
-    for kind, group in groupby(strips, attrgetter("kind")):
-        end = x + len(list(group)) * STRIP_W
+    runs = _runs_of(strips)
+    kinds = zip(map(attrgetter("kind"), map(itemgetter(0), runs)), map(itemgetter(1), runs))
+    for kind, group in groupby(kinds, itemgetter(0)):
+        end = x + sum(map(itemgetter(1), group)) * STRIP_W
         parts += _filled(_strip_rect(kind), range(x, end, STRIP_W))
         x = end
     return parts
@@ -186,7 +188,7 @@ def _render_model(model: StableMapModel) -> str:
     parts.extend(_gamma_lines(len(strips), left))
     mid_y = (STRIP_TOP + STRIP_BOT) // 2
     i = 0
-    for block, count in _runs(model.blocks):
+    for block, count in _runs_of(model.blocks):
         if block.events:
             for cx in range(left + i * STRIP_W + STRIP_W // 2, left + (i + count) * STRIP_W, STRIP_W):
                 for j, event in enumerate(block.events):

@@ -15,9 +15,9 @@ import re
 from functools import lru_cache
 
 from .complexity import smc_upper_bound, weighted_sum
-from .conway import format_conway, fraction_of, parse_conway
-from .curves import _mapped, _runs
-from .errors import InvariantViolationError, SchemaError, TwoBridgeError
+from .conway import _require_size, format_conway, fraction_of, parse_conway
+from .curves import _mapped, _runs_of
+from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import EVENT_SLICES, StableMapModel, assemble_stable_map
 from .render import _filled, _pieces
 
@@ -108,7 +108,7 @@ def _block_runs(blocks) -> list[tuple[object, int, list[range]]]:
     event slice tags are relative to it (``EVENT_SLICES``)."""
     runs = []
     first = 0
-    for block, count in _runs(blocks):
+    for block, count in _runs_of(blocks):
         positions = []
         for event in block.events:
             if event.slice not in EVENT_SLICES:
@@ -231,16 +231,19 @@ def import_json(text: str) -> StableMapModel:
     A document that is byte for byte the export of that assembly is
     accepted as it stands; any other is parsed and checked field by
     field, schema first.  Only a text that opens and closes as an export
-    does is assembled before it is parsed.  The export of the model
-    assembled last finds that model and its text kept
-    (``assemble_stable_map``, ``export_json``), so accepting it costs one
-    string comparison.
+    does is assembled before it is parsed.  A word of more than
+    ``MAX_CROSSINGS`` crossings raises ``WordTooLargeError`` before any
+    assembly.  The export of the model assembled last finds that model
+    and its text kept (``assemble_stable_map``, ``export_json``), so
+    accepting it costs one string comparison.
     """
     head = _export_head(text)
     model = None
     if head is not None:
         try:
-            model = assemble_stable_map(parse_conway(head[1]), head[2], head[3])
+            model = assemble_stable_map(_require_size(parse_conway(head[1])), head[2], head[3])
+        except WordTooLargeError:
+            raise
         except TwoBridgeError:
             pass  # reported below, after the schema checks
         else:
@@ -289,8 +292,10 @@ def import_json(text: str) -> StableMapModel:
 
     if model is None or (doc["conway"], doc["variant"], doc["granularity"]) != head.groups():
         try:
-            word = parse_conway(doc["conway"])
+            word = _require_size(parse_conway(doc["conway"]))
             model = assemble_stable_map(word, doc["variant"], doc["granularity"])
+        except WordTooLargeError:
+            raise
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 

@@ -45,6 +45,17 @@ def test_build_rejects_odd_b(capsys):
     assert "C(2,1,2)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "C(3,2,2000000)", "--variant", "f2"], ["render", "C(3,2,2000000)", "--subject", "curve"]],
+)
+def test_word_over_the_crossing_limit_exits_1_with_one_line(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error on 'C(3,2,2000000)': 2000005 crossings, more than the limit of 1000000\n"
+
+
 def test_build_to_file(tmp_path, capsys):
     target = tmp_path / "model.json"
     assert run_cli(["build", "--variant", "f3", "-o", str(target), "C(3,2,3)"]) == 0

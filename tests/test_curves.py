@@ -8,6 +8,8 @@ from twobridge.conway import ConwayWord
 from twobridge.curves import (
     Column,
     ImmersedCurve,
+    _RunSeq,
+    _runs,
     _smooth_word,
     bigon_reduce,
     build_plat_diagram,
@@ -216,3 +218,33 @@ def test_granularity_only_changes_type3():
     assert sum(1 for s in per_crossing.strips if s.kind == "type3") == 6
     # fine: the six crossing-level strips plus one filler after each interior strip
     assert sum(1 for s in fine.strips if s.kind == "type3") == 13
+
+
+# --- run-length sequences ----------------------------------------------------
+
+# the first and the last column are equal but distinct objects
+POOL = (Column("pass", 0, 1), Column("crossing", 1, -2), Column("pass", 0, 1))
+run_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8)
+bounds = st.none() | st.integers(-30, 30)
+
+
+@given(run_lists, bounds, bounds, st.none() | st.sampled_from([1, 2, 3, -1, -2]))
+def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
+    seq = _RunSeq((POOL[k], n) for k, n in runs)
+    flat = tuple(POOL[k] for k, n in runs for _ in range(n))
+    assert len(seq) == len(flat)
+    assert list(seq) == list(flat)
+    assert all(seq[i] is flat[i] for i in range(-len(flat), len(flat)))
+    for i in (len(flat), -len(flat) - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    assert seq[start:stop:step] == flat[start:stop:step]
+    assert seq == flat and flat == seq and not seq != flat
+    assert hash(seq) == hash(flat)
+    assert repr(seq) == repr(flat)
+    regrouped = _RunSeq(_runs(flat))
+    assert seq == regrouped and regrouped.runs == tuple(_runs(flat))
+    assert seq != flat + (POOL[1],) and _RunSeq([*seq.runs, (POOL[1], 1)]) != seq
+    if flat:
+        changed = (Column("tangency", 9, 1),) + flat[1:]
+        assert seq != changed and seq != _RunSeq(_runs(changed))

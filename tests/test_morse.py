@@ -1,5 +1,6 @@
 """Cross-sections, blocks, assembly, censuses, and fold traces."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import oracle_trace, plat_component_count_of_entries, random_even_b_words
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
-from twobridge.curves import Column, Strip
+from twobridge import morse
+from twobridge.curves import Column, Strip, _RunSeq
 from twobridge.errors import (
     DegenerateFractionError,
     EvenBRequiredError,
@@ -18,6 +20,7 @@ from twobridge.errors import (
 )
 from twobridge.morse import (
     CrossSection,
+    _definite_trace,
     assemble_stable_map,
     build_block,
     fiber_census,
@@ -340,3 +343,80 @@ def test_census_invariant_under_granularity(word, granularity):
         assert isinstance(err, DegenerateFractionError)
         return
     assert base.census == other.census
+
+
+# --- run-level trace and checks -----------------------------------------------
+
+permutations = st.permutations([1, 2, 3, 4]).map(tuple)
+pairings = st.sampled_from([((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))])
+middle_runs = st.lists(st.tuples(permutations, st.integers(1, 7)), max_size=8) | st.tuples(
+    permutations, permutations, st.integers(1, 12)
+).map(lambda t: [(t[0], 1), (t[1], 1)] * t[2])  # alternating runs of one, as fine granularity makes
+
+
+@given(pairings, middle_runs, pairings)
+def test_run_level_trace_matches_adjacency_oracle(left, runs, right):
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    cap, middle, end = model.blocks[0], model.blocks[1], model.blocks[-1]
+    blocks = _RunSeq(
+        [(replace(cap, pairing=left), 1), *((replace(middle, permutation=p), n) for p, n in runs), (replace(end, pairing=right), 1)]
+    )
+    expected = oracle_trace(tuple(blocks))
+    for seq in (blocks, tuple(blocks)):
+        trace = _definite_trace(seq)
+        assert trace.count == len(expected)
+        assert trace.components == expected
+
+
+TAMPERS = ("kind", "slice", "permutation", "pairing")
+
+
+@given(
+    st.sampled_from(["C(3,2,3)", "C(2,-4,2,2,-3)", "C(-5,-2,-3)"]),
+    st.sampled_from(["f2", "f3"]),
+    st.sampled_from(["crossing", "region", "fine"]),
+    st.data(),
+)
+def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, granularity, data):
+    model = assemble_stable_map(parse_conway(text), variant, granularity)
+    runs = list(model.blocks.runs)
+    i = data.draw(st.integers(0, len(runs) - 1))
+    block, count = runs[i]
+    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
+    tamper = data.draw(st.sampled_from(TAMPERS))
+    if tamper == "kind":
+        bad = replace(block, kind="type2" if block.kind == "type3" else "type3")
+    elif tamper == "slice":
+        bad = replace(block, slices=(*block.slices, cyclic))
+    elif block.pairing:  # a cap: another pairing of the four punctures
+        bad = replace(block, pairing=((1, 3), (2, 4)))
+    else:  # a middle block: another permutation, or none at all
+        other = tuple(block.permutation[j - 1] for j in (2, 1, 3, 4))
+        bad = replace(block, permutation=other if tamper == "permutation" else (1, 1, 3, 4))
+    runs[i] = (bad, count)
+    with pytest.raises((InvariantViolationError, TraceMismatchError)):
+        validate_model(replace(model, blocks=_RunSeq(runs)))
+
+
+@pytest.mark.parametrize("text", ["C(100000,2,100000)", "C(3,2,300000)"])
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_assembly_memory_does_not_grow_with_the_crossings(text, variant):
+    word = parse_conway(text)
+    morse._last_model.cache_clear()
+    tracemalloc.start()
+    try:
+        model = assemble_stable_map(word, variant)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        morse._last_model.cache_clear()
+    assert model.census.ii2 + model.census.ii3 > 0
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("variant, census", [("f2", (2, 0)), ("f3", (0, 1))])
+def test_a_billion_crossing_word_assembles_to_its_closed_form_census(variant, census):
+    word = parse_conway("C(1000000000,2,1000000000)")
+    model = assemble_stable_map(word, variant)
+    got = (model.census.ii2, model.census.ii3, model.census.definite_components, len(model.blocks))
+    assert got == (*census, component_count(fraction_of(word)), 2_000_000_003)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twobridge.conway import ConwayWord
 from oracles import random_even_b_words
 from twobridge.curves import GRANULARITIES, Column, Strip
-from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError
+from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from twobridge import serialize
 from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
@@ -300,3 +300,18 @@ def test_truncated_export_is_not_assembled(keep, monkeypatch):
     monkeypatch.setattr(serialize, "assemble_stable_map", refuse)
     with pytest.raises(SchemaError):
         import_json(cut)
+
+
+@pytest.mark.parametrize("layout", ["export", "compact"])
+def test_word_over_the_crossing_limit_is_refused_before_assembly(model, layout, monkeypatch):
+    # a document of about 2 KB that names a word of 2,000,005 crossings
+    text = export_json(model).replace('"conway": "C(3,2,3)"', '"conway": "C(3,2,2000000)"')
+    if layout == "compact":
+        text = json.dumps(json.loads(text), separators=(",", ":"))
+
+    def refuse(*args):
+        raise AssertionError("a word over the crossing limit was assembled")
+
+    monkeypatch.setattr(serialize, "assemble_stable_map", refuse)
+    with pytest.raises(WordTooLargeError, match="2000005 crossings"):
+        import_json(text)
