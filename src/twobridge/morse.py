@@ -173,7 +173,8 @@ class DefiniteFoldTrace:
     built.  ``components`` lists each component as the cyclic list of
     (cross-section index, position) punctures it runs through; it is
     written out from the blocks when first read.  Two traces are equal
-    when their components are."""
+    when their counts and components are; those of one blocks object
+    have the same components, which are then not written out."""
 
     count: int
     blocks: Sequence[BlockMap] = field(repr=False)
@@ -185,7 +186,7 @@ class DefiniteFoldTrace:
     def __eq__(self, other):
         if not isinstance(other, DefiniteFoldTrace):
             return NotImplemented
-        return self.components == other.components
+        return self.count == other.count and (self.blocks is other.blocks or self.components == other.components)
 
     def __hash__(self) -> int:
         return hash(self.components)

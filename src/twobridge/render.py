@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import attrgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _runs_of
+from .curves import ImmersedCurve, StripDecomposition, _mapped
 from .morse import StableMapModel
 
 MARGIN = 16
@@ -53,12 +53,10 @@ def _pieces(template: str) -> tuple[str, ...]:
     return tuple(re.split(r"\{(\d+)\}", template))
 
 
-def _filled(template: str, *columns: range) -> list[str]:
-    """``template.format(*row)`` for each row of ``zip(*columns)``, with
-    each number turned into text once: every output line is joined from
-    the template's pieces and the numbers' text."""
+def _filled(template: str, *texts: list[str]) -> list[str]:
+    """``template.format(*row)`` for each row of ``zip(*texts)``: every
+    output line is joined from the template's pieces and the given text."""
     pieces = _pieces(template)
-    texts = [list(map(str, column)) for column in columns]
     rows = len(texts[0])
     parts = (repeat(p, rows) if i % 2 == 0 else texts[int(p)] for i, p in enumerate(pieces))
     return list(map("".join, zip(*parts)))
@@ -108,8 +106,9 @@ def _render_curve(curve: ImmersedCurve) -> str:
     return _svg(width, height, parts)
 
 
-def _strip_rect(kind: str) -> str:
-    """The rect of a strip of ``kind``, with ``{0}`` for its x."""
+def _strip_rect(strip) -> tuple[str, str]:
+    """The rect of ``strip`` before and after its x."""
+    kind = strip.kind
     if kind == "type2":
         fill = "#ffd27f"
         cls = "strip strip-type2"
@@ -120,41 +119,36 @@ def _strip_rect(kind: str) -> str:
         fill = "white"
         cls = "strip strip-type3"
     return (
-        f'<rect class="{cls}" x="{{0}}" y="{STRIP_TOP}" width="{STRIP_W}" '
-        f'height="{STRIP_BOT - STRIP_TOP}" fill="{fill}" stroke="none"/>'
+        f'<rect class="{cls}" x="',
+        f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" fill="{fill}" stroke="none"/>',
     )
 
 
-def _strip_rects(strips, left: int) -> list[str]:
-    parts = []
-    x = left
-    runs = _runs_of(strips)
-    kinds = zip(map(attrgetter("kind"), map(itemgetter(0), runs)), map(itemgetter(1), runs))
-    for kind, group in groupby(kinds, itemgetter(0)):
-        end = x + sum(map(itemgetter(1), group)) * STRIP_W
-        parts += _filled(_strip_rect(kind), range(x, end, STRIP_W))
-        x = end
-    return parts
+# A gamma line split at its two x fields, so that ``x.join(_GAMMA)`` is
+# the line at x.
+_GAMMA = tuple(_line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma").split("{0}"))
 
 
-def _gamma_lines(count: int, left: int) -> list[str]:
-    template = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma")
-    return _filled(template, range(left + STRIP_W, left + count * STRIP_W, STRIP_W))
+def _strip_parts(strips) -> tuple[list[str], list[str]]:
+    """The strip rects, the outline of E and the gamma lines, and the
+    text of every strip edge's x, turned into text once.  A rect is the
+    text of its x between the two pieces of its strip's rect."""
+    n = len(strips)
+    xs = list(map(str, range(MARGIN, MARGIN + (n + 1) * STRIP_W, STRIP_W)))
+    parts = list(map(str.join, xs, _mapped(strips, _strip_rect, attrgetter("kind"))))
+    parts.append(
+        f'<rect class="region-E" x="{xs[0]}" y="{STRIP_TOP}" '
+        f'width="{n * STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
+        f'fill="none" stroke="black" stroke-width="2"/>'
+    )
+    parts += map(str.join, xs[1:n], repeat(_GAMMA))
+    return parts, xs
 
 
 def _render_strips(decomposition: StripDecomposition) -> str:
-    strips = decomposition.strips
-    left = MARGIN
-    width = 2 * MARGIN + len(strips) * STRIP_W
+    width = 2 * MARGIN + len(decomposition.strips) * STRIP_W
     height = STRIP_BOT + MARGIN
-    parts = _strip_rects(strips, left)
-    parts.append(
-        f'<rect class="region-E" x="{left}" y="{STRIP_TOP}" '
-        f'width="{len(strips) * STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
-        f'fill="none" stroke="black" stroke-width="2"/>'
-    )
-    parts.extend(_gamma_lines(len(strips), left))
-    return _svg(width, height, parts)
+    return _svg(width, height, _strip_parts(decomposition.strips)[0])
 
 
 def _tree_glyph(y: int) -> str:
@@ -174,38 +168,37 @@ def _tree_glyph(y: int) -> str:
     return '<g class="reeb-tree">' + "".join(segs) + "</g>"
 
 
+def _event_dots(block) -> tuple[str, ...]:
+    """The dots of a block's events, one line each, split at their cx:
+    ``cx.join(...)`` is the block's dots, and ``()`` stands for none."""
+    events = block.events
+    mid_y = (STRIP_TOP + STRIP_BOT) // 2
+    dots = (
+        f'<circle class="{"event-ii2" if event.kind == "II2" else "event-ii3"}" cx="{{0}}" '
+        f'cy="{mid_y + (j - len(events) // 2) * 14}" r="4" fill="black"/>'
+        for j, event in enumerate(events)
+    )
+    return tuple("\n".join(dots).split("{0}")) if events else ()
+
+
 def _render_model(model: StableMapModel) -> str:
     strips = model.strips.strips
+    n = len(strips)
     left = MARGIN
-    width = 2 * MARGIN + len(strips) * STRIP_W
+    width = 2 * MARGIN + n * STRIP_W
     height = STRIP_BOT + TREE_H + 3 * MARGIN
-    parts = _strip_rects(strips, left)
-    parts.append(
-        f'<rect class="region-E" x="{left}" y="{STRIP_TOP}" '
-        f'width="{len(strips) * STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
-        f'fill="none" stroke="black" stroke-width="2"/>'
-    )
-    parts.extend(_gamma_lines(len(strips), left))
-    mid_y = (STRIP_TOP + STRIP_BOT) // 2
-    i = 0
-    for block, count in _runs_of(model.blocks):
-        if block.events:
-            for cx in range(left + i * STRIP_W + STRIP_W // 2, left + (i + count) * STRIP_W, STRIP_W):
-                for j, event in enumerate(block.events):
-                    cy = mid_y + (j - len(block.events) // 2) * 14
-                    cls = "event-ii2" if event.kind == "II2" else "event-ii3"
-                    parts.append(
-                        f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>'
-                    )
-        i += count
+    parts, xs = _strip_parts(strips)
+    # The dots of each block with events, at the middle x of its strip.
+    dots = _mapped(model.blocks, _event_dots)
+    mids = compress(range(left + STRIP_W // 2, left + len(dots) * STRIP_W, STRIP_W), dots)
+    parts += map(str.join, map(str, mids), filter(None, dots))
     # One tree beneath each separator, at x = left + k * STRIP_W.
-    separators = range(left + STRIP_W, left + len(strips) * STRIP_W, STRIP_W)
     half = TREE_W // 2
     parts += _filled(
         _tree_glyph(STRIP_BOT + MARGIN),
-        range(separators.start - half, separators.stop - half, STRIP_W),
-        separators,
-        range(separators.start + half, separators.stop + half, STRIP_W),
+        list(map(str, range(left + STRIP_W - half, left + n * STRIP_W - half, STRIP_W))),
+        xs[1:n],
+        list(map(str, range(left + STRIP_W + half, left + n * STRIP_W + half, STRIP_W))),
     )
     return _svg(width, height, parts)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from itertools import compress
+from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
@@ -92,9 +94,12 @@ def _plain_strip_text(kind: str, param: int) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> str:
+def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> str | None:
     """The text of a block, with the field ``{i}`` for the section
-    number in the slice tag of event ``i``."""
+    number in the slice tag of event ``i``; None if an event slice is
+    none of ``EVENT_SLICES``."""
+    if any(e.slice not in EVENT_SLICES for e in events):
+        return None
     fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
     text = _entry_text(_block_entry(kind, events, permutation, fields))
     if events and len(_pieces(text)) != 2 * len(events) + 1:
@@ -102,42 +107,39 @@ def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> s
     return text
 
 
-def _block_runs(blocks) -> list[tuple[object, int, list[range]]]:
-    """Each run of one block as ``(block, count, positions)``: per event,
-    the section numbers that name its slice along the run.  A block's
-    event slice tags are relative to it (``EVENT_SLICES``)."""
-    runs = []
-    first = 0
-    for block, count in _runs_of(blocks):
-        positions = []
-        for event in block.events:
-            if event.slice not in EVENT_SLICES:
-                raise InvariantViolationError(
-                    f"block {first}: event slice {event.slice!r} is none of {list(EVENT_SLICES)}"
-                )
-            start = first + EVENT_SLICES[event.slice][1]
-            positions.append(range(start, start + count))
-        runs.append((block, count, positions))
-        first += count
-    return runs
-
-
 def _block_texts(blocks) -> list[str]:
-    texts = []
-    for block, count, positions in _block_runs(blocks):
-        template = _block_template(block.kind, block.events, block.permutation)
-        texts += _filled(template, *positions) if positions else [template] * count
+    """The text of every block: one template per distinct block, laid
+    out along the runs, and filled in at once at every block that has
+    events and shares it.  A block's event slice tags name its own
+    section or the next, relative to its position (``EVENT_SLICES``)."""
+    texts = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
+    if None in texts:
+        j = texts.index(None)
+        bad = next(e.slice for e in blocks[j].events if e.slice not in EVENT_SLICES)
+        raise InvariantViolationError(f"block {j}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
+    events = _mapped(blocks, attrgetter("events"))
+    at = list(compress(range(len(texts)), events))
+    templates = dict(zip(map(texts.__getitem__, at), map(events.__getitem__, at)))
+    for template, block_events in templates.items():
+        rows = list(compress(at, map(template.__eq__, map(texts.__getitem__, at))))
+        columns = [list(map(str, map(EVENT_SLICES[e.slice][1].__add__, rows))) for e in block_events]
+        for j, text in zip(rows, _filled(template, *columns)):
+            texts[j] = text
     return texts
 
 
 def _block_entries(blocks) -> list[dict]:
     entries = []
-    for block, count, positions in _block_runs(blocks):
-        if not positions:
+    first = 0
+    for block, count in _runs_of(blocks):
+        if block.events:
+            slices = [EVENT_SLICES[e.slice] for e in block.events]
+            for j in range(first, first + count):
+                names = [name.format(j + offset) for name, offset in slices]
+                entries.append(_block_entry(block.kind, block.events, block.permutation, names))
+        else:
             entries += [_block_entry(block.kind, (), block.permutation, ())] * count
-            continue
-        names = [_filled(EVENT_SLICES[e.slice][0].format("{0}"), p) for e, p in zip(block.events, positions)]
-        entries += [_block_entry(block.kind, block.events, block.permutation, row) for row in zip(*names)]
+        first += count
     return entries
 
 
@@ -152,9 +154,9 @@ def export_json(model: StableMapModel) -> str:
 
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python.  The long "strips" and "blocks" arrays are
-    therefore joined from per-entry text: one cached text per run of one
-    shared strip or block, with the slice tags of a block's events filled
-    in per position.  Only the short fields go through the encoder.  The
+    therefore joined from per-entry text: one cached text per distinct
+    strip or block, with the slice tags of a block's events filled in
+    per position.  Only the short fields go through the encoder.  The
     text of the last model exported is kept and returned again for the
     same model object.
     """
@@ -169,14 +171,15 @@ def export_json(model: StableMapModel) -> str:
 
 def _export_text(model: StableMapModel) -> str:
     doc = _model_document(model, _mapped(model.strips.strips, _strip_text), _block_texts(model.blocks))
-    fields = []
+    parts = []
     for key, value in doc.items():
+        parts += (",\n  " if parts else "{\n  ", json.dumps(key), ": ")
         if key in ("strips", "blocks"):
-            text = "[\n" + ",\n".join(value) + "\n  ]" if value else "[]"
+            parts += ("[\n", ",\n".join(value), "\n  ]") if value else ("[]",)
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

@@ -330,6 +330,81 @@ def random_even_b_words(seed: int, count: int, m_min=1, m_max=6, mag_min=2, mag_
     return words
 
 
+def model_entries():
+    """A hypothesis strategy of entry tuples to assemble: random even-b
+    words, and alternating words ``(a, b, a, b, ..., a)`` whose strips
+    and blocks come in many short runs."""
+    from hypothesis import strategies as st
+
+    sign = st.sampled_from((1, -1))
+    a_entry = st.integers(1, 12)
+    b_entry = st.integers(1, 6).map(lambda half: 2 * half)
+    random_words = st.integers(0, 4).flatmap(
+        lambda m: st.tuples(sign, st.lists(a_entry, min_size=m + 1, max_size=m + 1), st.lists(b_entry, min_size=m, max_size=m))
+    ).map(lambda t: tuple(t[0] * e for pair in zip(t[1], t[2] + [0]) for e in pair if e))
+    random_words = random_words.filter(lambda entries: entries not in ((1,), (-1,)))  # p = 1: no two-bridge link
+    alternating = st.tuples(sign, st.integers(1, 3), st.integers(1, 2), st.integers(2, 60)).map(
+        lambda t: tuple(t[0] * e for e in (t[1], 2 * t[2]) * t[3] + (t[1],))
+    )
+    return st.one_of(random_words, alternating)
+
+
+# The layout of a model SVG, restated.
+_SVG_MARGIN, _SVG_STRIP_W, _SVG_TOP, _SVG_BOT, _SVG_TREE_H, _SVG_TREE_W = 16, 36, 16, 112, 48, 16
+_SVG_STRIP_STYLE = {
+    "type1": ("strip strip-type1", "#e8e8e8"),
+    "type2": ("strip strip-type2", "#ffd27f"),
+    "type4": ("strip strip-type4", "#e8e8e8"),
+}
+
+
+def _svg_line(x1, y1, x2, y2, cls):
+    return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>'
+
+
+def oracle_model_svg(model) -> str:
+    """The SVG of a model drawn strip by strip and block by block, one
+    f-string per element: strip rects, the outline of E, a gamma line at
+    every separator, the event dots of each block at its strip's middle,
+    and the standard Reeb tree beneath every separator."""
+    w, top, bot = _SVG_STRIP_W, _SVG_TOP, _SVG_BOT
+    strips = list(model.strips.strips)
+    n = len(strips)
+    width = 2 * _SVG_MARGIN + n * w
+    height = bot + _SVG_TREE_H + 3 * _SVG_MARGIN
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
+    ]
+    for i, strip in enumerate(strips):
+        cls, fill = _SVG_STRIP_STYLE.get(strip.kind, ("strip strip-type3", "white"))
+        lines.append(
+            f'<rect class="{cls}" x="{_SVG_MARGIN + i * w}" y="{top}" width="{w}" '
+            f'height="{bot - top}" fill="{fill}" stroke="none"/>'
+        )
+    lines.append(
+        f'<rect class="region-E" x="{_SVG_MARGIN}" y="{top}" width="{n * w}" '
+        f'height="{bot - top}" fill="none" stroke="black" stroke-width="2"/>'
+    )
+    separators = [_SVG_MARGIN + k * w for k in range(1, n)]
+    lines += [_svg_line(x, top, x, bot, "gamma") for x in separators]
+    mid_y = (top + bot) // 2
+    for i, block in enumerate(model.blocks):
+        cx = _SVG_MARGIN + i * w + w // 2
+        for j, event in enumerate(block.events):
+            cy = mid_y + (j - len(block.events) // 2) * 14
+            cls = "event-ii2" if event.kind == "II2" else "event-ii3"
+            lines.append(f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="4" fill="black"/>')
+    y = bot + _SVG_MARGIN
+    s_hi, s_lo, y_end = y + _SVG_TREE_H // 3, y + 2 * _SVG_TREE_H // 3, y + _SVG_TREE_H
+    for x in separators:
+        lo, hi = x - _SVG_TREE_W // 2, x + _SVG_TREE_W // 2
+        edges = [(lo, y, x, s_hi), (hi, y, x, s_hi), (x, s_hi, x, s_lo), (x, s_lo, lo, y_end), (x, s_lo, hi, y_end)]
+        lines.append('<g class="reeb-tree">' + "".join(_svg_line(*e, "reeb-edge") for e in edges) + "</g>")
+    return "\n".join(lines + ["</svg>", ""])
+
+
 def oracle_trace(blocks):
     """Definite-fold components of a block sequence, traced on an
     adjacency-list graph: the cap pairings of the end blocks close the

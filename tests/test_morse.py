@@ -20,6 +20,7 @@ from twobridge.errors import (
 )
 from twobridge.morse import (
     CrossSection,
+    DefiniteFoldTrace,
     _definite_trace,
     assemble_stable_map,
     build_block,
@@ -239,6 +240,13 @@ def test_validate_model_rejects_another_words_trace():
     assert other.trace.count == model.trace.count and other.trace != model.trace
     with pytest.raises(TraceMismatchError):
         validate_model(replace(model, trace=other.trace))
+
+
+def test_validate_model_rejects_a_trace_with_a_wrong_count():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    tampered = DefiniteFoldTrace(count=model.trace.count + 5, blocks=model.blocks)
+    with pytest.raises(TraceMismatchError):
+        validate_model(replace(model, trace=tampered))
 
 
 def test_validate_model_rejects_altered_permutation():

@@ -1,9 +1,13 @@
 """SVG rendering: glyph counts, determinism, well-formedness."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import model_entries, oracle_model_svg
 from twobridge.conway import ConwayWord
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
@@ -81,3 +85,18 @@ def test_output_is_wellformed_svg(subject):
 def test_render_rejects_unknown_subject():
     with pytest.raises(TypeError):
         render_svg("C(3,2,3)")
+
+
+@settings(deadline=None, max_examples=60)
+@given(model_entries(), st.sampled_from(["f2", "f3"]), st.sampled_from(["crossing", "region", "fine"]))
+def test_model_svg_matches_the_per_strip_oracle(entries, variant, granularity):
+    model = assemble_stable_map(ConwayWord(entries), variant, granularity)
+    expected = oracle_model_svg(model)
+    assert render_svg(model) == expected
+    # strips and blocks put in as plain tuples, whose runs are found anew
+    plain = replace(
+        model,
+        blocks=tuple(model.blocks),
+        strips=replace(model.strips, strips=tuple(model.strips.strips)),
+    )
+    assert render_svg(plain) == expected

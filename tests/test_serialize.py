@@ -6,11 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
-from oracles import random_even_b_words
+from oracles import model_entries, random_even_b_words
 from twobridge.curves import GRANULARITIES, Column, Strip
 from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from twobridge import serialize
@@ -315,3 +315,31 @@ def test_word_over_the_crossing_limit_is_refused_before_assembly(model, layout, 
     monkeypatch.setattr(serialize, "assemble_stable_map", refuse)
     with pytest.raises(WordTooLargeError, match="2000005 crossings"):
         import_json(text)
+
+
+@settings(deadline=None, max_examples=60)
+@given(model_entries(), st.sampled_from(["f2", "f3"]), st.sampled_from(["crossing", "region", "fine"]))
+def test_export_text_is_the_encoded_document(entries, variant, granularity):
+    model = assemble_stable_map(ConwayWord(entries), variant, granularity)
+    strips = [serialize._strip_entry(strip) for strip in model.strips.strips]
+    document = serialize._model_document(model, strips, serialize._block_entries(model.blocks))
+    expected = json.dumps(document, indent=2) + "\n"
+    assert serialize._export_text(model) == expected
+    plain = replace(
+        model,
+        blocks=tuple(model.blocks),
+        strips=replace(model.strips, strips=tuple(model.strips.strips)),
+    )
+    assert serialize._export_text(plain) == expected
+
+
+def test_export_fills_each_distinct_block_template():
+    # two event blocks that differ in their permutation share no template
+    model = assemble_stable_map(ConwayWord((3, 2, 3, 2, 3)), "f2")
+    blocks = list(model.blocks)
+    j = [i for i, block in enumerate(blocks) if block.events][-1]
+    blocks[j] = replace(blocks[j], permutation=(2, 1, 3, 4))
+    tampered = replace(model, blocks=tuple(blocks))
+    strips = [serialize._strip_entry(strip) for strip in model.strips.strips]
+    document = serialize._model_document(tampered, strips, serialize._block_entries(tampered.blocks))
+    assert serialize._export_text(tampered) == json.dumps(document, indent=2) + "\n"
