@@ -143,10 +143,12 @@ def certify_smc(
 ) -> Certificate:
     """Certify smc(E(L)) = 2m when the supplied volume clears (4m-2) V_oct.
 
-    Comparisons within ``epsilon`` of the threshold stay inconclusive;
-    floating-point noise never certifies.  m = 0 words are inapplicable
-    (the upper bound has no content).
+    Comparisons within a finite, non-negative ``epsilon`` of the threshold
+    stay inconclusive; floating-point noise never certifies.  m = 0 words
+    are inapplicable (the upper bound has no content).
     """
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     _require_finite(volume)
     if volume <= 0:
         raise NonPositiveVolumeError(f"volume must be positive, got {volume}")

@@ -40,7 +40,6 @@ from .errors import (
     VariantMismatchError,
 )
 
-CAP_PAIRS = ((1, 2), (3, 4))
 GRANULARITIES = ("crossing", "region", "fine")
 
 A_STRANDS = (2, 3)
@@ -208,13 +207,16 @@ class StripDecomposition:
 
     @property
     def expected_type2(self) -> int:
-        if self.variant == "f2":
-            return self.word.m
-        return sum(abs(b) for b in self.word.b_entries) // 2
+        return _expected_type2(self.word, self.variant)
 
     @property
     def ok(self) -> bool:
         return all(passed for _, passed in self.validation)
+
+
+def _expected_type2(word: ConwayWord, variant: str) -> int:
+    """One Type 2 strip per vertical twist region in f2, one per tangency in f3."""
+    return word.m if variant == "f2" else sum(abs(b) for b in word.b_entries) // 2
 
 
 def _region_runs(word: ConwayWord) -> list[tuple[int, int, bool, int]]:
@@ -411,17 +413,10 @@ def strip_decompose(
         interior = spaced
 
     strips = _RunSeq([(Strip("type1"), 1), *interior, (Strip("type4"), 1)])
-    decomposition = StripDecomposition(
-        word=curve.word,
-        variant=variant,
-        granularity=granularity,
-        strips=strips,
-        validation=(),
-    )
     checks = (
         ("first_is_type1", strips[0].kind == "type1"),
         ("last_is_type4", strips[-1].kind == "type4"),
-        ("type2_count", type2 == decomposition.expected_type2),
+        ("type2_count", type2 == _expected_type2(curve.word, variant)),
         ("interior_kinds", set(map(attrgetter("kind"), map(itemgetter(0), interior))) <= {"type2", "type3"}),
     )
     return StripDecomposition(

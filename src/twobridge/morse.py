@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import permutations, repeat
 from operator import attrgetter, itemgetter, mod
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
@@ -348,11 +348,9 @@ def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
 
 
 @lru_cache(maxsize=1024)
-def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...] | None:
+def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...]:
     """``perm`` applied ``count`` times, indexed by position: 0, then the
-    images of 1..4; None if ``perm`` does not permute 1..4."""
-    if sorted(perm) != list(LEAVES):
-        return None
+    images of 1..4."""
     out = [0]
     for pos in LEAVES:
         orbit = _orbit(perm, pos)
@@ -360,26 +358,14 @@ def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _sweep(labels: list, section: int, orbit: list[int], count: int) -> list:
-    """The punctures of one strand at sections ``section`` to
-    ``section + count - 1``, entering at ``orbit[0]`` and moved on by
-    the same permutation, whose cycle through it is ``orbit``, at every
-    section.  Puncture ``(k, pos)`` is ``labels[4 * k - 5 + pos]``, so
-    every ``len(orbit)``-th puncture is one slice of ``labels``."""
-    step = len(orbit)
-    stop = 4 * (section + count - 1)
-    if step == 1:
-        return labels[4 * section - 5 + orbit[0] : stop : 4]
-    out = [None] * count
-    for i, pos in enumerate(orbit):
-        out[i::step] = labels[4 * (section + i) - 5 + pos : stop : 4 * step]
-    return out
+_PERMUTATIONS = frozenset(permutations(LEAVES))
 
 
 def _permutation_runs(blocks: Sequence[BlockMap]) -> list[tuple[tuple[int, ...], int, int]]:
     """The permutations of ``blocks[1:-1]``, the blocks between the caps,
     as maximal runs of one value: ``(permutation, count, index of its
-    first block)``, read off the runs of ``blocks``."""
+    first block)``, read off the runs of ``blocks``.  Each must permute
+    the four punctures, or no strand walk through it ends."""
     n = len(blocks) - 1
     out = []
     start = 0
@@ -391,9 +377,34 @@ def _permutation_runs(blocks: Sequence[BlockMap]) -> list[tuple[tuple[int, ...],
         perm = block.permutation
         if out and out[-1][0] == perm:
             out[-1] = (perm, out[-1][1] + hi - lo, out[-1][2])
-        else:
-            out.append((perm, hi - lo, lo))
+            continue
+        if perm not in _PERMUTATIONS:
+            raise TraceMismatchError(
+                f"block {lo} permutation {perm!r} does not permute the four punctures"
+            )
+        out.append((perm, hi - lo, lo))
     return out
+
+
+def _cycles(left: dict[int, int], across: Sequence[int], right: dict[int, int]) -> list[list[tuple[int, int]]]:
+    """The components of the definite fold set as lists of legs ``(q, p)``
+    on section 1: leave the ``left`` cap at q, cross to section n (the
+    strand from puncture p gets to ``across[p]``), take the ``right`` cap
+    and come back to p; the next leg leaves from p's partner.  Each
+    component starts from its smallest puncture."""
+    back = {q: p for p, q in enumerate(across)}
+    unseen = set(LEAVES)
+    cycles = []
+    while unseen:
+        p = start = min(unseen)
+        legs = []
+        while not legs or p != start:
+            q = left[p]
+            unseen -= {p, q}
+            p = back[right[across[q]]]
+            legs.append((q, p))
+        cycles.append(legs)
+    return cycles
 
 
 def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
@@ -402,96 +413,52 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
     The caps pair the punctures of the first and of the last section,
     and a run of ``count`` middle blocks with permutation P carries the
     strands across as P to the power ``count``.  Composed along the runs,
-    they carry section 1 to section n by one permutation T, and the
-    components are the cycles that the left cap's pairing and the right
-    cap's pairing, pulled back by T, make on the four punctures of
-    section 1.
+    they carry section 1 to section n by one permutation, and the
+    components are the cycles it makes with the caps' pairings
+    (``_cycles``).
     """
     n = len(blocks) - 1
     if n < 1:
         raise TraceMismatchError("a model needs a cap block at either end")
     left = _cap_partners(blocks[0], 0)
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
-    for perm, count, first in _permutation_runs(blocks):
+    for perm, count, _ in _permutation_runs(blocks):
         # Every permutation of four points has an order dividing 12.
-        power = _power(tuple(perm), count % 12)
-        if power is None:
-            raise TraceMismatchError(
-                f"block {first} permutation {perm!r} does not permute the four punctures"
-            )
+        power = _power(perm, count % 12)
         _, a, b, c, d = across
         across = (0, power[a], power[b], power[c], power[d])
     right = _cap_partners(blocks[-1], n)
-    back = {q: p for p, q in enumerate(across)}
-    unseen = set(LEAVES)
-    count = 0
-    while unseen:
-        start = pos = min(unseen)
-        count += 1
-        while True:
-            unseen.discard(pos)
-            pos = left[pos]
-            unseen.discard(pos)
-            pos = back[right[across[pos]]]
-            if pos == start:
-                break
-    return DefiniteFoldTrace(count=count, blocks=blocks)
+    return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
 
 
 def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Trace the strands through the blocks of a checked trace: cap arcs
-    at both ends, and each middle block sends puncture ``pos`` of section
-    ``j`` to puncture ``permutation[pos - 1]`` of section ``j + 1``.
+    """Write out the components of the definite fold set as the
+    punctures ``(section, position)`` they run through.
 
-    Each component starts at its smallest puncture, which lies on the
-    first section, takes the left cap's arc and then sweeps right and
-    left between the caps.  A run of middle blocks with one permutation
-    is crossed in one step (``_sweep``).
+    Four strand tracks, one from each puncture of section 1, list the
+    strand's position at every section, run by run: a run of blocks with
+    permutation P takes the strand round its cycle of P.  Each leg
+    ``(q, p)`` of a component (``_cycles``) is q's track forward and p's back.
     """
     n = len(blocks) - 1
     left = _cap_partners(blocks[0], 0)
-    runs = _permutation_runs(blocks)
+    tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
+    for perm, count, _ in _permutation_runs(blocks):
+        for track in tracks:
+            if count == 1:
+                track.append(perm[track[-1] - 1])
+            else:
+                orbit = _orbit(perm, perm[track[-1] - 1])
+                track += (orbit * (count // len(orbit) + 1))[:count]
     right = _cap_partners(blocks[-1], n)
-    labels = list(product(range(1, n + 1), LEAVES))
-    unseen = set(LEAVES)  # first-section punctures on no component yet
+    sections = list(range(1, n + 1))
     components = []
-    while unseen:
-        start = min(unseen)
-        pos = left[start]
-        cycle = [labels[start - 1], labels[pos - 1]]
-        unseen -= {start, pos}
-        while True:
-            for perm, count, first in runs:
-                if count == 1:
-                    pos = perm[pos - 1]
-                    cycle.append(labels[4 * first - 1 + pos])
-                    continue
-                orbit = _orbit(perm, perm[pos - 1])
-                cycle += _sweep(labels, first + 1, orbit, count)
-                pos = orbit[(count - 1) % len(orbit)]
-            pos = right[pos]
-            if n == 1 and pos == start:  # both caps on the first section
-                break
-            cycle.append(labels[4 * n - 5 + pos])
-            for perm, count, first in reversed(runs):
-                if count == 1:
-                    pos = perm.index(pos) + 1
-                    cycle.append(labels[4 * first - 5 + pos])
-                    continue
-                orbit = _orbit(perm, pos)
-                pos = orbit[-count % len(orbit)]
-                back = _sweep(labels, first, _orbit(perm, pos), count)
-                back.reverse()
-                cycle += back
-            if pos == start:  # n > 1: the sweep came back to the start
-                cycle.pop()
-                break
-            unseen.discard(pos)
-            pos = left[pos]
-            if pos == start:
-                break
-            cycle.append(labels[pos - 1])
-            unseen.discard(pos)
+    for legs in _cycles(left, (0, *(track[-1] for track in tracks)), right):
+        cycle = []
+        for q, p in legs:
+            cycle += zip(sections, tracks[q - 1])
+            cycle += zip(reversed(sections), reversed(tracks[p - 1]))
+        cycle.insert(0, cycle.pop())  # it ends at its start, (1, start)
         components.append(tuple(cycle))
     return tuple(components)
 

@@ -114,6 +114,13 @@ def test_certify_non_finite_volume_exits_1(volume, capsys):
     assert err.count("\n") == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("epsilon", ["-1", "-inf", "inf", "nan"])
+def test_certify_bad_epsilon_exits_1_with_one_line(epsilon, capsys):
+    assert run_cli(["certify", "C(2,2,2)", "--volume", "6.8", f"--epsilon={epsilon}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "epsilon" in captured.err
+
+
 def test_certify_non_finite_table_volume_exits_1(tmp_path, capsys):
     table = tmp_path / "volumes.csv"
     table.write_text("big,C(2,2,2),inf\n")

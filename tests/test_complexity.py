@@ -132,6 +132,14 @@ def test_certify_never_certifies_within_epsilon():
     assert certificate.status == "certified"
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-12, -math.inf, math.inf, math.nan])
+def test_certify_rejects_a_negative_or_non_finite_epsilon(epsilon):
+    # a volume below the threshold certifies once the margin is negative
+    with pytest.raises(ValueError, match="epsilon"):
+        certify_smc(ConwayWord((2, 2, 2)), 2 * V_OCT - 0.5, epsilon=epsilon)
+    assert certify_smc(ConwayWord((2, 2, 2)), 2 * V_OCT - 0.5, epsilon=0.0).status == "inconclusive"
+
+
 def test_certify_flags_inconsistent_volume():
     # above the 4m * V_oct cap: lower bound exceeds 2m
     certificate = certify_smc(ConwayWord((2, 2, 2)), 4 * V_OCT + 1.0)

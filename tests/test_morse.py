@@ -308,8 +308,21 @@ def test_trace_rejects_blocks_that_lose_a_strand():
     for j, field, value in ((2, "permutation", (1, 1, 3, 4)), (0, "pairing", ((1, 2),))):
         blocks = list(model.blocks)
         blocks[j] = replace(blocks[j], **{field: value})
-        with pytest.raises(TraceMismatchError):
+        with pytest.raises(TraceMismatchError, match=f"block {j} {field}"):
             trace_definite_folds(replace(model, blocks=tuple(blocks)))
+        with pytest.raises(TraceMismatchError, match=f"block {j} {field}"):
+            DefiniteFoldTrace(count=2, blocks=tuple(blocks)).components  # a hand-built trace
+
+
+def test_validate_model_rejects_a_cached_trace_over_blocks_that_lose_a_strand():
+    # one Type 3 run of three blocks loses a strand; the cached trace is read
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    runs = list(model.blocks.runs)
+    assert runs[1][0].kind == "type3" and runs[1][1] == 3
+    runs[1] = (replace(runs[1][0], permutation=(1, 1, 3, 4)), 3)
+    tampered = replace(model, trace=DefiniteFoldTrace(count=2, blocks=_RunSeq(runs)))
+    with pytest.raises(TraceMismatchError, match="block 1 permutation"):
+        validate_model(tampered)
 
 
 @given(even_b_words, st.sampled_from(["crossing", "region", "fine"]), st.sampled_from(["f2", "f3"]))
