@@ -208,7 +208,10 @@ def _cmd_normalize(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_batch(args, out) -> int:
+def _cmd_batch(args, out, parser: _Parser) -> int:
+    options = parser.parse_args([args.command, *args.args, "WORD"])
+    if getattr(options, "output", None):
+        raise _UsageError("batch writes each output into its record; -o/--output is not allowed")
     with open(args.input, encoding="utf-8") as handle:
         inputs = [
             line.strip()
@@ -217,10 +220,9 @@ def _cmd_batch(args, out) -> int:
         ]
 
     def run_one(text: str) -> dict:
-        argv = [args.command] + args.args + [text]
         buffer = io.StringIO()
         try:
-            status = _dispatch(argv, buffer)
+            status = options.run(argparse.Namespace(**{**vars(options), "word": text}), buffer)
             return {"input": text, "exit": status, "output": buffer.getvalue()}
         except HypothesisError as err:
             return {"input": text, "exit": EXIT_HYPOTHESIS, "error": str(err)}
@@ -244,23 +246,28 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("analyze", help="fraction, components, parity, twist number")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("word")
 
     p = sub.add_parser("build", help="emit the model document for one word")
+    p.set_defaults(run=_cmd_build)
     p.add_argument("word")
     p.add_argument("--variant", choices=("f2", "f3"), required=True)
     p.add_argument("--granularity", choices=("crossing", "region", "fine"), default="crossing")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("certify", help="evaluate the smc = 2m certificate")
+    p.set_defaults(run=_cmd_certify)
     p.add_argument("word")
-    p.add_argument("--volume", type=float)
-    p.add_argument("--volume-table")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--volume", type=float)
+    source.add_argument("--volume-table")
     p.add_argument("--label")
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("render", help="emit an SVG drawing")
+    p.set_defaults(run=_cmd_render)
     p.add_argument("word")
     p.add_argument("--subject", choices=("curve", "strips", "model"), default="model")
     p.add_argument("--variant", choices=("f2", "f3"), default="f2")
@@ -268,10 +275,12 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("normalize", help="search for an even-b Conway form")
+    p.set_defaults(run=_cmd_normalize)
     p.add_argument("word")
     p.add_argument("--bound", type=int, default=40)
 
     p = sub.add_parser("batch", help="map a file of words through a subcommand")
+    p.set_defaults(run=lambda args, out: _cmd_batch(args, out, parser))
     p.add_argument("--command", required=True, choices=("analyze", "build", "certify", "render", "normalize"))
     p.add_argument("--input", required=True)
     p.add_argument("--jobs", type=int, default=4)
@@ -285,23 +294,8 @@ def _build_parser() -> _Parser:
 
 
 def _dispatch(argv: list[str], out) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "analyze":
-        return _cmd_analyze(args, out)
-    if args.subcommand == "build":
-        return _cmd_build(args, out)
-    if args.subcommand == "certify":
-        if (args.volume is None) == (args.volume_table is None):
-            raise _UsageError("pass exactly one of --volume or --volume-table")
-        return _cmd_certify(args, out)
-    if args.subcommand == "render":
-        return _cmd_render(args, out)
-    if args.subcommand == "normalize":
-        return _cmd_normalize(args, out)
-    if args.subcommand == "batch":
-        return _cmd_batch(args, out)
-    raise _UsageError(f"unknown command {args.subcommand!r}")
+    args = _build_parser().parse_args(argv)
+    return args.run(args, out)
 
 
 def run_cli(argv: list[str]) -> int:

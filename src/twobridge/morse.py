@@ -189,7 +189,7 @@ class DefiniteFoldTrace:
         return self.count == other.count and (self.blocks is other.blocks or self.components == other.components)
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return hash(self.count)
 
 
 @dataclass(frozen=True)
@@ -327,14 +327,20 @@ def build_block(
     )
 
 
-def _cap_partners(block: BlockMap, index: int) -> dict[int, int]:
-    """Each puncture's partner under a cap's arcs."""
-    ends = [x for pair in block.pairing for x in pair]
-    if sorted(ends) != list(LEAVES):
-        raise TraceMismatchError(
-            f"block {index} pairing {block.pairing!r} does not pair the four punctures"
-        )
-    return {x: ends[i ^ 1] for i, x in enumerate(ends)}
+def _cap_partners(blocks: Sequence[BlockMap]) -> list[dict[int, int]]:
+    """Each puncture's partner under the arcs of either cap: the first block, the last."""
+    n = len(blocks) - 1
+    if n < 1:
+        raise TraceMismatchError("a model needs a cap block at either end")
+    partners = []
+    for index in (0, n):
+        ends = [x for pair in blocks[index].pairing for x in pair]
+        if sorted(ends) != list(LEAVES):
+            raise TraceMismatchError(
+                f"block {index} pairing {blocks[index].pairing!r} does not pair the four punctures"
+            )
+        partners.append({x: ends[i ^ 1] for i, x in enumerate(ends)})
+    return partners
 
 
 def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
@@ -417,17 +423,13 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
     components are the cycles it makes with the caps' pairings
     (``_cycles``).
     """
-    n = len(blocks) - 1
-    if n < 1:
-        raise TraceMismatchError("a model needs a cap block at either end")
-    left = _cap_partners(blocks[0], 0)
+    left, right = _cap_partners(blocks)
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
     for perm, count, _ in _permutation_runs(blocks):
         # Every permutation of four points has an order dividing 12.
         power = _power(perm, count % 12)
         _, a, b, c, d = across
         across = (0, power[a], power[b], power[c], power[d])
-    right = _cap_partners(blocks[-1], n)
     return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
 
 
@@ -440,8 +442,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     permutation P takes the strand round its cycle of P.  Each leg
     ``(q, p)`` of a component (``_cycles``) is q's track forward and p's back.
     """
-    n = len(blocks) - 1
-    left = _cap_partners(blocks[0], 0)
+    left, right = _cap_partners(blocks)
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
     for perm, count, _ in _permutation_runs(blocks):
         for track in tracks:
@@ -450,8 +451,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
             else:
                 orbit = _orbit(perm, perm[track[-1] - 1])
                 track += (orbit * (count // len(orbit) + 1))[:count]
-    right = _cap_partners(blocks[-1], n)
-    sections = list(range(1, n + 1))
+    sections = list(range(1, len(blocks)))
     components = []
     for legs in _cycles(left, (0, *(track[-1] for track in tracks)), right):
         cycle = []

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twobridge import cli
 from twobridge.cli import run_cli
 from twobridge.conway import parse_conway
+from twobridge.errors import ConwaySyntaxError
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.render import render_svg
 
@@ -239,6 +241,81 @@ def test_batch_hard_error_wins(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("C(3,2,3)\nC(1)\nC(2,1,2)\n")
     assert run_cli(["batch", "--command", "analyze", "--input", str(words)]) == 1
+
+
+def _batch_records(capsys, argv: list[str]) -> tuple[int, list[dict]]:
+    status = run_cli(argv)
+    return status, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("analyze", []),
+        ("build", ["--variant", "f2"]),
+        ("build", ["--variant", "f3", "--granularity", "fine"]),
+        ("certify", ["--volume", "14.0"]),
+        ("certify", ["--volume-table", "TABLE", "--json"]),
+        ("render", []),
+        ("normalize", []),
+    ],
+)
+def test_batch_records_equal_single_runs(tmp_path, capsys, command, flags):
+    table = tmp_path / "volumes.csv"
+    table.write_text("big223,C(2,2,2),14.0\nk323,C(3,2,3),9.0\n")
+    flags = [str(table) if flag == "TABLE" else flag for flag in flags]
+    words = ["C(2,2,2)", "C(3,2,3)", "C(2,1,2)", "C(3,x)"]  # even b, even b, odd b, malformed
+    batch = tmp_path / "words.txt"
+    batch.write_text("".join(word + "\n" for word in words))
+    status, records = _batch_records(capsys, ["batch", "--command", command, "--input", str(batch), "--", *flags])
+    assert [record["input"] for record in records] == words
+    singles = []
+    for word, record in zip(words, records):
+        singles.append(run_cli([command, *flags, word]))
+        captured = capsys.readouterr()
+        assert record["exit"] == singles[-1], word
+        assert record.get("output", "") == captured.out, word
+        assert record.get("error", "") in captured.err, word
+    assert status == (1 if 1 in singles else 2 if 2 in singles else 0)
+
+
+def test_batch_parses_the_flags_once_and_reads_each_line_as_a_word(tmp_path, capsys, monkeypatch):
+    builds = []
+    build_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build_parser())
+    words = tmp_path / "words.txt"
+    words.write_text("C(3,2,3)\n-h\n--help\n--variant\nC(2,1,2)\n")
+    argv = ["batch", "--command", "build", "--input", str(words), "--", "--variant", "f2"]
+    status, records = _batch_records(capsys, argv)
+    assert status == 1 and len(builds) == 1
+    assert [record["input"] for record in records] == ["C(3,2,3)", "-h", "--help", "--variant", "C(2,1,2)"]
+    for record in records[1:4]:
+        with pytest.raises(ConwaySyntaxError) as raised:
+            parse_conway(record["input"])
+        assert record == {"input": record["input"], "exit": 1, "error": str(raised.value)}
+    words.write_text("C(3,2,3)\nC(2,1,2)\n")
+    assert _batch_records(capsys, argv) == (2, [records[0], records[4]])
+
+
+@pytest.mark.parametrize("text", ["", "C(3,2,3)\n"])
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("build", []),  # no --variant
+        ("build", ["--variant", "f2", "C(3,2,3)"]),  # a second word
+        ("build", ["--variant", "f2", "-o", "OUT"]),
+        ("render", ["--output=OUT"]),
+    ],
+)
+def test_batch_reports_bad_flags_once_before_any_line(tmp_path, capsys, text, command, flags):
+    words = tmp_path / "words.txt"
+    words.write_text(text)
+    target = tmp_path / "out"
+    flags = [flag.replace("OUT", str(target)) for flag in flags]
+    assert run_cli(["batch", "--command", command, "--input", str(words), "--", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert not target.exists()
 
 
 def test_exit_code_matrix_in_subprocesses():

@@ -325,6 +325,21 @@ def test_validate_model_rejects_a_cached_trace_over_blocks_that_lose_a_strand():
         validate_model(tampered)
 
 
+def test_hashing_a_trace_does_not_write_out_its_components(cold):
+    model = cold(assemble_stable_map, ConwayWord((3, 2, 3)), "f2")
+    assert hash(model.trace) == hash(DefiniteFoldTrace(count=model.trace.count, blocks=tuple(model.blocks)))
+    assert "components" not in vars(model.trace)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_a_trace_over_fewer_than_two_blocks_needs_a_cap_at_either_end(count):
+    blocks = (assemble_stable_map(ConwayWord((3, 2, 3)), "f2").blocks[0],) * count
+    with pytest.raises(TraceMismatchError, match="a cap block at either end"):
+        _definite_trace(blocks)
+    with pytest.raises(TraceMismatchError, match="a cap block at either end"):
+        DefiniteFoldTrace(count=1, blocks=blocks).components  # a hand-built trace
+
+
 @given(even_b_words, st.sampled_from(["crossing", "region", "fine"]), st.sampled_from(["f2", "f3"]))
 def test_trace_matches_adjacency_oracle(word, granularity, variant):
     try:
