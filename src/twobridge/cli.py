@@ -34,7 +34,7 @@ from .conway import (
     schubert_equivalent,
     twist_number,
 )
-from .curves import _smooth_word, bigon_reduce, strip_decompose
+from .curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from .errors import (
     HypothesisError,
     NotReducedAlternatingError,
@@ -118,23 +118,30 @@ def _reference_fraction(reference: str):
         return None
 
 
+def _volume_table(path: str) -> list:
+    """The ``--volume-table`` argument: each row of the file with its
+    reference's fraction, read and worked out once per parse, so once
+    per batch."""
+    with open(path, encoding="utf-8") as handle:
+        records = ingest_volume_table(handle.read(), source=path)
+    return [(record, _reference_fraction(record.reference)) for record in records]
+
+
 def _lookup_volume(args, word) -> float:
     if args.volume is not None:
         return args.volume
-    with open(args.volume_table, encoding="utf-8") as handle:
-        records = ingest_volume_table(handle.read(), source=args.volume_table)
     if args.label:
-        for record in records:
+        for record, _ in args.volume_table:
             if record.label == args.label:
                 return record.volume
         raise TwoBridgeError(f"no table entry labeled {args.label!r}")
     fraction = fraction_of(word)
     policy = EquivalencePolicy(allow_mirror=True)  # volume is mirror-invariant
-    matches = []
-    for record in records:
-        other = _reference_fraction(record.reference)
-        if other is not None and schubert_equivalent(fraction, other, policy):
-            matches.append(record)
+    matches = [
+        record
+        for record, other in args.volume_table
+        if other is not None and schubert_equivalent(fraction, other, policy)
+    ]
     if len(matches) == 1:
         return matches[0].volume
     if not matches:
@@ -183,7 +190,7 @@ def _cmd_render(args, out) -> int:
     if args.subject == "model":
         subject = assemble_stable_map(word, args.variant, args.granularity)
     else:
-        curve = _smooth_word(word)
+        curve = outer_smooth(build_plat_diagram(word))
         if args.variant == "f3":
             curve = bigon_reduce(curve)
         if args.subject == "strips":
@@ -261,7 +268,7 @@ def _build_parser() -> _Parser:
     p.add_argument("word")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--volume", type=float)
-    source.add_argument("--volume-table")
+    source.add_argument("--volume-table", type=_volume_table)
     p.add_argument("--label")
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")

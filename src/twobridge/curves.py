@@ -18,11 +18,12 @@ curve whose double points are exactly the b-crossings.  Geometry stays
 abstract throughout: strips are combinatorial tokens, and coordinates
 only exist in the SVG renderer.
 
-A curve holds one Column object per twist region and a strip
+A plat diagram holds one of four shared Crossing objects per twist
+region, a curve one Column object per twist region and a strip
 decomposition one Strip object per run of like columns, each as a run
 ``(object, count)`` of a run-length sequence (``_RunSeq``).  So the work
-downstream is per region, not per crossing, and a model's memory does
-not grow with its crossing count.
+is per region, not per crossing, from the diagram on, and a model's
+memory does not grow with its crossing count.
 """
 
 from __future__ import annotations
@@ -101,24 +102,34 @@ class _RunSeq:
 
 @dataclass(frozen=True)
 class Crossing:
-    """One crossing of the plat diagram.
+    """A crossing of the plat diagram, by orientation and sign.  There
+    are four, one per ``(outer_adjacent, entry_sign)``, and every diagram
+    shares them (``_CROSSINGS``).
 
     ``braid_sign`` is the exponent of the underlying braid letter;
     ``outer_adjacent`` marks the crossings smoothed by ``outer_smooth``.
     """
 
-    region: int
-    slot: int
     strands: tuple[int, int]
     braid_sign: int
     entry_sign: int
     outer_adjacent: bool
 
 
+_CROSSINGS = {
+    (outer, sign > 0): Crossing(A_STRANDS if outer else B_STRANDS, sign if outer else -sign, sign, outer)
+    for outer in (True, False)
+    for sign in (1, -1)
+}
+
+
 @dataclass(frozen=True)
 class PlatDiagram:
+    """``crossings`` holds one run ``(crossing, |entry|)`` per twist
+    region, in the word's order."""
+
     word: ConwayWord
-    crossings: tuple[Crossing, ...]
+    crossings: Sequence[Crossing] = field(hash=False)
 
     def __post_init__(self):
         counts = self.region_counts
@@ -132,19 +143,7 @@ class PlatDiagram:
 
     @property
     def region_counts(self) -> tuple[int, ...]:
-        counts = [0] * len(self.word.entries)
-        for x in self.crossings:
-            counts[x.region] += 1
-        return tuple(counts)
-
-
-@dataclass(frozen=True)
-class CrossingCensus:
-    total: int
-    per_region: tuple[int, ...]
-    sum_a: int
-    sum_b: int
-    bigon_pairs: int | None
+        return tuple(map(_count, _runs_of(self.crossings)))
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ class Column:
 class ImmersedCurve:
     word: ConwayWord
     variant: str  # 'f2' (double points) | 'f3' (tangencies)
-    columns: Sequence[Column]
+    columns: Sequence[Column] = field(hash=False)
     removed_circles: int = 1
 
     @property
@@ -184,7 +183,7 @@ class Strip:
     Type 2 strip, the signed crossing count for Type 3 (0 for fillers)."""
 
     kind: str  # 'type1' | 'type2' | 'type3' | 'type4'
-    columns: Sequence[Column] = ()
+    columns: Sequence[Column] = field(default=(), hash=False)
     param: int = 0
 
 
@@ -193,7 +192,7 @@ class StripDecomposition:
     word: ConwayWord
     variant: str
     granularity: str
-    strips: Sequence[Strip]
+    strips: Sequence[Strip] = field(hash=False)
     validation: tuple[tuple[str, bool], ...] = field(default=())
 
     @property
@@ -219,32 +218,12 @@ def _expected_type2(word: ConwayWord, variant: str) -> int:
     return word.m if variant == "f2" else sum(abs(b) for b in word.b_entries) // 2
 
 
-def _region_runs(word: ConwayWord) -> list[tuple[int, int, bool, int]]:
-    """Each twist region as ``(region, crossings, outer_adjacent, entry_sign)``."""
-    return [
-        (region, abs(entry), region % 2 == 0, 1 if entry > 0 else -1)
-        for region, entry in enumerate(word.entries)
-    ]
-
-
 def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
-    """Lay out the word's twist regions left to right as a capped 4-plat."""
-    crossings = []
-    for region, count, horizontal, sign in _region_runs(word):
-        strands = A_STRANDS if horizontal else B_STRANDS
-        braid_sign = sign if horizontal else -sign
-        for slot in range(count):
-            crossings.append(
-                Crossing(
-                    region=region,
-                    slot=slot,
-                    strands=strands,
-                    braid_sign=braid_sign,
-                    entry_sign=sign,
-                    outer_adjacent=horizontal,
-                )
-            )
-    return PlatDiagram(word=word, crossings=tuple(crossings))
+    """Lay out the word's twist regions left to right as a capped 4-plat:
+    region i is a run of the crossing for its orientation (horizontal for
+    even i) and sign."""
+    runs = ((_CROSSINGS[region % 2 == 0, entry > 0], abs(entry)) for region, entry in enumerate(word.entries))
+    return PlatDiagram(word, _RunSeq(runs))
 
 
 def _runs(items) -> list[tuple[object, int]]:
@@ -291,42 +270,17 @@ def _mapped(items, f, key=id) -> list:
     return list(_expand(zip(map(values.__getitem__, keys), map(_count, runs))))
 
 
-def crossing_census(d: PlatDiagram) -> CrossingCensus:
-    sum_a = sum(abs(a) for a in d.word.a_entries)
-    sum_b = sum(abs(b) for b in d.word.b_entries)
-    pairs = sum_b // 2 if all(b % 2 == 0 for b in d.word.b_entries) else None
-    return CrossingCensus(
-        total=d.total_crossings,
-        per_region=d.region_counts,
-        sum_a=sum_a,
-        sum_b=sum_b,
-        bigon_pairs=pairs,
-    )
-
-
-def _smooth(word: ConwayWord, region_runs) -> ImmersedCurve:
-    """The smoothing routine: each run ``(region, crossings,
-    outer_adjacent, entry_sign)`` of like crossings becomes one Column,
-    held once with its crossing count."""
-    columns = _RunSeq(
-        (Column("pass" if outer else "crossing", region, sign), count)
-        for region, count, outer, sign in region_runs
-    )
-    # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
-    return ImmersedCurve(word=word, variant="f2", columns=columns, removed_circles=1)
-
-
-def _smooth_word(word: ConwayWord) -> ImmersedCurve:
-    """``outer_smooth(build_plat_diagram(word))`` straight from the twist
-    regions, without a Crossing per crossing."""
-    return _smooth(word, _region_runs(word))
-
-
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     """Smooth every crossing adjacent to the outer region, drop the
-    outermost circle, and forget the remaining crossing information."""
-    runs = groupby(d.crossings, attrgetter("region", "outer_adjacent", "entry_sign"))
-    return _smooth(d.word, [(region, len(list(group)), outer, sign) for (region, outer, sign), group in runs])
+    outermost circle, and forget the remaining crossing information: each
+    region's run of crossings becomes one Column, held once with its
+    crossing count."""
+    columns = _RunSeq(
+        (Column("pass" if x.outer_adjacent else "crossing", region, x.entry_sign), count)
+        for region, (x, count) in enumerate(_runs_of(d.crossings))
+    )
+    # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
+    return ImmersedCurve(word=d.word, variant="f2", columns=columns, removed_circles=1)
 
 
 def _regions(columns: Sequence[Column]):
@@ -413,16 +367,10 @@ def strip_decompose(
         interior = spaced
 
     strips = _RunSeq([(Strip("type1"), 1), *interior, (Strip("type4"), 1)])
-    checks = (
-        ("first_is_type1", strips[0].kind == "type1"),
-        ("last_is_type4", strips[-1].kind == "type4"),
-        ("type2_count", type2 == _expected_type2(curve.word, variant)),
-        ("interior_kinds", set(map(attrgetter("kind"), map(itemgetter(0), interior))) <= {"type2", "type3"}),
-    )
     return StripDecomposition(
         word=curve.word,
         variant=variant,
         granularity=granularity,
         strips=strips,
-        validation=checks,
+        validation=(("type2_count", type2 == _expected_type2(curve.word, variant)),),
     )

@@ -41,8 +41,9 @@ from .curves import (
     _RunSeq,
     _paired,
     _runs_of,
-    _smooth_word,
     bigon_reduce,
+    build_plat_diagram,
+    outer_smooth,
     strip_decompose,
 )
 from .errors import (
@@ -198,8 +199,8 @@ class StableMapModel:
     word: ConwayWord
     granularity: str
     strips: StripDecomposition
-    blocks: Sequence[BlockMap]
-    sections: Sequence[CrossSection]
+    blocks: Sequence[BlockMap] = field(hash=False)
+    sections: Sequence[CrossSection] = field(hash=False)
     census: SingularFiberCensus
     trace: DefiniteFoldTrace
 
@@ -224,106 +225,54 @@ def build_block(
     if variant not in ("f2", "f3"):
         raise ValueError(f"unknown variant {variant!r}")
     k = index
-    entry_tag = f"F{k}" if k is not None else "F"
-    exit_tag = f"F{k + 1}" if k is not None else "G"
+    kind = strip.kind
     prime, dprime = (
         tag if k is None else name.format(k + offset)
         for tag, (name, offset) in EVENT_SLICES.items()
     )
+    entry_tag, exit_tag = ("F", "G") if k is None else (f"F{k}", f"F{k + 1}")
+    # A cap has one section: a Type 1 block its exit, a Type 4 block its entry.
+    entry = None if kind == "type1" else entry or standard_cross_section(entry_tag)
+    exit_section = None if kind == "type4" else exit_section or standard_cross_section(exit_tag)
 
-    if strip.kind == "type1":
-        section = exit_section or standard_cross_section(exit_tag)
-        return BlockMap(
-            kind="type1",
-            variant=variant,
-            entry=None,
-            exit=section,
-            events=(),
-            permutation=IDENTITY,
-            saddle_map="join",
-            pairing=CAP_PAIRING,
-            topology="ball",
-            slices=(section,),
-        )
-    if strip.kind == "type4":
-        section = entry or standard_cross_section(entry_tag)
-        return BlockMap(
-            kind="type4",
-            variant=variant,
-            entry=section,
-            exit=None,
-            events=(),
-            permutation=IDENTITY,
-            saddle_map="join",
-            pairing=CAP_PAIRING,
-            topology="ball",
-            slices=(section,),
-        )
-
-    entry = entry or standard_cross_section(entry_tag)
-    exit_section = exit_section or standard_cross_section(exit_tag)
-
-    if strip.kind == "type3":
-        crossings = len(strip.columns)
-        return BlockMap(
-            kind="type3",
-            variant=variant,
-            entry=entry,
-            exit=exit_section,
-            events=(),
-            permutation=_transpositions(SWAP_MIDDLE, crossings),
-            saddle_map="id",
-            pairing=(),
-            topology="sphere_x_interval",
-            slices=(entry, exit_section),
-        )
-
-    if strip.kind != "type2":
-        raise InvalidStripVariantError(f"unknown strip kind {strip.kind!r}")
-
-    # A whole twist region is one column object repeated, so its kind is
-    # read once.
-    content = {column.kind for column, _ in _runs_of(strip.columns)}
-    if variant == "f2":
-        if content != {"crossing"}:
-            raise InvalidStripVariantError(
-                "an f2 Type 2 strip must hold a whole twist region of double points"
-            )
-        return BlockMap(
-            kind="type2",
-            variant="f2",
-            entry=entry,
-            exit=exit_section,
-            events=(
-                FiberEvent("II2", prime),
-                FiberEvent("II2", dprime),
-            ),
-            permutation=_transpositions(SWAP_TOP, len(strip.columns)),
-            saddle_map="id",
-            pairing=(),
-            topology="sphere_x_interval",
-            slices=(
-                entry,
-                standard_cross_section(prime),
-                standard_cross_section(dprime),
-                exit_section,
-            ),
-        )
-    if content != {"tangency"} or len(strip.columns) != 1:
-        raise InvalidStripVariantError(
-            "an f3 Type 2 strip must hold exactly one self-tangency"
-        )
+    events, permutation, saddle_map = (), IDENTITY, "id"
+    if kind in ("type1", "type4"):
+        saddle_map, slices = "join", (entry or exit_section,)
+    elif kind == "type3":
+        permutation, slices = _transpositions(SWAP_MIDDLE, len(strip.columns)), (entry, exit_section)
+    elif kind != "type2":
+        raise InvalidStripVariantError(f"unknown strip kind {kind!r}")
+    else:
+        # A whole twist region is one column object repeated, so its kind
+        # is read once.
+        content = {column.kind for column, _ in _runs_of(strip.columns)}
+        if variant == "f2":
+            if content != {"crossing"}:
+                raise InvalidStripVariantError(
+                    "an f2 Type 2 strip must hold a whole twist region of double points"
+                )
+            events = (FiberEvent("II2", prime), FiberEvent("II2", dprime))
+            permutation = _transpositions(SWAP_TOP, len(strip.columns))
+            slices = (entry, standard_cross_section(prime), standard_cross_section(dprime), exit_section)
+        else:
+            if content != {"tangency"} or len(strip.columns) != 1:
+                raise InvalidStripVariantError(
+                    "an f3 Type 2 strip must hold exactly one self-tangency"
+                )
+            events, saddle_map = (FiberEvent("II3", dprime),), "swap"
+            slices = (entry, standard_cross_section(dprime), exit_section)
+    cap = saddle_map == "join"
     return BlockMap(
-        kind="type2",
-        variant="f3",
+        kind=kind,
+        variant=variant,
         entry=entry,
         exit=exit_section,
-        events=(FiberEvent("II3", dprime),),
-        permutation=IDENTITY,
-        saddle_map="swap",
-        pairing=(),
-        topology="sphere_x_interval",
-        slices=(entry, standard_cross_section(dprime), exit_section),
+        events=events,
+        permutation=permutation,
+        saddle_map=saddle_map,
+        pairing=CAP_PAIRING if cap else (),
+        topology="ball" if cap else "sphere_x_interval",
+        slices=slices,
     )
 
 
@@ -515,7 +464,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
             f"{word} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    curve = _smooth_word(word)
+    curve = outer_smooth(build_plat_diagram(word))
     if variant == "f3":
         curve = bigon_reduce(curve)
     strips = strip_decompose(curve, variant, granularity)

@@ -144,8 +144,8 @@ def _block_entries(blocks) -> list[dict]:
 
 
 # The last model exported and its text.  A model is matched by identity,
-# never by equality, whose hash walks every block; holding the model
-# keeps its identity from passing to another object.
+# never by equality, which may write out the components of both traces;
+# holding the model keeps its identity from passing to another object.
 _last_export: tuple = (None, "")
 
 

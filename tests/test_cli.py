@@ -318,6 +318,41 @@ def test_batch_reports_bad_flags_once_before_any_line(tmp_path, capsys, text, co
     assert not target.exists()
 
 
+def test_batch_reads_the_volume_table_once(tmp_path, capsys, monkeypatch):
+    calls = {"ingest": 0, "reference": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "ingest_volume_table", counted("ingest", cli.ingest_volume_table))
+    monkeypatch.setattr(cli, "_reference_fraction", counted("reference", cli._reference_fraction))
+    table = tmp_path / "volumes.csv"
+    table.write_text("big223,C(2,2,2),14.0\nk323,C(3,2,3),9.0\n")
+    words = tmp_path / "words.txt"
+    words.write_text("C(2,2,2)\nC(3,2,3)\nC(2,2,2)\nC(3,2,3)\n")
+    argv = ["batch", "--command", "certify", "--input", str(words), "--", "--volume-table", str(table)]
+    status, records = _batch_records(capsys, argv)
+    assert status == 0 and [record["exit"] for record in records] == [0] * 4
+    assert calls == {"ingest": 1, "reference": 2}
+
+
+@pytest.mark.parametrize("table_text", [None, "big,C(2,2,2),zebra\n", "big,C(2,2,2),inf\n", "a,b,1.0\na,c,2.0\n"])
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_bad_volume_table_is_one_error_before_any_word(tmp_path, capsys, table_text, batch):
+    table = tmp_path / "volumes.csv"  # missing, malformed, non-finite, duplicate label
+    if table_text is not None:
+        table.write_text(table_text)
+    words = tmp_path / "words.txt"
+    words.write_text("C(2,2,2)\nC(3,2,3)\n")
+    argv = ["batch", "--command", "certify", "--input", str(words), "--"] if batch else ["certify", "C(2,2,2)"]
+    assert run_cli([*argv, "--volume-table", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 def test_exit_code_matrix_in_subprocesses():
     matrix = [
         (["analyze", "C(3,2,3)"], 0),

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import A_STRANDS, _braid_signs, _pattern_strand_sequence
 from twobridge.conway import ConwayWord
 from twobridge.curves import (
     Column,
     ImmersedCurve,
+    PlatDiagram,
     _RunSeq,
     _runs,
-    _smooth_word,
     bigon_reduce,
     build_plat_diagram,
-    crossing_census,
     outer_smooth,
     strip_decompose,
 )
@@ -38,12 +38,12 @@ def test_diagram_crossing_counts():
 def test_diagram_sign_tags():
     d = build_plat_diagram(ConwayWord((2, -2, 2)))
     assert d.total_crossings == 6
-    middle = [x for x in d.crossings if x.region == 1]
+    middle = d.crossings[2:4]
     assert all(x.entry_sign == -1 for x in middle)
     # negative b maps to a positive braid exponent under the alternating rule
     assert all(x.braid_sign == 1 for x in middle)
     assert all(not x.outer_adjacent for x in middle)
-    outer = [x for x in d.crossings if x.region != 1]
+    outer = d.crossings[:2] + d.crossings[4:]
     assert all(x.outer_adjacent for x in outer)
 
 
@@ -53,27 +53,29 @@ def test_diagram_single_region():
     assert d.region_counts == (5,)
 
 
-def test_crossing_census():
-    census = crossing_census(build_plat_diagram(ConwayWord((3, 2, 3))))
-    assert (census.total, census.sum_a, census.sum_b) == (8, 6, 2)
-    assert census.bigon_pairs == 1
+@given(words)
+def test_plat_diagram_matches_the_per_crossing_oracle(word):
+    d = build_plat_diagram(word)
+    strands = _pattern_strand_sequence(tuple(map(abs, word.entries)))
+    assert [x.strands for x in d.crossings] == strands
+    assert [x.braid_sign for x in d.crossings] == _braid_signs(word.entries)
+    assert [x.entry_sign for x in d.crossings] == [e // abs(e) for e in word.entries for _ in range(abs(e))]
+    assert [x.outer_adjacent for x in d.crossings] == [s == A_STRANDS for s in strands]
+    # one run per twist region, of one of four shared crossings
+    assert len(d.crossings.runs) == len(word.entries)
+    assert len(set(map(id, d.crossings))) <= 4
+    kinds = [c.kind for c in outer_smooth(d).columns]
+    assert kinds == ["pass" if s == A_STRANDS else "crossing" for s in strands]
 
 
-def test_crossing_census_larger():
-    census = crossing_census(build_plat_diagram(ConwayWord((2, 4, 2, -2, 2))))
-    assert census.total == 12
-    assert census.sum_b == 6
-    assert census.bigon_pairs == 3
-
-
-def test_crossing_census_no_pairs_when_odd():
-    census = crossing_census(build_plat_diagram(ConwayWord((2, 3, 2))))
-    assert census.bigon_pairs is None
-
-
-def test_census_of_torus_word():
-    census = crossing_census(build_plat_diagram(ConwayWord((7,))))
-    assert (census.total, census.sum_b, census.bigon_pairs) == (7, 0, 0)
+def test_a_plat_diagram_whose_runs_disagree_with_its_word_is_rejected():
+    word = ConwayWord((3, 2, 3))
+    runs = build_plat_diagram(word).crossings.runs
+    (a, _), (b, _), _ = runs
+    for bad in (runs[:2], (*runs, (b, 1)), ((a, 3), (b, 2), (a, 2)), ((a, 1), (a, 2), *runs[1:])):
+        with pytest.raises(ValueError, match="region counts"):
+            PlatDiagram(word, _RunSeq(bad))
+    assert PlatDiagram(word, tuple(_RunSeq(runs))).region_counts == (3, 2, 3)
 
 
 # --- outer smoothing ---------------------------------------------------------
@@ -102,11 +104,6 @@ def test_outer_smooth_invariants(word):
     curve = outer_smooth(build_plat_diagram(word))
     assert curve.double_points == sum(abs(b) for b in word.b_entries)
     assert curve.removed_circles == 1
-
-
-@given(words)
-def test_word_level_smoothing_equals_diagram_smoothing(word):
-    assert _smooth_word(word) == outer_smooth(build_plat_diagram(word))
 
 
 # --- bigon reduction ---------------------------------------------------------

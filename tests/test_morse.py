@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import oracle_trace, plat_component_count_of_entries, random_even_b_words
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
 from twobridge import morse
-from twobridge.curves import Column, Strip, _RunSeq
+from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
 from twobridge.errors import (
     DegenerateFractionError,
     EvenBRequiredError,
@@ -456,3 +456,22 @@ def test_a_billion_crossing_word_assembles_to_its_closed_form_census(variant, ce
     model = assemble_stable_map(word, variant)
     got = (model.census.ii2, model.census.ii3, model.census.definite_components, len(model.blocks))
     assert got == (*census, component_count(fraction_of(word)), 2_000_000_003)
+
+
+def test_hashing_a_model_takes_no_step_per_crossing(cold):
+    word = parse_conway("C(1000000000,2,1000000000)")
+    assert hash(cold(assemble_stable_map, word, "f2")) == hash(cold(assemble_stable_map, word, "f2"))
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    flat = replace(model, blocks=tuple(model.blocks), sections=tuple(model.sections))
+    assert flat == model and hash(flat) == hash(model)
+
+
+def test_a_decomposition_with_the_wrong_type2_count_fails_its_check():
+    word = ConwayWord((3, 2, 3))
+    no_double_points = ((Column("pass", 0, 1), 3), (Column("pass", 2, 1), 3))
+    curve = ImmersedCurve(word=word, variant="f2", columns=_RunSeq(no_double_points))
+    decomposition = strip_decompose(curve, "f2")
+    assert decomposition.ok is False
+    model = replace(assemble_stable_map(word, "f2"), strips=decomposition)
+    with pytest.raises(InvariantViolationError, match="type2_count"):
+        validate_model(model)
