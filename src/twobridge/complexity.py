@@ -40,23 +40,16 @@ DEFAULT_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class ComplexityBounds:
-    """Upper bound 2m with its witness variant, plus the f3 weighted sum
-    for comparison.  Lower bound and volume cap appear when available."""
+    """Upper bound 2m, witnessed by the f2 model, plus the f3 weighted
+    sum for comparison."""
 
     m: int
     smc_upper: int
-    witness_variant: str
     f3_weighted_sum: int
-    smc_lower: int | None = None
-    volume_upper: float | None = None
 
     def __post_init__(self):
         if min(self.m, self.smc_upper, self.f3_weighted_sum) < 0:
             raise ValueError("bounds must be non-negative")
-        if self.smc_lower is not None and self.smc_lower > self.smc_upper:
-            raise ValueError(
-                f"lower bound {self.smc_lower} exceeds upper bound {self.smc_upper}"
-            )
 
 
 @dataclass(frozen=True)
@@ -114,12 +107,7 @@ def smc_upper_bound(word: ConwayWord) -> ComplexityBounds:
     if not all_b_even(word):
         raise EvenBRequiredError(f"{word} has an odd vertical twist count")
     sum_b = sum(abs(b) for b in word.b_entries)
-    return ComplexityBounds(
-        m=word.m,
-        smc_upper=2 * word.m,
-        witness_variant="f2",
-        f3_weighted_sum=sum_b,
-    )
+    return ComplexityBounds(m=word.m, smc_upper=2 * word.m, f3_weighted_sum=sum_b)
 
 
 def smc_lower_bound_from_volume(volume: float) -> int:
@@ -149,57 +137,40 @@ def certify_smc(
     """
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
-    _require_finite(volume)
-    if volume <= 0:
-        raise NonPositiveVolumeError(f"volume must be positive, got {volume}")
+    lower = smc_lower_bound_from_volume(volume)
     if not all_b_even(word):
         raise EvenBRequiredError(f"{word} has an odd vertical twist count")
     m = word.m
     if m == 0:
-        return Certificate(
-            status="inapplicable",
-            word=word,
-            m=0,
-            volume=volume,
-            epsilon=epsilon,
-            smc_value=None,
-            threshold=0.0,
-            volume_cap=0.0,
-            lower_bound=smc_lower_bound_from_volume(volume),
-            upper_bound=None,
-            volume_inconsistent=False,
-            chain=(
-                "m = 0: single twist region, torus link; the 2m upper bound is vacuous",
-            ),
-        )
-    threshold = (4 * m - 2) * V_OCT
-    cap = 4 * m * V_OCT
-    lower = smc_lower_bound_from_volume(volume)
-    upper = 2 * m
-    inconsistent = lower > upper
-    chain = [
-        f"smc(E(L)) <= 2m = {upper}  [weighted sum of the f2 model]",
-        f"smc(E(L)) >= ceil(vol / (2 V_oct)) = ceil({volume!r} / {2 * V_OCT!r}) = {lower}",
-    ]
-    if volume > threshold + epsilon:
-        chain.append(
-            f"vol = {volume!r} > (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
-        )
-        chain.append(f"hence smc(E(L)) > 2m - 1 = {upper - 1}, so smc(E(L)) = {upper}")
-        status = "certified"
-        value = upper
+        status, value, upper, inconsistent = "inapplicable", None, None, False
+        threshold = cap = 0.0
+        chain = ["m = 0: single twist region, torus link; the 2m upper bound is vacuous"]
     else:
-        chain.append(
-            f"vol = {volume!r} <= (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
-        )
-        chain.append("the volume does not separate smc from 2m - 1; inconclusive")
-        status = "inconclusive"
-        value = None
-    if inconsistent:
-        chain.append(
-            f"warning: lower bound {lower} exceeds 2m = {upper}; "
-            f"the supplied volume is above the 4m V_oct cap {cap!r} (bad input?)"
-        )
+        threshold = (4 * m - 2) * V_OCT
+        cap = 4 * m * V_OCT
+        upper = 2 * m
+        inconsistent = lower > upper
+        chain = [
+            f"smc(E(L)) <= 2m = {upper}  [weighted sum of the f2 model]",
+            f"smc(E(L)) >= ceil(vol / (2 V_oct)) = ceil({volume!r} / {2 * V_OCT!r}) = {lower}",
+        ]
+        if volume > threshold + epsilon:
+            chain.append(
+                f"vol = {volume!r} > (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
+            )
+            chain.append(f"hence smc(E(L)) > 2m - 1 = {upper - 1}, so smc(E(L)) = {upper}")
+            status, value = "certified", upper
+        else:
+            chain.append(
+                f"vol = {volume!r} <= (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
+            )
+            chain.append("the volume does not separate smc from 2m - 1; inconclusive")
+            status, value = "inconclusive", None
+        if inconsistent:
+            chain.append(
+                f"warning: lower bound {lower} exceeds 2m = {upper}; "
+                f"the supplied volume is above the 4m V_oct cap {cap!r} (bad input?)"
+            )
     return Certificate(
         status=status,
         word=word,

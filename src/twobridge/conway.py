@@ -334,14 +334,10 @@ def even_b_normalize(
         witnesses: list[tuple[int, ...]] = []
         for target in targets:
             _expand_target(target, length_cap, sum_bound, witnesses)
-        valid = []
-        for entries in set(witnesses):
-            candidate = ConwayWord(entries)
-            try:
-                if schubert_equivalent(fraction_of(candidate), f, policy):
-                    valid.append(candidate)
-            except DegenerateFractionError:  # pragma: no cover
-                continue
+        # A witness's continued fraction is its target +-p/y, with p >= 2
+        # and gcd(y, p) = 1, so its fraction always normalizes.
+        candidates = map(ConwayWord, set(witnesses))
+        valid = [w for w in candidates if schubert_equivalent(fraction_of(w), f, policy)]
         if valid:
             return min(valid, key=lambda w: (len(w.entries), w.sum_abs, w.entries))
     return FailureReport(

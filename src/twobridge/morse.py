@@ -81,7 +81,6 @@ class CrossSection:
         ("s_lo", 3),
         ("s_lo", 4),
     )
-    order: tuple[object, ...] = (1, 2, "s_hi", "s_lo", 3, 4)
 
     @property
     def leaf_count(self) -> int:
@@ -126,11 +125,15 @@ def standard_cross_section(tag: str = "F") -> CrossSection:
     return CrossSection(tag=tag)
 
 
+# The one section that every relative block has as its entry and exit,
+# and that every separating segment of an assembled model carries.
+_SECTION = standard_cross_section()
+
+
 @dataclass(frozen=True)
 class FiberEvent:
     kind: str  # 'II2' | 'II3'
     slice: str
-    saddles: tuple[str, ...] = SADDLES
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,6 @@ class BlockMap:
     """
 
     kind: str
-    variant: str
     entry: CrossSection | None
     exit: CrossSection | None
     events: tuple[FiberEvent, ...]
@@ -209,31 +211,26 @@ def _transpositions(base: tuple[int, int, int, int], count: int) -> tuple[int, i
     return base if count % 2 == 1 else IDENTITY
 
 
-def build_block(
-    strip: Strip,
-    variant: str,
-    index: int | None = None,
-    entry: CrossSection | None = None,
-    exit_section: CrossSection | None = None,
-) -> BlockMap:
+def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMap:
     """Build the catalogued block for one strip token.
 
-    ``index`` names the block position so that event slices read F{k}'
-    and F{k+1}''; without it they carry the relative tags F' and F''
-    (``EVENT_SLICES``).
+    Without ``index`` the block is relative: its entry and exit are the
+    one standard section, and its event slices carry the tags F' and F''
+    (``EVENT_SLICES``).  ``index`` names the block position, so that its
+    sections read F{k} and F{k+1} and its event slices F{k}' and F{k+1}''.
     """
     if variant not in ("f2", "f3"):
         raise ValueError(f"unknown variant {variant!r}")
     k = index
     kind = strip.kind
-    prime, dprime = (
-        tag if k is None else name.format(k + offset)
-        for tag, (name, offset) in EVENT_SLICES.items()
-    )
-    entry_tag, exit_tag = ("F", "G") if k is None else (f"F{k}", f"F{k + 1}")
+    if k is None:
+        prime, dprime = EVENT_SLICES
+        entry = exit_section = _SECTION
+    else:
+        prime, dprime = (name.format(k + offset) for name, offset in EVENT_SLICES.values())
+        entry, exit_section = standard_cross_section(f"F{k}"), standard_cross_section(f"F{k + 1}")
     # A cap has one section: a Type 1 block its exit, a Type 4 block its entry.
-    entry = None if kind == "type1" else entry or standard_cross_section(entry_tag)
-    exit_section = None if kind == "type4" else exit_section or standard_cross_section(exit_tag)
+    entry, exit_section = (None if kind == "type1" else entry), (None if kind == "type4" else exit_section)
 
     events, permutation, saddle_map = (), IDENTITY, "id"
     if kind in ("type1", "type4"):
@@ -264,7 +261,6 @@ def build_block(
     cap = saddle_map == "join"
     return BlockMap(
         kind=kind,
-        variant=variant,
         entry=entry,
         exit=exit_section,
         events=events,
@@ -469,7 +465,6 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         curve = bigon_reduce(curve)
     strips = strip_decompose(curve, variant, granularity)
 
-    section = standard_cross_section()
     # A block depends only on its strip's kind and on the parity of the
     # strip's crossings, so one object serves every strip with the same
     # pair.  ``strip_decompose`` builds every Type 2 strip of a variant
@@ -479,10 +474,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     in_order = list(map(itemgetter(0), runs))
     parities = map(mod, map(len, map(attrgetter("columns"), in_order)), repeat(2))
     keys = list(zip(map(attrgetter("kind"), in_order), parities))
-    shared = {
-        key: build_block(strip, variant, entry=section, exit_section=section)
-        for key, strip in dict(zip(keys, in_order)).items()
-    }
+    shared = {key: build_block(strip, variant) for key, strip in dict(zip(keys, in_order)).items()}
     blocks = _RunSeq(zip(map(shared.__getitem__, keys), map(itemgetter(1), runs)))
 
     trace = _checked_trace(blocks, fraction)
@@ -492,7 +484,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         granularity=granularity,
         strips=strips,
         blocks=blocks,
-        sections=_RunSeq([(section, strips.n)]),
+        sections=_RunSeq([(_SECTION, strips.n)]),
         census=_census_from_blocks(blocks, trace),
         trace=trace,
     )

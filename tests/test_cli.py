@@ -105,6 +105,21 @@ def test_certify_with_table_label(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_certify_with_an_unknown_label_exits_1(tmp_path, capsys):
+    # the table has a row for the word, but a label picks the row or nothing
+    table = tmp_path / "volumes.csv"
+    table.write_text("big223,C(2,2,2),14.0\n")
+    assert run_cli(["certify", "C(2,2,2)", "--volume-table", str(table), "--label", "nosuch"]) == 1
+    assert "no table entry labeled 'nosuch'" in capsys.readouterr().err
+
+
+def test_certify_with_a_table_reference_given_as_a_fraction(tmp_path, capsys):
+    table = tmp_path / "volumes.csv"
+    table.write_text("other,see census,3.0\nk323,24/7,9.0\n")
+    assert run_cli(["certify", "C(3,2,3)", "--volume-table", str(table), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["volume"] == 9.0
+
+
 def test_certify_odd_b_exits_2(capsys):
     assert run_cli(["certify", "C(2,1,2)", "--volume", "14.0"]) == 2
 
@@ -241,6 +256,42 @@ def test_batch_hard_error_wins(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("C(3,2,3)\nC(1)\nC(2,1,2)\n")
     assert run_cli(["batch", "--command", "analyze", "--input", str(words)]) == 1
+
+
+def test_batch_output_does_not_depend_on_jobs(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("C(3,2,3)\nC(2,1,2)\nC(3,x)\nC(2,4,2,-2,2)\nC(5)\n")
+    runs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "3"], []):
+        status = run_cli(["batch", "--command", "build", "--input", str(words), *jobs, "--", "--variant", "f2"])
+        runs.append((status, capsys.readouterr().out))
+    assert runs[0][0] == 1 and runs[0][1].count("\n") == 5
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_batch_with_fewer_than_one_job_exits_1_with_no_records(tmp_path, capsys, jobs):
+    words = tmp_path / "words.txt"
+    words.write_text("C(3,2,3)\n")
+    assert run_cli(["batch", "--command", "build", "--input", str(words), "--jobs", jobs, "--", "--variant", "f2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_batch_writes_each_record_before_the_next_line_runs(tmp_path, monkeypatch):
+    out = io.StringIO()
+    written = []  # the records in out as each line starts to assemble
+    assemble = cli.assemble_stable_map
+
+    def counted(*args):
+        written.append(out.getvalue().count("\n"))
+        return assemble(*args)
+
+    monkeypatch.setattr(cli, "assemble_stable_map", counted)
+    words = tmp_path / "words.txt"
+    words.write_text("C(3,2,3)\nC(2,1,2)\nC(2,2,2)\nC(5)\n")
+    assert cli._dispatch(["batch", "--command", "build", "--input", str(words), "--", "--variant", "f2"], out) == 2
+    assert written == [0, 1, 2, 3] and out.getvalue().count("\n") == 4
 
 
 def _batch_records(capsys, argv: list[str]) -> tuple[int, list[dict]]:

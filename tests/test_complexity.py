@@ -52,7 +52,6 @@ def test_weighted_sum(census, expected):
 def test_smc_upper_bound():
     bounds = smc_upper_bound(ConwayWord((3, 2, 3)))
     assert bounds.smc_upper == 2
-    assert bounds.witness_variant == "f2"
     assert bounds.f3_weighted_sum == 2
 
 
@@ -111,6 +110,16 @@ def test_inconclusive_at_whitehead_scale_volume():
 def test_certify_requires_even_b():
     with pytest.raises(EvenBRequiredError):
         certify_smc(ConwayWord((2, 1, 2)), 10.0)
+
+
+@pytest.mark.parametrize(
+    "volume, error",
+    [(math.nan, NonFiniteVolumeError), (math.inf, NonFiniteVolumeError), (0.0, NonPositiveVolumeError)],
+)
+def test_certify_checks_the_volume_before_the_word(volume, error):
+    # an odd-b word with a bad volume raises the volume's error, not EvenBRequiredError
+    with pytest.raises(error):
+        certify_smc(ConwayWord((2, 1, 2)), volume)
 
 
 def test_certify_torus_word_is_inapplicable():
@@ -221,6 +230,12 @@ def test_ingest_rejects_malformed_line():
     with pytest.raises(TableParseError) as err:
         ingest_volume_table("goodlabel\n", source="t")
     assert err.value.line_number == 1
+
+
+def test_ingest_rejects_an_empty_label():
+    with pytest.raises(TableParseError, match="empty label") as err:
+        ingest_volume_table("a,b,1.0\n  ,C(2,2,2),14.0\n", source="t")
+    assert err.value.line_number == 2
 
 
 def test_ingest_reports_line_numbers():

@@ -1,9 +1,11 @@
-"""Byte-identity guard for the JSON export and the model SVG.
+"""Byte-identity guard for the JSON export and the SVG renders.
 
 ``tests/data/golden_digests.json`` holds the sha256 of ``export_json``
 and ``render_svg`` for every corpus word in both variants at all three
-granularities, plus two ladder-style words in both variants.  Any change
-to the model pipeline or the encoders must reproduce these bytes exactly.
+granularities, plus two ladder-style words in both variants.  It also
+holds the sha256 of the curve render of every corpus word in both
+variants, and of its strip render at all three granularities.  Any
+change to the pipeline or the encoders must reproduce these bytes exactly.
 
 Regenerate the data file (only when the output format is meant to
 change) with::
@@ -19,6 +21,7 @@ import pytest
 
 from oracles import random_even_b_words
 from twobridge.conway import ConwayWord, parse_conway
+from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
 from twobridge.render import render_svg
 from twobridge.serialize import export_json
@@ -57,6 +60,22 @@ def ladder_digests() -> dict[str, list[str]]:
     }
 
 
+def render_digests() -> dict[str, dict[str, str]]:
+    """The curve and strip renders of every corpus word, as the CLI's
+    ``render --subject curve|strips`` draws them."""
+    curves, strips = {}, {}
+    for entries in random_even_b_words(CORPUS_SEED, 200):
+        for variant in VARIANTS:
+            curve = outer_smooth(build_plat_diagram(ConwayWord(entries)))
+            if variant == "f3":
+                curve = bigon_reduce(curve)
+            curves[f"{entries} {variant}"] = _sha(render_svg(curve))
+            for granularity in GRANULARITIES:
+                decomposition = strip_decompose(curve, variant, granularity)
+                strips[f"{entries} {variant} {granularity}"] = _sha(render_svg(decomposition))
+    return {"curve": curves, "strips": strips}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(DATA.read_text())
@@ -73,8 +92,15 @@ def test_ladder_bytes_match_golden(golden):
     assert ladder_digests() == golden["ladder"]
 
 
+def test_curve_and_strip_render_bytes_match_golden(golden):
+    got = render_digests()
+    for subject in ("curve", "strips"):
+        mismatched = [key for key, digest in got[subject].items() if golden[subject].get(key) != digest]
+        assert not mismatched, f"{len(mismatched)} {subject} renders changed, first: {mismatched[:3]}"
+        assert len(got[subject]) == len(golden[subject])
+
+
 if __name__ == "__main__":
-    DATA.write_text(
-        json.dumps({"corpus": corpus_digests(), "ladder": ladder_digests()}, indent=1, sort_keys=True) + "\n"
-    )
+    digests = {"corpus": corpus_digests(), "ladder": ladder_digests(), **render_digests()}
+    DATA.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DATA}")

@@ -63,7 +63,6 @@ def test_standard_cross_section_shape():
     assert section.leaf_count - section.trivalent_count == 2
     assert section.is_tree()
     assert _acyclic_oracle(section)
-    assert section.order == (1, 2, "s_hi", "s_lo", 3, 4)
 
 
 def test_tree_check_is_keyed_on_shape():
@@ -298,8 +297,26 @@ def test_validate_model_rejects_a_positioned_event_tag():
     assert model.blocks[4].kind == "type2"
     section = model.sections[0]
     blocks = list(model.blocks)
-    blocks[4] = build_block(model.strips.strips[4], "f2", index=4, entry=section, exit_section=section)
+    block = build_block(model.strips.strips[4], "f2", index=4)
+    blocks[4] = replace(block, entry=section, exit=section, slices=(section, *block.slices[1:-1], section))
     with pytest.raises(InvariantViolationError, match="block 4: event slice \"F4'\""):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+def test_validate_model_rejects_a_positioned_block_for_its_sections():
+    # build_block(..., index=4) has sections F4 and F5, not the model's one
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    blocks = list(model.blocks)
+    blocks[4] = build_block(model.strips.strips[4], "f2", index=4)
+    with pytest.raises(InvariantViolationError, match="gluing mismatch between type3 and type2"):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+def test_validate_model_rejects_blocks_out_of_step_with_the_strips():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    blocks = list(model.blocks)
+    del blocks[2]  # one Type 3 block fewer: every block still lies on a strip of its kind
+    with pytest.raises(InvariantViolationError, match="blocks and strips out of step"):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 

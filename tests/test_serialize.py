@@ -131,6 +131,22 @@ def test_tampered_permutation_rejected(model):
         import_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("events", [5, "F4'", {"kind": "II2"}])
+def test_block_events_that_are_not_an_array_rejected(model, events):
+    doc = json.loads(export_json(model))
+    doc["blocks"][4]["events"] = events
+    with pytest.raises(SchemaError, match=r"blocks\[4\]\.events must be an array"):
+        import_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("permutation", ["1234", {"1": 1, "2": 2, "3": 3, "4": 4}, [1, 2, 3, 4, "x"], [1, 2, 3]])
+def test_block_permutation_that_is_not_a_list_of_four_rejected(model, permutation):
+    doc = json.loads(export_json(model))
+    doc["blocks"][1]["permutation"] = permutation
+    with pytest.raises(SchemaError, match=r"blocks\[1\]\.permutation must be a permutation of 1\.\.4"):
+        import_json(json.dumps(doc))
+
+
 def test_export_names_event_slices_by_position():
     model = assemble_stable_map(ConwayWord((2, 4, 2, -2, 2)), "f3")
     blocks = json.loads(export_json(model))["blocks"]
