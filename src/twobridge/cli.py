@@ -306,13 +306,13 @@ def run_cli(argv: list[str]) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except HypothesisError as err:
-        offending = next((a for a in argv if a.startswith(("C(", "["))), "")
-        print(f"hypothesis failure on {offending!r}: {err}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (TwoBridgeError, OSError, ValueError) as err:
-        offending = next((a for a in argv if a.startswith(("C(", "["))), "")
-        print(f"error on {offending!r}: {err}", file=sys.stderr)
+        word = next((a for a in argv if a.strip().startswith(("C(", "["))), None)
+        on = "" if word is None else f" on {word!r}"
+        if isinstance(err, HypothesisError):
+            print(f"hypothesis failure{on}: {err}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        print(f"error{on}: {err}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -108,8 +108,6 @@ class SchubertFraction:
         if p < 2:
             raise DegenerateFractionError(f"|p| = {p} < 2: not a two-bridge fraction")
         q %= p
-        if q == 0:
-            raise DegenerateFractionError(f"q = 0 mod {p}: not coprime")
         try:
             inv = pow(q, -1, p)
         except ValueError:
@@ -156,8 +154,6 @@ def parse_conway(text: str) -> ConwayWord:
     entries = []
     for token in body.split(","):
         if not token or not (token.lstrip("-").isdigit() and token.count("-") <= 1):
-            raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
-        if token.startswith("-") and len(token) == 1:
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
         try:
             entries.append(int(token))

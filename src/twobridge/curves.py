@@ -19,11 +19,12 @@ abstract throughout: strips are combinatorial tokens, and coordinates
 only exist in the SVG renderer.
 
 A plat diagram holds one of four shared Crossing objects per twist
-region, a curve one Column object per twist region and a strip
-decomposition one Strip object per run of like columns, each as a run
-``(object, count)`` of a run-length sequence (``_RunSeq``).  So the work
-is per region, not per crossing, from the diagram on, and a model's
-memory does not grow with its crossing count.
+region, a curve one of six shared Column objects per twist region and a
+strip decomposition one Strip object per value, each as a run
+``(object, count)`` of a run-length sequence (``_RunSeq``).  Only the
+runs say where a piece sits, so the work is per region, not per
+crossing, from the diagram on, and a model's memory does not grow with
+its crossing count.
 """
 
 from __future__ import annotations
@@ -149,11 +150,16 @@ class PlatDiagram:
 @dataclass(frozen=True)
 class Column:
     """One interior tile of an immersed curve: a smoothed-crossing mark,
-    a surviving double point, or a self-tangency."""
+    a surviving double point, or a self-tangency.  There are six, one
+    per ``(kind, sign)``, and every curve shares them (``_COLUMNS``)."""
 
     kind: str  # 'pass' | 'crossing' | 'tangency'
-    region: int
     sign: int
+
+
+_COLUMNS = {
+    (kind, sign > 0): Column(kind, sign) for kind in ("pass", "crossing", "tangency") for sign in (1, -1)
+}
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,6 @@ class ImmersedCurve:
     word: ConwayWord
     variant: str  # 'f2' (double points) | 'f3' (tangencies)
     columns: Sequence[Column] = field(hash=False)
-    removed_circles: int = 1
 
     @property
     def double_points(self) -> int:
@@ -193,7 +198,6 @@ class StripDecomposition:
     variant: str
     granularity: str
     strips: Sequence[Strip] = field(hash=False)
-    validation: tuple[tuple[str, bool], ...] = field(default=())
 
     @property
     def n(self) -> int:
@@ -206,16 +210,9 @@ class StripDecomposition:
 
     @property
     def expected_type2(self) -> int:
-        return _expected_type2(self.word, self.variant)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.validation)
-
-
-def _expected_type2(word: ConwayWord, variant: str) -> int:
-    """One Type 2 strip per vertical twist region in f2, one per tangency in f3."""
-    return word.m if variant == "f2" else sum(abs(b) for b in word.b_entries) // 2
+        """One Type 2 strip per vertical twist region in f2, one per tangency in f3."""
+        word = self.word
+        return word.m if self.variant == "f2" else sum(abs(b) for b in word.b_entries) // 2
 
 
 def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
@@ -260,12 +257,11 @@ def _expand(runs):
     return chain.from_iterable(starmap(repeat, runs))
 
 
-def _mapped(items, f, key=id) -> list:
-    """``[f(x) for x in items]`` for an ``f`` that depends only on
-    ``key(x)``: one call per distinct key, and the list is laid out from
-    the runs at C speed."""
+def _mapped(items, f) -> list:
+    """``[f(x) for x in items]``: one call per distinct object, and the
+    list is laid out from the runs at C speed."""
     runs = _runs_of(items)
-    keys = list(map(key, map(itemgetter(0), runs)))
+    keys = list(map(id, map(itemgetter(0), runs)))
     values = {key: f(x) for key, x in dict(zip(keys, map(itemgetter(0), runs))).items()}
     return list(_expand(zip(map(values.__getitem__, keys), map(_count, runs))))
 
@@ -273,23 +269,24 @@ def _mapped(items, f, key=id) -> list:
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     """Smooth every crossing adjacent to the outer region, drop the
     outermost circle, and forget the remaining crossing information: each
-    region's run of crossings becomes one Column, held once with its
-    crossing count."""
+    region's run of crossings becomes a run of the shared Column for its
+    kind and sign."""
     columns = _RunSeq(
-        (Column("pass" if x.outer_adjacent else "crossing", region, x.entry_sign), count)
-        for region, (x, count) in enumerate(_runs_of(d.crossings))
+        (_COLUMNS["pass" if x.outer_adjacent else "crossing", x.entry_sign > 0], count)
+        for x, count in _runs_of(d.crossings)
     )
     # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
-    return ImmersedCurve(word=d.word, variant="f2", columns=columns, removed_circles=1)
+    return ImmersedCurve(word=d.word, variant="f2", columns=columns)
 
 
 def _regions(columns: Sequence[Column]):
     """The runs of ``columns`` grouped by twist region, as ``(kind,
-    region, runs)``.  A region is one run, unless the curve was built by
-    hand with equal columns that are distinct objects."""
+    region, runs)``: a region is a maximal stretch of one kind, numbered
+    in order.  A plat's regions alternate kinds, so each is one run; a
+    curve built by hand may hold a region as several runs."""
     runs = _runs_of(columns)
-    keys = map(attrgetter("kind", "region"), map(itemgetter(0), runs))
-    for (kind, region), group in groupby(zip(keys, runs), itemgetter(0)):
+    kinds = map(attrgetter("kind"), map(itemgetter(0), runs))
+    for region, (kind, group) in enumerate(groupby(zip(kinds, runs), itemgetter(0))):
         yield kind, region, list(map(itemgetter(1), group))
 
 
@@ -308,10 +305,8 @@ def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
             raise OddTwistError(
                 f"region {region} has {count} double points; pairing impossible"
             )
-        runs.append((Column("tangency", region, group[0][0].sign), count // 2))
-    return ImmersedCurve(
-        word=c.word, variant="f3", columns=_RunSeq(runs), removed_circles=c.removed_circles
-    )
+        runs.append((_COLUMNS["tangency", group[0][0].sign > 0], count // 2))
+    return ImmersedCurve(word=c.word, variant="f3", columns=_RunSeq(runs))
 
 
 def strip_decompose(
@@ -323,7 +318,8 @@ def strip_decompose(
     decomposition; each self-tangency gets its own Type 2 strip in f3.
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' additionally interleaves empty ones); the
-    Type 2 content is invariant.
+    Type 2 content is invariant.  Strips of one kind over the same
+    column runs are one object, wherever they sit.
     """
     if variant not in ("f2", "f3"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -334,43 +330,41 @@ def strip_decompose(
             f"curve is {curve.variant}-style, decomposition wants {variant}"
         )
 
+    shared: dict[tuple, Strip] = {}  # one strip per kind and column runs
+
+    def strip(kind: str, runs: list[tuple[Column, int]]) -> Strip:
+        key = (kind, *runs)
+        if key not in shared:
+            columns = _RunSeq(runs)
+            shared[key] = Strip(kind, columns, param=runs[0][0].sign * len(columns))
+        return shared[key]
+
     interior: list[tuple[Strip, int]] = []  # runs
-    type2 = 0
     for kind, region, group in _regions(curve.columns):
-        sign = group[0][0].sign
         if kind == "pass":
             if granularity == "region":
-                run = _RunSeq(group)
-                interior.append((Strip("type3", run, param=sign * len(run)), 1))
+                interior.append((strip("type3", group), 1))
             else:
-                interior += [(Strip("type3", (c,), param=c.sign), n) for c, n in group]
+                interior += [(strip("type3", [(c, 1)]), n) for c, n in group]
         elif kind == "crossing":
-            run = _RunSeq(group)
+            count = sum(map(_count, group))
             expected = abs(curve.word.entries[region])
-            if len(run) != expected:
+            if count != expected:
                 raise UnsliceableShapeError(
-                    f"region {region}: {len(run)} double points in one slice, "
+                    f"region {region}: {count} double points in one slice, "
                     f"expected the full twist region of {expected}"
                 )
-            interior.append((Strip("type2", run, param=sign * len(run)), 1))
-            type2 += 1
+            interior.append((strip("type2", group), 1))
         elif kind == "tangency":
-            interior += [(Strip("type2", (c,), param=c.sign), n) for c, n in group]
-            type2 += sum(map(_count, group))
+            interior += [(strip("type2", [(c, 1)]), n) for c, n in group]
         else:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
 
     if granularity == "fine":
         single = list(chain.from_iterable(repeat((s, 1), n) for s, n in interior))
-        spaced = [(Strip("type3", (), param=0), 1)] * (2 * len(single))
+        spaced = [(Strip("type3"), 1)] * (2 * len(single))
         spaced[0::2] = single
         interior = spaced
 
     strips = _RunSeq([(Strip("type1"), 1), *interior, (Strip("type4"), 1)])
-    return StripDecomposition(
-        word=curve.word,
-        variant=variant,
-        granularity=granularity,
-        strips=strips,
-        validation=(("type2_count", type2 == _expected_type2(curve.word, variant)),),
-    )
+    return StripDecomposition(word=curve.word, variant=variant, granularity=granularity, strips=strips)

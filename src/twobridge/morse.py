@@ -202,7 +202,6 @@ class StableMapModel:
     granularity: str
     strips: StripDecomposition
     blocks: Sequence[BlockMap] = field(hash=False)
-    sections: Sequence[CrossSection] = field(hash=False)
     census: SingularFiberCensus
     trace: DefiniteFoldTrace
 
@@ -484,7 +483,6 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         granularity=granularity,
         strips=strips,
         blocks=blocks,
-        sections=_RunSeq([(_SECTION, strips.n)]),
         census=_census_from_blocks(blocks, trace),
         trace=trace,
     )
@@ -531,16 +529,15 @@ def _check_glued(left: BlockMap, right: BlockMap) -> None:
 def _check_structure(model: StableMapModel) -> None:
     """The invariants that do not re-derive the trace: strip word legal,
     blocks on the right strips and glued exactly, Euler count and tree at
-    every slice, event slices materialised, and the cached census of one
-    fiber type with the variant's count.
+    every slice, event slices materialised, and the cached census against
+    the variant's closed form.
 
     The checks walk the runs, so a run of one shared block costs one
     check, and each distinct block and section object is looked at once,
     so any object put in after assembly is still checked."""
     strips = model.strips
-    if not strips.ok:
-        failed = [name for name, passed in strips.validation if not passed]
-        raise InvariantViolationError(f"strip validation failed: {failed}")
+    if strips.type2_count != strips.expected_type2:
+        raise InvariantViolationError("strip validation failed: ['type2_count']")
     blocks = model.blocks
     if len(blocks) != len(strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
@@ -577,8 +574,6 @@ def _check_structure(model: StableMapModel) -> None:
                         f"event slice {event.slice} not materialized"
                     )
     census = model.census
-    if census.ii2 and census.ii3:
-        raise InvariantViolationError("model mixes II2 and II3 fibers")
     word = model.word
     if model.variant == "f2":
         expected = (2 * word.m, 0)

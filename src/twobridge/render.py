@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import attrgetter
 
 from .curves import ImmersedCurve, StripDecomposition, _mapped
 from .morse import StableMapModel
@@ -135,7 +134,7 @@ def _strip_parts(strips) -> tuple[list[str], list[str]]:
     text of its x between the two pieces of its strip's rect."""
     n = len(strips)
     xs = list(map(str, range(MARGIN, MARGIN + (n + 1) * STRIP_W, STRIP_W)))
-    parts = list(map(str.join, xs, _mapped(strips, _strip_rect, attrgetter("kind"))))
+    parts = list(map(str.join, xs, _mapped(strips, _strip_rect)))
     parts.append(
         f'<rect class="region-E" x="{xs[0]}" y="{STRIP_TOP}" '
         f'width="{n * STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '

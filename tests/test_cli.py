@@ -120,6 +120,13 @@ def test_certify_with_a_table_reference_given_as_a_fraction(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["volume"] == 9.0
 
 
+def test_certify_with_two_matching_table_rows_exits_1(tmp_path, capsys):
+    table = tmp_path / "volumes.csv"
+    table.write_text("k323,C(3,2,3),9.0\nsame,24/7,9.5\n")
+    assert run_cli(["certify", "C(3,2,3)", "--volume-table", str(table)]) == 1
+    assert "2 table entries match" in capsys.readouterr().err
+
+
 def test_certify_odd_b_exits_2(capsys):
     assert run_cli(["certify", "C(2,1,2)", "--volume", "14.0"]) == 2
 
@@ -225,6 +232,24 @@ def test_degenerate_fraction_exits_1(capsys):
 def test_usage_error_exits_1(capsys):
     assert run_cli(["frobnicate"]) == 1
     assert run_cli(["build", "C(3,2,3)"]) == 1  # missing --variant
+
+
+def test_an_error_names_the_word_as_given(capsys):
+    assert run_cli(["build", " C(3,3,3)", "--variant", "f2"]) == 2
+    assert capsys.readouterr().err.startswith("hypothesis failure on ' C(3,3,3)': ")
+
+
+# no jobs to run the lines, and no --input file
+@pytest.mark.parametrize(
+    "text, jobs, message", [("C(3,2,3)\n", "0", "--jobs must be at least 1, got 0"), (None, "1", "[Errno 2] No such file")]
+)
+def test_an_error_with_no_word_names_none(tmp_path, capsys, text, jobs, message):
+    words = tmp_path / "words.txt"
+    if text is not None:
+        words.write_text(text)
+    argv = ["batch", "--command", "build", "--input", str(words), "--jobs", jobs, "--", "--variant", "f2"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_batch(tmp_path, capsys):

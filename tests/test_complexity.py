@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import octahedron_volume_oracle
 from twobridge.complexity import (
     DEFAULT_EPSILON,
+    ComplexityBounds,
     V_OCT,
     VolumeRecord,
     certify_smc,
@@ -257,3 +258,15 @@ def test_ingest_rejects_nonpositive_volume():
 def test_ingest_requires_source():
     with pytest.raises(ValueError):
         ingest_volume_table(TABLE, source="")
+
+
+def test_bounds_and_records_reject_impossible_fields():
+    with pytest.raises(ValueError, match="non-negative"):
+        ComplexityBounds(m=1, smc_upper=-2, f3_weighted_sum=2)
+    with pytest.raises(ValueError, match="nonempty source"):
+        VolumeRecord(label="big", reference="C(2,2,2)", volume=14.0, source="")
+
+
+def test_census_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        SingularFiberCensus(ii2=2, ii3=0, definite_components=-1, indefinite_circles=1)

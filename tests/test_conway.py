@@ -114,6 +114,21 @@ def test_fraction_degenerate_zero():
         fraction_of(ConwayWord((1, -2, 1)))
 
 
+@pytest.mark.parametrize(
+    "p, q, q_inverse, message",
+    [(1, 0, 0, "p = 1 < 2"), (5, 7, 3, "q = 7 outside"), (5, 2, 2, "2 is not the inverse of 2 mod 5")],
+)
+def test_a_fraction_built_directly_is_checked(p, q, q_inverse, message):
+    with pytest.raises(DegenerateFractionError, match=message):
+        SchubertFraction(p, q, q_inverse)
+
+
+@pytest.mark.parametrize("p, q, message", [(6, 4, r"gcd\(6, 4\) != 1"), (4, 8, r"gcd\(4, 0\) != 1")])
+def test_normalizing_a_fraction_that_is_not_coprime_raises(p, q, message):
+    with pytest.raises(DegenerateFractionError, match=message):
+        SchubertFraction.normalized(p, q)
+
+
 @given(words)
 def test_fraction_normalization_invariants(word):
     try:

@@ -75,7 +75,7 @@ def test_tree_check_is_keyed_on_shape():
 # --- blocks -------------------------------------------------------------------
 
 def test_type2_f2_block_events():
-    strip = Strip("type2", (Column("crossing", 1, 1), Column("crossing", 1, 1)), param=2)
+    strip = Strip("type2", (Column("crossing", 1), Column("crossing", 1)), param=2)
     block = build_block(strip, "f2", index=4)
     assert [e.kind for e in block.events] == ["II2", "II2"]
     assert [e.slice for e in block.events] == ["F4'", "F5''"]
@@ -85,7 +85,7 @@ def test_type2_f2_block_events():
 
 
 def test_type2_f3_block_event():
-    strip = Strip("type2", (Column("tangency", 1, 1),), param=1)
+    strip = Strip("type2", (Column("tangency", 1),), param=1)
     block = build_block(strip, "f3", index=4)
     assert [e.kind for e in block.events] == ["II3"]
     assert block.events[0].slice == "F5''"
@@ -93,7 +93,7 @@ def test_type2_f3_block_event():
 
 
 def test_type3_block_no_events():
-    strip = Strip("type3", (Column("pass", 0, 1),), param=1)
+    strip = Strip("type3", (Column("pass", 1),), param=1)
     for variant in ("f2", "f3"):
         block = build_block(strip, variant)
         assert block.events == ()
@@ -110,16 +110,23 @@ def test_cap_blocks():
 
 
 def test_invalid_strip_variant():
-    tangency_strip = Strip("type2", (Column("tangency", 1, 1),), param=1)
-    crossing_strip = Strip("type2", (Column("crossing", 1, 1), Column("crossing", 1, 1)), param=2)
-    crossing = Column("crossing", 1, 1)
-    mixed_strip = Strip("type2", (crossing,) * 3 + (Column("tangency", 1, 1),) + (crossing,) * 3, param=7)
+    tangency_strip = Strip("type2", (Column("tangency", 1),), param=1)
+    crossing_strip = Strip("type2", (Column("crossing", 1), Column("crossing", 1)), param=2)
+    crossing = Column("crossing", 1)
+    mixed_strip = Strip("type2", (crossing,) * 3 + (Column("tangency", 1),) + (crossing,) * 3, param=7)
     with pytest.raises(InvalidStripVariantError):
         build_block(tangency_strip, "f2")
     with pytest.raises(InvalidStripVariantError):
         build_block(crossing_strip, "f3")
     with pytest.raises(InvalidStripVariantError):
         build_block(mixed_strip, "f2")
+
+
+def test_build_block_rejects_an_unknown_variant_or_strip_kind():
+    with pytest.raises(ValueError, match="unknown variant 'f4'"):
+        build_block(Strip("type1"), "f4")
+    with pytest.raises(InvalidStripVariantError, match="unknown strip kind 'type5'"):
+        build_block(Strip("type5"), "f2")
 
 
 def test_euler_holds_on_every_slice_of_every_block():
@@ -261,9 +268,10 @@ def test_validate_model_rejects_altered_permutation():
 
 def test_sections_share_one_standard_cross_section():
     model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
-    assert len(model.sections) == len(model.blocks) - 1
-    assert all(section is model.sections[0] for section in model.sections)
-    assert model.sections[0] == standard_cross_section()
+    sections = [section for block in model.blocks for section in (block.entry, block.exit) if section is not None]
+    assert len(sections) == 2 * (len(model.blocks) - 1)
+    assert all(section is sections[0] for section in sections)
+    assert sections[0] == standard_cross_section()
 
 
 def test_models_share_their_blocks_and_sections():
@@ -275,7 +283,7 @@ def test_models_share_their_blocks_and_sections():
             for granularity in ("crossing", "region", "fine"):
                 model = assemble_stable_map(word, variant, granularity)
                 blocks = {id(block): block for block in model.blocks}
-                sections = {id(s) for block in blocks.values() for s in block.slices} | set(map(id, model.sections))
+                sections = {id(s) for block in blocks.values() for s in block.slices}
                 assert len(blocks) <= 5 and len(sections) <= 3, (word, variant, granularity)
 
 
@@ -290,12 +298,43 @@ def test_validate_model_checks_a_block_swapped_into_a_shared_run():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
+# the standard tree less its last edge, and plus an edge that closes a cycle
+@pytest.mark.parametrize("edges", [standard_cross_section().edges[:4], (*standard_cross_section().edges, (1, 2))])
+def test_validate_model_rejects_an_event_slice_that_is_not_a_tree(edges):
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    blocks = list(model.blocks)
+    block = blocks[4]
+    assert block.kind == "type2" and block.slices[1].tag == "F'"
+    blocks[4] = replace(block, slices=(block.entry, CrossSection(tag="F'", edges=edges), *block.slices[2:]))
+    with pytest.raises(InvariantViolationError, match="bad slice F' in type2"):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+def test_validate_model_rejects_an_event_slice_that_was_dropped():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    blocks = list(model.blocks)
+    block = blocks[4]
+    assert [s.tag for s in block.slices] == ["F", "F'", "F''", "F"]
+    blocks[4] = replace(block, slices=(block.entry, block.slices[1], block.exit))
+    with pytest.raises(InvariantViolationError, match="event slice F'' not materialized"):
+        validate_model(replace(model, blocks=tuple(blocks)))
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_validate_model_rejects_a_census_that_mixes_fiber_types(variant):
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), variant)
+    census = model.census
+    mixed = replace(census, ii2=census.ii2 or 1, ii3=census.ii3 or 1)
+    with pytest.raises(InvariantViolationError, match=r"census \(\d+, \d+\) != expected"):
+        validate_model(replace(model, census=mixed))
+
+
 def test_validate_model_rejects_a_positioned_event_tag():
     # build_block(..., index=4) names the event slices F4' and F5'', which
     # its own slices materialise but no document position can name
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     assert model.blocks[4].kind == "type2"
-    section = model.sections[0]
+    section = model.blocks[0].exit
     blocks = list(model.blocks)
     block = build_block(model.strips.strips[4], "f2", index=4)
     blocks[4] = replace(block, entry=section, exit=section, slices=(section, *block.slices[1:-1], section))
@@ -479,16 +518,15 @@ def test_hashing_a_model_takes_no_step_per_crossing(cold):
     word = parse_conway("C(1000000000,2,1000000000)")
     assert hash(cold(assemble_stable_map, word, "f2")) == hash(cold(assemble_stable_map, word, "f2"))
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
-    flat = replace(model, blocks=tuple(model.blocks), sections=tuple(model.sections))
+    flat = replace(model, blocks=tuple(model.blocks))
     assert flat == model and hash(flat) == hash(model)
 
 
 def test_a_decomposition_with_the_wrong_type2_count_fails_its_check():
     word = ConwayWord((3, 2, 3))
-    no_double_points = ((Column("pass", 0, 1), 3), (Column("pass", 2, 1), 3))
+    no_double_points = ((Column("pass", 1), 3), (Column("pass", 1), 3))
     curve = ImmersedCurve(word=word, variant="f2", columns=_RunSeq(no_double_points))
     decomposition = strip_decompose(curve, "f2")
-    assert decomposition.ok is False
     model = replace(assemble_stable_map(word, "f2"), strips=decomposition)
     with pytest.raises(InvariantViolationError, match="type2_count"):
         validate_model(model)

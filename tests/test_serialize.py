@@ -160,7 +160,7 @@ def test_export_rejects_a_positioned_event_tag():
     # relative tags that the export names by position
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     j = next(i for i, block in enumerate(model.blocks) if block.kind == "type2")
-    strip = Strip("type2", (Column("crossing", 1, 1),) * 2, param=2)
+    strip = Strip("type2", (Column("crossing", 1),) * 2, param=2)
     blocks = list(model.blocks)
     blocks[j] = build_block(strip, "f2", index=4)
     with pytest.raises(InvariantViolationError, match=f"block {j}: event slice \"F4'\""):
@@ -359,3 +359,24 @@ def test_export_fills_each_distinct_block_template():
     strips = [serialize._strip_entry(strip) for strip in model.strips.strips]
     document = serialize._model_document(tampered, strips, serialize._block_entries(tampered.blocks))
     assert serialize._export_text(tampered) == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_a_model_holds_and_exports_one_strip_per_value(variant, monkeypatch, cold):
+    word = ConwayWord((3, 2) * 1000 + (3,))
+    for granularity in GRANULARITIES:
+        model = cold(assemble_stable_map, word, variant, granularity)
+        distinct = {id(strip) for strip in model.strips.strips}
+        assert len(distinct) <= 5, granularity
+        calls = []
+        monkeypatch.setattr(serialize, "_strip_text", lambda strip: calls.append(id(strip)) or "")
+        cold(export_json, model)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(distinct), granularity
+
+
+def test_a_document_whose_word_does_not_assemble_is_rejected(cold):
+    text = export_json(assemble_stable_map(ConwayWord((3, 2, 3)), "f2"))
+    text = text.replace('"conway": "C(3,2,3)"', '"conway": "C(3,3,3)"')
+    with pytest.raises(InvariantViolationError, match=r"^document does not assemble: "):
+        cold(import_json, text)
