@@ -88,7 +88,7 @@ class _RunSeq:
     def __eq__(self, other):
         if isinstance(other, _RunSeq):
             return len(self) == len(other) and all(
-                x is y or x == y for x, y in _paired(self.runs, other.runs)
+                x is y or x == y for x, y, _ in _paired(self.runs, other.runs)
             )
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
@@ -243,13 +243,13 @@ def _runs_of(items) -> Sequence[tuple[object, int]]:
 
 def _paired(a, b):
     """The runs ``a`` and ``b`` of two sequences of one length, side by
-    side: ``(x, y)`` for each stretch where ``a`` holds ``x`` and ``b``
-    holds ``y``.  Runs that line up are paired one step per run; any
-    others item by item."""
+    side: ``(x, y, start)`` for each stretch, from index ``start``, where
+    ``a`` holds ``x`` and ``b`` holds ``y``.  Runs that line up are
+    paired one step per run; any others item by item."""
     counts = list(map(_count, a))
     if counts == list(map(_count, b)):
-        return zip(map(itemgetter(0), a), map(itemgetter(0), b))
-    return zip(_expand(a), _expand(b))
+        return zip(map(itemgetter(0), a), map(itemgetter(0), b), accumulate(counts, initial=0))
+    return zip(_expand(a), _expand(b), range(sum(counts)))
 
 
 def _expand(runs):
@@ -348,7 +348,8 @@ def strip_decompose(
                 interior += [(strip("type3", [(c, 1)]), n) for c, n in group]
         elif kind == "crossing":
             count = sum(map(_count, group))
-            expected = abs(curve.word.entries[region])
+            entries = curve.word.entries  # a curve built by hand may have more regions
+            expected = abs(entries[region]) if region < len(entries) else 0
             if count != expected:
                 raise UnsliceableShapeError(
                     f"region {region}: {count} double points in one slice, "

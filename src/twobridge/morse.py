@@ -3,19 +3,22 @@
 Each separating segment carries the same standard cross-section: a Morse
 function on a sphere with four extrema (the link punctures, positions
 1,2 maximal and 3,4 minimal) and two saddles, so its Reeb graph is a
-tree with four leaves and two trivalent vertices.  An assembled model
-holds that cross-section once and shares it between all segments.
-Because the maps are cusp-free, no deformation ever creates or destroys
-critical points, and every intermediate slice carries a tree of the
-same shape; the Euler count (#leaves - #trivalent = 2) is checked on
-every distinct slice object.
+tree with four leaves and two trivalent vertices.  Because the maps are
+cusp-free, no deformation ever creates or destroys critical points, and
+every intermediate slice carries a tree of the same shape.
 
-A block depends only on its strip's kind and the parity of the strip's
-crossings, so an assembled model holds one block per kind and parity,
-repeated, as runs ``(block, count)`` (``curves._RunSeq``): assembly,
-the trace, the census and the structural checks take one step per run.
-Its event slices carry tags relative to the block, and a
-document names them by position (``EVENT_SLICES``).
+A block depends only on its strip's kind, the parity of the strip's
+crossings and the variant, so the local models form a catalogue of
+relative blocks, one per key, built once (``_CATALOGUE``): every slice
+of a catalogued block is that tree, which a test checks once.  An
+assembled model holds catalogued blocks, repeated, as runs ``(block,
+count)`` (``curves._RunSeq``): assembly, the trace, the census and the
+structural checks take one step per run.  A model is valid when each
+block is the catalogued block of its strip; a block that is not raises
+``InvariantViolationError`` naming its index, the first field that
+differs, and the catalogued and actual values.  Event slices carry
+tags relative to the block, and a document names them by position
+(``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -28,10 +31,9 @@ through the crossing they contain.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import permutations, repeat
-from operator import attrgetter, itemgetter, mod
+from itertools import permutations, product
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -90,34 +92,15 @@ class CrossSection:
     def trivalent_count(self) -> int:
         return len(self.saddles)
 
-    @property
-    def euler_ok(self) -> bool:
-        return self.leaf_count - self.trivalent_count == 2
-
     def is_tree(self) -> bool:
-        return _is_tree(self.leaves, self.saddles, self.edges)
-
-
-@lru_cache(maxsize=64)
-def _is_tree(leaves, saddles, edges) -> bool:
-    """Connected with one edge fewer than vertices.  Memoised on the
-    shape, since every slice of every model carries the same tree."""
-    vertices = set(leaves) | set(saddles)
-    if len(edges) != len(vertices) - 1:
-        return False
-    adjacency = {v: [] for v in vertices}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = set()
-    stack = [next(iter(vertices))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adjacency[v])
-    return seen == vertices
+        """Connected, over its own vertices, with one edge fewer than vertices."""
+        vertices = {*self.leaves, *self.saddles}
+        if len(self.edges) != len(vertices) - 1:
+            return False
+        reached = {next(iter(vertices))}
+        for _ in vertices:  # each pass reaches one edge further
+            reached |= {v for edge in self.edges if reached.intersection(edge) for v in edge}
+        return reached == vertices
 
 
 def standard_cross_section(tag: str = "F") -> CrossSection:
@@ -206,28 +189,23 @@ class StableMapModel:
     trace: DefiniteFoldTrace
 
 
-def _transpositions(base: tuple[int, int, int, int], count: int) -> tuple[int, int, int, int]:
-    return base if count % 2 == 1 else IDENTITY
+_KINDS = ("type1", "type2", "type3", "type4")
 
 
-def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMap:
-    """Build the catalogued block for one strip token.
+def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
+    """The block of ``kind`` over a strip with ``parity`` crossings mod 2.
 
     Without ``index`` the block is relative: its entry and exit are the
     one standard section, and its event slices carry the tags F' and F''
     (``EVENT_SLICES``).  ``index`` names the block position, so that its
     sections read F{k} and F{k+1} and its event slices F{k}' and F{k+1}''.
     """
-    if variant not in ("f2", "f3"):
-        raise ValueError(f"unknown variant {variant!r}")
-    k = index
-    kind = strip.kind
-    if k is None:
+    if index is None:
         prime, dprime = EVENT_SLICES
         entry = exit_section = _SECTION
     else:
-        prime, dprime = (name.format(k + offset) for name, offset in EVENT_SLICES.values())
-        entry, exit_section = standard_cross_section(f"F{k}"), standard_cross_section(f"F{k + 1}")
+        prime, dprime = (name.format(index + offset) for name, offset in EVENT_SLICES.values())
+        entry, exit_section = standard_cross_section(f"F{index}"), standard_cross_section(f"F{index + 1}")
     # A cap has one section: a Type 1 block its exit, a Type 4 block its entry.
     entry, exit_section = (None if kind == "type1" else entry), (None if kind == "type4" else exit_section)
 
@@ -235,28 +213,14 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
     if kind in ("type1", "type4"):
         saddle_map, slices = "join", (entry or exit_section,)
     elif kind == "type3":
-        permutation, slices = _transpositions(SWAP_MIDDLE, len(strip.columns)), (entry, exit_section)
-    elif kind != "type2":
-        raise InvalidStripVariantError(f"unknown strip kind {kind!r}")
+        permutation, slices = (SWAP_MIDDLE if parity else IDENTITY), (entry, exit_section)
+    elif variant == "f2":
+        events = (FiberEvent("II2", prime), FiberEvent("II2", dprime))
+        permutation = SWAP_TOP if parity else IDENTITY
+        slices = (entry, standard_cross_section(prime), standard_cross_section(dprime), exit_section)
     else:
-        # A whole twist region is one column object repeated, so its kind
-        # is read once.
-        content = {column.kind for column, _ in _runs_of(strip.columns)}
-        if variant == "f2":
-            if content != {"crossing"}:
-                raise InvalidStripVariantError(
-                    "an f2 Type 2 strip must hold a whole twist region of double points"
-                )
-            events = (FiberEvent("II2", prime), FiberEvent("II2", dprime))
-            permutation = _transpositions(SWAP_TOP, len(strip.columns))
-            slices = (entry, standard_cross_section(prime), standard_cross_section(dprime), exit_section)
-        else:
-            if content != {"tangency"} or len(strip.columns) != 1:
-                raise InvalidStripVariantError(
-                    "an f3 Type 2 strip must hold exactly one self-tangency"
-                )
-            events, saddle_map = (FiberEvent("II3", dprime),), "swap"
-            slices = (entry, standard_cross_section(dprime), exit_section)
+        events, saddle_map = (FiberEvent("II3", dprime),), "swap"
+        slices = (entry, standard_cross_section(dprime), exit_section)
     cap = saddle_map == "join"
     return BlockMap(
         kind=kind,
@@ -269,6 +233,37 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
         topology="ball" if cap else "sphere_x_interval",
         slices=slices,
     )
+
+
+# The catalogue of local models: one relative block per strip kind,
+# crossing parity and variant, shared by every model.
+_CATALOGUE = {key: _block(*key, None) for key in product(_KINDS, (0, 1), ("f2", "f3"))}
+
+
+def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMap:
+    """The catalogued block for one strip token, once its Type 2 content
+    is checked against the variant: without ``index`` the one shared
+    relative block for the strip's kind, crossing parity and variant
+    (``_CATALOGUE``), with it a new block tagged by position (``_block``)."""
+    if variant not in ("f2", "f3"):
+        raise ValueError(f"unknown variant {variant!r}")
+    kind = strip.kind
+    if kind not in _KINDS:
+        raise InvalidStripVariantError(f"unknown strip kind {kind!r}")
+    if kind == "type2":
+        # A whole twist region is one column object repeated, so its kind
+        # is read once.
+        content = {column.kind for column, _ in _runs_of(strip.columns)}
+        if variant == "f2" and content != {"crossing"}:
+            raise InvalidStripVariantError(
+                "an f2 Type 2 strip must hold a whole twist region of double points"
+            )
+        if variant == "f3" and (content != {"tangency"} or len(strip.columns) != 1):
+            raise InvalidStripVariantError(
+                "an f3 Type 2 strip must hold exactly one self-tangency"
+            )
+    parity = len(strip.columns) % 2
+    return _CATALOGUE[kind, parity, variant] if index is None else _block(kind, parity, variant, index)
 
 
 def _cap_partners(blocks: Sequence[BlockMap]) -> list[dict[int, int]]:
@@ -464,18 +459,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         curve = bigon_reduce(curve)
     strips = strip_decompose(curve, variant, granularity)
 
-    # A block depends only on its strip's kind and on the parity of the
-    # strip's crossings, so one object serves every strip with the same
-    # pair.  ``strip_decompose`` builds every Type 2 strip of a variant
-    # alike (a whole region of double points, or one tangency), so
-    # ``build_block``'s content check on one holds for the others.
-    runs = _runs_of(strips.strips)
-    in_order = list(map(itemgetter(0), runs))
-    parities = map(mod, map(len, map(attrgetter("columns"), in_order)), repeat(2))
-    keys = list(zip(map(attrgetter("kind"), in_order), parities))
-    shared = {key: build_block(strip, variant) for key, strip in dict(zip(keys, in_order)).items()}
-    blocks = _RunSeq(zip(map(shared.__getitem__, keys), map(itemgetter(1), runs)))
-
+    blocks = _RunSeq((build_block(strip, variant), count) for strip, count in _runs_of(strips.strips))
     trace = _checked_trace(blocks, fraction)
     model = StableMapModel(
         variant=variant,
@@ -486,6 +470,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
         census=_census_from_blocks(blocks, trace),
         trace=trace,
     )
+    _check_strips(model)
     _check_structure(model)
     return model
 
@@ -516,66 +501,45 @@ def _checked_trace(blocks: Sequence[BlockMap], fraction) -> DefiniteFoldTrace:
     return trace
 
 
-def _check_glued(left: BlockMap, right: BlockMap) -> None:
-    if left.exit is not None or right.entry is not None:
-        shared_left = left.exit if left.exit is not None else left.entry
-        shared_right = right.entry if right.entry is not None else right.exit
-        if shared_left is not shared_right and shared_left != shared_right:
+def _check_strips(model: StableMapModel) -> None:
+    """The strip decomposition against the model: the same word, variant
+    and granularity, the variant's Type 2 count, one strip per block."""
+    strips = model.strips
+    for name in ("word", "variant", "granularity"):
+        if getattr(strips, name) != getattr(model, name):
             raise InvariantViolationError(
-                f"gluing mismatch between {left.kind} and {right.kind}"
+                f"model {name} {getattr(model, name)!r} disagrees with its strips' {getattr(strips, name)!r}"
             )
+    if strips.type2_count != strips.expected_type2:
+        raise InvariantViolationError("strip validation failed: ['type2_count']")
+    if len(model.blocks) != len(strips.strips):
+        raise InvariantViolationError("blocks and strips out of step")
 
 
 def _check_structure(model: StableMapModel) -> None:
-    """The invariants that do not re-derive the trace: strip word legal,
-    blocks on the right strips and glued exactly, Euler count and tree at
-    every slice, event slices materialised, and the cached census against
-    the variant's closed form.
+    """Each block is the catalogued block of its strip, and the cached
+    census meets the variant's closed form.
 
-    The checks walk the runs, so a run of one shared block costs one
-    check, and each distinct block and section object is looked at once,
-    so any object put in after assembly is still checked."""
-    strips = model.strips
-    if strips.type2_count != strips.expected_type2:
-        raise InvariantViolationError("strip validation failed: ['type2_count']")
-    blocks = model.blocks
-    if len(blocks) != len(strips.strips):
-        raise InvariantViolationError("blocks and strips out of step")
-    block_runs = _runs_of(blocks)
-    for block, strip in _paired(block_runs, _runs_of(strips.strips)):
-        if block.kind != strip.kind:
-            raise InvariantViolationError(f"block {block.kind} on strip {strip.kind}")
-    for block, repeats in block_runs:
-        if repeats > 1:  # the block is glued to itself along its run
-            _check_glued(block, block)
-    for (left, _), (right, _) in zip(block_runs, block_runs[1:]):
-        _check_glued(left, right)
-    first = {}  # each distinct block and the index of its first run
-    index = 0
-    for block, repeats in block_runs:
-        first.setdefault(id(block), (block, index))
-        index += repeats
-    checked = set()
-    for block, index in first.values():
-        for section in block.slices:
-            if id(section) not in checked:
-                checked.add(id(section))
-                if not section.euler_ok or not section.is_tree():
-                    raise InvariantViolationError(f"bad slice {section.tag} in {block.kind}")
-        if block.events:
-            tags = {s.tag for s in block.slices}
-            for event in block.events:
-                if event.slice not in EVENT_SLICES:
-                    raise InvariantViolationError(
-                        f"block {index}: event slice {event.slice!r} is none of {list(EVENT_SLICES)}"
-                    )
-                if event.slice not in tags:
-                    raise InvariantViolationError(
-                        f"event slice {event.slice} not materialized"
-                    )
+    The blocks are compared with the catalogue run by run, once for each
+    distinct pair of block and strip objects, first by identity and then
+    by value, so a block put in after assembly is still checked."""
+    variant = model.variant
+    seen = set()
+    for block, strip, index in _paired(_runs_of(model.blocks), _runs_of(model.strips.strips)):
+        if (id(block), id(strip)) in seen:
+            continue
+        seen.add((id(block), id(strip)))
+        catalogued = build_block(strip, variant)
+        if block is not catalogued and block != catalogued:
+            # the first field that differs, or else the class
+            name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")
+            raise InvariantViolationError(
+                f"block {index}: {name} is {getattr(block, name, type(block))!r}, "
+                f"the catalogued {strip.kind} block has {getattr(catalogued, name, BlockMap)!r}"
+            )
     census = model.census
     word = model.word
-    if model.variant == "f2":
+    if variant == "f2":
         expected = (2 * word.m, 0)
     else:
         expected = (0, sum(abs(b) for b in word.b_entries) // 2)
@@ -588,10 +552,13 @@ def _check_structure(model: StableMapModel) -> None:
 def validate_model(model: StableMapModel) -> None:
     """Every invariant assembly checks, plus a fresh trace and census
     from the blocks compared with the cached ones, so that a model edited
-    after assembly is rejected."""
-    _check_structure(model)
+    after assembly is rejected.  The trace is re-derived before the
+    blocks are compared with the catalogue, so a block whose permutation
+    changes the component count raises ``TraceMismatchError``."""
+    _check_strips(model)
     trace = trace_definite_folds(model)
     if trace != model.trace:
         raise TraceMismatchError("cached trace disagrees with the blocks")
+    _check_structure(model)
     if _census_from_blocks(model.blocks, trace) != model.census:
         raise InvariantViolationError("cached census disagrees with block logs")

@@ -196,6 +196,12 @@ def test_unknown_column_kind_is_unsliceable():
         strip_decompose(curve, "f2")
 
 
+def test_a_curve_with_more_regions_than_its_word_is_unsliceable():
+    curve = ImmersedCurve(ConwayWord((3,)), "f2", (Column("pass", 1), Column("crossing", 1)))
+    with pytest.raises(UnsliceableShapeError, match="region 1: 1 double points"):
+        strip_decompose(curve, "f2")
+
+
 @given(words.filter(lambda w: all(b % 2 == 0 for b in w.b_entries)), st.sampled_from(["crossing", "region", "fine"]))
 def test_strip_invariants(word, granularity):
     curve = outer_smooth(build_plat_diagram(word))

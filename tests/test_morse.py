@@ -1,7 +1,7 @@
 """Cross-sections, blocks, assembly, censuses, and fold traces."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -19,6 +19,7 @@ from twobridge.errors import (
     TraceMismatchError,
 )
 from twobridge.morse import (
+    BlockMap,
     CrossSection,
     DefiniteFoldTrace,
     _definite_trace,
@@ -298,15 +299,20 @@ def test_validate_model_checks_a_block_swapped_into_a_shared_run():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
-# the standard tree less its last edge, and plus an edge that closes a cycle
-@pytest.mark.parametrize("edges", [standard_cross_section().edges[:4], (*standard_cross_section().edges, (1, 2))])
+# the standard tree less its last edge, plus an edge that closes a cycle,
+# and with its last edge to a vertex it does not have
+STANDARD_EDGES = standard_cross_section().edges
+
+
+@pytest.mark.parametrize("edges", [STANDARD_EDGES[:4], (*STANDARD_EDGES, (1, 2)), (*STANDARD_EDGES[:4], ("s_lo", 9))])
 def test_validate_model_rejects_an_event_slice_that_is_not_a_tree(edges):
+    assert not CrossSection(tag="F'", edges=edges).is_tree()
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     block = blocks[4]
     assert block.kind == "type2" and block.slices[1].tag == "F'"
     blocks[4] = replace(block, slices=(block.entry, CrossSection(tag="F'", edges=edges), *block.slices[2:]))
-    with pytest.raises(InvariantViolationError, match="bad slice F' in type2"):
+    with pytest.raises(InvariantViolationError, match="block 4: slices is .*, the catalogued type2 block has "):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -316,7 +322,7 @@ def test_validate_model_rejects_an_event_slice_that_was_dropped():
     block = blocks[4]
     assert [s.tag for s in block.slices] == ["F", "F'", "F''", "F"]
     blocks[4] = replace(block, slices=(block.entry, block.slices[1], block.exit))
-    with pytest.raises(InvariantViolationError, match="event slice F'' not materialized"):
+    with pytest.raises(InvariantViolationError, match="block 4: slices is .*, the catalogued type2 block has "):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -338,7 +344,7 @@ def test_validate_model_rejects_a_positioned_event_tag():
     blocks = list(model.blocks)
     block = build_block(model.strips.strips[4], "f2", index=4)
     blocks[4] = replace(block, entry=section, exit=section, slices=(section, *block.slices[1:-1], section))
-    with pytest.raises(InvariantViolationError, match="block 4: event slice \"F4'\""):
+    with pytest.raises(InvariantViolationError, match=r"block 4: events is \(FiberEvent\(kind='II2', slice=\"F4'\"\)"):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -347,8 +353,59 @@ def test_validate_model_rejects_a_positioned_block_for_its_sections():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     blocks[4] = build_block(model.strips.strips[4], "f2", index=4)
-    with pytest.raises(InvariantViolationError, match="gluing mismatch between type3 and type2"):
+    with pytest.raises(InvariantViolationError, match=r"block 4: entry is CrossSection\(tag='F4'"):
         validate_model(replace(model, blocks=tuple(blocks)))
+
+
+@pytest.mark.parametrize("field, value", [("word", ConwayWord((2, 2, 2))), ("variant", "f3"), ("granularity", "fine")])
+def test_validate_model_rejects_a_model_whose_fields_disagree_with_its_strips(field, value):
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    with pytest.raises(InvariantViolationError, match=f"model {field} .* disagrees with its strips' "):
+        validate_model(replace(model, **{field: value}))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BlockMap)])
+def test_validate_model_rejects_any_field_of_a_block_taken_from_another_catalogued_block(name):
+    # C(5,2,5) f2: blocks 1-5 are one run of one Type 3 block
+    model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
+    runs = list(model.blocks.runs)
+    block, count = runs[1]
+    assert block.kind == "type3" and count == 5
+    value = next(getattr(other, name) for other in morse._CATALOGUE.values() if getattr(other, name) != getattr(block, name))
+    bad = replace(block, **{name: value})
+    blocks = list(model.blocks)
+    blocks[3] = bad  # one block inside the run, in a tuple
+    runs[1] = (bad, count)  # the whole run
+    for tampered, index in ((tuple(blocks), 3), (_RunSeq(runs), 1)):
+        if name == "permutation":  # the identity: the trace, taken first, loses a component
+            with pytest.raises(TraceMismatchError, match="trace has 1 components"):
+                validate_model(replace(model, blocks=tampered))
+            continue
+        with pytest.raises(InvariantViolationError) as err:
+            validate_model(replace(model, blocks=tampered))
+        assert str(err.value).startswith(f"block {index}: {name} is {value!r}, the catalogued type3 block has ")
+
+
+def test_every_slice_of_every_catalogued_block_is_the_standard_tree():
+    assert set(morse._CATALOGUE) == {(kind, parity, variant) for kind in ("type1", "type2", "type3", "type4") for parity in (0, 1) for variant in ("f2", "f3")}
+    for block in morse._CATALOGUE.values():
+        for section in block.slices:
+            assert section.leaf_count - section.trivalent_count == 2
+            assert section.is_tree() and _acyclic_oracle(section)
+
+
+def test_positioned_blocks_are_not_kept():
+    strips = [Strip("type2", (Column("crossing", 1),) * 2, param=2), Strip("type3", (Column("pass", 1),), param=1)]
+    build_block(strips[0], "f2", index=0)
+    tracemalloc.start()
+    try:
+        for j in range(2000):
+            for strip in strips:
+                build_block(strip, "f2", index=j)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 10_000
 
 
 def test_validate_model_rejects_blocks_out_of_step_with_the_strips():
