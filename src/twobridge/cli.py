@@ -40,8 +40,8 @@ from .errors import (
     TwoBridgeError,
 )
 from .morse import assemble_stable_map
-from .render import render_svg
-from .serialize import export_json
+from .render import _svg_parts
+from .serialize import _export_parts
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,12 +60,14 @@ class _UsageError(Exception):
     pass
 
 
-def _write_output(text: str, path: str | None, out) -> None:
+def _write_output(parts: list[str], path: str | None, out) -> None:
+    """Write a document's parts to ``path`` or else to ``out``, joined
+    65536 at a time, so that the whole document is never one string."""
     if path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+            return _write_output(parts, None, handle)
+    for i in range(0, len(parts), 65536):
+        out.write("".join(parts[i : i + 65536]))
 
 
 def _cmd_analyze(args, out) -> int:
@@ -97,7 +99,7 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_build(args, out) -> int:
     word = _require_size(parse_conway(args.word))
     model = assemble_stable_map(word, args.variant, args.granularity)
-    _write_output(export_json(model), args.output, out)
+    _write_output(_export_parts(model), args.output, out)
     return EXIT_OK
 
 
@@ -189,11 +191,8 @@ def _cmd_render(args, out) -> int:
         curve = outer_smooth(build_plat_diagram(word))
         if args.variant == "f3":
             curve = bigon_reduce(curve)
-        if args.subject == "strips":
-            subject = strip_decompose(curve, args.variant, args.granularity)
-        else:
-            subject = curve
-    _write_output(render_svg(subject), args.output, out)
+        subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
+    _write_output(_svg_parts(subject), args.output, out)
     return EXIT_OK
 
 

@@ -53,6 +53,7 @@ from .errors import (
     InvalidStripVariantError,
     InvariantViolationError,
     TraceMismatchError,
+    TwoBridgeError,
 )
 
 LEAVES = (1, 2, 3, 4)
@@ -529,7 +530,10 @@ def _check_structure(model: StableMapModel) -> None:
         if (id(block), id(strip)) in seen:
             continue
         seen.add((id(block), id(strip)))
-        catalogued = build_block(strip, variant)
+        try:
+            catalogued = build_block(strip, variant)
+        except InvalidStripVariantError as err:
+            raise InvariantViolationError(f"block {index}: {err}") from None
         if block is not catalogued and block != catalogued:
             # the first field that differs, or else the class
             name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")
@@ -552,9 +556,11 @@ def _check_structure(model: StableMapModel) -> None:
 def validate_model(model: StableMapModel) -> None:
     """Every invariant assembly checks, plus a fresh trace and census
     from the blocks compared with the cached ones, so that a model edited
-    after assembly is rejected.  The trace is re-derived before the
-    blocks are compared with the catalogue, so a block whose permutation
-    changes the component count raises ``TraceMismatchError``."""
+    after assembly is rejected, and the strips compared with the
+    decomposition of the word, which assembly does not redo.  The trace
+    is re-derived before the blocks are compared with the catalogue, so a
+    block whose permutation changes the component count raises
+    ``TraceMismatchError``."""
     _check_strips(model)
     trace = trace_definite_folds(model)
     if trace != model.trace:
@@ -562,3 +568,10 @@ def validate_model(model: StableMapModel) -> None:
     _check_structure(model)
     if _census_from_blocks(model.blocks, trace) != model.census:
         raise InvariantViolationError("cached census disagrees with block logs")
+    try:
+        curve = outer_smooth(build_plat_diagram(model.word))
+        fresh = strip_decompose(bigon_reduce(curve) if model.variant == "f3" else curve, model.variant, model.granularity)
+    except TwoBridgeError as err:
+        raise InvariantViolationError(f"the word does not decompose: {err}") from None
+    if model.strips.strips != fresh.strips:
+        raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")

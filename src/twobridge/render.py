@@ -5,15 +5,23 @@ same input always renders to the same bytes.  Strip separators are drawn
 as vertical lines, Type 2 strips are highlighted, and model renders add
 the standard Reeb tree beneath every separator.  Rendering is one-way;
 SVG is never imported.
+
+A document is one flat list of shared strings, joined once.  Its
+elements are rows of a few templates, and along a run of rows each x is
+``offset + k*step``, so its text is two shared pieces taken from tables
+built once per process: its thousands, and its last three digits with
+the template's next literal (``_fill``).
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from math import gcd, lcm
+from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _mapped
+from .curves import ImmersedCurve, StripDecomposition, _mapped, _runs_of
 from .morse import StableMapModel
 
 MARGIN = 16
@@ -27,23 +35,16 @@ STRIP_BOT = 112
 TREE_H = 48
 TREE_W = 16
 
-_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 
-
-def _svg(width: int, height: int, parts: list[str]) -> str:
-    opening = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">'
-    )
-    return "\n".join([_HEADER, opening, *parts, "</svg>", ""])
+def _opening(width: int, height: int) -> list[str]:
+    """A document's parts up to its first element; every part ends its line."""
+    svg = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 {width} {height}" width="{width}" height="{height}">'
+    return [f'<?xml version="1.0" encoding="UTF-8"?>\n{svg}\n']
 
 
 def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
     dash = ' stroke-dasharray="4 3"' if dashed else ""
-    return (
-        f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-        f'stroke="black" stroke-width="2"{dash}/>'
-    )
+    return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"{dash}/>'
 
 
 @lru_cache(maxsize=64)
@@ -52,162 +53,182 @@ def _pieces(template: str) -> tuple[str, ...]:
     return tuple(re.split(r"\{(\d+)\}", template))
 
 
-def _filled(template: str, *texts: list[str]) -> list[str]:
-    """``template.format(*row)`` for each row of ``zip(*texts)``: every
-    output line is joined from the template's pieces and the given text."""
+def _heads(x: int, step: int, n: int) -> list[str]:
+    """The thousands of x + k*step for k < n, one shared text per run of
+    rows ('' below 1000)."""
+    heads = []
+    for h in range(x // 1000, (x + (n - 1) * step) // 1000 + 1):
+        heads += [str(h) if h else ""] * (min(n, (1000 * (h + 1) - x + step - 1) // step) - len(heads))
+    return heads
+
+
+@lru_cache(maxsize=64)
+def _layout(template: str, fields: tuple) -> tuple[list[str], int, list[str], dict]:
+    """The first rows of ``template`` over the progressions ``fields``,
+    once per process: a row is its first literal, then per field the
+    thousands of its x and the rest with the next literal.  They run until
+    every x is 1000 or more, then for the period of the tails (1000 /
+    gcd(step, 1000) rows).  Returns the rows, their stride, the period's
+    rows and, for each progression, the places of its thousands in a row."""
     pieces = _pieces(template)
-    rows = len(texts[0])
-    parts = (repeat(p, rows) if i % 2 == 0 else texts[int(p)] for i, p in enumerate(pieces))
-    return list(map("".join, zip(*parts)))
+    low = max((max(0, (1000 - offset + step - 1) // step) for offset, step in fields), default=0)
+    count = low + lcm(*(1000 // gcd(step, 1000) for _, step in fields))
+    columns, slots = [[pieces[0]] * count] if pieces[0] else [], {}
+    for name, literal in zip(pieces[1::2], pieces[2::2]):
+        offset, step = fields[int(name)]
+        slots.setdefault((offset, step), []).append(len(columns))
+        xs = range(offset, offset + count * step, step)
+        columns += (_heads(offset, step, count), [f"{x % 1000:03d}{literal}" if x >= 1000 else f"{x}{literal}" for x in xs])
+    rows = list(chain.from_iterable(zip(*columns)))
+    return rows, len(columns), rows[low * len(columns) :], slots
 
 
-def _render_curve(curve: ImmersedCurve) -> str:
-    n = len(curve.columns)
-    width = 2 * MARGIN + 2 * CAP_W + n * COL_W
+def _fill(parts: list, template: str, n: int, fields: tuple, first: int = 0) -> None:
+    """Append rows ``first`` to ``first + n - 1`` of ``template``, whose
+    field ``{j}`` reads offset + k*step in row k for ``fields[j] = (offset,
+    step)``: sliced out of the layout, then out of its period, for which
+    only the thousands are written, one shared text per run of rows.  No
+    row is made as one string and no number is formatted per row."""
+    rows, stride, period, slots = _layout(template, fields)
+    end, top = first + n, max(first, len(rows) // stride)
+    parts += rows[first * stride : min(end, top) * stride]
+    if end <= top:
+        return
+    start, size = len(parts), (end - top) * stride
+    at = (top * stride - len(rows) + len(period)) % len(period)
+    parts += period[at : at + size]
+    for _ in range((start + size - len(parts)) // len(period)):
+        parts += period
+    parts += period[: start + size - len(parts)]
+    for (offset, step), places in slots.items():
+        heads = _heads(offset + top * step, step, end - top)
+        for j in places:
+            parts[start + j :: stride] = heads
+
+
+# One row per column kind: {0} is the column's left x, {1} its right x
+# and {2} its middle, and any other kind is a smoothed crossing.
+_PATHS = "".join(
+    f'<path d="M {{0}} {y} Q {{2}} {(CURVE_TOP + CURVE_BOT) // 2} {{1}} {y}" fill="none" stroke="black" stroke-width="2"/>'
+    for y in (CURVE_TOP, CURVE_BOT)
+)
+_COLUMN_ROWS = {
+    "crossing": f'<g class="crossing">{_line("{0}", CURVE_TOP, "{1}", CURVE_BOT, "strand")}'
+    f'{_line("{0}", CURVE_BOT, "{1}", CURVE_TOP, "strand")}</g>\n',
+    "tangency": f'<g class="tangency">{_PATHS}</g>\n',
+}
+_PASS_ROW = (
+    f'{_line("{0}", CURVE_TOP, "{1}", CURVE_TOP, "strand")}\n{_line("{0}", CURVE_BOT, "{1}", CURVE_BOT, "strand")}\n'
+    f'{_line("{2}", CURVE_TOP - 8, "{2}", CURVE_BOT + 8, "smoothed-mark", dashed=True)}\n'
+)
+
+
+def _curve_parts(curve: ImmersedCurve) -> list[str]:
+    width = 2 * MARGIN + 2 * CAP_W + len(curve.columns) * COL_W
     height = CURVE_BOT + CURVE_TOP
-    mid = (CURVE_TOP + CURVE_BOT) // 2
-    left = MARGIN + CAP_W
-    right = left + n * COL_W
-    parts = [
-        f'<rect class="region-E" x="{MARGIN // 2}" y="{MARGIN // 2}" '
-        f'width="{width - MARGIN}" height="{height - MARGIN}" '
-        f'fill="none" stroke="gray" stroke-width="1"/>',
-        f'<path class="cap" d="M {left} {CURVE_TOP} C {MARGIN} {CURVE_TOP} '
-        f'{MARGIN} {CURVE_BOT} {left} {CURVE_BOT}" fill="none" stroke="black" stroke-width="2"/>',
-        f'<path class="cap" d="M {right} {CURVE_TOP} C {width - MARGIN} {CURVE_TOP} '
-        f'{width - MARGIN} {CURVE_BOT} {right} {CURVE_BOT}" fill="none" stroke="black" stroke-width="2"/>',
-    ]
-    for i, col in enumerate(curve.columns):
-        x0 = left + i * COL_W
-        x1 = x0 + COL_W
-        if col.kind == "crossing":
-            parts.append(
-                '<g class="crossing">'
-                + _line(x0, CURVE_TOP, x1, CURVE_BOT, "strand")
-                + _line(x0, CURVE_BOT, x1, CURVE_TOP, "strand")
-                + "</g>"
-            )
-        elif col.kind == "tangency":
-            cx = (x0 + x1) // 2
-            parts.append(
-                '<g class="tangency">'
-                f'<path d="M {x0} {CURVE_TOP} Q {cx} {mid} {x1} {CURVE_TOP}" '
-                f'fill="none" stroke="black" stroke-width="2"/>'
-                f'<path d="M {x0} {CURVE_BOT} Q {cx} {mid} {x1} {CURVE_BOT}" '
-                f'fill="none" stroke="black" stroke-width="2"/>'
-                "</g>"
-            )
-        else:
-            parts.append(_line(x0, CURVE_TOP, x1, CURVE_TOP, "strand"))
-            parts.append(_line(x0, CURVE_BOT, x1, CURVE_BOT, "strand"))
-            cx = (x0 + x1) // 2
-            parts.append(_line(cx, CURVE_TOP - 8, cx, CURVE_BOT + 8, "smoothed-mark", dashed=True))
-    return _svg(width, height, parts)
+    left, right = MARGIN + CAP_W, width - MARGIN - CAP_W
+    parts = _opening(width, height)
+    parts.append(
+        f'<rect class="region-E" x="{MARGIN // 2}" y="{MARGIN // 2}" width="{width - MARGIN}" '
+        f'height="{height - MARGIN}" fill="none" stroke="gray" stroke-width="1"/>\n'
+        + "".join(
+            f'<path class="cap" d="M {x} {CURVE_TOP} C {edge} {CURVE_TOP} {edge} {CURVE_BOT} {x} {CURVE_BOT}" '
+            f'fill="none" stroke="black" stroke-width="2"/>\n'
+            for x, edge in ((left, MARGIN), (right, width - MARGIN))
+        )
+    )
+    fields = ((left, COL_W), (left + COL_W, COL_W), (left + COL_W // 2, COL_W))
+    first = 0
+    for column, count in _runs_of(curve.columns):
+        _fill(parts, _COLUMN_ROWS.get(column.kind, _PASS_ROW), count, fields, first)
+        first += count
+    return parts
+
+
+_RECT_FILL = {"type1": "#e8e8e8", "type2": "#ffd27f", "type4": "#e8e8e8"}
 
 
 def _strip_rect(strip) -> tuple[str, str]:
-    """The rect of ``strip`` before and after its x."""
-    kind = strip.kind
-    if kind == "type2":
-        fill = "#ffd27f"
-        cls = "strip strip-type2"
-    elif kind in ("type1", "type4"):
-        fill = "#e8e8e8"
-        cls = f"strip strip-{kind}"
-    else:
-        fill = "white"
-        cls = "strip strip-type3"
+    """The rect of ``strip`` before and after its x; a kind other than
+    Type 1, 2 or 4 is drawn as Type 3."""
+    kind = strip.kind if strip.kind in _RECT_FILL else "type3"
     return (
-        f'<rect class="{cls}" x="',
-        f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" fill="{fill}" stroke="none"/>',
+        f'<rect class="strip strip-{kind}" x="',
+        f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
+        f'fill="{_RECT_FILL.get(kind, "white")}" stroke="none"/>\n',
     )
 
 
-# A gamma line split at its two x fields, so that ``x.join(_GAMMA)`` is
-# the line at x.
-_GAMMA = tuple(_line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma").split("{0}"))
-
-
-def _strip_parts(strips) -> tuple[list[str], list[str]]:
-    """The strip rects, the outline of E and the gamma lines, and the
-    text of every strip edge's x, turned into text once.  A rect is the
-    text of its x between the two pieces of its strip's rect."""
+def _strip_parts(parts: list, strips) -> list[str]:
+    """``parts`` with the strip rects, the outline of E and the gamma
+    lines appended; a rect's x lies between the two pieces of its rect."""
     n = len(strips)
-    xs = list(map(str, range(MARGIN, MARGIN + (n + 1) * STRIP_W, STRIP_W)))
-    parts = list(map(str.join, xs, _mapped(strips, _strip_rect)))
+    rects, xs = _mapped(strips, _strip_rect), []
+    _fill(xs, "{0}", n, ((MARGIN, STRIP_W),))
+    start = len(parts)
+    parts += repeat(None, 4 * n)
+    parts[start :: 4], parts[start + 3 :: 4] = map(itemgetter(0), rects), map(itemgetter(1), rects)
+    parts[start + 1 :: 4], parts[start + 2 :: 4] = xs[0::2], xs[1::2]
     parts.append(
-        f'<rect class="region-E" x="{xs[0]}" y="{STRIP_TOP}" '
-        f'width="{n * STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
-        f'fill="none" stroke="black" stroke-width="2"/>'
+        f'<rect class="region-E" x="{MARGIN}" y="{STRIP_TOP}" width="{n * STRIP_W}" '
+        f'height="{STRIP_BOT - STRIP_TOP}" fill="none" stroke="black" stroke-width="2"/>\n'
     )
-    parts += map(str.join, xs[1:n], repeat(_GAMMA))
-    return parts, xs
+    _fill(parts, _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n", n - 1, ((MARGIN + STRIP_W, STRIP_W),))
+    return parts
 
 
-def _render_strips(decomposition: StripDecomposition) -> str:
-    width = 2 * MARGIN + len(decomposition.strips) * STRIP_W
-    height = STRIP_BOT + MARGIN
-    return _svg(width, height, _strip_parts(decomposition.strips)[0])
-
-
-def _tree_glyph(y: int) -> str:
-    """The standard cross-section tree: two leaves above, two below, with
-    ``{0}``, ``{1}`` and ``{2}`` for its left, middle and right x."""
-    top = y
-    s_hi = y + TREE_H // 3
-    s_lo = y + 2 * TREE_H // 3
-    bot = y + TREE_H
-    segs = [
-        _line("{0}", top, "{1}", s_hi, "reeb-edge"),
-        _line("{2}", top, "{1}", s_hi, "reeb-edge"),
-        _line("{1}", s_hi, "{1}", s_lo, "reeb-edge"),
-        _line("{1}", s_lo, "{0}", bot, "reeb-edge"),
-        _line("{1}", s_lo, "{2}", bot, "reeb-edge"),
-    ]
-    return '<g class="reeb-tree">' + "".join(segs) + "</g>"
+# The standard cross-section tree: two leaves above, two below, with
+# {0}, {1} and {2} for its left, middle and right x.
+_TOP, _HI, _LO, _BOT = (STRIP_BOT + MARGIN + k * TREE_H // 3 for k in range(4))
+_TREE = (
+    '<g class="reeb-tree">'
+    + "".join(
+        _line(*edge, "reeb-edge")
+        for edge in (("{0}", _TOP, "{1}", _HI), ("{2}", _TOP, "{1}", _HI), ("{1}", _HI, "{1}", _LO), ("{1}", _LO, "{0}", _BOT), ("{1}", _LO, "{2}", _BOT))
+    )
+    + "</g>\n"
+)
 
 
 def _event_dots(block) -> tuple[str, ...]:
     """The dots of a block's events, one line each, split at their cx:
     ``cx.join(...)`` is the block's dots, and ``()`` stands for none."""
-    events = block.events
-    mid_y = (STRIP_TOP + STRIP_BOT) // 2
-    dots = (
+    n, mid_y = len(block.events), (STRIP_TOP + STRIP_BOT) // 2
+    dots = "".join(
         f'<circle class="{"event-ii2" if event.kind == "II2" else "event-ii3"}" cx="{{0}}" '
-        f'cy="{mid_y + (j - len(events) // 2) * 14}" r="4" fill="black"/>'
-        for j, event in enumerate(events)
+        f'cy="{mid_y + (j - n // 2) * 14}" r="4" fill="black"/>\n'
+        for j, event in enumerate(block.events)
     )
-    return tuple("\n".join(dots).split("{0}")) if events else ()
+    return tuple(dots.split("{0}")) if dots else ()
 
 
-def _render_model(model: StableMapModel) -> str:
-    strips = model.strips.strips
-    n = len(strips)
-    left = MARGIN
-    width = 2 * MARGIN + n * STRIP_W
-    height = STRIP_BOT + TREE_H + 3 * MARGIN
-    parts, xs = _strip_parts(strips)
+def _model_parts(model: StableMapModel) -> list[str]:
+    n = len(model.strips.strips)
+    parts = _strip_parts(_opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN), model.strips.strips)
     # The dots of each block with events, at the middle x of its strip.
     dots = _mapped(model.blocks, _event_dots)
-    mids = compress(range(left + STRIP_W // 2, left + len(dots) * STRIP_W, STRIP_W), dots)
+    mids = compress(range(MARGIN + STRIP_W // 2, MARGIN + len(dots) * STRIP_W, STRIP_W), dots)
     parts += map(str.join, map(str, mids), filter(None, dots))
-    # One tree beneath each separator, at x = left + k * STRIP_W.
-    half = TREE_W // 2
-    parts += _filled(
-        _tree_glyph(STRIP_BOT + MARGIN),
-        list(map(str, range(left + STRIP_W - half, left + n * STRIP_W - half, STRIP_W))),
-        xs[1:n],
-        list(map(str, range(left + STRIP_W + half, left + n * STRIP_W + half, STRIP_W))),
-    )
-    return _svg(width, height, parts)
+    # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
+    x = MARGIN + STRIP_W
+    _fill(parts, _TREE, n - 1, ((x - TREE_W // 2, STRIP_W), (x, STRIP_W), (x + TREE_W // 2, STRIP_W)))
+    return parts
+
+
+def _svg_parts(subject) -> list[str]:
+    """The parts of ``render_svg(subject)``, in order."""
+    if isinstance(subject, ImmersedCurve):
+        parts = _curve_parts(subject)
+    elif isinstance(subject, StripDecomposition):
+        parts = _strip_parts(_opening(2 * MARGIN + len(subject.strips) * STRIP_W, STRIP_BOT + MARGIN), subject.strips)
+    elif isinstance(subject, StableMapModel):
+        parts = _model_parts(subject)
+    else:
+        raise TypeError(f"cannot render {type(subject).__name__}")
+    parts.append("</svg>\n")
+    return parts
 
 
 def render_svg(subject) -> str:
     """Render an ImmersedCurve, StripDecomposition, or StableMapModel."""
-    if isinstance(subject, ImmersedCurve):
-        return _render_curve(subject)
-    if isinstance(subject, StripDecomposition):
-        return _render_strips(subject)
-    if isinstance(subject, StableMapModel):
-        return _render_model(subject)
-    raise TypeError(f"cannot render {type(subject).__name__}")
+    return "".join(_svg_parts(subject))

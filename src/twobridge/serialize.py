@@ -12,30 +12,21 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from functools import lru_cache
-from itertools import compress
-from operator import attrgetter
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, itemgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
 from .curves import _mapped, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import EVENT_SLICES, StableMapModel, assemble_stable_map
-from .render import _filled, _pieces
+from .render import _pieces
 
 SCHEMA_VERSION = "1"
 
-_TOP_KEYS = (
-    "schema_version",
-    "conway",
-    "variant",
-    "granularity",
-    "fraction",
-    "strips",
-    "blocks",
-    "census",
-    "bounds",
-)
+_TOP_KEYS = ("schema_version", "conway", "variant", "granularity", "fraction", "strips", "blocks", "census", "bounds")
 
 
 def _strip_entry(strip) -> dict:
@@ -51,9 +42,9 @@ def _block_entry(kind: str, events: tuple, permutation: tuple[int, ...], slices)
     }
 
 
-def _model_document(model: StableMapModel, strips: list, blocks: list) -> dict:
-    """The document around the given "strips" and "blocks" arrays: entry
-    texts for ``export_json``, entries for the comparison in
+def _model_document(model: StableMapModel, strips, blocks) -> dict:
+    """The document around the given "strips" and "blocks": the model's
+    own for ``_export_parts``, entries for the comparison in
     ``import_json``."""
     fraction = fraction_of(model.word)
     census = model.census
@@ -65,12 +56,7 @@ def _model_document(model: StableMapModel, strips: list, blocks: list) -> dict:
         "fraction": {"p": fraction.p, "q": fraction.q},
         "strips": strips,
         "blocks": blocks,
-        "census": {
-            "ii2": census.ii2,
-            "ii3": census.ii3,
-            "definite_components": census.definite_components,
-            "indefinite_circles": census.indefinite_circles,
-        },
+        "census": asdict(census),
         "bounds": {
             "smc_upper": smc_upper_bound(model.word).smc_upper,
             "weighted_sum": weighted_sum(census),
@@ -95,37 +81,40 @@ def _plain_strip_text(kind: str, param: int) -> str:
 
 @lru_cache(maxsize=1024)
 def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> str | None:
-    """The text of a block, with the field ``{i}`` for the section
-    number in the slice tag of event ``i``; None if an event slice is
-    none of ``EVENT_SLICES``."""
+    """The text of a block and its separator, with the field ``{i}`` for
+    the section number in the slice tag of event ``i``; None if an event
+    slice is none of ``EVENT_SLICES``."""
     if any(e.slice not in EVENT_SLICES for e in events):
         return None
     fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
-    text = _entry_text(_block_entry(kind, events, permutation, fields))
+    text = _entry_text(_block_entry(kind, events, permutation, fields)) + ",\n"
     if events and len(_pieces(text)) != 2 * len(events) + 1:
         raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
     return text
 
 
-def _block_texts(blocks) -> list[str]:
-    """The text of every block: one template per distinct block, laid
-    out along the runs, and filled in at once at every block that has
-    events and shares it.  A block's event slice tags name its own
-    section or the next, relative to its position (``EVENT_SLICES``)."""
+def _block_rows(parts: list, blocks) -> None:
+    """Append the text and separator of every block: one template per
+    distinct block, laid out along the runs, and filled in for each run of
+    blocks with events by slice assignment.  A block's event slice tags
+    name its own section or the next, relative to its position
+    (``EVENT_SLICES``)."""
     texts = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
     if None in texts:
         j = texts.index(None)
         bad = next(e.slice for e in blocks[j].events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {j}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-    events = _mapped(blocks, attrgetter("events"))
-    at = list(compress(range(len(texts)), events))
-    templates = dict(zip(map(texts.__getitem__, at), map(events.__getitem__, at)))
-    for template, block_events in templates.items():
-        rows = list(compress(at, map(template.__eq__, map(texts.__getitem__, at))))
-        columns = [list(map(str, map(EVENT_SLICES[e.slice][1].__add__, rows))) for e in block_events]
-        for j, text in zip(rows, _filled(template, *columns)):
-            texts[j] = text
-    return texts
+    runs, done = _runs_of(blocks), 0
+    starts = accumulate(map(itemgetter(1), runs), initial=0)
+    for (block, count), first in compress(zip(runs, starts), map(attrgetter("events"), map(itemgetter(0), runs))):
+        parts += texts[done:first]
+        pieces, offsets = _pieces(texts[first]), [first + EVENT_SLICES[e.slice][1] for e in block.events]
+        start, stride = len(parts), len(pieces)
+        parts += repeat(pieces[0], count * stride)
+        for i, piece in enumerate(pieces[1:], 1):
+            parts[start + i :: stride] = map(str, range(offsets[int(piece)], offsets[int(piece)] + count)) if i % 2 else repeat(piece, count)
+        done = first + count
+    parts += texts[done:]
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -153,33 +142,40 @@ def export_json(model: StableMapModel) -> str:
     """Serialize with deterministic field order; integers only.
 
     The bytes are those of ``json.dumps(document, indent=2)``, whose
-    encoder is pure Python.  The long "strips" and "blocks" arrays are
-    therefore joined from per-entry text: one cached text per distinct
-    strip or block, with the slice tags of a block's events filled in
-    per position.  Only the short fields go through the encoder.  The
-    text of the last model exported is kept and returned again for the
-    same model object.
+    encoder is pure Python.  The document is therefore laid out as one
+    list of parts and joined once (``_export_parts``): the long "strips"
+    and "blocks" arrays from one cached text per distinct strip or block,
+    with the slice tags of a block's events filled in per position, and
+    only the short fields through the encoder.  The text of the last
+    model exported is kept and returned again for the same model object.
     """
     global _last_export
     last, text = _last_export
     if last is model:
         return text
-    text = _export_text(model)
+    text = "".join(_export_parts(model))
     _last_export = (model, text)
     return text
 
 
-def _export_text(model: StableMapModel) -> str:
-    doc = _model_document(model, _mapped(model.strips.strips, _strip_text), _block_texts(model.blocks))
+def _export_parts(model: StableMapModel) -> list[str]:
+    """The parts of the export of ``model``, in order."""
     parts = []
-    for key, value in doc.items():
+    for key, value in _model_document(model, model.strips.strips or [], model.blocks or []).items():
         parts += (",\n  " if parts else "{\n  ", json.dumps(key), ": ")
-        if key in ("strips", "blocks"):
-            parts += ("[\n", ",\n".join(value), "\n  ]") if value else ("[]",)
-        else:
+        if key not in ("strips", "blocks") or not value:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        parts.append("[\n")
+        if key == "strips":
+            start = len(parts)
+            parts += repeat(",\n", 2 * len(value))
+            parts[start::2] = _mapped(value, _strip_text)
+        else:
+            _block_rows(parts, value)
+        parts[-1] = parts[-1][:-2] + "\n  ]"  # the last entry's separator
     parts.append("\n}\n")
-    return "".join(parts)
+    return parts
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

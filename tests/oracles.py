@@ -405,6 +405,43 @@ def oracle_model_svg(model) -> str:
     return "\n".join(lines + ["</svg>", ""])
 
 
+def oracle_curve_svg(curve) -> str:
+    """The SVG of a curve drawn column by column, one f-string group per
+    column: a crossing glyph for each double point, a tangency glyph for
+    each self-tangency, and two strands with a dashed mark for each
+    smoothed crossing, between the two caps."""
+    margin, col_w, cap_w, top, bot = 16, 28, 24, 32, 88
+    n = len(curve.columns)
+    width, height, mid = 2 * margin + 2 * cap_w + n * col_w, bot + top, (top + bot) // 2
+    left = margin + cap_w
+    right = left + n * col_w
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
+        f'<rect class="region-E" x="{margin // 2}" y="{margin // 2}" width="{width - margin}" '
+        f'height="{height - margin}" fill="none" stroke="gray" stroke-width="1"/>',
+        f'<path class="cap" d="M {left} {top} C {margin} {top} {margin} {bot} {left} {bot}" '
+        f'fill="none" stroke="black" stroke-width="2"/>',
+        f'<path class="cap" d="M {right} {top} C {width - margin} {top} {width - margin} {bot} {right} {bot}" '
+        f'fill="none" stroke="black" stroke-width="2"/>',
+    ]
+    for i, column in enumerate(curve.columns):
+        x0 = left + i * col_w
+        x1, cx = x0 + col_w, x0 + col_w // 2
+        if column.kind == "crossing":
+            lines.append(f'<g class="crossing">{_svg_line(x0, top, x1, bot, "strand")}{_svg_line(x0, bot, x1, top, "strand")}</g>')
+        elif column.kind == "tangency":
+            paths = "".join(
+                f'<path d="M {x0} {y} Q {cx} {mid} {x1} {y}" fill="none" stroke="black" stroke-width="2"/>' for y in (top, bot)
+            )
+            lines.append(f'<g class="tangency">{paths}</g>')
+        else:
+            lines += [_svg_line(x0, top, x1, top, "strand"), _svg_line(x0, bot, x1, bot, "strand")]
+            lines.append(_svg_line(cx, top - 8, cx, bot + 8, "smoothed-mark")[:-2] + ' stroke-dasharray="4 3"/>')
+    return "\n".join(lines + ["</svg>", ""])
+
+
 def oracle_trace(blocks):
     """Definite-fold components of a block sequence, traced on an
     adjacency-list graph: the cap pairings of the end blocks close the

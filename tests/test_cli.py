@@ -65,6 +65,27 @@ def test_build_to_file(tmp_path, capsys):
     assert doc["census"]["ii3"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "C(3,2,40000)", "--variant", "f2"],
+        ["build", "C(-3,-20000,-3)", "--variant", "f3", "--granularity", "fine"],
+        ["render", "C(3,2,3000)", "--subject", "model"],
+        ["render", "C(3,2,6000)", "--subject", "curve"],
+        ["render", "C(3,2,6000)", "--subject", "strips", "--variant", "f3"],
+    ],
+)
+def test_output_to_a_file_is_the_output_to_stdout(argv, tmp_path, capsys):
+    # each document is written in more than one slice of its parts
+    target = tmp_path / "out"
+    assert run_cli([*argv, "-o", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 1_000_000
+    assert target.read_bytes() == out.encode()
+
+
 def test_certify_with_volume(capsys):
     assert run_cli(["certify", "C(2,2,2)", "--volume", "14.0"]) == 0
     out = capsys.readouterr().out

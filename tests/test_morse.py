@@ -416,6 +416,28 @@ def test_validate_model_rejects_blocks_out_of_step_with_the_strips():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
+@pytest.mark.parametrize("other", ["fine", "C(-3,2,3)"])
+def test_validate_model_rejects_strips_that_are_not_the_decomposition_of_the_word(other):
+    # the fine model of C(3,2,3), or the model of its mirror-signed word,
+    # labelled as the crossing model of C(3,2,3): blocks, trace and census all hold
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    source = assemble_stable_map(parse_conway(other), "f2") if other.startswith("C") else assemble_stable_map(model.word, "f2", other)
+    strips = replace(source.strips, word=model.word, granularity="crossing")
+    tampered = replace(source, word=model.word, granularity="crossing", strips=strips)
+    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
+        validate_model(tampered)
+
+
+def test_validate_model_names_the_block_of_an_f2_type2_strip_that_holds_a_tangency():
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    strips = list(model.strips.strips)
+    assert strips[4].kind == "type2"
+    strips[4] = Strip("type2", (Column("tangency", 1),), param=1)
+    tampered = replace(model, strips=replace(model.strips, strips=tuple(strips)))
+    with pytest.raises(InvariantViolationError, match=r"^block 4: an f2 Type 2 strip must hold a whole twist region"):
+        validate_model(tampered)
+
+
 def test_trace_rejects_blocks_that_lose_a_strand():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     for j, field, value in ((2, "permutation", (1, 1, 3, 4)), (0, "pairing", ((1, 2),))):

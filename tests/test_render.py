@@ -1,5 +1,6 @@
 """SVG rendering: glyph counts, determinism, well-formedness."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import model_entries, oracle_model_svg
-from twobridge.conway import ConwayWord
+from oracles import model_entries, oracle_curve_svg, oracle_model_svg
+from twobridge.conway import ConwayWord, parse_conway
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
-from twobridge.render import render_svg
+from twobridge.render import _fill, render_svg
 
 
 def _curve(entries, reduced=False):
@@ -100,3 +101,67 @@ def test_model_svg_matches_the_per_strip_oracle(entries, variant, granularity):
         strips=replace(model.strips, strips=tuple(model.strips.strips)),
     )
     assert render_svg(plain) == expected
+
+
+@pytest.mark.parametrize(("text", "variant"), [("C(30000,2,3)", "f2"), ("C(-3,-20000,-3)", "f3")])
+def test_large_model_svg_matches_the_per_strip_oracle(text, variant):
+    # x past 10^6 in the first, 10000 event dots in the second
+    model = assemble_stable_map(parse_conway(text), variant)
+    assert render_svg(model) == oracle_model_svg(model)
+
+
+@settings(deadline=None, max_examples=60)
+@given(model_entries(), st.booleans())
+def test_curve_svg_matches_the_per_column_oracle(entries, reduced):
+    curve = _curve(entries, reduced)
+    assert render_svg(curve) == oracle_curve_svg(curve)
+
+
+@pytest.mark.parametrize(
+    ("text", "reduced"),
+    [("C(40000,2,3)", False), ("C(-3,-20000,-3)", True), ("C(" + "3,2," * 400 + "3)", True)],
+)
+def test_large_curve_svg_matches_the_per_column_oracle(text, reduced):
+    curve = _curve(parse_conway(text).entries, reduced)
+    assert render_svg(curve) == oracle_curve_svg(curve)
+
+
+@st.composite
+def _progressions(draw):
+    """An offset, a step, a first row and a row count whose x run across
+    one of 10^3 .. 10^7, or stay below 1000."""
+    step = draw(st.integers(1, 1500))
+    first, n = draw(st.integers(0, 400)), draw(st.integers(0, 400))
+    if draw(st.booleans()):
+        power = draw(st.sampled_from([10**3, 10**4, 10**5, 10**6, 10**7]))
+        offset = max(0, power - (first + draw(st.integers(0, n))) * step - draw(st.integers(0, step)))
+    else:
+        n = min(n, 999 // step)
+        first = min(first, (999 - (n - 1) * step) // step) if n else first
+        offset = draw(st.integers(0, max(0, 999 - (first + n - 1) * step)))
+    return offset, step, first, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_progressions(), st.integers(1, 40), st.sampled_from(["", ",", '" y2="5"/>\n']))
+def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, literal):
+    offset, step, first, n = progression
+    template = "<{0}" + literal + "{1}|{0}>"
+    parts = ["before"]
+    _fill(parts, template, n, ((offset, step), (offset + 8, other_step)), first)
+    expected = "".join(
+        f"<{offset + k * step}{literal}{offset + 8 + k * other_step}|{offset + k * step}>" for k in range(first, first + n)
+    )
+    assert "".join(parts) == "before" + expected
+
+
+def test_model_render_peaks_under_1_7_times_its_length():
+    model = assemble_stable_map(ConwayWord((2000, 2, 2000)), "f2")
+    render_svg(assemble_stable_map(ConwayWord((3, 2, 3)), "f2"))  # the layouts are built once per process
+    tracemalloc.start()
+    try:
+        svg = render_svg(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * len(svg), (peak, len(svg))

@@ -340,13 +340,13 @@ def test_export_text_is_the_encoded_document(entries, variant, granularity):
     strips = [serialize._strip_entry(strip) for strip in model.strips.strips]
     document = serialize._model_document(model, strips, serialize._block_entries(model.blocks))
     expected = json.dumps(document, indent=2) + "\n"
-    assert serialize._export_text(model) == expected
+    assert "".join(serialize._export_parts(model)) == expected
     plain = replace(
         model,
         blocks=tuple(model.blocks),
         strips=replace(model.strips, strips=tuple(model.strips.strips)),
     )
-    assert serialize._export_text(plain) == expected
+    assert "".join(serialize._export_parts(plain)) == expected
 
 
 def test_export_fills_each_distinct_block_template():
@@ -358,7 +358,7 @@ def test_export_fills_each_distinct_block_template():
     tampered = replace(model, blocks=tuple(blocks))
     strips = [serialize._strip_entry(strip) for strip in model.strips.strips]
     document = serialize._model_document(tampered, strips, serialize._block_entries(tampered.blocks))
-    assert serialize._export_text(tampered) == json.dumps(document, indent=2) + "\n"
+    assert "".join(serialize._export_parts(tampered)) == json.dumps(document, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("variant", ["f2", "f3"])
