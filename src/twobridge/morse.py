@@ -12,12 +12,13 @@ crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
 of a catalogued block is that tree, which a test checks once.  An
 assembled model holds catalogued blocks, repeated, as runs ``(block,
-count)`` (``curves._RunSeq``): assembly, the trace, the census and the
-structural checks take one step per run.  A model is valid when each
-block is the catalogued block of its strip; a block that is not raises
-``InvariantViolationError`` naming its index, the first field that
-differs, and the catalogued and actual values.  Event slices carry
-tags relative to the block, and a document names them by position
+count)`` (``curves._RunSeq``): assembly, the trace and the census take
+one step per run.  Assembly checks the trace against the fraction and
+the census against the variant's closed form.  A model is valid when it
+equals the assembly of its word (``validate_model``); a block that
+differs raises ``InvariantViolationError`` naming its index, the first
+field that differs, and the catalogued and actual values.  Event slices
+carry tags relative to the block, and a document names them by position
 (``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
@@ -439,8 +440,8 @@ def assemble_stable_map(
     granularity)``, and returned again for the same arguments, so that
     importing the export of a model just built does not build it twice.
     A model is frozen and a pure function of those arguments, so the kept
-    one equals a fresh one; it passed every check when it was built.  A
-    call that raises is not kept.
+    one equals a fresh one; it passed assembly's checks when it was built.
+    A call that raises is not kept.
     """
     if variant in ("f2", "f3") and granularity in GRANULARITIES:
         return _last_model(word, variant, granularity)
@@ -462,18 +463,12 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
 
     blocks = _RunSeq((build_block(strip, variant), count) for strip, count in _runs_of(strips.strips))
     trace = _checked_trace(blocks, fraction)
-    model = StableMapModel(
-        variant=variant,
-        word=word,
-        granularity=granularity,
-        strips=strips,
-        blocks=blocks,
-        census=_census_from_blocks(blocks, trace),
-        trace=trace,
-    )
-    _check_strips(model)
-    _check_structure(model)
-    return model
+    census = _census_from_blocks(blocks, trace)
+    # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
+    expected = (2 * word.m, 0) if variant == "f2" else (0, sum(abs(b) for b in word.b_entries) // 2)
+    if (census.ii2, census.ii3) != expected:
+        raise InvariantViolationError(f"census ({census.ii2}, {census.ii3}) != expected {expected}")
+    return StableMapModel(variant, word, granularity, strips, blocks, census, trace)
 
 
 # One entry: no model outlives the next assembly.
@@ -517,61 +512,32 @@ def _check_strips(model: StableMapModel) -> None:
         raise InvariantViolationError("blocks and strips out of step")
 
 
-def _check_structure(model: StableMapModel) -> None:
-    """Each block is the catalogued block of its strip, and the cached
-    census meets the variant's closed form.
-
-    The blocks are compared with the catalogue run by run, once for each
-    distinct pair of block and strip objects, first by identity and then
-    by value, so a block put in after assembly is still checked."""
-    variant = model.variant
-    seen = set()
-    for block, strip, index in _paired(_runs_of(model.blocks), _runs_of(model.strips.strips)):
-        if (id(block), id(strip)) in seen:
-            continue
-        seen.add((id(block), id(strip)))
-        try:
-            catalogued = build_block(strip, variant)
-        except InvalidStripVariantError as err:
-            raise InvariantViolationError(f"block {index}: {err}") from None
+def validate_model(model: StableMapModel) -> None:
+    """Check that ``model`` equals the assembly of its word.  The strips
+    are checked against the model's fields and the trace re-derived from
+    the blocks first, so a permutation that changes the component count
+    raises ``TraceMismatchError``.  Then the strips, the blocks (run by
+    run: a long run costs one look) and the census are compared with the
+    assembly's, and the first difference raises ``InvariantViolationError``."""
+    _check_strips(model)
+    if trace_definite_folds(model) != model.trace:
+        raise TraceMismatchError("cached trace disagrees with the blocks")
+    try:
+        fresh = assemble_stable_map(model.word, model.variant, model.granularity)
+    except TwoBridgeError as err:
+        raise InvariantViolationError(f"the word does not decompose: {err}") from None
+    if model.strips.strips != fresh.strips.strips:
+        raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
+    for block, catalogued, index in _paired(_runs_of(model.blocks), fresh.blocks.runs):
         if block is not catalogued and block != catalogued:
             # the first field that differs, or else the class
             name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")
             raise InvariantViolationError(
                 f"block {index}: {name} is {getattr(block, name, type(block))!r}, "
-                f"the catalogued {strip.kind} block has {getattr(catalogued, name, BlockMap)!r}"
+                f"the catalogued {catalogued.kind} block has {getattr(catalogued, name, BlockMap)!r}"
             )
-    census = model.census
-    word = model.word
-    if variant == "f2":
-        expected = (2 * word.m, 0)
-    else:
-        expected = (0, sum(abs(b) for b in word.b_entries) // 2)
-    if (census.ii2, census.ii3) != expected:
-        raise InvariantViolationError(
-            f"census ({census.ii2}, {census.ii3}) != expected {expected}"
-        )
-
-
-def validate_model(model: StableMapModel) -> None:
-    """Every invariant assembly checks, plus a fresh trace and census
-    from the blocks compared with the cached ones, so that a model edited
-    after assembly is rejected, and the strips compared with the
-    decomposition of the word, which assembly does not redo.  The trace
-    is re-derived before the blocks are compared with the catalogue, so a
-    block whose permutation changes the component count raises
-    ``TraceMismatchError``."""
-    _check_strips(model)
-    trace = trace_definite_folds(model)
-    if trace != model.trace:
-        raise TraceMismatchError("cached trace disagrees with the blocks")
-    _check_structure(model)
-    if _census_from_blocks(model.blocks, trace) != model.census:
+    census, expected = model.census, fresh.census
+    if (census.ii2, census.ii3) != (expected.ii2, expected.ii3):
+        raise InvariantViolationError(f"census ({census.ii2}, {census.ii3}) != expected ({expected.ii2}, {expected.ii3})")
+    if census != expected:
         raise InvariantViolationError("cached census disagrees with block logs")
-    try:
-        curve = outer_smooth(build_plat_diagram(model.word))
-        fresh = strip_decompose(bigon_reduce(curve) if model.variant == "f3" else curve, model.variant, model.granularity)
-    except TwoBridgeError as err:
-        raise InvariantViolationError(f"the word does not decompose: {err}") from None
-    if model.strips.strips != fresh.strips:
-        raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import asdict
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
@@ -301,8 +302,21 @@ def import_json(text: str) -> StableMapModel:
     fresh = _model_document(model, _mapped(model.strips.strips, _strip_entry), _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
-            raise InvariantViolationError(
-                f"field {key!r} disagrees with the recomputed model: "
-                f"document {doc[key]!r}, recomputed {fresh[key]!r}"
-            )
+            raise InvariantViolationError(_first_difference(key, doc[key], fresh[key]))
     return model
+
+
+def _first_difference(path: str, ours, theirs) -> str:
+    """Name the first value at or under ``path`` where the document holds
+    ``ours`` and the recomputed model ``theirs``, with both values, or the
+    two lengths of arrays that differ in length."""
+    if isinstance(ours, dict) and isinstance(theirs, dict) and ours.keys() == theirs.keys():
+        key = next(k for k in theirs if ours[k] != theirs[k])
+        return _first_difference(f"{path}.{key}", ours[key], theirs[key])
+    if isinstance(ours, list) and isinstance(theirs, list):
+        if len(ours) != len(theirs):
+            return f"{path}: document has {len(ours)} entries, recomputed {len(theirs)}"
+        i = next(i for i, (x, y) in enumerate(zip(ours, theirs)) if x != y)
+        if isinstance(theirs[i], (dict, list)):
+            return _first_difference(f"{path}[{i}]", ours[i], theirs[i])
+    return f"{path}: document {reprlib.repr(ours)}, recomputed {reprlib.repr(theirs)}"

@@ -148,6 +148,13 @@ def test_certify_with_two_matching_table_rows_exits_1(tmp_path, capsys):
     assert "2 table entries match" in capsys.readouterr().err
 
 
+def test_certify_with_no_matching_table_row_exits_1(tmp_path, capsys):
+    table = tmp_path / "volumes.csv"
+    table.write_text("whitehead,C(2,2,-2),3.663862\nother,see census,3.0\n")
+    assert run_cli(["certify", "C(3,2,3)", "--volume-table", str(table)]) == 1
+    assert "no table entry matches the word" in capsys.readouterr().err
+
+
 def test_certify_odd_b_exits_2(capsys):
     assert run_cli(["certify", "C(2,1,2)", "--volume", "14.0"]) == 2
 

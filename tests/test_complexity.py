@@ -258,6 +258,13 @@ def test_ingest_rejects_nonpositive_volume():
 def test_ingest_requires_source():
     with pytest.raises(ValueError):
         ingest_volume_table(TABLE, source="")
+    with pytest.raises(ValueError, match="nonempty source"):
+        ingest_volume_table("", "")  # no row would carry the source
+
+
+def test_ingest_rejects_a_line_with_one_comma():
+    with pytest.raises(TableParseError, match="expected label,reference,volume"):
+        ingest_volume_table("a,1.5\n", "s")
 
 
 def test_bounds_and_records_reject_impossible_fields():

@@ -73,6 +73,11 @@ def test_parse_rejects_bad_grammar(bad):
         parse_conway(bad)
 
 
+def test_parse_names_an_empty_entry_list():
+    with pytest.raises(ConwaySyntaxError, match="empty entry list"):
+        parse_conway("C()")
+
+
 @pytest.mark.parametrize("bad", ["C(\u00b2)", "C(" + "1" * 5000 + ")"])
 def test_parse_rejects_integers_int_cannot_read(bad):
     # a superscript digit passes str.isdigit; 5000 digits exceed int()'s limit

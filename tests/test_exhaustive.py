@@ -1,0 +1,110 @@
+"""Every small word through the whole pipeline, checked against the
+independent oracles of ``oracles.py``.
+
+Tier-1 sweeps the even-b words of magnitude sum at most 8.  The larger
+sweeps run as a CI step:
+
+    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12))'
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from oracles import (
+    all_entry_tuples,
+    goeritz_determinant_of_entries,
+    oracle_curve_svg,
+    oracle_model_svg,
+    plat_component_count_of_entries,
+)
+from twobridge import morse, serialize
+from twobridge.cli import run_cli
+from twobridge.conway import ConwayWord, all_b_even, format_conway
+from twobridge.curves import GRANULARITIES, bigon_reduce, build_plat_diagram, outer_smooth
+from twobridge.errors import DegenerateFractionError, EvenBRequiredError
+from twobridge.morse import assemble_stable_map, validate_model
+from twobridge.render import render_svg
+from twobridge.serialize import export_json, import_json
+
+
+def _forget():
+    """Drop the model assembled last and the text exported last, so the
+    next call assembles and exports as a fresh process would."""
+    morse._last_model.cache_clear()
+    serialize._last_export = (None, "")
+
+
+def sweep_even_b_words(max_sum: int) -> tuple[int, int]:
+    """Take every even-b word of ``all_entry_tuples(max_sum)`` through
+    both variants at every granularity, and return the number of words
+    and how many of them are degenerate.
+
+    A word whose plat closure has determinant 0 or 1 is no two-bridge
+    link, and its assembly must raise ``DegenerateFractionError``.  Any
+    other model must have the closed-form census and the plat's component
+    count, pass ``validate_model`` against a fresh assembly, survive a
+    cold export and import unchanged to the byte, and render as the
+    oracles draw it, as must its curve."""
+    words = degenerate = 0
+    for entries in all_entry_tuples(max_sum):
+        word = ConwayWord(entries)
+        if not all_b_even(word):
+            continue
+        words += 1
+        if goeritz_determinant_of_entries(entries) < 2:
+            degenerate += 1
+            for variant in ("f2", "f3"):
+                with pytest.raises(DegenerateFractionError):
+                    assemble_stable_map(word, variant)
+            continue
+        census = {"f2": (2 * word.m, 0), "f3": (0, sum(abs(b) for b in word.b_entries) // 2)}
+        components = plat_component_count_of_entries(entries)
+        for variant in ("f2", "f3"):
+            curve = outer_smooth(build_plat_diagram(word))
+            curve = bigon_reduce(curve) if variant == "f3" else curve
+            assert render_svg(curve) == oracle_curve_svg(curve), (word, variant)
+            for granularity in GRANULARITIES:
+                where = (format_conway(word), variant, granularity)
+                _forget()
+                model = assemble_stable_map(word, variant, granularity)
+                got = model.census
+                assert (got.ii2, got.ii3, got.definite_components, got.indefinite_circles) == (*census[variant], components, 1), where
+                assert model.trace.count == components, where
+                text = export_json(model)
+                _forget()
+                validate_model(model)
+                _forget()
+                imported = import_json(text)
+                assert imported == model and export_json(imported) == text, where
+                assert render_svg(model) == oracle_model_svg(model), where
+    return words, degenerate
+
+
+def _odd_b_words(max_sum: int):
+    for entries in all_entry_tuples(max_sum):
+        word = ConwayWord(entries)
+        if not all_b_even(word):
+            yield word
+
+
+def check_odd_b_words(cli_max_sum: int, library_max_sum: int) -> tuple[int, int]:
+    """Every odd-b word of ``all_entry_tuples(cli_max_sum)`` exits 2
+    from ``build`` in both variants, and every one of ``all_entry_tuples(library_max_sum)``
+    raises ``EvenBRequiredError`` from assembly in both variants.  Returns
+    the two word counts."""
+    cli_words = library_words = 0
+    for cli_words, word in enumerate(_odd_b_words(cli_max_sum), 1):
+        for variant in ("f2", "f3"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli(["build", format_conway(word), "--variant", variant]) == 2, (word, variant)
+    for library_words, word in enumerate(_odd_b_words(library_max_sum), 1):
+        for variant in ("f2", "f3"):
+            with pytest.raises(EvenBRequiredError):
+                assemble_stable_map(word, variant)
+    return cli_words, library_words
+
+
+def test_every_even_b_word_up_to_magnitude_sum_8():
+    assert sweep_even_b_words(8) == (320, 28)

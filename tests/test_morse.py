@@ -172,6 +172,15 @@ def test_assemble_rejects_unknown_arguments_that_need_not_hash(variant, granular
         assemble_stable_map(ConwayWord((3, 2, 3)), variant, granularity)
 
 
+def test_assembly_checks_its_census_against_the_closed_form(cold, monkeypatch):
+    # a catalogue whose f2 Type 2 blocks lost their events: the trace holds, the census does not
+    for key, block in morse._CATALOGUE.items():
+        if key[0] == "type2" and key[2] == "f2":
+            monkeypatch.setitem(morse._CATALOGUE, key, replace(block, events=()))
+    with pytest.raises(InvariantViolationError, match=r"^census \(0, 0\) != expected \(2, 0\)$"):
+        cold(assemble_stable_map, ConwayWord((3, 2, 3)), "f2")
+
+
 def test_assemble_torus_word():
     model = assemble_stable_map(ConwayWord((5,)), "f2")
     assert (model.census.ii2, model.census.ii3) == (0, 0)
@@ -434,7 +443,16 @@ def test_validate_model_names_the_block_of_an_f2_type2_strip_that_holds_a_tangen
     assert strips[4].kind == "type2"
     strips[4] = Strip("type2", (Column("tangency", 1),), param=1)
     tampered = replace(model, strips=replace(model.strips, strips=tuple(strips)))
-    with pytest.raises(InvariantViolationError, match=r"^block 4: an f2 Type 2 strip must hold a whole twist region"):
+    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
+        validate_model(tampered)
+
+
+def test_validate_model_rejects_a_word_that_does_not_decompose():
+    # C(2,3,2) has an odd vertical twist count, so it has no assembly
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f3")
+    word = ConwayWord((2, 3, 2))
+    tampered = replace(model, word=word, strips=replace(model.strips, word=word))
+    with pytest.raises(InvariantViolationError, match="^the word does not decompose: "):
         validate_model(tampered)
 
 

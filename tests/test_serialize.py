@@ -1,6 +1,7 @@
 """Model document export, import, and revalidation."""
 
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -326,11 +327,31 @@ def test_word_over_the_crossing_limit_is_refused_before_assembly(model, layout, 
         text = json.dumps(json.loads(text), separators=(",", ":"))
 
     def refuse(*args):
-        raise AssertionError("a word over the crossing limit was assembled")
+        raise AssertionError("a word over the crossing limit was assembled or parsed")
 
     monkeypatch.setattr(serialize, "assemble_stable_map", refuse)
+    if layout == "export":  # refused from the export's opening lines, before parsing
+        monkeypatch.setattr(serialize.json, "loads", refuse)
     with pytest.raises(WordTooLargeError, match="2000005 crossings"):
         import_json(text)
+
+
+@pytest.mark.parametrize(
+    "path, tamper, message",
+    [
+        ("blocks[50].permutation", lambda doc: doc["blocks"][50].update(permutation=[2, 1, 3, 4]), r"document \[2, 1, 3, 4\], recomputed \[1, 3, 2, 4\]$"),
+        ("blocks[4].events[1].slice", lambda doc: doc["blocks"][4]["events"][1].update(slice="x" * 5000), r"document 'x+\.\.\.x+', recomputed \"F5''\"$"),
+        ("blocks[4].events", lambda doc: doc["blocks"][4]["events"].pop(), "document has 1 entries, recomputed 2$"),
+        ("strips", lambda doc: doc["strips"].pop(), "document has 104 entries, recomputed 105$"),
+        ("census.ii2", lambda doc: doc["census"].update(ii2=3), "document 3, recomputed 2$"),
+    ],
+)
+def test_import_names_the_first_value_that_differs(path, tamper, message):
+    doc = json.loads(export_json(assemble_stable_map(ConwayWord((3, 2, 99)), "f2")))
+    tamper(doc)
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(path)}: {message}") as err:
+        import_json(json.dumps(doc, separators=(",", ":")))
+    assert len(str(err.value)) < 1000
 
 
 @settings(deadline=None, max_examples=60)
