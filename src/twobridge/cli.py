@@ -32,7 +32,7 @@ from .conway import (
     schubert_equivalent,
     twist_number,
 )
-from .curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from .curves import PlatDiagram, bigon_reduce, outer_smooth, strip_decompose
 from .errors import (
     HypothesisError,
     NotReducedAlternatingError,
@@ -188,7 +188,7 @@ def _cmd_render(args, out) -> int:
     if args.subject == "model":
         subject = assemble_stable_map(word, args.variant, args.granularity)
     else:
-        curve = outer_smooth(build_plat_diagram(word))
+        curve = outer_smooth(PlatDiagram(word))
         if args.variant == "f3":
             curve = bigon_reduce(curve)
         subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve

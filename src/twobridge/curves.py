@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat, starmap
 from operator import attrgetter, index, is_not, itemgetter
 
@@ -126,17 +127,17 @@ _CROSSINGS = {
 
 @dataclass(frozen=True)
 class PlatDiagram:
-    """``crossings`` holds one run ``(crossing, |entry|)`` per twist
-    region, in the word's order."""
+    """The word's twist regions laid out left to right as a capped 4-plat:
+    ``crossings`` holds one run ``(crossing, |entry|)`` per region, in
+    the word's order, of the crossing for its orientation (horizontal for
+    even regions) and sign."""
 
     word: ConwayWord
-    crossings: Sequence[Crossing] = field(hash=False)
 
-    def __post_init__(self):
-        counts = self.region_counts
-        expected = tuple(abs(e) for e in self.word.entries)
-        if counts != expected:
-            raise ValueError(f"region counts {counts} != {expected}")
+    @cached_property
+    def crossings(self) -> Sequence[Crossing]:
+        runs = ((_CROSSINGS[region % 2 == 0, entry > 0], abs(entry)) for region, entry in enumerate(self.word.entries))
+        return _RunSeq(runs)
 
     @property
     def total_crossings(self) -> int:
@@ -208,19 +209,10 @@ class StripDecomposition:
     def type2_count(self) -> int:
         return sum(n for s, n in _runs_of(self.strips) if s.kind == "type2")
 
-    @property
-    def expected_type2(self) -> int:
-        """One Type 2 strip per vertical twist region in f2, one per tangency in f3."""
-        word = self.word
-        return word.m if self.variant == "f2" else sum(abs(b) for b in word.b_entries) // 2
-
 
 def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
-    """Lay out the word's twist regions left to right as a capped 4-plat:
-    region i is a run of the crossing for its orientation (horizontal for
-    even i) and sign."""
-    runs = ((_CROSSINGS[region % 2 == 0, entry > 0], abs(entry)) for region, entry in enumerate(word.entries))
-    return PlatDiagram(word, _RunSeq(runs))
+    """The plat diagram of ``word``."""
+    return PlatDiagram(word)
 
 
 def _runs(items) -> list[tuple[object, int]]:

@@ -39,13 +39,13 @@ from itertools import permutations, product
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
     GRANULARITIES,
+    PlatDiagram,
     Strip,
     StripDecomposition,
     _RunSeq,
     _paired,
     _runs_of,
     bigon_reduce,
-    build_plat_diagram,
     outer_smooth,
     strip_decompose,
 )
@@ -105,14 +105,9 @@ class CrossSection:
         return reached == vertices
 
 
-def standard_cross_section(tag: str = "F") -> CrossSection:
-    """The catalogued cross-section: leaves 1,2 above the saddles, 3,4 below."""
-    return CrossSection(tag=tag)
-
-
 # The one section that every relative block has as its entry and exit,
 # and that every separating segment of an assembled model carries.
-_SECTION = standard_cross_section()
+_SECTION = CrossSection(tag="F")
 
 
 @dataclass(frozen=True)
@@ -153,42 +148,51 @@ class SingularFiberCensus:
             raise ValueError("census counts must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DefiniteFoldTrace:
     """Closed-curve decomposition of the definite fold set of ``blocks``.
 
     ``count``, the number of components, is found when the trace is
     built.  ``components`` lists each component as the cyclic list of
     (cross-section index, position) punctures it runs through; it is
-    written out from the blocks when first read.  Two traces are equal
-    when their counts and components are; those of one blocks object
-    have the same components, which are then not written out."""
+    written out from the blocks when first read."""
 
     count: int
-    blocks: Sequence[BlockMap] = field(repr=False)
+    blocks: Sequence[BlockMap] = field(repr=False, hash=False)
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return _components(self.blocks)
 
-    def __eq__(self, other):
-        if not isinstance(other, DefiniteFoldTrace):
-            return NotImplemented
-        return self.count == other.count and (self.blocks is other.blocks or self.components == other.components)
-
-    def __hash__(self) -> int:
-        return hash(self.count)
-
 
 @dataclass(frozen=True)
 class StableMapModel:
-    variant: str
-    word: ConwayWord
-    granularity: str
+    """A strip decomposition and one block per strip.  The word, variant
+    and granularity are those of the strips; the trace and the census
+    are read off the blocks when first asked for."""
+
     strips: StripDecomposition
     blocks: Sequence[BlockMap] = field(hash=False)
-    census: SingularFiberCensus
-    trace: DefiniteFoldTrace
+
+    @property
+    def word(self) -> ConwayWord:
+        return self.strips.word
+
+    @property
+    def variant(self) -> str:
+        return self.strips.variant
+
+    @property
+    def granularity(self) -> str:
+        return self.strips.granularity
+
+    @cached_property
+    def trace(self) -> DefiniteFoldTrace:
+        return _definite_trace(self.blocks)
+
+    @cached_property
+    def census(self) -> SingularFiberCensus:
+        return _census_from_blocks(self.blocks, self.trace)
 
 
 _KINDS = ("type1", "type2", "type3", "type4")
@@ -207,7 +211,7 @@ def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
         entry = exit_section = _SECTION
     else:
         prime, dprime = (name.format(index + offset) for name, offset in EVENT_SLICES.values())
-        entry, exit_section = standard_cross_section(f"F{index}"), standard_cross_section(f"F{index + 1}")
+        entry, exit_section = CrossSection(f"F{index}"), CrossSection(f"F{index + 1}")
     # A cap has one section: a Type 1 block its exit, a Type 4 block its entry.
     entry, exit_section = (None if kind == "type1" else entry), (None if kind == "type4" else exit_section)
 
@@ -219,10 +223,10 @@ def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
     elif variant == "f2":
         events = (FiberEvent("II2", prime), FiberEvent("II2", dprime))
         permutation = SWAP_TOP if parity else IDENTITY
-        slices = (entry, standard_cross_section(prime), standard_cross_section(dprime), exit_section)
+        slices = (entry, CrossSection(prime), CrossSection(dprime), exit_section)
     else:
         events, saddle_map = (FiberEvent("II3", dprime),), "swap"
-        slices = (entry, standard_cross_section(dprime), exit_section)
+        slices = (entry, CrossSection(dprime), exit_section)
     cap = saddle_map == "join"
     return BlockMap(
         kind=kind,
@@ -456,19 +460,20 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
             f"{word} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    curve = outer_smooth(build_plat_diagram(word))
+    curve = outer_smooth(PlatDiagram(word))
     if variant == "f3":
         curve = bigon_reduce(curve)
     strips = strip_decompose(curve, variant, granularity)
 
     blocks = _RunSeq((build_block(strip, variant), count) for strip, count in _runs_of(strips.strips))
-    trace = _checked_trace(blocks, fraction)
-    census = _census_from_blocks(blocks, trace)
+    model = StableMapModel(strips, blocks)
+    _check_trace(model.trace, fraction)
+    census = model.census
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
     expected = (2 * word.m, 0) if variant == "f2" else (0, sum(abs(b) for b in word.b_entries) // 2)
     if (census.ii2, census.ii3) != expected:
         raise InvariantViolationError(f"census ({census.ii2}, {census.ii3}) != expected {expected}")
-    return StableMapModel(variant, word, granularity, strips, blocks, census, trace)
+    return model
 
 
 # One entry: no model outlives the next assembly.
@@ -483,11 +488,10 @@ def fiber_census(model: StableMapModel) -> SingularFiberCensus:
 
 def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     """Recompute the closed-curve decomposition of the definite fold set."""
-    return _checked_trace(model.blocks, fraction_of(model.word))
+    return _check_trace(_definite_trace(model.blocks), fraction_of(model.word))
 
 
-def _checked_trace(blocks: Sequence[BlockMap], fraction) -> DefiniteFoldTrace:
-    trace = _definite_trace(blocks)
+def _check_trace(trace: DefiniteFoldTrace, fraction) -> DefiniteFoldTrace:
     expected = component_count(fraction)
     if trace.count != expected:
         raise TraceMismatchError(
@@ -497,36 +501,21 @@ def _checked_trace(blocks: Sequence[BlockMap], fraction) -> DefiniteFoldTrace:
     return trace
 
 
-def _check_strips(model: StableMapModel) -> None:
-    """The strip decomposition against the model: the same word, variant
-    and granularity, the variant's Type 2 count, one strip per block."""
-    strips = model.strips
-    for name in ("word", "variant", "granularity"):
-        if getattr(strips, name) != getattr(model, name):
-            raise InvariantViolationError(
-                f"model {name} {getattr(model, name)!r} disagrees with its strips' {getattr(strips, name)!r}"
-            )
-    if strips.type2_count != strips.expected_type2:
-        raise InvariantViolationError("strip validation failed: ['type2_count']")
-    if len(model.blocks) != len(strips.strips):
-        raise InvariantViolationError("blocks and strips out of step")
-
-
 def validate_model(model: StableMapModel) -> None:
-    """Check that ``model`` equals the assembly of its word.  The strips
-    are checked against the model's fields and the trace re-derived from
-    the blocks first, so a permutation that changes the component count
-    raises ``TraceMismatchError``.  Then the strips, the blocks (run by
-    run: a long run costs one look) and the census are compared with the
-    assembly's, and the first difference raises ``InvariantViolationError``."""
-    _check_strips(model)
-    if trace_definite_folds(model) != model.trace:
-        raise TraceMismatchError("cached trace disagrees with the blocks")
+    """Check that ``model`` equals the assembly of its word.  After one
+    block per strip, the trace of the blocks is checked against the
+    fraction first, so a permutation that changes the component count
+    raises ``TraceMismatchError``.  Then the strips and the blocks (run
+    by run: a long run costs one look) are compared with the assembly's,
+    and the first difference raises ``InvariantViolationError``."""
+    if len(model.blocks) != len(model.strips.strips):
+        raise InvariantViolationError("blocks and strips out of step")
+    _check_trace(model.trace, fraction_of(model.word))
     try:
         fresh = assemble_stable_map(model.word, model.variant, model.granularity)
     except TwoBridgeError as err:
         raise InvariantViolationError(f"the word does not decompose: {err}") from None
-    if model.strips.strips != fresh.strips.strips:
+    if model.strips != fresh.strips:
         raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
     for block, catalogued, index in _paired(_runs_of(model.blocks), fresh.blocks.runs):
         if block is not catalogued and block != catalogued:
@@ -536,8 +525,3 @@ def validate_model(model: StableMapModel) -> None:
                 f"block {index}: {name} is {getattr(block, name, type(block))!r}, "
                 f"the catalogued {catalogued.kind} block has {getattr(catalogued, name, BlockMap)!r}"
             )
-    census, expected = model.census, fresh.census
-    if (census.ii2, census.ii3) != (expected.ii2, expected.ii3):
-        raise InvariantViolationError(f"census ({census.ii2}, {census.ii3}) != expected ({expected.ii2}, {expected.ii3})")
-    if census != expected:
-        raise InvariantViolationError("cached census disagrees with block logs")

@@ -88,7 +88,10 @@ def _fill(parts: list, template: str, n: int, fields: tuple, first: int = 0) -> 
     field ``{j}`` reads offset + k*step in row k for ``fields[j] = (offset,
     step)``: sliced out of the layout, then out of its period, for which
     only the thousands are written, one shared text per run of rows.  No
-    row is made as one string and no number is formatted per row."""
+    row is made as one string and no number is formatted per row; for
+    ``n <= 0`` nothing is appended."""
+    if n <= 0:
+        return
     rows, stride, period, slots = _layout(template, fields)
     end, top = first + n, max(first, len(rows) // stride)
     parts += rows[first * stride : min(end, top) * stride]

@@ -134,7 +134,7 @@ def _block_entries(blocks) -> list[dict]:
 
 
 # The last model exported and its text.  A model is matched by identity,
-# never by equality, which may write out the components of both traces;
+# never by equality, which would compare the strips and blocks run by run;
 # holding the model keeps its identity from passing to another object.
 _last_export: tuple = (None, "")
 

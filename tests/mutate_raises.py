@@ -74,6 +74,7 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
+        shutil.copy(ROOT / "README.md", work)  # tests/test_readme.py reads it
         if not passes(work, ["tests"]):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2

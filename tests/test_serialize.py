@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord
 from oracles import model_entries, random_even_b_words
-from twobridge.curves import GRANULARITIES, Column, Strip
-from twobridge.errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
+from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq
+from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
 from twobridge import serialize
 from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
@@ -106,9 +106,20 @@ def test_kept_model_and_text_are_never_another_threads():
 
 def test_tampered_model_exported_after_the_original_rejected(model):
     export_json(model)
-    tampered = replace(model, census=replace(model.census, ii2=model.census.ii2 + 1))
-    with pytest.raises(InvariantViolationError, match="census"):
+    runs = list(model.blocks.runs)
+    block, count = runs[1]
+    assert block.kind == "type3" and block.permutation == (1, 3, 2, 4)
+    runs[1] = (replace(block, permutation=(1, 2, 3, 4)), count)
+    tampered = replace(model, blocks=_RunSeq(runs))
+    with pytest.raises(InvariantViolationError, match=r"^blocks\[1\]\.permutation: "):
         import_json(export_json(tampered))
+
+
+def test_export_of_blocks_that_lose_a_strand_raises_when_it_reads_the_census(model):
+    runs = list(model.blocks.runs)
+    runs[1] = (replace(runs[1][0], permutation=(1, 1, 3, 4)), runs[1][1])
+    with pytest.raises(TraceMismatchError, match="block 1 permutation"):
+        export_json(replace(model, blocks=_RunSeq(runs)))
 
 
 def test_roundtrip_identity_across_variants_and_granularity(cold):
