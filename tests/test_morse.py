@@ -245,6 +245,32 @@ def test_a_model_is_its_strips_and_blocks():
     assert (relabelled.word, relabelled.variant, relabelled.granularity) == (other.word, "f3", "fine")
 
 
+def test_validate_model_rejects_tampered_census():
+    # the census is read off the blocks, so it is tampered through them:
+    # the Type 2 block loses one of its two II2 events
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
+    blocks = list(model.blocks)
+    assert blocks[3].kind == "type2" and len(blocks[3].events) == 2
+    blocks[3] = replace(blocks[3], events=blocks[3].events[:1])
+    tampered = replace(model, blocks=tuple(blocks))
+    assert tampered.census.ii2 == model.census.ii2 - 1
+    with pytest.raises(InvariantViolationError, match="^block 3: events is "):
+        validate_model(tampered)
+
+
+def test_validate_model_rejects_tampered_component_count():
+    # a Type 3 block that no longer crosses strands 2 and 3 joins the two
+    # definite fold circles into one
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
+    blocks = list(model.blocks)
+    assert blocks[1].kind == "type3"
+    blocks[1] = replace(blocks[1], permutation=(1, 2, 3, 4))
+    tampered = replace(model, blocks=tuple(blocks))
+    assert tampered.census.definite_components == model.census.definite_components - 1
+    with pytest.raises(TraceMismatchError, match="has 1 components, fraction 12/5 demands 2"):
+        validate_model(tampered)
+
+
 def test_validate_model_rejects_altered_permutation():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     j = next(i for i, block in enumerate(model.blocks) if block.kind == "type2")
@@ -315,6 +341,22 @@ def test_validate_model_rejects_an_event_slice_that_was_dropped():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_validate_model_rejects_a_census_that_mixes_fiber_types(variant):
+    # C(3,2,3,2,3) has two Type 2 blocks in either variant; one of them is
+    # taken from the other variant's model, so the census counts both II2 and II3
+    word = ConwayWord((3, 2, 3, 2, 3))
+    model = assemble_stable_map(word, variant)
+    other = assemble_stable_map(word, "f3" if variant == "f2" else "f2")
+    j = next(i for i, block in enumerate(model.blocks) if block.kind == "type2")
+    blocks = list(model.blocks)
+    blocks[j] = other.blocks[j]
+    tampered = replace(model, blocks=tuple(blocks))
+    assert tampered.census.ii2 and tampered.census.ii3
+    with pytest.raises(InvariantViolationError, match=f"^block {j}: events is "):
+        validate_model(tampered)
+
+
 def test_validate_model_rejects_a_positioned_event_tag():
     # build_block(..., index=4) names the event slices F4' and F5'', which
     # its own slices materialise but no document position can name
@@ -335,6 +377,17 @@ def test_validate_model_rejects_a_positioned_block_for_its_sections():
     blocks[4] = build_block(model.strips.strips[4], "f2", index=4)
     with pytest.raises(InvariantViolationError, match=r"block 4: entry is CrossSection\(tag='F4'"):
         validate_model(replace(model, blocks=tuple(blocks)))
+
+
+@pytest.mark.parametrize("field, value", [("word", ConwayWord((2, 2, 2))), ("variant", "f3"), ("granularity", "fine")])
+def test_validate_model_rejects_a_model_whose_fields_disagree_with_its_strips(field, value):
+    # the model reads its word, variant and granularity off its strips, so
+    # the strips are relabelled: the model then claims what its strips do not hold
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    tampered = replace(model, strips=replace(model.strips, **{field: value}))
+    assert getattr(tampered, field) == value and tampered.blocks is model.blocks
+    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\("):
+        validate_model(tampered)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(BlockMap)])
