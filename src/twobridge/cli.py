@@ -32,7 +32,7 @@ from .conway import (
     schubert_equivalent,
     twist_number,
 )
-from .curves import PlatDiagram, bigon_reduce, outer_smooth, strip_decompose
+from .curves import GRANULARITIES, VARIANTS, _curve, strip_decompose
 from .errors import (
     HypothesisError,
     NotReducedAlternatingError,
@@ -58,6 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+def _exit_status(err: Exception) -> int:
+    """The exit status of ``err``: 2 if a hypothesis failed, else 1."""
+    return EXIT_HYPOTHESIS if isinstance(err, HypothesisError) else EXIT_ERROR
 
 
 def _write_output(parts: list[str], path: str | None, out) -> None:
@@ -188,9 +193,7 @@ def _cmd_render(args, out) -> int:
     if args.subject == "model":
         subject = assemble_stable_map(word, args.variant, args.granularity)
     else:
-        curve = outer_smooth(PlatDiagram(word))
-        if args.variant == "f3":
-            curve = bigon_reduce(curve)
+        curve = _curve(word, args.variant)
         subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
     _write_output(_svg_parts(subject), args.output, out)
     return EXIT_OK
@@ -215,11 +218,7 @@ def _cmd_batch(args, out, parser: _Parser) -> int:
     if getattr(options, "output", None):
         raise _UsageError("batch writes each output into its record; -o/--output is not allowed")
     with open(args.input, encoding="utf-8") as handle:
-        inputs = [
-            line.strip()
-            for line in handle
-            if line.strip() and not line.strip().startswith("#")
-        ]
+        inputs = [line for line in map(str.strip, handle) if line and not line.startswith("#")]
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     statuses = set()
@@ -228,17 +227,11 @@ def _cmd_batch(args, out, parser: _Parser) -> int:
         try:
             status = options.run(argparse.Namespace(**{**vars(options), "word": text}), buffer)
             record = {"input": text, "exit": status, "output": buffer.getvalue()}
-        except HypothesisError as err:
-            record = {"input": text, "exit": EXIT_HYPOTHESIS, "error": str(err)}
         except (TwoBridgeError, OSError, ValueError) as err:
-            record = {"input": text, "exit": EXIT_ERROR, "error": str(err)}
+            record = {"input": text, "exit": _exit_status(err), "error": str(err)}
         out.write(json.dumps(record) + "\n")
         statuses.add(record["exit"])
-    if EXIT_ERROR in statuses:
-        return EXIT_ERROR
-    if EXIT_HYPOTHESIS in statuses:
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+    return max(statuses, key=(EXIT_OK, EXIT_HYPOTHESIS, EXIT_ERROR).index, default=EXIT_OK)  # the worst
 
 
 def _build_parser() -> _Parser:
@@ -252,8 +245,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("build", help="emit the model document for one word")
     p.set_defaults(run=_cmd_build)
     p.add_argument("word")
-    p.add_argument("--variant", choices=("f2", "f3"), required=True)
-    p.add_argument("--granularity", choices=("crossing", "region", "fine"), default="crossing")
+    p.add_argument("--variant", choices=VARIANTS, required=True)
+    p.add_argument("--granularity", choices=GRANULARITIES, default="crossing")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("certify", help="evaluate the smc = 2m certificate")
@@ -270,8 +263,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_render)
     p.add_argument("word")
     p.add_argument("--subject", choices=("curve", "strips", "model"), default="model")
-    p.add_argument("--variant", choices=("f2", "f3"), default="f2")
-    p.add_argument("--granularity", choices=("crossing", "region", "fine"), default="crossing")
+    p.add_argument("--variant", choices=VARIANTS, default="f2")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="crossing")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("normalize", help="search for an even-b Conway form")
@@ -308,11 +301,9 @@ def run_cli(argv: list[str]) -> int:
     except (TwoBridgeError, OSError, ValueError) as err:
         word = next((a for a in argv if a.strip().startswith(("C(", "["))), None)
         on = "" if word is None else f" on {word!r}"
-        if isinstance(err, HypothesisError):
-            print(f"hypothesis failure{on}: {err}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
-        print(f"error{on}: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        status = _exit_status(err)
+        print(f"{'hypothesis failure' if status == EXIT_HYPOTHESIS else 'error'}{on}: {err}", file=sys.stderr)
+        return status
 
 
 def main() -> None:

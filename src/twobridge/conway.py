@@ -308,11 +308,7 @@ def _expand_target(
     rec(target, 1, [], 0)
 
 
-def even_b_normalize(
-    word: ConwayWord,
-    sum_bound: int = DEFAULT_SUM_BOUND,
-    length_bound: int = DEFAULT_LENGTH_BOUND,
-) -> ConwayWord | FailureReport:
+def even_b_normalize(word: ConwayWord, sum_bound: int = DEFAULT_SUM_BOUND) -> ConwayWord | FailureReport:
     """Find an odd-length all-even-b word Schubert-equivalent (mirror off)
     to ``word``; returns the input unchanged when it already qualifies.
 
@@ -326,7 +322,7 @@ def even_b_normalize(
     f = fraction_of(word)
     policy = EquivalencePolicy(allow_mirror=False)
     targets = _expansion_targets(f)
-    for length_cap in range(1, length_bound + 1, 2):
+    for length_cap in range(1, DEFAULT_LENGTH_BOUND + 1, 2):
         witnesses: list[tuple[int, ...]] = []
         for target in targets:
             _expand_target(target, length_cap, sum_bound, witnesses)
@@ -340,10 +336,10 @@ def even_b_normalize(
         word=word,
         fraction=f,
         sum_bound=sum_bound,
-        length_bound=length_bound,
+        length_bound=DEFAULT_LENGTH_BOUND,
         note=(
             "no even-b word found by targeted continued-fraction expansion "
-            f"within sum {sum_bound} and length {length_bound}; "
+            f"within sum {sum_bound} and length {DEFAULT_LENGTH_BOUND}; "
             "existence is not excluded"
         ),
     )

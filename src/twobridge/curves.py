@@ -14,9 +14,12 @@ The plat model fixes one concrete realization of the Conway form:
 
 Smoothing every outer-adjacent crossing horizontally disconnects the
 (3,4)-strand circle, which is discarded; the rest is a single closed
-curve whose double points are exactly the b-crossings.  Geometry stays
-abstract throughout: strips are combinatorial tokens, and coordinates
-only exist in the SVG renderer.
+curve whose double points are exactly the b-crossings.  For the f3
+variant, bigon reduction then pairs them into self-tangencies; this
+module owns that pipeline (``_curve``) and the ``VARIANTS`` and
+``GRANULARITIES``, and assembly, import and the CLI read them here.
+Geometry stays abstract throughout: strips are combinatorial tokens,
+and coordinates only exist in the SVG renderer.
 
 A plat diagram holds one of four shared Crossing objects per twist
 region, a curve one of six shared Column objects per twist region and a
@@ -43,6 +46,7 @@ from .errors import (
     VariantMismatchError,
 )
 
+VARIANTS = ("f2", "f3")
 GRANULARITIES = ("crossing", "region", "fine")
 
 A_STRANDS = (2, 3)
@@ -301,6 +305,12 @@ def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
     return ImmersedCurve(word=c.word, variant="f3", columns=_RunSeq(runs))
 
 
+def _curve(word: ConwayWord, variant: str) -> ImmersedCurve:
+    """The curve of a ``variant`` model of ``word``: its plat's outer smoothing, bigon-reduced for f3."""
+    curve = outer_smooth(PlatDiagram(word))
+    return bigon_reduce(curve) if variant == "f3" else curve
+
+
 def strip_decompose(
     curve: ImmersedCurve, variant: str, granularity: str = "crossing"
 ) -> StripDecomposition:
@@ -313,7 +323,7 @@ def strip_decompose(
     Type 2 content is invariant.  Strips of one kind over the same
     column runs are one object, wherever they sit.
     """
-    if variant not in ("f2", "f3"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")

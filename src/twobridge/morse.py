@@ -39,14 +39,13 @@ from itertools import permutations, product
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
     GRANULARITIES,
-    PlatDiagram,
+    VARIANTS,
     Strip,
     StripDecomposition,
     _RunSeq,
+    _curve,
     _paired,
     _runs_of,
-    bigon_reduce,
-    outer_smooth,
     strip_decompose,
 )
 from .errors import (
@@ -243,7 +242,7 @@ def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
 
 # The catalogue of local models: one relative block per strip kind,
 # crossing parity and variant, shared by every model.
-_CATALOGUE = {key: _block(*key, None) for key in product(_KINDS, (0, 1), ("f2", "f3"))}
+_CATALOGUE = {key: _block(*key, None) for key in product(_KINDS, (0, 1), VARIANTS)}
 
 
 def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMap:
@@ -251,7 +250,7 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
     is checked against the variant: without ``index`` the one shared
     relative block for the strip's kind, crossing parity and variant
     (``_CATALOGUE``), with it a new block tagged by position (``_block``)."""
-    if variant not in ("f2", "f3"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     kind = strip.kind
     if kind not in _KINDS:
@@ -391,11 +390,8 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
     for perm, count, _ in _permutation_runs(blocks):
         for track in tracks:
-            if count == 1:
-                track.append(perm[track[-1] - 1])
-            else:
-                orbit = _orbit(perm, perm[track[-1] - 1])
-                track += (orbit * (count // len(orbit) + 1))[:count]
+            orbit = _orbit(perm, perm[track[-1] - 1])
+            track += (orbit * (count // len(orbit) + 1))[:count]
     sections = list(range(1, len(blocks)))
     components = []
     for legs in _cycles(left, (0, *(track[-1] for track in tracks)), right):
@@ -447,7 +443,7 @@ def assemble_stable_map(
     one equals a fresh one; it passed assembly's checks when it was built.
     A call that raises is not kept.
     """
-    if variant in ("f2", "f3") and granularity in GRANULARITIES:
+    if variant in VARIANTS and granularity in GRANULARITIES:
         return _last_model(word, variant, granularity)
     # An unknown variant or granularity, which need not even hash, takes
     # the same path to the same error, past the memo.
@@ -460,10 +456,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
             f"{word} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    curve = outer_smooth(PlatDiagram(word))
-    if variant == "f3":
-        curve = bigon_reduce(curve)
-    strips = strip_decompose(curve, variant, granularity)
+    strips = strip_decompose(_curve(word, variant), variant, granularity)
 
     blocks = _RunSeq((build_block(strip, variant), count) for strip, count in _runs_of(strips.strips))
     model = StableMapModel(strips, blocks)

@@ -4,8 +4,9 @@ The document is the single source of truth for a model: schema version
 "1", closed schema (unknown fields are rejected, not ignored), integer
 numerics only.  Import never trusts the document's census: the model is
 re-derived from the word and every stored structure is checked against
-the fresh one.  ``granularity`` is stored so that round-trips are
-lossless across slicing conventions.
+the fresh one, and a text shorter than the export it names is parsed,
+never exported to compare.  ``granularity`` is stored so that
+round-trips are lossless across slicing conventions.
 """
 
 from __future__ import annotations
@@ -13,21 +14,27 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import _mapped, _runs_of
+from .curves import GRANULARITIES, VARIANTS, _mapped, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
-from .morse import EVENT_SLICES, StableMapModel, assemble_stable_map
+from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
 from .render import _pieces
 
 SCHEMA_VERSION = "1"
 
 _TOP_KEYS = ("schema_version", "conway", "variant", "granularity", "fraction", "strips", "blocks", "census", "bounds")
+# The fields that are objects of integers, with their keys.
+_INT_FIELDS = {
+    "fraction": ("p", "q"),
+    "census": tuple(f.name for f in fields(SingularFiberCensus)),
+    "bounds": ("smc_upper", "weighted_sum"),
+}
 
 
 def _strip_entry(strip) -> dict:
@@ -92,6 +99,12 @@ def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> s
     if events and len(_pieces(text)) != 2 * len(events) + 1:
         raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
     return text
+
+
+# No export is shorter per block than the shortest strip and catalogued block texts with separators.
+_MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0) + ",\n") + min(
+    len(_block_template(block.kind, block.events, block.permutation)) for block in _CATALOGUE.values()
+)
 
 
 def _block_rows(parts: list, blocks) -> None:
@@ -201,7 +214,7 @@ def _require_int(value, where: str) -> int:
 _CANONICAL_HEAD = re.compile(
     r'\{\n  "schema_version": ' + re.escape(json.dumps(SCHEMA_VERSION)) + r',\n'
     r'  "conway": "([^"\\\n]*)",\n'
-    r'  "variant": "(f2|f3)",\n  "granularity": "(crossing|region|fine)",\n'
+    rf'  "variant": "({"|".join(VARIANTS)})",\n  "granularity": "({"|".join(GRANULARITIES)})",\n'
 )
 _TAIL_START = '\n  "bounds": {\n'
 _CANONICAL_TAIL = re.compile(
@@ -231,7 +244,8 @@ def import_json(text: str) -> StableMapModel:
     A document that is byte for byte the export of that assembly is
     accepted as it stands; any other is parsed and checked field by
     field, schema first.  Only a text that opens and closes as an export
-    does is assembled before it is parsed.  A word of more than
+    does is assembled before it is parsed, and only one no shorter than
+    that assembly's export can be is compared with it.  A word of more than
     ``MAX_CROSSINGS`` crossings raises ``WordTooLargeError`` before any
     assembly.  The export of the model assembled last finds that model
     and its text kept (``assemble_stable_map``, ``export_json``), so
@@ -247,7 +261,7 @@ def import_json(text: str) -> StableMapModel:
         except TwoBridgeError:
             pass  # reported below, after the schema checks
         else:
-            if export_json(model) == text:
+            if len(text) >= len(model.blocks) * _MIN_BLOCK_TEXT and export_json(model) == text:
                 return model  # an export of a fresh assembly passes every check below
     try:
         doc = json.loads(text)
@@ -256,13 +270,12 @@ def import_json(text: str) -> StableMapModel:
     _require_keys(doc, _TOP_KEYS, "document")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc['schema_version']!r}")
-    if doc["variant"] not in ("f2", "f3"):
+    if doc["variant"] not in VARIANTS:
         raise SchemaError(f"unknown variant {doc['variant']!r}")
-    if doc["granularity"] not in ("crossing", "region", "fine"):
+    if doc["granularity"] not in GRANULARITIES:
         raise SchemaError(f"unknown granularity {doc['granularity']!r}")
-    _require_keys(doc["fraction"], ("p", "q"), "fraction")
-    _require_keys(doc["census"], ("ii2", "ii3", "definite_components", "indefinite_circles"), "census")
-    _require_keys(doc["bounds"], ("smc_upper", "weighted_sum"), "bounds")
+    for name, keys in _INT_FIELDS.items():
+        _require_keys(doc[name], keys, name)
     if not isinstance(doc["strips"], list) or not isinstance(doc["blocks"], list):
         raise SchemaError("strips and blocks must be arrays")
     for i, strip in enumerate(doc["strips"]):
@@ -281,12 +294,9 @@ def import_json(text: str) -> StableMapModel:
             != [1, 2, 3, 4]
         ):
             raise SchemaError(f"blocks[{i}].permutation must be a permutation of 1..4")
-    for key in ("ii2", "ii3", "definite_components", "indefinite_circles"):
-        _require_int(doc["census"][key], f"census.{key}")
-    for key in ("p", "q"):
-        _require_int(doc["fraction"][key], f"fraction.{key}")
-    for key in ("smc_upper", "weighted_sum"):
-        _require_int(doc["bounds"][key], f"bounds.{key}")
+    for name, keys in _INT_FIELDS.items():
+        for key in keys:
+            _require_int(doc[name][key], f"{name}.{key}")
     if not isinstance(doc["conway"], str):
         raise SchemaError(f"conway: expected a string, got {doc['conway']!r}")
 

@@ -311,6 +311,13 @@ def test_batch_hard_error_wins(tmp_path, capsys):
     assert run_cli(["batch", "--command", "analyze", "--input", str(words)]) == 1
 
 
+def test_batch_of_no_words_exits_0_with_no_records(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("# no words\n\n   \n")
+    assert run_cli(["batch", "--command", "analyze", "--input", str(words)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_batch_output_does_not_depend_on_jobs(tmp_path, capsys):
     words = tmp_path / "words.txt"
     words.write_text("C(3,2,3)\nC(2,1,2)\nC(3,x)\nC(2,4,2,-2,2)\nC(5)\n")

@@ -210,6 +210,12 @@ def test_component_count_matches_strand_tracing(word):
     assert component_count(f) == plat_component_count_of_entries(word.entries)
 
 
+def test_a_and_b_entries_alternate_from_the_first_entry():
+    word = ConwayWord((3, 2, -5, 4, 7))
+    assert word.a_entries == (3, -5, 7) and word.b_entries == (2, 4) and word.m == 2
+    assert ConwayWord((7,)).a_entries == (7,) and ConwayWord((7,)).b_entries == ()
+
+
 def test_all_b_even():
     assert all_b_even(ConwayWord((3, 2, 3)))
     assert not all_b_even(ConwayWord((2, 1, 2)))

@@ -253,3 +253,10 @@ def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
     if flat:
         changed = (Column("tangency", 1),) + flat[1:]
         assert seq != changed and seq != _RunSeq(_runs(changed))
+
+
+def test_a_run_length_sequence_equals_no_list():
+    # as a tuple equals no list, whatever it holds
+    seq = _RunSeq([(POOL[0], 2), (POOL[1], 1)])
+    assert seq.__eq__(list(seq)) is NotImplemented
+    assert seq != list(seq) and not seq == list(seq)

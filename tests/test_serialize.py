@@ -330,6 +330,40 @@ def test_truncated_export_is_not_assembled(keep, monkeypatch):
         import_json(cut)
 
 
+def test_a_text_shorter_than_the_export_it_names_is_parsed_not_exported(model, monkeypatch):
+    # an export's opening and closing lines, 0.2 KB, around a word whose export is 183 MB
+    text = export_json(model)
+    short = text[: text.index('  "fraction"')] + text[text.rindex(serialize._TAIL_START) + 1 :]
+    short = short.replace('"C(3,2,3)"', '"C(3,2,999990)"')
+    assert serialize._export_head(short) is not None and len(short) < 200
+
+    def refuse(*args):
+        raise AssertionError("a text shorter than the export it names was compared with it")
+
+    monkeypatch.setattr(serialize, "export_json", refuse)
+    with pytest.raises(SchemaError, match=r"^document: missing fields "):
+        import_json(short)
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_no_export_is_shorter_than_the_bound_that_skips_the_comparison(variant, granularity):
+    for entries in [(3, 2, 3), (-1, -2, -1), *random_even_b_words(7, 30)]:
+        model = assemble_stable_map(ConwayWord(entries), variant, granularity)
+        assert len(export_json(model)) >= len(model.blocks) * serialize._MIN_BLOCK_TEXT, entries
+
+
+def test_an_export_passed_as_bytes_is_parsed_and_checked(model, monkeypatch):
+    text = export_json(model)
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda doc: parsed.append(doc) or loads(doc))
+    assert import_json(text.encode()) == model
+    assert parsed == [text.encode()]
+    with pytest.raises(InvariantViolationError, match=r"^census\.ii2: document 3, recomputed 2$"):
+        import_json(text.replace('"ii2": 2', '"ii2": 3').encode())
+
+
 @pytest.mark.parametrize("layout", ["export", "compact"])
 def test_word_over_the_crossing_limit_is_refused_before_assembly(model, layout, monkeypatch):
     # a document of about 2 KB that names a word of 2,000,005 crossings
