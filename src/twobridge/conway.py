@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import (
     ConwaySyntaxError,
@@ -82,23 +84,24 @@ class ConwayWord:
 class SchubertFraction:
     """Normalized classifying fraction: 0 < q < p, gcd(p, q) = 1.
 
-    ``q_inverse`` is the multiplicative inverse of q mod p; its
-    existence witnesses coprimality.
+    ``q_inverse``, the multiplicative inverse of q mod p, is computed
+    when first read: only comparing two fractions needs it.
     """
 
     p: int
     q: int
-    q_inverse: int
 
     def __post_init__(self):
         if self.p < 2:
             raise DegenerateFractionError(f"p = {self.p} < 2")
+        if gcd(self.p, self.q) != 1:
+            raise DegenerateFractionError(f"gcd({self.p}, {self.q}) != 1")
         if not 0 < self.q < self.p:
             raise DegenerateFractionError(f"q = {self.q} outside (0, {self.p})")
-        if (self.q * self.q_inverse) % self.p != 1:
-            raise DegenerateFractionError(
-                f"{self.q_inverse} is not the inverse of {self.q} mod {self.p}"
-            )
+
+    @cached_property
+    def q_inverse(self) -> int:
+        return pow(self.q, -1, self.p)
 
     @classmethod
     def normalized(cls, p: int, q: int) -> "SchubertFraction":
@@ -107,12 +110,7 @@ class SchubertFraction:
             p, q = -p, -q
         if p < 2:
             raise DegenerateFractionError(f"|p| = {p} < 2: not a two-bridge fraction")
-        q %= p
-        try:
-            inv = pow(q, -1, p)
-        except ValueError:
-            raise DegenerateFractionError(f"gcd({p}, {q}) != 1") from None
-        return cls(p, q, inv)
+        return cls(p, q % p)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -308,6 +306,19 @@ def _expand_target(
     rec(target, 1, [], 0)
 
 
+def _witnesses(f: SchubertFraction, sum_bound: int) -> list[tuple[int, ...]]:
+    """The even-b words expanding to ``f``'s targets, so in its mirror-free
+    class (``_expansion_targets``), at the first odd length cap with any."""
+    targets = _expansion_targets(f)
+    for length_cap in range(1, DEFAULT_LENGTH_BOUND + 1, 2):
+        witnesses: list[tuple[int, ...]] = []
+        for target in targets:
+            _expand_target(target, length_cap, sum_bound, witnesses)
+        if witnesses:
+            break
+    return witnesses
+
+
 def even_b_normalize(word: ConwayWord, sum_bound: int = DEFAULT_SUM_BOUND) -> ConwayWord | FailureReport:
     """Find an odd-length all-even-b word Schubert-equivalent (mirror off)
     to ``word``; returns the input unchanged when it already qualifies.
@@ -320,18 +331,8 @@ def even_b_normalize(word: ConwayWord, sum_bound: int = DEFAULT_SUM_BOUND) -> Co
     if all_b_even(word):
         return word
     f = fraction_of(word)
-    policy = EquivalencePolicy(allow_mirror=False)
-    targets = _expansion_targets(f)
-    for length_cap in range(1, DEFAULT_LENGTH_BOUND + 1, 2):
-        witnesses: list[tuple[int, ...]] = []
-        for target in targets:
-            _expand_target(target, length_cap, sum_bound, witnesses)
-        # A witness's continued fraction is its target +-p/y, with p >= 2
-        # and gcd(y, p) = 1, so its fraction always normalizes.
-        candidates = map(ConwayWord, set(witnesses))
-        valid = [w for w in candidates if schubert_equivalent(fraction_of(w), f, policy)]
-        if valid:
-            return min(valid, key=lambda w: (len(w.entries), w.sum_abs, w.entries))
+    if witnesses := _witnesses(f, sum_bound):
+        return ConwayWord(min(witnesses, key=lambda w: (len(w), sum(map(abs, w)), w)))
     return FailureReport(
         word=word,
         fraction=f,

@@ -16,15 +16,14 @@ import re
 import reprlib
 from dataclasses import asdict, fields
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from operator import attrgetter, itemgetter
+from itertools import repeat
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
 from .curves import GRANULARITIES, VARIANTS, _mapped, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
-from .render import _pieces
+from .render import _fill, _pieces
 
 SCHEMA_VERSION = "1"
 
@@ -109,26 +108,22 @@ _MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0) + ",\n") + min(
 
 def _block_rows(parts: list, blocks) -> None:
     """Append the text and separator of every block: one template per
-    distinct block, laid out along the runs, and filled in for each run of
-    blocks with events by slice assignment.  A block's event slice tags
-    name its own section or the next, relative to its position
-    (``EVENT_SLICES``)."""
+    distinct block, laid out along the runs, and for each run of blocks
+    with events filled in by ``render._fill``, whose fields are the
+    events' section numbers.  A block's event slice tags name its own
+    section or the next, relative to its position (``EVENT_SLICES``)."""
     texts = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
     if None in texts:
         j = texts.index(None)
         bad = next(e.slice for e in blocks[j].events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {j}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-    runs, done = _runs_of(blocks), 0
-    starts = accumulate(map(itemgetter(1), runs), initial=0)
-    for (block, count), first in compress(zip(runs, starts), map(attrgetter("events"), map(itemgetter(0), runs))):
-        parts += texts[done:first]
-        pieces, offsets = _pieces(texts[first]), [first + EVENT_SLICES[e.slice][1] for e in block.events]
-        start, stride = len(parts), len(pieces)
-        parts += repeat(pieces[0], count * stride)
-        for i, piece in enumerate(pieces[1:], 1):
-            parts[start + i :: stride] = map(str, range(offsets[int(piece)], offsets[int(piece)] + count)) if i % 2 else repeat(piece, count)
-        done = first + count
-    parts += texts[done:]
+    first = 0
+    for block, count in _runs_of(blocks):
+        if block.events:
+            _fill(parts, texts[first], count, tuple((EVENT_SLICES[e.slice][1], 1) for e in block.events), first)
+        else:
+            parts += texts[first : first + count]
+        first += count
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -146,12 +141,7 @@ def _block_entries(blocks) -> list[dict]:
     return entries
 
 
-# The last model exported and its text.  A model is matched by identity,
-# never by equality, which would compare the strips and blocks run by run;
-# holding the model keeps its identity from passing to another object.
-_last_export: tuple = (None, "")
-
-
+@lru_cache(maxsize=1)
 def export_json(model: StableMapModel) -> str:
     """Serialize with deterministic field order; integers only.
 
@@ -159,17 +149,11 @@ def export_json(model: StableMapModel) -> str:
     encoder is pure Python.  The document is therefore laid out as one
     list of parts and joined once (``_export_parts``): the long "strips"
     and "blocks" arrays from one cached text per distinct strip or block,
-    with the slice tags of a block's events filled in per position, and
-    only the short fields through the encoder.  The text of the last
-    model exported is kept and returned again for the same model object.
+    with the slice tags of a block's events filled in per run, and only
+    the short fields through the encoder.  The last text is kept and
+    returned again for an equal model, whose export it is.
     """
-    global _last_export
-    last, text = _last_export
-    if last is model:
-        return text
-    text = "".join(_export_parts(model))
-    _last_export = (model, text)
-    return text
+    return "".join(_export_parts(model))
 
 
 def _export_parts(model: StableMapModel) -> list[str]:

@@ -18,7 +18,7 @@ def cold():
 
     def call(function, *args):
         morse._last_model.cache_clear()
-        serialize._last_export = (None, "")
+        serialize.export_json.cache_clear()
         return function(*args)
 
     return call

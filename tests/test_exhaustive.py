@@ -1,10 +1,11 @@
 """Every small word through the whole pipeline, checked against the
 independent oracles of ``oracles.py``.
 
-Tier-1 sweeps the even-b words of magnitude sum at most 8.  The larger
-sweeps run as a CI step:
+Tier-1 sweeps the even-b words of magnitude sum at most 8 and the
+normalize witnesses of the odd-b words of magnitude sum at most 7.  The
+larger sweeps run as a CI step:
 
-    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12))'
+    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9))'
 """
 
 import contextlib
@@ -21,7 +22,16 @@ from oracles import (
 )
 from twobridge import morse, serialize
 from twobridge.cli import run_cli
-from twobridge.conway import ConwayWord, all_b_even, format_conway
+from twobridge.conway import (
+    DEFAULT_SUM_BOUND,
+    ConwayWord,
+    EquivalencePolicy,
+    _witnesses,
+    all_b_even,
+    format_conway,
+    fraction_of,
+    schubert_equivalent,
+)
 from twobridge.curves import GRANULARITIES, bigon_reduce, build_plat_diagram, outer_smooth
 from twobridge.errors import DegenerateFractionError, EvenBRequiredError
 from twobridge.morse import assemble_stable_map, validate_model
@@ -33,7 +43,7 @@ def _forget():
     """Drop the model assembled last and the text exported last, so the
     next call assembles and exports as a fresh process would."""
     morse._last_model.cache_clear()
-    serialize._last_export = (None, "")
+    serialize.export_json.cache_clear()
 
 
 def sweep_even_b_words(max_sum: int) -> tuple[int, int]:
@@ -106,5 +116,31 @@ def check_odd_b_words(cli_max_sum: int, library_max_sum: int) -> tuple[int, int]
     return cli_words, library_words
 
 
+def check_normalize_witnesses(max_sum: int) -> tuple[int, int]:
+    """Every witness that ``even_b_normalize`` chooses among
+    (``conway._witnesses``), for every odd-b word of
+    ``all_entry_tuples(max_sum)`` whose fraction is two-bridge, is
+    Schubert-equivalent to the word with the mirror off: the search
+    returns the least witness unchecked.  Returns the number of words and
+    of witnesses."""
+    strict = EquivalencePolicy(allow_mirror=False)
+    words = witnesses = 0
+    for word in _odd_b_words(max_sum):
+        try:
+            f = fraction_of(word)
+        except DegenerateFractionError:
+            continue
+        words += 1
+        found = _witnesses(f, DEFAULT_SUM_BOUND)
+        for entries in found:
+            assert schubert_equivalent(fraction_of(ConwayWord(entries)), f, strict), (word, entries)
+        witnesses += len(found)
+    return words, witnesses
+
+
 def test_every_even_b_word_up_to_magnitude_sum_8():
     assert sweep_even_b_words(8) == (320, 28)
+
+
+def test_every_normalize_witness_up_to_magnitude_sum_7():
+    assert check_normalize_witnesses(7) == (672, 2408)

@@ -14,7 +14,7 @@ from twobridge.conway import ConwayWord
 from oracles import model_entries, random_even_b_words
 from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq
 from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
-from twobridge import serialize
+from twobridge import morse, serialize
 from twobridge.morse import assemble_stable_map, build_block
 from twobridge.serialize import export_json, import_json
 
@@ -102,6 +102,14 @@ def test_kept_model_and_text_are_never_another_threads():
     finally:
         sys.setswitchinterval(interval)
     assert results == [True] * len(words)
+
+
+def test_an_equal_model_finds_the_kept_text(model):
+    text = export_json(model)
+    morse._last_model.cache_clear()
+    again = assemble_stable_map(model.word, model.variant, model.granularity)
+    assert again == model and again is not model
+    assert export_json(again) is text
 
 
 def test_tampered_model_exported_after_the_original_rejected(model):
