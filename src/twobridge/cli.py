@@ -68,7 +68,7 @@ def _exit_status(err: Exception) -> int:
 def _write_output(parts: list[str], path: str | None, out) -> None:
     """Write a document's parts to ``path`` or else to ``out``, joined
     65536 at a time, so that the whole document is never one string."""
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             return _write_output(parts, None, handle)
     for i in range(0, len(parts), 65536):
@@ -215,7 +215,7 @@ def _cmd_normalize(args, out) -> int:
 
 def _cmd_batch(args, out, parser: _Parser) -> int:
     options = parser.parse_args([args.command, *args.args, "WORD"])
-    if getattr(options, "output", None):
+    if getattr(options, "output", None) is not None:
         raise _UsageError("batch writes each output into its record; -o/--output is not allowed")
     with open(args.input, encoding="utf-8") as handle:
         inputs = [line for line in map(str.strip, handle) if line and not line.startswith("#")]

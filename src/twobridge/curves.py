@@ -143,14 +143,6 @@ class PlatDiagram:
         runs = ((_CROSSINGS[region % 2 == 0, entry > 0], abs(entry)) for region, entry in enumerate(self.word.entries))
         return _RunSeq(runs)
 
-    @property
-    def total_crossings(self) -> int:
-        return len(self.crossings)
-
-    @property
-    def region_counts(self) -> tuple[int, ...]:
-        return tuple(map(_count, _runs_of(self.crossings)))
-
 
 @dataclass(frozen=True)
 class Column:
@@ -173,18 +165,6 @@ class ImmersedCurve:
     variant: str  # 'f2' (double points) | 'f3' (tangencies)
     columns: Sequence[Column] = field(hash=False)
 
-    @property
-    def double_points(self) -> int:
-        return sum(n for c, n in _runs_of(self.columns) if c.kind == "crossing")
-
-    @property
-    def tangencies(self) -> int:
-        return sum(n for c, n in _runs_of(self.columns) if c.kind == "tangency")
-
-    @property
-    def tile_word(self) -> tuple[str, ...]:
-        return ("cap_left",) + tuple(c.kind for c in self.columns) + ("cap_right",)
-
 
 @dataclass(frozen=True)
 class Strip:
@@ -204,19 +184,8 @@ class StripDecomposition:
     granularity: str
     strips: Sequence[Strip] = field(hash=False)
 
-    @property
-    def n(self) -> int:
-        """Number of separating segments: strip count minus one."""
-        return len(self.strips) - 1
 
-    @property
-    def type2_count(self) -> int:
-        return sum(n for s, n in _runs_of(self.strips) if s.kind == "type2")
-
-
-def build_plat_diagram(word: ConwayWord) -> PlatDiagram:
-    """The plat diagram of ``word``."""
-    return PlatDiagram(word)
+build_plat_diagram = PlatDiagram  # the public name the benchmark times as curves.plat
 
 
 def _runs(items) -> list[tuple[object, int]]:

@@ -10,7 +10,7 @@ every intermediate slice carries a tree of the same shape.
 A block depends only on its strip's kind, the parity of the strip's
 crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
-of a catalogued block is that tree, which a test checks once.  An
+is a ``CrossSection``, a tag, and the class holds the tree once.  An
 assembled model holds catalogued blocks, repeated, as runs ``(block,
 count)`` (``curves._RunSeq``): assembly, the trace and the census take
 one step per run.  Assembly checks the trace against the fraction and
@@ -35,6 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations, product
+from typing import ClassVar
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -57,7 +58,6 @@ from .errors import (
 )
 
 LEAVES = (1, 2, 3, 4)
-SADDLES = ("s_hi", "s_lo")
 IDENTITY = (1, 2, 3, 4)
 SWAP_MIDDLE = (1, 3, 2, 4)  # transposition induced by one middle-strand crossing
 SWAP_TOP = (2, 1, 3, 4)  # transposition induced by one top-strand crossing
@@ -72,36 +72,14 @@ EVENT_SLICES = {"F'": ("F{}'", 0), "F''": ("F{}''", 1)}
 
 @dataclass(frozen=True)
 class CrossSection:
-    """Reeb tree of the standard cross-section Morse function."""
+    """A slice, by its tag.  Every slice carries the Reeb tree of the
+    standard cross-section, which the construction fixes, so the tree is
+    the class's, not each slice's."""
 
     tag: str
-    leaves: tuple[int, ...] = LEAVES
-    saddles: tuple[str, ...] = SADDLES
-    edges: tuple[tuple[object, object], ...] = (
-        (1, "s_hi"),
-        (2, "s_hi"),
-        ("s_hi", "s_lo"),
-        ("s_lo", 3),
-        ("s_lo", 4),
-    )
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def trivalent_count(self) -> int:
-        return len(self.saddles)
-
-    def is_tree(self) -> bool:
-        """Connected, over its own vertices, with one edge fewer than vertices."""
-        vertices = {*self.leaves, *self.saddles}
-        if len(self.edges) != len(vertices) - 1:
-            return False
-        reached = {next(iter(vertices))}
-        for _ in vertices:  # each pass reaches one edge further
-            reached |= {v for edge in self.edges if reached.intersection(edge) for v in edge}
-        return reached == vertices
+    leaves: ClassVar[tuple[int, ...]] = LEAVES
+    saddles: ClassVar[tuple[str, ...]] = ("s_hi", "s_lo")
+    edges: ClassVar[tuple[tuple[object, object], ...]] = ((1, "s_hi"), (2, "s_hi"), saddles, ("s_lo", 3), ("s_lo", 4))
 
 
 # The one section that every relative block has as its entry and exit,

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .curves import ImmersedCurve, StripDecomposition, _mapped, _runs_of
-from .morse import StableMapModel
+from .morse import CrossSection, StableMapModel
 
 MARGIN = 16
 COL_W = 28
@@ -180,17 +180,12 @@ def _strip_parts(parts: list, strips) -> list[str]:
     return parts
 
 
-# The standard cross-section tree: two leaves above, two below, with
-# {0}, {1} and {2} for its left, middle and right x.
+# The standard cross-section tree, edge by edge: leaves 1 and 2 above,
+# 3 and 4 below, the saddles between, with {0}, {1} and {2} for the
+# left, middle and right x.
 _TOP, _HI, _LO, _BOT = (STRIP_BOT + MARGIN + k * TREE_H // 3 for k in range(4))
-_TREE = (
-    '<g class="reeb-tree">'
-    + "".join(
-        _line(*edge, "reeb-edge")
-        for edge in (("{0}", _TOP, "{1}", _HI), ("{2}", _TOP, "{1}", _HI), ("{1}", _HI, "{1}", _LO), ("{1}", _LO, "{0}", _BOT), ("{1}", _LO, "{2}", _BOT))
-    )
-    + "</g>\n"
-)
+_PLACES = {1: ("{0}", _TOP), 2: ("{2}", _TOP), "s_hi": ("{1}", _HI), "s_lo": ("{1}", _LO), 3: ("{0}", _BOT), 4: ("{2}", _BOT)}
+_TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in CrossSection.edges) + "</g>\n"
 
 
 def _event_dots(block) -> tuple[str, ...]:

@@ -481,3 +481,21 @@ def oracle_trace(blocks):
             prev, here = here, nxt
         cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def acyclic_oracle(edges) -> bool:
+    """Whether ``edges`` form a tree over the vertices they touch:
+    depth-first search with parent tracking, independent of the library."""
+    adjacency = {}
+    for u, v in edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    seen = set()
+    stack = [(next(iter(adjacency)), None)]
+    while stack:
+        node, parent = stack.pop()
+        if node in seen:
+            return False
+        seen.add(node)
+        stack.extend((nbr, node) for nbr in adjacency[node] if nbr != parent)
+    return len(seen) == len(adjacency)

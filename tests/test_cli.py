@@ -86,6 +86,23 @@ def test_output_to_a_file_is_the_output_to_stdout(argv, tmp_path, capsys):
     assert target.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("argv", [["build", "C(3,2,3)", "--variant", "f2"], ["render", "C(3,2,3)"]])
+def test_an_empty_output_path_is_a_path_that_cannot_be_opened(argv, capsys):
+    assert run_cli([*argv, "-o", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error on 'C(3,2,3)': [Errno 2] No such file or directory: ''\n"
+
+
+def test_batch_refuses_an_empty_output_path(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("C(3,2,3)\n")
+    assert run_cli(["batch", "--command", "build", "--input", str(words), "--", "--variant", "f2", "-o", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: batch writes each output into its record; -o/--output is not allowed\n"
+
+
 def test_certify_with_volume(capsys):
     assert run_cli(["certify", "C(2,2,2)", "--volume", "14.0"]) == 0
     out = capsys.readouterr().out

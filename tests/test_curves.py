@@ -25,6 +25,11 @@ from twobridge.errors import (
     VariantMismatchError,
 )
 
+def _count(items, kind) -> int:
+    """How many of ``items`` (columns or strips) are of ``kind``."""
+    return [x.kind for x in items].count(kind)
+
+
 entry = st.integers(min_value=-6, max_value=6).filter(lambda e: e != 0)
 words = st.lists(entry, min_size=1, max_size=7).filter(lambda l: len(l) % 2 == 1).map(
     lambda l: ConwayWord(tuple(l))
@@ -33,13 +38,13 @@ words = st.lists(entry, min_size=1, max_size=7).filter(lambda l: len(l) % 2 == 1
 
 def test_diagram_crossing_counts():
     d = build_plat_diagram(ConwayWord((3, 2, 3)))
-    assert d.total_crossings == 8
-    assert d.region_counts == (3, 2, 3)
+    assert len(d.crossings) == 8
+    assert tuple(n for _, n in d.crossings.runs) == (3, 2, 3)
 
 
 def test_diagram_sign_tags():
     d = build_plat_diagram(ConwayWord((2, -2, 2)))
-    assert d.total_crossings == 6
+    assert len(d.crossings) == 6
     middle = d.crossings[2:4]
     assert all(x.entry_sign == -1 for x in middle)
     # negative b maps to a positive braid exponent under the alternating rule
@@ -51,8 +56,8 @@ def test_diagram_sign_tags():
 
 def test_diagram_single_region():
     d = build_plat_diagram(ConwayWord((5,)))
-    assert d.total_crossings == 5
-    assert d.region_counts == (5,)
+    assert len(d.crossings) == 5
+    assert tuple(n for _, n in d.crossings.runs) == (5,)
 
 
 @given(words)
@@ -73,6 +78,7 @@ def test_plat_diagram_matches_the_per_crossing_oracle(word):
 def test_a_plat_diagram_is_its_word():
     word = ConwayWord((3, -2, 3))
     assert [f.name for f in fields(PlatDiagram)] == ["word"]
+    assert build_plat_diagram is PlatDiagram
     assert PlatDiagram(word) == build_plat_diagram(word)
 
 
@@ -80,26 +86,26 @@ def test_a_plat_diagram_is_its_word():
 
 def test_outer_smooth_double_points():
     curve = outer_smooth(build_plat_diagram(ConwayWord((3, 2, 3))))
-    assert curve.double_points == 2
-    assert curve.tangencies == 0
+    assert _count(curve.columns, "crossing") == 2
+    assert _count(curve.columns, "tangency") == 0
     assert curve.variant == "f2"
 
 
 def test_outer_smooth_keeps_b_regions_only():
     curve = outer_smooth(build_plat_diagram(ConwayWord((2, 4, 2))))
-    assert curve.double_points == 4
+    assert _count(curve.columns, "crossing") == 4
 
 
 def test_outer_smooth_torus_word_is_embedded():
     curve = outer_smooth(build_plat_diagram(ConwayWord((5,))))
-    assert curve.double_points == 0
-    assert curve.tile_word == ("cap_left", "pass", "pass", "pass", "pass", "pass", "cap_right")
+    assert _count(curve.columns, "crossing") == 0
+    assert [c.kind for c in curve.columns] == ["pass"] * 5
 
 
 @given(words)
 def test_outer_smooth_invariants(word):
     curve = outer_smooth(build_plat_diagram(word))
-    assert curve.double_points == sum(abs(b) for b in word.b_entries)
+    assert _count(curve.columns, "crossing") == sum(abs(b) for b in word.b_entries)
 
 
 # --- bigon reduction ---------------------------------------------------------
@@ -108,13 +114,13 @@ def test_bigon_reduce_halves_each_region():
     curve = outer_smooth(build_plat_diagram(ConwayWord((3, 2, 3))))
     reduced = bigon_reduce(curve)
     assert reduced.variant == "f3"
-    assert reduced.double_points == 0
-    assert reduced.tangencies == 1
+    assert _count(reduced.columns, "crossing") == 0
+    assert _count(reduced.columns, "tangency") == 1
 
 
 def test_bigon_reduce_counts():
     curve = outer_smooth(build_plat_diagram(ConwayWord((2, 4, 2))))
-    assert bigon_reduce(curve).tangencies == 2
+    assert _count(bigon_reduce(curve).columns, "tangency") == 2
 
 
 def test_bigon_reduce_rejects_odd_twist():
@@ -133,8 +139,8 @@ def test_bigon_reduce_rejects_reduced_input():
 def test_bigon_reduce_invariants(word):
     curve = outer_smooth(build_plat_diagram(word))
     reduced = bigon_reduce(curve)
-    assert reduced.double_points == 0
-    assert reduced.tangencies == curve.double_points // 2
+    assert _count(reduced.columns, "crossing") == 0
+    assert _count(reduced.columns, "tangency") == _count(curve.columns, "crossing") // 2
 
 
 # --- strip decomposition -----------------------------------------------------
@@ -144,7 +150,7 @@ def test_f2_strip_word_shape():
     decomposition = strip_decompose(curve, "f2")
     kinds = [s.kind for s in decomposition.strips]
     assert kinds[0] == "type1" and kinds[-1] == "type4"
-    assert decomposition.type2_count == 1
+    assert kinds.count("type2") == 1
     type2 = next(s for s in decomposition.strips if s.kind == "type2")
     assert type2.param == 2  # the whole b-region, signed
 
@@ -152,13 +158,13 @@ def test_f2_strip_word_shape():
 def test_f3_strip_count():
     curve = bigon_reduce(outer_smooth(build_plat_diagram(ConwayWord((2, 4, 2)))))
     decomposition = strip_decompose(curve, "f3")
-    assert decomposition.type2_count == 2
+    assert _count(decomposition.strips, "type2") == 2
 
 
 def test_torus_word_has_no_type2():
     curve = outer_smooth(build_plat_diagram(ConwayWord((5,))))
     decomposition = strip_decompose(curve, "f2")
-    assert decomposition.type2_count == 0
+    assert _count(decomposition.strips, "type2") == 0
     assert [s.kind for s in decomposition.strips] == (
         ["type1"] + ["type3"] * 5 + ["type4"]
     )
@@ -209,8 +215,12 @@ def test_strip_invariants(word, granularity):
         assert decomposition.strips[0].kind == "type1"
         assert decomposition.strips[-1].kind == "type4"
         # one Type 2 strip per vertical twist region in f2, one per tangency in f3
-        assert decomposition.type2_count == (word.m if variant == "f2" else sum(map(abs, word.b_entries)) // 2)
-        assert decomposition.n == len(decomposition.strips) - 1
+        type2 = _count(decomposition.strips, "type2")
+        assert type2 == (word.m if variant == "f2" else sum(map(abs, word.b_entries)) // 2)
+        # per crossing, one Type 3 strip per smoothed crossing: the separating
+        # segments number sum|a| + (Type 2 strips) + 1
+        if granularity == "crossing":
+            assert len(decomposition.strips) - 1 == sum(map(abs, word.a_entries)) + type2 + 1
 
 
 def test_granularity_only_changes_type3():
@@ -218,7 +228,7 @@ def test_granularity_only_changes_type3():
     per_crossing = strip_decompose(curve, "f2", "crossing")
     per_region = strip_decompose(curve, "f2", "region")
     fine = strip_decompose(curve, "f2", "fine")
-    assert per_crossing.type2_count == per_region.type2_count == fine.type2_count == 1
+    assert [_count(d.strips, "type2") for d in (per_crossing, per_region, fine)] == [1, 1, 1]
     assert sum(1 for s in per_region.strips if s.kind == "type3") == 2
     assert sum(1 for s in per_crossing.strips if s.kind == "type3") == 6
     # fine: the six crossing-level strips plus one filler after each interior strip

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_trace, plat_component_count_of_entries, random_even_b_words
+from oracles import acyclic_oracle, oracle_trace, plat_component_count_of_entries, random_even_b_words
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
 from twobridge import morse
 from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
@@ -40,37 +40,25 @@ even_b_words = (
 )
 
 
-def _acyclic_oracle(section) -> bool:
-    """Independent cycle detection: DFS with parent tracking."""
-    adjacency = {}
-    for u, v in section.edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    seen = set()
-    stack = [(next(iter(adjacency)), None)]
-    while stack:
-        node, parent = stack.pop()
-        if node in seen:
-            return False
-        seen.add(node)
-        stack.extend((nbr, node) for nbr in adjacency[node] if nbr != parent)
-    return len(seen) == len(adjacency)
-
-
 def test_standard_cross_section_shape():
     section = CrossSection(tag="F")
-    assert section.leaf_count == 4
-    assert section.trivalent_count == 2
-    assert section.leaf_count - section.trivalent_count == 2
-    assert section.is_tree()
-    assert _acyclic_oracle(section)
+    assert len(section.leaves) == 4
+    assert len(section.saddles) == 2
+    assert len(section.leaves) - len(section.saddles) == 2
+    assert {v for edge in section.edges for v in edge} == {*section.leaves, *section.saddles}
+    assert acyclic_oracle(section.edges)
 
 
 def test_tree_check_is_keyed_on_shape():
-    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
-    assert CrossSection(tag="F").is_tree()
-    assert not cyclic.is_tree()
-    assert not _acyclic_oracle(cyclic)
+    cyclic = ((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4))
+    assert acyclic_oracle(CrossSection.edges)
+    assert not acyclic_oracle(cyclic)
+
+
+def test_a_cross_section_is_its_tag():
+    assert [f.name for f in fields(CrossSection)] == ["tag"]
+    assert CrossSection(tag="F").edges is CrossSection(tag="F4'").edges is CrossSection.edges
+    assert CrossSection(tag="F") == CrossSection(tag="F") != CrossSection(tag="F'")
 
 
 # --- blocks -------------------------------------------------------------------
@@ -136,8 +124,8 @@ def test_euler_holds_on_every_slice_of_every_block():
         model = assemble_stable_map(word, variant)
         for block in model.blocks:
             for section in block.slices:
-                assert section.leaf_count - section.trivalent_count == 2
-                assert _acyclic_oracle(section)
+                assert type(section) is CrossSection
+                assert len(section.leaves) - len(section.saddles) == 2
 
 
 # --- assembly -----------------------------------------------------------------
@@ -307,26 +295,21 @@ def test_validate_model_checks_a_block_swapped_into_a_shared_run():
     model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
     block = model.blocks[2]
     assert block.kind == "type3" and model.blocks[3] is block
-    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
     blocks = list(model.blocks)
-    blocks[3] = replace(block, slices=(block.entry, cyclic, block.exit))
+    blocks[3] = replace(block, slices=(block.entry, CrossSection(tag="G'"), block.exit))
     with pytest.raises(InvariantViolationError):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
-# the standard tree less its last edge, plus an edge that closes a cycle,
-# and with its last edge to a vertex it does not have
-STANDARD_EDGES = CrossSection(tag="F").edges
-
-
-@pytest.mark.parametrize("edges", [STANDARD_EDGES[:4], (*STANDARD_EDGES, (1, 2)), (*STANDARD_EDGES[:4], ("s_lo", 9))])
-def test_validate_model_rejects_an_event_slice_that_is_not_a_tree(edges):
-    assert not CrossSection(tag="F'", edges=edges).is_tree()
+# Every slice is the standard tree, the class's, so a slice swapped in
+# differs by its tag: another relative tag, a positioned one, the exit side's.
+@pytest.mark.parametrize("tag", ["G'", "F4'", "F''"])
+def test_validate_model_rejects_an_event_slice_that_is_not_a_tree(tag):
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     block = blocks[4]
     assert block.kind == "type2" and block.slices[1].tag == "F'"
-    blocks[4] = replace(block, slices=(block.entry, CrossSection(tag="F'", edges=edges), *block.slices[2:]))
+    blocks[4] = replace(block, slices=(block.entry, CrossSection(tag=tag), *block.slices[2:]))
     with pytest.raises(InvariantViolationError, match="block 4: slices is .*, the catalogued type2 block has "):
         validate_model(replace(model, blocks=tuple(blocks)))
 
@@ -416,8 +399,8 @@ def test_every_slice_of_every_catalogued_block_is_the_standard_tree():
     assert set(morse._CATALOGUE) == {(kind, parity, variant) for kind in ("type1", "type2", "type3", "type4") for parity in (0, 1) for variant in ("f2", "f3")}
     for block in morse._CATALOGUE.values():
         for section in block.slices:
-            assert section.leaf_count - section.trivalent_count == 2
-            assert section.is_tree() and _acyclic_oracle(section)
+            assert type(section) is CrossSection
+            assert len(section.leaves) - len(section.saddles) == 2
 
 
 def test_positioned_blocks_are_not_kept():
@@ -589,12 +572,11 @@ def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, gra
     runs = list(model.blocks.runs)
     i = data.draw(st.integers(0, len(runs) - 1))
     block, count = runs[i]
-    cyclic = CrossSection(tag="F", edges=((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4)))
     tamper = data.draw(st.sampled_from(TAMPERS))
     if tamper == "kind":
         bad = replace(block, kind="type2" if block.kind == "type3" else "type3")
     elif tamper == "slice":
-        bad = replace(block, slices=(*block.slices, cyclic))
+        bad = replace(block, slices=(*block.slices, CrossSection(tag="G'")))
     elif block.pairing:  # a cap: another pairing of the four punctures
         bad = replace(block, pairing=((1, 3), (2, 4)))
     else:  # a middle block: another permutation, or none at all
@@ -643,6 +625,6 @@ def test_a_decomposition_with_the_wrong_type2_count_fails_its_check():
     curve = ImmersedCurve(word=word, variant="f2", columns=_RunSeq(no_double_points))
     decomposition = strip_decompose(curve, "f2")
     model = replace(assemble_stable_map(word, "f2"), strips=decomposition)
-    assert decomposition.type2_count == 0
+    assert [s.kind for s in decomposition.strips].count("type2") == 0
     with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
         validate_model(model)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import model_entries, oracle_curve_svg, oracle_model_svg
 from twobridge.conway import ConwayWord, parse_conway
 from twobridge.curves import StripDecomposition, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
-from twobridge.morse import StableMapModel, assemble_stable_map
+from twobridge import render
+from twobridge.morse import CrossSection, StableMapModel, assemble_stable_map
 from twobridge.render import _fill, render_svg
 
 
@@ -35,14 +36,30 @@ def test_strips_svg_highlights_type2():
     decomposition = strip_decompose(_curve((3, 2, 3)), "f2")
     svg = render_svg(decomposition)
     assert svg.count('strip-type2') == 1
-    assert svg.count('class="gamma"') == decomposition.n
+    assert svg.count('class="gamma"') == len(decomposition.strips) - 1
 
 
 def test_model_svg_draws_reeb_trees():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     svg = render_svg(model)
-    assert svg.count('class="reeb-tree"') == model.strips.n
+    assert svg.count('class="reeb-tree"') == len(model.strips.strips) - 1
     assert svg.count('class="event-ii2"') == 2
+
+
+def test_the_edges_of_a_rendered_tree_follow_the_cross_section_edges():
+    # the tree beneath separator k, at x = 16 + 36k: leaves 1 and 2 at its
+    # top left and right, the saddles down its middle, 3 and 4 at its
+    # bottom left and right
+    root = ET.fromstring(render_svg(assemble_stable_map(ConwayWord((3, 2, 3)), "f2")))
+    trees = root.findall("{http://www.w3.org/2000/svg}g[@class='reeb-tree']")
+    assert len(trees) == 8
+    for k, tree in enumerate(trees, 1):
+        x = 16 + 36 * k
+        vertex = {(x - 8, 128): 1, (x + 8, 128): 2, (x, 144): "s_hi", (x, 160): "s_lo", (x - 8, 176): 3, (x + 8, 176): 4}
+        ends = [tuple(int(line.get(a)) for a in ("x1", "y1", "x2", "y2")) for line in tree]
+        assert [(vertex[e[:2]], vertex[e[2:]]) for e in ends] == list(CrossSection.edges)
+    # the drawing is read off the tree: one place per vertex
+    assert set(render._PLACES) == {*CrossSection.leaves, *CrossSection.saddles}
 
 
 def test_f3_model_svg_marks_ii3_events():
