@@ -106,7 +106,7 @@ def smc_upper_bound(word: ConwayWord) -> ComplexityBounds:
     (the total vertical crossing count) is reported for comparison."""
     if not all_b_even(word):
         raise EvenBRequiredError(f"{word} has an odd vertical twist count")
-    sum_b = sum(abs(b) for b in word.b_entries)
+    sum_b = sum(map(abs, word.b_entries))
     return ComplexityBounds(m=word.m, smc_upper=2 * word.m, f3_weighted_sum=sum_b)
 
 

@@ -151,11 +151,12 @@ def parse_conway(text: str) -> ConwayWord:
         raise ConwaySyntaxError(f"empty entry list: {text!r}")
     entries = []
     for token in body.split(","):
-        if not token or not (token.lstrip("-").isdigit() and token.count("-") <= 1):
+        # ASCII digits only: str.isdigit and int() take any Unicode digit
+        if not (token.isascii() and token.lstrip("-").isdigit() and token.count("-") <= 1):
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
         try:
             entries.append(int(token))
-        except ValueError:  # a digit int() does not read, or too many digits
+        except ValueError:  # too many digits
             raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}") from None
     return ConwayWord(tuple(entries))
 
@@ -171,7 +172,7 @@ def _require_size(word: ConwayWord) -> ConwayWord:
 
 def format_conway(word: ConwayWord) -> str:
     """Canonical text form: ``C(e1,e2,...)`` with no spaces."""
-    return "C(" + ",".join(str(e) for e in word.entries) + ")"
+    return "C(" + ",".join(map(str, word.entries)) + ")"
 
 
 def _continuant(entries: tuple[int, ...]) -> tuple[int, int]:

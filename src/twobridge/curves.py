@@ -36,8 +36,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, repeat, starmap
-from operator import attrgetter, index, is_not, itemgetter
+from itertools import accumulate, chain, compress, repeat, starmap
+from operator import index, is_not, itemgetter
 
 from .conway import ConwayWord
 from .errors import (
@@ -222,13 +222,17 @@ def _expand(runs):
     return chain.from_iterable(starmap(repeat, runs))
 
 
-def _mapped(items, f) -> list:
-    """``[f(x) for x in items]``: one call per distinct object, and the
-    list is laid out from the runs at C speed."""
-    runs = _runs_of(items)
-    keys = list(map(id, map(itemgetter(0), runs)))
-    values = {key: f(x) for key, x in dict(zip(keys, map(itemgetter(0), runs))).items()}
-    return list(_expand(zip(map(values.__getitem__, keys), map(_count, runs))))
+def _mapped_runs(items, f) -> list[tuple[object, int]]:
+    """The runs of ``items`` with each object ``x`` replaced by ``f(x)``:
+    one call per distinct object."""
+    values: dict[int, object] = {}
+    runs = []
+    for x, count in _runs_of(items):
+        key = id(x)
+        if key not in values:
+            values[key] = f(x)
+        runs.append((values[key], count))
+    return runs
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
@@ -244,15 +248,18 @@ def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     return ImmersedCurve(word=d.word, variant="f2", columns=columns)
 
 
-def _regions(columns: Sequence[Column]):
+def _regions(columns: Sequence[Column]) -> list[tuple[str, int, list[tuple[Column, int]]]]:
     """The runs of ``columns`` grouped by twist region, as ``(kind,
     region, runs)``: a region is a maximal stretch of one kind, numbered
     in order.  A plat's regions alternate kinds, so each is one run; a
     curve built by hand may hold a region as several runs."""
-    runs = _runs_of(columns)
-    kinds = map(attrgetter("kind"), map(itemgetter(0), runs))
-    for region, (kind, group) in enumerate(groupby(zip(kinds, runs), itemgetter(0))):
-        yield kind, region, list(map(itemgetter(1), group))
+    regions = []
+    for run in _runs_of(columns):
+        if regions and regions[-1][0] == run[0].kind:
+            regions[-1][2].append(run)
+        else:
+            regions.append((run[0].kind, len(regions), [run]))
+    return regions
 
 
 def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
@@ -280,6 +287,17 @@ def _curve(word: ConwayWord, variant: str) -> ImmersedCurve:
     return bigon_reduce(curve) if variant == "f3" else curve
 
 
+# The strips that need no word: the caps, the empty filler, and the strip
+# over one shared pass column (Type 3) or tangency (Type 2), by its id.
+_CAP_IN, _CAP_OUT, _FILLER = Strip("type1"), Strip("type4"), Strip("type3")
+_ONE_KIND = {"pass": "type3", "tangency": "type2"}
+_ONE_COLUMN = {
+    id(column): Strip(_ONE_KIND[column.kind], _RunSeq([(column, 1)]), param=column.sign)
+    for column in _COLUMNS.values()
+    if column.kind in _ONE_KIND
+}
+
+
 def strip_decompose(
     curve: ImmersedCurve, variant: str, granularity: str = "crossing"
 ) -> StripDecomposition:
@@ -290,7 +308,8 @@ def strip_decompose(
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' additionally interleaves empty ones); the
     Type 2 content is invariant.  Strips of one kind over the same
-    column runs are one object, wherever they sit.
+    column runs are one object, wherever they sit, and those that need
+    no word are one object in every decomposition.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -305,18 +324,19 @@ def strip_decompose(
 
     def strip(kind: str, runs: list[tuple[Column, int]]) -> Strip:
         key = (kind, *runs)
-        if key not in shared:
+        found = shared.get(key)
+        if found is None:
             columns = _RunSeq(runs)
-            shared[key] = Strip(kind, columns, param=runs[0][0].sign * len(columns))
-        return shared[key]
+            found = shared[key] = Strip(kind, columns, param=runs[0][0].sign * len(columns))
+        return found
 
     interior: list[tuple[Strip, int]] = []  # runs
     for kind, region, group in _regions(curve.columns):
-        if kind == "pass":
-            if granularity == "region":
-                interior.append((strip("type3", group), 1))
-            else:
-                interior += [(strip("type3", [(c, 1)]), n) for c, n in group]
+        if kind == "pass" and granularity == "region":
+            interior.append((strip("type3", group), 1))
+        elif kind in _ONE_KIND:
+            one = _ONE_KIND[kind]
+            interior += [(_ONE_COLUMN.get(id(c)) or strip(one, [(c, 1)]), n) for c, n in group]
         elif kind == "crossing":
             count = sum(map(_count, group))
             entries = curve.word.entries  # a curve built by hand may have more regions
@@ -327,16 +347,14 @@ def strip_decompose(
                     f"expected the full twist region of {expected}"
                 )
             interior.append((strip("type2", group), 1))
-        elif kind == "tangency":
-            interior += [(strip("type2", [(c, 1)]), n) for c, n in group]
         else:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
 
     if granularity == "fine":
         single = list(chain.from_iterable(repeat((s, 1), n) for s, n in interior))
-        spaced = [(Strip("type3"), 1)] * (2 * len(single))
+        spaced = [(_FILLER, 1)] * (2 * len(single))
         spaced[0::2] = single
         interior = spaced
 
-    strips = _RunSeq([(Strip("type1"), 1), *interior, (Strip("type4"), 1)])
+    strips = _RunSeq([(_CAP_IN, 1), *interior, (_CAP_OUT, 1)])
     return StripDecomposition(word=curve.word, variant=variant, granularity=granularity, strips=strips)

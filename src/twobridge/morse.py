@@ -45,6 +45,7 @@ from .curves import (
     StripDecomposition,
     _RunSeq,
     _curve,
+    _mapped_runs,
     _paired,
     _runs_of,
     strip_decompose,
@@ -249,20 +250,26 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
     return _CATALOGUE[kind, parity, variant] if index is None else _block(kind, parity, variant, index)
 
 
-def _cap_partners(blocks: Sequence[BlockMap]) -> list[dict[int, int]]:
-    """Each puncture's partner under the arcs of either cap: the first block, the last."""
+def _cap_pairings(blocks: Sequence[BlockMap]) -> tuple[tuple, tuple]:
+    """The pairings of either cap, the first block and the last, each
+    checked to pair the four punctures."""
     n = len(blocks) - 1
     if n < 1:
         raise TraceMismatchError("a model needs a cap block at either end")
-    partners = []
-    for index in (0, n):
-        ends = [x for pair in blocks[index].pairing for x in pair]
-        if sorted(ends) != list(LEAVES):
-            raise TraceMismatchError(
-                f"block {index} pairing {blocks[index].pairing!r} does not pair the four punctures"
-            )
-        partners.append({x: ends[i ^ 1] for i, x in enumerate(ends)})
-    return partners
+    runs = _runs_of(blocks)
+    pairings = runs[0][0].pairing, runs[-1][0].pairing
+    for index, pairing in zip((0, n), pairings):
+        if _partners(pairing) is None:
+            raise TraceMismatchError(f"block {index} pairing {pairing!r} does not pair the four punctures")
+    return pairings
+
+
+@lru_cache(maxsize=64)
+def _partners(pairing: tuple[tuple[int, int], ...]) -> dict[int, int] | None:
+    """Each puncture's partner under the arcs of ``pairing`` (a shared
+    dict, read only); None unless it pairs the four punctures."""
+    ends = [x for pair in pairing for x in pair]
+    return {x: ends[i ^ 1] for i, x in enumerate(ends)} if sorted(ends) == list(LEAVES) else None
 
 
 def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
@@ -289,37 +296,22 @@ def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...]:
 _PERMUTATIONS = frozenset(permutations(LEAVES))
 
 
-def _permutation_runs(blocks: Sequence[BlockMap]) -> list[tuple[tuple[int, ...], int, int]]:
-    """The permutations of ``blocks[1:-1]``, the blocks between the caps,
-    as maximal runs of one value: ``(permutation, count, index of its
-    first block)``, read off the runs of ``blocks``.  Each must permute
-    the four punctures, or no strand walk through it ends."""
-    n = len(blocks) - 1
-    out = []
-    start = 0
-    for block, count in _runs_of(blocks):
-        lo, hi = max(start, 1), min(start + count, n)  # the run, cut to 1..n-1
-        start += count
-        if lo >= hi:
-            continue
-        perm = block.permutation
-        if out and out[-1][0] == perm:
-            out[-1] = (perm, out[-1][1] + hi - lo, out[-1][2])
-            continue
-        if perm not in _PERMUTATIONS:
-            raise TraceMismatchError(
-                f"block {lo} permutation {perm!r} does not permute the four punctures"
-            )
-        out.append((perm, hi - lo, lo))
-    return out
+def _permuting(perm: tuple[int, ...], index: int) -> tuple[int, ...]:
+    """``perm``, the permutation of block ``index``, if it permutes the
+    four punctures; else no strand walk through it ends."""
+    if perm not in _PERMUTATIONS:
+        raise TraceMismatchError(f"block {index} permutation {perm!r} does not permute the four punctures")
+    return perm
 
 
-def _cycles(left: dict[int, int], across: Sequence[int], right: dict[int, int]) -> list[list[tuple[int, int]]]:
-    """The components of the definite fold set as lists of legs ``(q, p)``
-    on section 1: leave the ``left`` cap at q, cross to section n (the
-    strand from puncture p gets to ``across[p]``), take the ``right`` cap
+@lru_cache(maxsize=256)
+def _cycles(left: tuple, across: tuple[int, ...], right: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The components of the definite fold set as legs ``(q, p)`` on
+    section 1: leave the ``left`` cap pairing at q, cross to section n (the
+    strand from puncture p gets to ``across[p]``), take the ``right`` one
     and come back to p; the next leg leaves from p's partner.  Each
     component starts from its smallest puncture."""
+    left, right = _partners(left), _partners(right)
     back = {q: p for p, q in enumerate(across)}
     unseen = set(LEAVES)
     cycles = []
@@ -331,8 +323,8 @@ def _cycles(left: dict[int, int], across: Sequence[int], right: dict[int, int]) 
             unseen -= {p, q}
             p = back[right[across[q]]]
             legs.append((q, p))
-        cycles.append(legs)
-    return cycles
+        cycles.append(tuple(legs))
+    return tuple(cycles)
 
 
 def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
@@ -340,18 +332,23 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
 
     The caps pair the punctures of the first and of the last section,
     and a run of ``count`` middle blocks with permutation P carries the
-    strands across as P to the power ``count``.  Composed along the runs,
+    strands across as P to the power ``count``; a run of the identity
+    carries them straight, and is passed over.  Composed along the runs,
     they carry section 1 to section n by one permutation, and the
     components are the cycles it makes with the caps' pairings
     (``_cycles``).
     """
-    left, right = _cap_partners(blocks)
+    left, right = _cap_pairings(blocks)
+    n = len(blocks) - 1
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
-    for perm, count, _ in _permutation_runs(blocks):
-        # Every permutation of four points has an order dividing 12.
-        power = _power(perm, count % 12)
-        _, a, b, c, d = across
-        across = (0, power[a], power[b], power[c], power[d])
+    start = 0
+    for block, count in _runs_of(blocks):
+        lo, start = start or 1, start + count
+        if block.permutation is not IDENTITY and lo < min(start, n):  # the run, cut to 1..n-1
+            # Every permutation of four points has an order dividing 12.
+            power = _power(_permuting(block.permutation, lo), (min(start, n) - lo) % 12)
+            _, a, b, c, d = across
+            across = (0, power[a], power[b], power[c], power[d])
     return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
 
 
@@ -364,13 +361,18 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     permutation P takes the strand round its cycle of P.  Each leg
     ``(q, p)`` of a component (``_cycles``) is q's track forward and p's back.
     """
-    left, right = _cap_partners(blocks)
+    left, right = _cap_pairings(blocks)
+    n = len(blocks) - 1
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
-    for perm, count, _ in _permutation_runs(blocks):
-        for track in tracks:
-            orbit = _orbit(perm, perm[track[-1] - 1])
-            track += (orbit * (count // len(orbit) + 1))[:count]
-    sections = list(range(1, len(blocks)))
+    start = 0
+    for block, count in _runs_of(blocks):
+        lo, start = start or 1, start + count
+        if lo < min(start, n):  # the run, cut to 1..n-1
+            perm, count = _permuting(block.permutation, lo), min(start, n) - lo
+            for track in tracks:
+                orbit = _orbit(perm, perm[track[-1] - 1])
+                track += (orbit * (count // len(orbit) + 1))[:count]
+    sections = list(range(1, n + 1))
     components = []
     for legs in _cycles(left, (0, *(track[-1] for track in tracks)), right):
         cycle = []
@@ -436,12 +438,12 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     fraction = fraction_of(word)
     strips = strip_decompose(_curve(word, variant), variant, granularity)
 
-    blocks = _RunSeq((build_block(strip, variant), count) for strip, count in _runs_of(strips.strips))
+    blocks = _RunSeq(_mapped_runs(strips.strips, lambda strip: build_block(strip, variant)))
     model = StableMapModel(strips, blocks)
     _check_trace(model.trace, fraction)
     census = model.census
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
-    expected = (2 * word.m, 0) if variant == "f2" else (0, sum(abs(b) for b in word.b_entries) // 2)
+    expected = (2 * word.m, 0) if variant == "f2" else (0, sum(map(abs, word.b_entries)) // 2)
     if (census.ii2, census.ii3) != expected:
         raise InvariantViolationError(f"census ({census.ii2}, {census.ii3}) != expected {expected}")
     return model

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _mapped, _runs_of
+from .curves import ImmersedCurve, StripDecomposition, _expand, _mapped_runs, _runs_of
 from .morse import CrossSection, StableMapModel
 
 MARGIN = 16
@@ -151,10 +151,11 @@ def _curve_parts(curve: ImmersedCurve) -> list[str]:
 _RECT_FILL = {"type1": "#e8e8e8", "type2": "#ffd27f", "type4": "#e8e8e8"}
 
 
-def _strip_rect(strip) -> tuple[str, str]:
-    """The rect of ``strip`` before and after its x; a kind other than
-    Type 1, 2 or 4 is drawn as Type 3."""
-    kind = strip.kind if strip.kind in _RECT_FILL else "type3"
+@lru_cache(maxsize=16)
+def _strip_rect(kind: str) -> tuple[str, str]:
+    """The rect of a strip of ``kind`` before and after its x; a kind
+    other than Type 1, 2 or 4 is drawn as Type 3."""
+    kind = kind if kind in _RECT_FILL else "type3"
     return (
         f'<rect class="strip strip-{kind}" x="',
         f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
@@ -166,7 +167,7 @@ def _strip_parts(parts: list, strips) -> list[str]:
     """``parts`` with the strip rects, the outline of E and the gamma
     lines appended; a rect's x lies between the two pieces of its rect."""
     n = len(strips)
-    rects, xs = _mapped(strips, _strip_rect), []
+    rects, xs = list(_expand(_mapped_runs(strips, lambda strip: _strip_rect(strip.kind)))), []
     _fill(xs, "{0}", n, ((MARGIN, STRIP_W),))
     start = len(parts)
     parts += repeat(None, 4 * n)
@@ -188,14 +189,15 @@ _PLACES = {1: ("{0}", _TOP), 2: ("{2}", _TOP), "s_hi": ("{1}", _HI), "s_lo": ("{
 _TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in CrossSection.edges) + "</g>\n"
 
 
-def _event_dots(block) -> tuple[str, ...]:
+@lru_cache(maxsize=64)
+def _event_dots(events: tuple) -> tuple[str, ...]:
     """The dots of a block's events, one line each, split at their cx:
     ``cx.join(...)`` is the block's dots, and ``()`` stands for none."""
-    n, mid_y = len(block.events), (STRIP_TOP + STRIP_BOT) // 2
+    n, mid_y = len(events), (STRIP_TOP + STRIP_BOT) // 2
     dots = "".join(
         f'<circle class="{"event-ii2" if event.kind == "II2" else "event-ii3"}" cx="{{0}}" '
         f'cy="{mid_y + (j - n // 2) * 14}" r="4" fill="black"/>\n'
-        for j, event in enumerate(block.events)
+        for j, event in enumerate(events)
     )
     return tuple(dots.split("{0}")) if dots else ()
 
@@ -204,9 +206,11 @@ def _model_parts(model: StableMapModel) -> list[str]:
     n = len(model.strips.strips)
     parts = _strip_parts(_opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN), model.strips.strips)
     # The dots of each block with events, at the middle x of its strip.
-    dots = _mapped(model.blocks, _event_dots)
-    mids = compress(range(MARGIN + STRIP_W // 2, MARGIN + len(dots) * STRIP_W, STRIP_W), dots)
-    parts += map(str.join, map(str, mids), filter(None, dots))
+    mid = MARGIN + STRIP_W // 2
+    for dots, count in _mapped_runs(model.blocks, lambda block: _event_dots(block.events)):
+        if dots:
+            parts += map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots))
+        mid += count * STRIP_W
     # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
     x = MARGIN + STRIP_W
     _fill(parts, _TREE, n - 1, ((x - TREE_W // 2, STRIP_W), (x, STRIP_W), (x + TREE_W // 2, STRIP_W)))

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import lru_cache
 from itertools import repeat
+from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _mapped, _runs_of
+from .curves import GRANULARITIES, VARIANTS, _expand, _mapped_runs, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
 from .render import _fill, _pieces
@@ -34,6 +35,7 @@ _INT_FIELDS = {
     "census": tuple(f.name for f in fields(SingularFiberCensus)),
     "bounds": ("smc_upper", "weighted_sum"),
 }
+_census_values = attrgetter(*_INT_FIELDS["census"])
 
 
 def _strip_entry(strip) -> dict:
@@ -50,9 +52,8 @@ def _block_entry(kind: str, events: tuple, permutation: tuple[int, ...], slices)
 
 
 def _model_document(model: StableMapModel, strips, blocks) -> dict:
-    """The document around the given "strips" and "blocks": the model's
-    own for ``_export_parts``, entries for the comparison in
-    ``import_json``."""
+    """The document of ``model`` around the given "strips" and "blocks"
+    entries, for the comparison in ``import_json``."""
     fraction = fraction_of(model.word)
     census = model.census
     return {
@@ -63,7 +64,7 @@ def _model_document(model: StableMapModel, strips, blocks) -> dict:
         "fraction": {"p": fraction.p, "q": fraction.q},
         "strips": strips,
         "blocks": blocks,
-        "census": asdict(census),
+        "census": dict(zip(_INT_FIELDS["census"], _census_values(census))),
         "bounds": {
             "smc_upper": smc_upper_bound(model.word).smc_upper,
             "weighted_sum": weighted_sum(census),
@@ -83,26 +84,26 @@ def _strip_text(strip) -> str:
 
 @lru_cache(maxsize=1024, typed=True)
 def _plain_strip_text(kind: str, param: int) -> str:
-    return _entry_text({"type": kind, "param": param})
+    return _entry_text({"type": kind, "param": param}) + ",\n"
 
 
 @lru_cache(maxsize=1024)
-def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> str | None:
+def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> tuple[str | None, tuple]:
     """The text of a block and its separator, with the field ``{i}`` for
-    the section number in the slice tag of event ``i``; None if an event
-    slice is none of ``EVENT_SLICES``."""
+    the section number in the slice tag of event ``i``, and its fields for
+    ``_fill``; None, () if an event slice is none of ``EVENT_SLICES``."""
     if any(e.slice not in EVENT_SLICES for e in events):
-        return None
+        return None, ()
     fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
     text = _entry_text(_block_entry(kind, events, permutation, fields)) + ",\n"
     if events and len(_pieces(text)) != 2 * len(events) + 1:
         raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
-    return text
+    return text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events)
 
 
 # No export is shorter per block than the shortest strip and catalogued block texts with separators.
-_MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0) + ",\n") + min(
-    len(_block_template(block.kind, block.events, block.permutation)) for block in _CATALOGUE.values()
+_MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
+    len(_block_template(block.kind, block.events, block.permutation)[0]) for block in _CATALOGUE.values()
 )
 
 
@@ -112,17 +113,16 @@ def _block_rows(parts: list, blocks) -> None:
     with events filled in by ``render._fill``, whose fields are the
     events' section numbers.  A block's event slice tags name its own
     section or the next, relative to its position (``EVENT_SLICES``)."""
-    texts = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
-    if None in texts:
-        j = texts.index(None)
-        bad = next(e.slice for e in blocks[j].events if e.slice not in EVENT_SLICES)
-        raise InvariantViolationError(f"block {j}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
     first = 0
-    for block, count in _runs_of(blocks):
-        if block.events:
-            _fill(parts, texts[first], count, tuple((EVENT_SLICES[e.slice][1], 1) for e in block.events), first)
+    runs = _mapped_runs(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
+    for (text, fields), count in runs:
+        if text is None:
+            bad = next(e.slice for e in blocks[first].events if e.slice not in EVENT_SLICES)
+            raise InvariantViolationError(f"block {first}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
+        if fields:
+            _fill(parts, text, count, fields, first)
         else:
-            parts += texts[first : first + count]
+            parts += repeat(text, count)
         first += count
 
 
@@ -141,38 +141,45 @@ def _block_entries(blocks) -> list[dict]:
     return entries
 
 
+def _frame() -> list[str]:
+    """``json.dumps(indent=2)`` of a document of holes, cut at the two
+    arrays into three texts, with ``%s`` for every other value."""
+    document = dict.fromkeys(_TOP_KEYS, "\0") | {"schema_version": SCHEMA_VERSION, "strips": "\1", "blocks": "\1"}
+    document |= {name: dict.fromkeys(keys, "\0") for name, keys in _INT_FIELDS.items()}
+    return (json.dumps(document, indent=2).replace(json.dumps("\0"), "%s") + "\n").split(json.dumps("\1"))
+
+
+_HEAD, _MIDDLE, _TAIL = _frame()
+
+
 @lru_cache(maxsize=1)
 def export_json(model: StableMapModel) -> str:
     """Serialize with deterministic field order; integers only.
 
     The bytes are those of ``json.dumps(document, indent=2)``, whose
-    encoder is pure Python.  The document is therefore laid out as one
-    list of parts and joined once (``_export_parts``): the long "strips"
-    and "blocks" arrays from one cached text per distinct strip or block,
-    with the slice tags of a block's events filled in per run, and only
-    the short fields through the encoder.  The last text is kept and
-    returned again for an equal model, whose export it is.
+    encoder is pure Python, laid out as one list of parts and joined once
+    (``_export_parts``): the frame as one text template (``_frame``), its
+    strings through ``json.dumps``, and the arrays as one cached text per
+    distinct strip or block, with the slice tags of a block's events
+    filled in per run.  The last text is kept and returned again for an
+    equal model, whose export it is.
     """
     return "".join(_export_parts(model))
 
 
 def _export_parts(model: StableMapModel) -> list[str]:
-    """The parts of the export of ``model``, in order."""
-    parts = []
-    for key, value in _model_document(model, model.strips.strips or [], model.blocks or []).items():
-        parts += (",\n  " if parts else "{\n  ", json.dumps(key), ": ")
-        if key not in ("strips", "blocks") or not value:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-            continue
-        parts.append("[\n")
-        if key == "strips":
-            start = len(parts)
-            parts += repeat(",\n", 2 * len(value))
-            parts[start::2] = _mapped(value, _strip_text)
-        else:
-            _block_rows(parts, value)
-        parts[-1] = parts[-1][:-2] + "\n  ]"  # the last entry's separator
-    parts.append("\n}\n")
+    """The parts of the export of ``model``, in order.  Each entry of an
+    array ends in its separator, and the last one's closes the array."""
+    word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
+    fraction = fraction_of(word)
+    strings = map(json.dumps, (format_conway(word), model.variant, model.granularity))
+    parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
+    parts += _expand(_mapped_runs(strips, _strip_text))
+    parts[-1] = parts[-1][:-2] + "\n  ]" if strips else "[]"
+    parts += (_MIDDLE, "[\n")
+    _block_rows(parts, blocks)
+    parts[-1] = parts[-1][:-2] + "\n  ]" if blocks else "[]"
+    parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
     return parts
 
 
@@ -293,7 +300,8 @@ def import_json(text: str) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    fresh = _model_document(model, _mapped(model.strips.strips, _strip_entry), _block_entries(model.blocks))
+    strips = list(_expand(_mapped_runs(model.strips.strips, _strip_entry)))
+    fresh = _model_document(model, strips, _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
             raise InvariantViolationError(_first_difference(key, doc[key], fresh[key]))

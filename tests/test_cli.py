@@ -47,6 +47,12 @@ def test_build_rejects_odd_b(capsys):
     assert "C(2,1,2)" in err
 
 
+def test_build_of_a_word_with_a_fullwidth_digit_exits_1(capsys):
+    assert run_cli(["build", "C(\uff11,2,3)", "--variant", "f2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad integer" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["build", "C(3,2,2000000)", "--variant", "f2"], ["render", "C(3,2,2000000)", "--subject", "curve"]],

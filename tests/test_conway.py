@@ -87,6 +87,14 @@ def test_parse_rejects_integers_int_cannot_read(bad):
         parse_conway(bad)
 
 
+@pytest.mark.parametrize("digits", ["\uff11", "\u0663", "\uff11\uff12"])
+def test_parse_reads_only_ascii_digits(digits):
+    # fullwidth and Arabic-Indic digits pass str.isdigit and int()
+    for text in (f"C({digits},2,3)", f"[3,-{digits},3]"):
+        with pytest.raises(ConwaySyntaxError, match="bad integer"):
+            parse_conway(text)
+
+
 @given(words)
 def test_format_parse_roundtrip(word):
     assert parse_conway(format_conway(word)) == word

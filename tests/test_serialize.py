@@ -423,6 +423,35 @@ def test_export_text_is_the_encoded_document(entries, variant, granularity):
     assert "".join(serialize._export_parts(plain)) == expected
 
 
+def test_export_keeps_the_encoders_escaping():
+    # the frame is a text template; its strings still go through the encoder
+    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
+    odd = replace(model, strips=replace(model.strips, variant='f"2\u00e9', granularity="x\ny"))
+    strips = [serialize._strip_entry(strip) for strip in odd.strips.strips]
+    document = serialize._model_document(odd, strips, serialize._block_entries(odd.blocks))
+    assert "".join(serialize._export_parts(odd)) == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_a_cold_path_builds_each_distinct_block_once_and_frames_without_the_indent_encoder(variant, monkeypatch, cold):
+    # counted, not timed: assembly maps each distinct strip, not each run,
+    # and the export frame calls neither the indent encoder nor asdict
+    word = ConwayWord(max(random_even_b_words(20250808, 200), key=len))
+    built = []
+    monkeypatch.setattr(morse, "build_block", lambda strip, variant: built.append(id(strip)) or build_block(strip, variant))
+    model = cold(assemble_stable_map, word, variant, "fine")
+    monkeypatch.undo()
+    assert sorted(built) == sorted({id(strip) for strip in model.strips.strips})
+    assert len(built) < len(model.strips.strips.runs)
+    text = cold(export_json, model)  # fills the entry texts, cached per strip and block value
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(kwargs) or dumps(*args, **kwargs))
+    monkeypatch.setattr(serialize, "asdict", lambda obj: calls.append("asdict") or {}, raising=False)
+    assert cold(export_json, model) == text
+    monkeypatch.undo()
+    assert calls and not [call for call in calls if call == "asdict" or "indent" in call]
+
+
 def test_export_fills_each_distinct_block_template():
     # two event blocks that differ in their permutation share no template
     model = assemble_stable_map(ConwayWord((3, 2, 3, 2, 3)), "f2")
