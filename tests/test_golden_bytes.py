@@ -2,7 +2,8 @@
 
 ``tests/data/golden_digests.json`` holds the sha256 of ``export_json``
 and ``render_svg`` for every corpus word in both variants at all three
-granularities, plus two ladder-style words in both variants.  It also
+granularities, plus two ladder-style words in both variants, and three
+fine models past ``render._fill``'s first 1000 layout rows.  It also
 holds the sha256 of the curve render of every corpus word in both
 variants, and of its strip render at all three granularities.  Any
 change to the pipeline or the encoders must reproduce these bytes exactly.
@@ -31,6 +32,8 @@ CORPUS_SEED = 20250808
 VARIANTS = ("f2", "f3")
 GRANULARITIES = ("crossing", "region", "fine")
 LADDER_WORDS = ("C(100,2,100)", "C(3,200,3)")
+# 16 to 4004 blocks at fine granularity, by name
+FINE_WORDS = {"C(3,2000,3)": "C(3,2000,3)", "C(1000,2,1000)": "C(1000,2,1000)", "C(3,2,...,3) m=300": f"C({'3,2,' * 300}3)"}
 
 
 def _sha(text: str) -> str:
@@ -56,6 +59,14 @@ def ladder_digests() -> dict[str, list[str]]:
     return {
         f"{text} {variant}": _digest_pair(assemble_stable_map(parse_conway(text), variant))
         for text in LADDER_WORDS
+        for variant in VARIANTS
+    }
+
+
+def fine_digests() -> dict[str, list[str]]:
+    return {
+        f"{name} {variant} fine": _digest_pair(assemble_stable_map(parse_conway(text), variant, "fine"))
+        for name, text in FINE_WORDS.items()
         for variant in VARIANTS
     }
 
@@ -92,6 +103,10 @@ def test_ladder_bytes_match_golden(golden):
     assert ladder_digests() == golden["ladder"]
 
 
+def test_fine_bytes_past_a_thousand_sections_match_golden(golden):
+    assert fine_digests() == golden["fine"]
+
+
 def test_curve_and_strip_render_bytes_match_golden(golden):
     got = render_digests()
     for subject in ("curve", "strips"):
@@ -101,6 +116,6 @@ def test_curve_and_strip_render_bytes_match_golden(golden):
 
 
 if __name__ == "__main__":
-    digests = {"corpus": corpus_digests(), "ladder": ladder_digests(), **render_digests()}
+    digests = {"corpus": corpus_digests(), "ladder": ladder_digests(), "fine": fine_digests(), **render_digests()}
     DATA.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DATA}")
