@@ -114,6 +114,8 @@ def _reference_fraction(reference: str):
         return fraction_of(parse_conway(reference))
     except TwoBridgeError:
         pass
+    if not reference.isascii():  # int() reads any Unicode decimal digit, parse_conway ASCII only
+        return None
     try:
         p_text, q_text = reference.split("/")
         return SchubertFraction.normalized(int(p_text), int(q_text))

@@ -212,6 +212,8 @@ def ingest_volume_table(text: str, source: str) -> tuple[VolumeRecord, ...]:
         if not label:
             raise TableParseError(line_number, "empty label")
         try:
+            if not volume_text.isascii():  # float() reads any Unicode decimal digit
+                raise ValueError
             volume = float(volume_text)
         except ValueError:
             raise TableParseError(line_number, f"bad volume {volume_text!r}") from None

@@ -38,8 +38,8 @@ DEFAULT_LENGTH_BOUND = 11
 
 # The most crossings a word may have where the output holds one entry per
 # crossing: the CLI's build and render, and import_json, whose document
-# does.  A model holds one entry per twist region, so assembly, the
-# census and the certificate take a word of any size.
+# does.  A model holds one run per twist region at every granularity,
+# so assembly, the census and the certificate take a word of any size.
 MAX_CROSSINGS = 1_000_000
 
 

@@ -24,8 +24,10 @@ and coordinates only exist in the SVG renderer.
 A plat diagram holds one of four shared Crossing objects per twist
 region, a curve one of six shared Column objects per twist region and a
 strip decomposition one Strip object per value, each as a run
-``(object, count)`` of a run-length sequence (``_RunSeq``).  Only the
-runs say where a piece sits, so the work is per region, not per
+``(object, count)`` of a run-length sequence (``_RunSeq``); a fine
+decomposition holds an interior strip and the empty filler after it as
+one pattern run ``((strip, filler), count)``.  Only the runs say where a
+piece sits, so at every granularity the work is per region, not per
 crossing, from the diagram on, and a model's memory does not grow with
 its crossing count.
 """
@@ -37,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat, starmap
-from operator import index, is_not, itemgetter
+from operator import index, is_not, itemgetter, mul
 
 from .conway import ConwayWord
 from .errors import (
@@ -52,33 +54,37 @@ GRANULARITIES = ("crossing", "region", "fine")
 A_STRANDS = (2, 3)
 B_STRANDS = (1, 2)
 
-_count = itemgetter(1)  # of a run ``(object, count)``
+_object, _count = itemgetter(0), itemgetter(1)  # of a run ``(object, count)``
 
 
 class _RunSeq:
-    """An immutable sequence held as runs of one repeated object.
+    """An immutable sequence held as runs.
 
-    ``runs`` is a tuple of ``(object, count)`` pairs with ``count > 0``;
-    adjacent runs may hold the same object.  As a sequence it is
-    ``tuple(self)``: its length, indexing, iteration, ``==``, ``hash``
-    and ``repr`` are those of the expanded tuple, and a slice is that
-    tuple's slice.  Length is
-    O(1), an index is a bisection over the run ends, iteration runs at C
-    speed, and equality with another run-length sequence whose runs line
-    up takes one step per run; only ``hash``, ``repr`` and slices
-    expand."""
+    ``runs`` is a tuple of ``(object, count)`` pairs, one object repeated
+    ``count`` times, or, in a ``patterned`` sequence, of ``(pattern,
+    count)`` pairs, a tuple of objects repeated ``count`` times, as a fine
+    decomposition repeats ``(strip, filler)``.  Every count is positive,
+    which is taken on trust, and adjacent runs may hold the same object.
+    As a sequence it is ``tuple(self)``: its length, indexing, iteration,
+    ``==``, ``hash`` and ``repr`` are those of the expanded tuple, and a
+    slice is that tuple's slice.  Length is O(1), an index is a bisection
+    over the run ends, iteration runs at C speed, and equality with
+    another run-length sequence whose runs line up takes one step per
+    run; only ``hash``, ``repr`` and slices expand."""
 
-    __slots__ = ("runs", "_ends")
+    __slots__ = ("runs", "patterned", "_ends")
 
-    def __init__(self, runs=()):
-        self.runs = runs = tuple(filter(_count, runs))
-        self._ends = tuple(accumulate(map(_count, runs)))
+    def __init__(self, runs=(), patterned=False):
+        self.runs = runs = tuple(runs)
+        self.patterned = patterned
+        counts = map(_count, runs)
+        self._ends = tuple(accumulate(map(mul, map(len, map(_object, runs)), counts) if patterned else counts))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
-        return _expand(self.runs)
+        return _expand(self.runs, self.patterned)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -88,13 +94,21 @@ class _RunSeq:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("tuple index out of range")
-        return self.runs[bisect_right(self._ends, i)][0]
+        run = bisect_right(self._ends, i)
+        item = self.runs[run][0]
+        # a pattern run ends on its pattern's last item
+        return item[(i - self._ends[run]) % len(item)] if self.patterned else item
+
+    def _shape(self) -> tuple:
+        """What two sequences whose runs line up share: the run ends, and
+        the pattern lengths of a patterned one."""
+        return self._ends, self.patterned and tuple(map(len, map(_object, self.runs)))
 
     def __eq__(self, other):
         if isinstance(other, _RunSeq):
-            return len(self) == len(other) and all(
-                x is y or x == y for x, y, _ in _paired(self.runs, other.runs)
-            )
+            if self._shape() == other._shape():
+                return self.runs == other.runs
+            return len(self) == len(other) and tuple(self) == tuple(other)
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
@@ -199,40 +213,72 @@ def _runs(items) -> list[tuple[object, int]]:
     return [(items[a], b - a) for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
+def _span(pattern, count) -> int:
+    return len(pattern) * count
+
+
 def _runs_of(items) -> Sequence[tuple[object, int]]:
-    """The runs of ``items``: those a run-length sequence carries, or
-    ``_runs(items)`` for any other sequence, such as a tuple put into a
-    model after assembly."""
-    return items.runs if isinstance(items, _RunSeq) else _runs(items)
+    """The runs ``(object, count)`` of ``items``: those a run-length
+    sequence without patterns carries, or ``_runs(items)`` for any other
+    sequence, such as a tuple put into a model after assembly, item by
+    item."""
+    return items.runs if isinstance(items, _RunSeq) and not items.patterned else _runs(tuple(items))
 
 
-def _paired(a, b):
-    """The runs ``a`` and ``b`` of two sequences of one length, side by
-    side: ``(x, y, start)`` for each stretch, from index ``start``, where
-    ``a`` holds ``x`` and ``b`` holds ``y``.  Runs that line up are
-    paired one step per run; any others item by item."""
-    counts = list(map(_count, a))
-    if counts == list(map(_count, b)):
-        return zip(map(itemgetter(0), a), map(itemgetter(0), b), accumulate(counts, initial=0))
-    return zip(_expand(a), _expand(b), range(sum(counts)))
+def _as_runs(items) -> _RunSeq:
+    """``items`` as a run-length sequence: itself, or its runs."""
+    return items if isinstance(items, _RunSeq) else _RunSeq(_runs(items))
 
 
-def _expand(runs):
+def _counted(items) -> Sequence[tuple[object, int]]:
+    """Each object of ``items`` with a count, one pair per run or per
+    item of a pattern run: the multiset of its objects, out of order."""
+    seq = _as_runs(items)
+    return [(x, count) for pattern, count in seq.runs for x in pattern] if seq.patterned else seq.runs
+
+
+def _paired(a, b: _RunSeq):
+    """The items of two sequences of one length side by side: ``(x, y,
+    start)`` where ``a`` holds ``x`` and ``b`` holds ``y`` from index
+    ``start``, through the rest of their run.  Runs that line up are
+    paired one step per run, or per item of a pattern run, where ``start``
+    is the item's first index; any others item by item."""
+    a = _as_runs(a)
+    if a._shape() != b._shape():
+        return zip(a, b, range(len(a)))
+    starts = (0, *a._ends)
+    if not a.patterned:
+        return zip(map(_object, a.runs), map(_object, b.runs), starts)
+    return (
+        (x, y, start + j)
+        for (p, _), (q, _), start in zip(a.runs, b.runs, starts)
+        for j, (x, y) in enumerate(zip(p, q))
+    )
+
+
+def _expand(runs, patterned=False):
     """The items of ``runs``, at C speed."""
-    return chain.from_iterable(starmap(repeat, runs))
+    return chain.from_iterable(starmap(mul if patterned else repeat, runs))
 
 
-def _mapped_runs(items, f) -> list[tuple[object, int]]:
-    """The runs of ``items`` with each object ``x`` replaced by ``f(x)``:
-    one call per distinct object."""
-    values: dict[int, object] = {}
+def _mapped(items, f) -> tuple[list, bool]:
+    """The runs of ``items`` with each object ``x`` replaced by ``f(x)``,
+    and whether they are pattern runs: one call per distinct object, one
+    step per run, and a distinct pattern mapped item by item."""
+    seq = _as_runs(items)
+    patterned = seq.patterned
+    values: dict[int, object] = {}  # by the id of an object or a pattern
     runs = []
-    for x, count in _runs_of(items):
+    for x, count in seq.runs:
         key = id(x)
         if key not in values:
-            values[key] = f(x)
+            values[key] = (
+                tuple([values[k] if (k := id(y)) in values else values.setdefault(k, f(y)) for y in x])
+                if patterned
+                else f(x)
+            )
         runs.append((values[key], count))
-    return runs
+    return runs, patterned
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
@@ -306,8 +352,8 @@ def strip_decompose(
     A whole vertical twist region occupies one Type 2 strip in an f2
     decomposition; each self-tangency gets its own Type 2 strip in f3.
     Granularity only changes how smoothed-crossing marks distribute over
-    Type 3 strips ('fine' additionally interleaves empty ones); the
-    Type 2 content is invariant.  Strips of one kind over the same
+    Type 3 strips ('fine' puts the empty filler after each interior
+    strip, as pattern runs); the Type 2 content is invariant.  Strips of one kind over the same
     column runs are one object, wherever they sit, and those that need
     no word are one object in every decomposition.
     """
@@ -350,11 +396,9 @@ def strip_decompose(
         else:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
 
-    if granularity == "fine":
-        single = list(chain.from_iterable(repeat((s, 1), n) for s, n in interior))
-        spaced = [(_FILLER, 1)] * (2 * len(single))
-        spaced[0::2] = single
-        interior = spaced
-
-    strips = _RunSeq([(_CAP_IN, 1), *interior, (_CAP_OUT, 1)])
+    if granularity == "fine":  # each interior strip followed by the filler, one pattern per strip
+        patterns = {id(s): (s, _FILLER) for s, _ in interior}
+        strips = _RunSeq([((_CAP_IN,), 1), *((patterns[id(s)], n) for s, n in interior), ((_CAP_OUT,), 1)], True)
+    else:
+        strips = _RunSeq([(_CAP_IN, 1), *interior, (_CAP_OUT, 1)])
     return StripDecomposition(word=curve.word, variant=variant, granularity=granularity, strips=strips)

@@ -35,6 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations, product
+from operator import attrgetter
 from typing import ClassVar
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
@@ -43,11 +44,14 @@ from .curves import (
     VARIANTS,
     Strip,
     StripDecomposition,
+    _as_runs,
+    _counted,
     _RunSeq,
     _curve,
-    _mapped_runs,
+    _mapped,
     _paired,
     _runs_of,
+    _span,
     strip_decompose,
 )
 from .errors import (
@@ -256,8 +260,11 @@ def _cap_pairings(blocks: Sequence[BlockMap]) -> tuple[tuple, tuple]:
     n = len(blocks) - 1
     if n < 1:
         raise TraceMismatchError("a model needs a cap block at either end")
-    runs = _runs_of(blocks)
-    pairings = runs[0][0].pairing, runs[-1][0].pairing
+    seq = _as_runs(blocks)
+    first, last = seq.runs[0][0], seq.runs[-1][0]
+    if seq.patterned:
+        first, last = first[0], last[-1]
+    pairings = first.pairing, last.pairing
     for index, pairing in zip((0, n), pairings):
         if _partners(pairing) is None:
             raise TraceMismatchError(f"block {index} pairing {pairing!r} does not pair the four punctures")
@@ -294,6 +301,7 @@ def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...]:
 
 
 _PERMUTATIONS = frozenset(permutations(LEAVES))
+_permutation = attrgetter("permutation")
 
 
 def _permuting(perm: tuple[int, ...], index: int) -> tuple[int, ...]:
@@ -302,6 +310,51 @@ def _permuting(perm: tuple[int, ...], index: int) -> tuple[int, ...]:
     if perm not in _PERMUTATIONS:
         raise TraceMismatchError(f"block {index} permutation {perm!r} does not permute the four punctures")
     return perm
+
+
+def _pattern_permutation(pattern: tuple[BlockMap, ...], index: int) -> tuple[int, ...]:
+    """The permutation that carries the strands across ``pattern``, from
+    block ``index`` on: its blocks' permutations, each checked
+    (``_permuting``), applied in order."""
+    perms = tuple(map(_permutation, pattern))
+    composed = _composition(perms)
+    if composed is None:
+        for j, perm in enumerate(perms):
+            _permuting(perm, index + j)
+    return composed
+
+
+@lru_cache(maxsize=256)
+def _composition(perms: tuple) -> tuple[int, ...] | None:
+    """``perms`` applied in order, as one permutation; None unless each
+    permutes the four punctures."""
+    if not _PERMUTATIONS.issuperset(perms):
+        return None
+    out = IDENTITY
+    for perm in perms:
+        out = tuple(perm[x - 1] for x in out)
+    return IDENTITY if out == IDENTITY else out
+
+
+def _middle_runs(blocks: Sequence[BlockMap]) -> tuple[Sequence, bool]:
+    """The runs of the middle blocks, 1 to n - 1, and whether they are
+    pattern runs: either cap is cut off its run, one step at either end,
+    and a pattern run that holds a cap and more is first taken block by
+    block (assembly puts each cap in a run of its own)."""
+    seq = _as_runs(blocks)
+    runs = seq.runs
+    if seq.patterned:
+        if len(runs) > 1 and _span(*runs[0]) == 1 == _span(*runs[-1]):
+            return runs[1:-1], True
+        runs = _runs_of(seq)
+    runs = list(runs)
+    runs[0] = (runs[0][0], runs[0][1] - 1)
+    runs[-1] = (runs[-1][0], runs[-1][1] - 1)  # the same run, if there is one
+    if not runs[-1][1]:
+        runs.pop()
+    if runs and not runs[0][1]:
+        del runs[0]
+    return runs, False
 
 
 @lru_cache(maxsize=256)
@@ -332,23 +385,28 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
 
     The caps pair the punctures of the first and of the last section,
     and a run of ``count`` middle blocks with permutation P carries the
-    strands across as P to the power ``count``; a run of the identity
-    carries them straight, and is passed over.  Composed along the runs,
-    they carry section 1 to section n by one permutation, and the
-    components are the cycles it makes with the caps' pairings
+    strands across as P to the power ``count``, as does a pattern run
+    whose blocks compose to P (``_pattern_permutation``); a run of the
+    identity carries them straight, and is passed over.  Composed along
+    the runs, they carry section 1 to section n by one permutation, and
+    the components are the cycles it makes with the caps' pairings
     (``_cycles``).
     """
     left, right = _cap_pairings(blocks)
-    n = len(blocks) - 1
+    runs, patterned = _middle_runs(blocks)
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
-    start = 0
-    for block, count in _runs_of(blocks):
-        lo, start = start or 1, start + count
-        if block.permutation is not IDENTITY and lo < min(start, n):  # the run, cut to 1..n-1
+    index = 1  # of the run's first block
+    for block, count in runs:
+        if patterned:
+            perm, span = _pattern_permutation(block, index), len(block) * count
+        else:
+            perm, span = block.permutation, count
+        if perm is not IDENTITY:
             # Every permutation of four points has an order dividing 12.
-            power = _power(_permuting(block.permutation, lo), (min(start, n) - lo) % 12)
+            power = _power(_permuting(perm, index), count % 12)
             _, a, b, c, d = across
             across = (0, power[a], power[b], power[c], power[d])
+        index += span
     return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
 
 
@@ -390,7 +448,7 @@ def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) ->
     or 'swap' only exchanges which is which) and close up only in 'join'
     blocks, so each of its circles takes two of those."""
     ii2 = ii3 = joins = 0
-    for block, count in _runs_of(blocks):
+    for block, count in _counted(blocks):
         for event in block.events:
             if event.kind == "II2":
                 ii2 += count
@@ -438,8 +496,7 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     fraction = fraction_of(word)
     strips = strip_decompose(_curve(word, variant), variant, granularity)
 
-    blocks = _RunSeq(_mapped_runs(strips.strips, lambda strip: build_block(strip, variant)))
-    model = StableMapModel(strips, blocks)
+    model = StableMapModel(strips, _RunSeq(*_mapped(strips.strips, lambda strip: build_block(strip, variant))))
     _check_trace(model.trace, fraction)
     census = model.census
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
@@ -490,7 +547,7 @@ def validate_model(model: StableMapModel) -> None:
         raise InvariantViolationError(f"the word does not decompose: {err}") from None
     if model.strips != fresh.strips:
         raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
-    for block, catalogued, index in _paired(_runs_of(model.blocks), fresh.blocks.runs):
+    for block, catalogued, index in _paired(model.blocks, fresh.blocks):
         if block is not catalogued and block != catalogued:
             # the first field that differs, or else the class
             name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")

@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _expand, _mapped_runs, _runs_of
+from .curves import ImmersedCurve, StripDecomposition, _expand, _mapped, _runs_of
 from .morse import CrossSection, StableMapModel
 
 MARGIN = 16
@@ -47,10 +47,13 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
     return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"{dash}/>'
 
 
+_FIELD = re.compile(r"\{(\d+)\}")  # a template's field ``{i}``
+
+
 @lru_cache(maxsize=64)
 def _pieces(template: str) -> tuple[str, ...]:
     """The template split at its ``{i}`` fields: text, field, text, ..."""
-    return tuple(re.split(r"\{(\d+)\}", template))
+    return tuple(_FIELD.split(template))
 
 
 def _heads(x: int, step: int, n: int) -> list[str]:
@@ -167,7 +170,7 @@ def _strip_parts(parts: list, strips) -> list[str]:
     """``parts`` with the strip rects, the outline of E and the gamma
     lines appended; a rect's x lies between the two pieces of its rect."""
     n = len(strips)
-    rects, xs = list(_expand(_mapped_runs(strips, lambda strip: _strip_rect(strip.kind)))), []
+    rects, xs = list(_expand(*_mapped(strips, lambda strip: _strip_rect(strip.kind)))), []
     _fill(xs, "{0}", n, ((MARGIN, STRIP_W),))
     start = len(parts)
     parts += repeat(None, 4 * n)
@@ -207,10 +210,22 @@ def _model_parts(model: StableMapModel) -> list[str]:
     parts = _strip_parts(_opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN), model.strips.strips)
     # The dots of each block with events, at the middle x of its strip.
     mid = MARGIN + STRIP_W // 2
-    for dots, count in _mapped_runs(model.blocks, lambda block: _event_dots(block.events)):
-        if dots:
-            parts += map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots))
-        mid += count * STRIP_W
+    runs, patterned = _mapped(model.blocks, lambda block: _event_dots(block.events))
+    for dots, count in runs:
+        if not patterned:
+            if dots:
+                parts += map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots))
+            mid += count * STRIP_W
+            continue
+        # A pattern's blocks take turns: block j of each repetition is j strips on.
+        step = len(dots) * STRIP_W
+        rows = [
+            map(str.join, map(str, range(x, x + count * step, step)), repeat(d))
+            for x, d in zip(range(mid, mid + step, STRIP_W), dots)
+            if d
+        ]
+        parts += rows[0] if len(rows) == 1 else chain.from_iterable(zip(*rows))
+        mid += count * step
     # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
     x = MARGIN + STRIP_W
     _fill(parts, _TREE, n - 1, ((x - TREE_W // 2, STRIP_W), (x, STRIP_W), (x + TREE_W // 2, STRIP_W)))

@@ -21,10 +21,10 @@ from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _expand, _mapped_runs, _runs_of
+from .curves import GRANULARITIES, VARIANTS, _expand, _mapped, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
-from .render import _fill, _pieces
+from .render import _FIELD, _fill, _pieces
 
 SCHEMA_VERSION = "1"
 
@@ -107,23 +107,45 @@ _MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
 )
 
 
+@lru_cache(maxsize=64)
+def _pattern_template(templates: tuple, phase: int) -> tuple[str | None, tuple]:
+    """The block ``templates`` of a pattern as one, one row per repetition
+    from a block index ``phase`` mod their number, whose fields step by
+    that number; None, () if any of them is None."""
+    text, fields = "", ()
+    for j, (piece, offsets) in enumerate(templates):
+        if piece is None:
+            return None, ()
+        text += _FIELD.sub(lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", piece)
+        fields += tuple((phase + j + offset, len(templates)) for offset, _ in offsets)
+    return text, fields
+
+
 def _block_rows(parts: list, blocks) -> None:
     """Append the text and separator of every block: one template per
     distinct block, laid out along the runs, and for each run of blocks
     with events filled in by ``render._fill``, whose fields are the
-    events' section numbers.  A block's event slice tags name its own
-    section or the next, relative to its position (``EVENT_SLICES``)."""
+    events' section numbers.  A pattern run is one template, its blocks'
+    in order, filled in one call.  A block's event slice tags name its
+    own section or the next, relative to its position (``EVENT_SLICES``)."""
     first = 0
-    runs = _mapped_runs(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
-    for (text, fields), count in runs:
+    runs, patterned = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
+    width = 1
+    for template, count in runs:
+        if patterned:
+            width = len(template)
+            template = _pattern_template(template, first % width)
+        text, fields = template
         if text is None:
-            bad = next(e.slice for e in blocks[first].events if e.slice not in EVENT_SLICES)
-            raise InvariantViolationError(f"block {first}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
+            index, bad = next(
+                (i, e.slice) for i in range(first, first + width) for e in blocks[i].events if e.slice not in EVENT_SLICES
+            )
+            raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
         if fields:
-            _fill(parts, text, count, fields, first)
+            _fill(parts, text, count, fields, first // width)
         else:
             parts += repeat(text, count)
-        first += count
+        first += width * count
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -174,7 +196,7 @@ def _export_parts(model: StableMapModel) -> list[str]:
     fraction = fraction_of(word)
     strings = map(json.dumps, (format_conway(word), model.variant, model.granularity))
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
-    parts += _expand(_mapped_runs(strips, _strip_text))
+    parts += _expand(*_mapped(strips, _strip_text))
     parts[-1] = parts[-1][:-2] + "\n  ]" if strips else "[]"
     parts += (_MIDDLE, "[\n")
     _block_rows(parts, blocks)
@@ -300,7 +322,7 @@ def import_json(text: str) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    strips = list(_expand(_mapped_runs(model.strips.strips, _strip_entry)))
+    strips = list(_expand(*_mapped(model.strips.strips, _strip_entry)))
     fresh = _model_document(model, strips, _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:

@@ -499,3 +499,16 @@ def acyclic_oracle(edges) -> bool:
         seen.add(node)
         stack.extend((nbr, node) for nbr in adjacency[node] if nbr != parent)
     return len(seen) == len(adjacency)
+
+
+def pattern_runs(items, width: int) -> list[tuple[tuple, int]]:
+    """``items`` as runs ``(pattern, count)``: the next ``width`` items,
+    repeated for as long as they repeat, then the next ``width``."""
+    items, runs, i = tuple(items), [], 0
+    while i < len(items):
+        pattern, count = items[i : i + width], 1
+        while items[i + count * width : i + (count + 1) * width] == pattern:
+            count += 1
+        runs.append((pattern, count))
+        i += count * len(pattern)
+    return runs

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from twobridge import cli
 from twobridge.cli import run_cli
-from twobridge.conway import parse_conway
+from twobridge.conway import SchubertFraction, parse_conway
 from twobridge.errors import ConwaySyntaxError
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.render import render_svg
@@ -135,6 +135,21 @@ def test_certify_with_table(tmp_path, capsys):
     )
     assert run_cli(["certify", "C(2,2,2)", "--volume-table", str(table)]) == 0
     assert "certified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("digits", [("\uff17", "\uff13"), ("\u0667", "3")])
+def test_a_table_reference_reads_only_ascii_digits(digits):
+    # fullwidth and Arabic-Indic digits pass int(), as parse_conway refuses them in a word
+    assert cli._reference_fraction("/".join(digits)) is None
+    assert cli._reference_fraction("7/3") == SchubertFraction.normalized(7, 3)
+
+
+def test_a_volume_in_fullwidth_digits_exits_1(tmp_path, capsys):
+    table = tmp_path / "volumes.csv"
+    table.write_text("big223,C(2,2,2),\uff11\uff14.0\n")
+    assert run_cli(["certify", "C(2,2,2)", "--volume-table", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad volume" in captured.err and captured.err.count("\n") == 1
 
 
 def test_certify_with_table_label(tmp_path, capsys):

@@ -245,6 +245,14 @@ def test_ingest_reports_line_numbers():
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("volume", ["\uff11\uff12.\uff15", "\u0661\u0662.5"])
+def test_ingest_reads_only_ascii_digits_in_a_volume(volume):
+    # fullwidth and Arabic-Indic digits pass float(), as parse_conway refuses them in a word
+    with pytest.raises(TableParseError, match="bad volume") as err:
+        ingest_volume_table(f"a,C(2,2,2),1.0\nb,C(3,2,3),{volume}\n", source="t")
+    assert err.value.line_number == 2
+
+
 def test_ingest_rejects_duplicate_labels():
     with pytest.raises(DuplicateLabelError):
         ingest_volume_table("a,b,1.0\na,c,2.0\n", source="t")

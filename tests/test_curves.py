@@ -239,14 +239,25 @@ def test_granularity_only_changes_type3():
 
 # the first and the last column are equal but distinct objects
 POOL = (Column("pass", 1), Column("crossing", -2), Column("pass", 1))
-run_lists = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8)
+# runs of a pool index, or of a pattern of pool indices, with a count; a
+# run of count 0 is dropped, since a sequence takes its counts as positive
+run_lists = st.tuples(st.just(False), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8)) | st.tuples(
+    st.just(True), st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.integers(0, 4)), max_size=8)
+)
 bounds = st.none() | st.integers(-30, 30)
+
+
+def _sequence(patterned, runs, pool=POOL):
+    """The run-length sequence of ``runs`` over ``pool``, and its tuple."""
+    runs = [([k] if not patterned else k, n) for k, n in runs if n]
+    seq = _RunSeq(((tuple(pool[k] for k in p), n) if patterned else (pool[p[0]], n) for p, n in runs), patterned)
+    return seq, tuple(pool[k] for p, n in runs for _ in range(n) for k in p)
 
 
 @given(run_lists, bounds, bounds, st.none() | st.sampled_from([1, 2, 3, -1, -2]))
 def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
-    seq = _RunSeq((POOL[k], n) for k, n in runs)
-    flat = tuple(POOL[k] for k, n in runs for _ in range(n))
+    patterned, runs = runs
+    seq, flat = _sequence(patterned, runs)
     assert len(seq) == len(flat)
     assert list(seq) == list(flat)
     assert all(seq[i] is flat[i] for i in range(-len(flat), len(flat)))
@@ -258,11 +269,15 @@ def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
     assert hash(seq) == hash(flat)
     assert repr(seq) == repr(flat)
     regrouped = _RunSeq(_runs(flat))
-    assert seq == regrouped and regrouped.runs == tuple(_runs(flat))
-    assert seq != flat + (POOL[1],) and _RunSeq([*seq.runs, (POOL[1], 1)]) != seq
+    assert seq == regrouped and regrouped == seq and regrouped.runs == tuple(_runs(flat))
+    last = ((POOL[1],), 1) if patterned else (POOL[1], 1)
+    assert seq != flat + (POOL[1],) and _RunSeq([*seq.runs, last], patterned) != seq
+    # runs that line up: equal but distinct objects are equal, another object is not
+    assert seq == _sequence(patterned, runs, (POOL[2], POOL[1], POOL[0]))[0]
     if flat:
         changed = (Column("tangency", 1),) + flat[1:]
         assert seq != changed and seq != _RunSeq(_runs(changed))
+        assert seq != _sequence(patterned, runs, (POOL[1], POOL[0], POOL[1]))[0]  # every item changes kind
 
 
 def test_a_run_length_sequence_equals_no_list():

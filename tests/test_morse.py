@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import acyclic_oracle, oracle_trace, plat_component_count_of_entries, random_even_b_words
+from oracles import acyclic_oracle, oracle_trace, pattern_runs, plat_component_count_of_entries, random_even_b_words
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
 from twobridge import morse
 from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
@@ -544,15 +544,18 @@ middle_runs = st.lists(st.tuples(permutations, st.integers(1, 7)), max_size=8) |
 ).map(lambda t: [(t[0], 1), (t[1], 1)] * t[2])  # alternating runs of one, as fine granularity makes
 
 
-@given(pairings, middle_runs, pairings)
-def test_run_level_trace_matches_adjacency_oracle(left, runs, right):
+@given(pairings, middle_runs, pairings, st.integers(1, 3))
+def test_run_level_trace_matches_adjacency_oracle(left, runs, right, width):
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     cap, middle, end = model.blocks[0], model.blocks[1], model.blocks[-1]
     blocks = _RunSeq(
         [(replace(cap, pairing=left), 1), *((replace(middle, permutation=p), n) for p, n in runs), (replace(end, pairing=right), 1)]
     )
     expected = oracle_trace(tuple(blocks))
-    for seq in (blocks, tuple(blocks)):
+    # the same blocks as pattern runs of ``width`` blocks, with the caps inside them or each in a run of its own
+    caps = [((blocks[0],), 1)], [((blocks[-1],), 1)]
+    inside, alone = pattern_runs(blocks, width), caps[0] + pattern_runs(blocks[1:-1], width) + caps[1]
+    for seq in (blocks, tuple(blocks), _RunSeq(inside, True), _RunSeq(alone, True)):
         trace = _definite_trace(seq)
         assert trace.count == len(expected)
         assert trace.components == expected
@@ -569,9 +572,13 @@ TAMPERS = ("kind", "slice", "permutation", "pairing")
 )
 def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, granularity, data):
     model = assemble_stable_map(parse_conway(text), variant, granularity)
-    runs = list(model.blocks.runs)
+    seq = model.blocks
+    runs = list(seq.runs)
     i = data.draw(st.integers(0, len(runs) - 1))
-    block, count = runs[i]
+    # at fine granularity a run repeats a pattern of blocks: one of them is swapped
+    pattern, count = runs[i] if seq.patterned else ((runs[i][0],), runs[i][1])
+    j = data.draw(st.integers(0, len(pattern) - 1))
+    block = pattern[j]
     tamper = data.draw(st.sampled_from(TAMPERS))
     if tamper == "kind":
         bad = replace(block, kind="type2" if block.kind == "type3" else "type3")
@@ -582,9 +589,53 @@ def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, gra
     else:  # a middle block: another permutation, or none at all
         other = tuple(block.permutation[j - 1] for j in (2, 1, 3, 4))
         bad = replace(block, permutation=other if tamper == "permutation" else (1, 1, 3, 4))
-    runs[i] = (bad, count)
+    runs[i] = ((*pattern[:j], bad, *pattern[j + 1 :]) if seq.patterned else bad, count)
     with pytest.raises((InvariantViolationError, TraceMismatchError)):
-        validate_model(replace(model, blocks=_RunSeq(runs)))
+        validate_model(replace(model, blocks=_RunSeq(runs, seq.patterned)))
+
+
+# up to 10**5 crossings an entry, each b entry even
+large_even_b_words = (
+    st.lists(st.integers(-(10**5), 10**5).filter(bool), min_size=1, max_size=9)
+    .filter(lambda l: len(l) % 2 == 1)
+    .map(lambda l: ConwayWord(tuple(2 * (e // 2) or 2 if i % 2 else e for i, e in enumerate(l))))
+)
+
+
+@given(large_even_b_words, st.sampled_from(["f2", "f3"]))
+def test_a_fine_model_is_the_crossing_model_with_a_filler_after_each_interior_strip(word, variant):
+    # compared through runs: one pattern run (strip, filler) per crossing-level run
+    try:
+        crossing = assemble_stable_map(word, variant)
+    except DegenerateFractionError:
+        return
+    fine = assemble_stable_map(word, variant, "fine")
+    assert (fine.census, fine.trace.count) == (crossing.census, crossing.trace.count)
+    for ours, theirs, filler in ((fine.strips.strips, crossing.strips.strips, Strip("type3")), (fine.blocks, crossing.blocks, build_block(Strip("type3"), variant))):
+        assert ours.patterned and not theirs.patterned and len(ours.runs) == len(theirs.runs)
+        (first, one), *middle, (last, other) = ours.runs
+        assert [(first, one), (last, other)] == [((theirs.runs[0][0],), 1), ((theirs.runs[-1][0],), 1)]
+        assert [(pattern[0], count) for pattern, count in middle] == list(theirs.runs[1:-1])
+        assert all(len(pattern) == 2 and pattern[1] == filler for pattern, _ in middle)
+
+
+@pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+def test_assembly_memory_does_not_grow_with_the_granularity(variant, granularity):
+    # fine holds one pattern run per crossing-level run, not one run per crossing
+    word = parse_conway("C(100000,2,100000)")
+    peaks, runs = [], []
+    for each in ("crossing", granularity):
+        morse._last_model.cache_clear()
+        tracemalloc.start()
+        try:
+            runs.append(len(assemble_stable_map(word, variant, each).blocks.runs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            morse._last_model.cache_clear()
+    assert runs[1] == runs[0]
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("text", ["C(100000,2,100000)", "C(3,2,300000)"])

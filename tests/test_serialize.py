@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobridge.conway import ConwayWord
-from oracles import model_entries, random_even_b_words
+from twobridge.conway import ConwayWord, parse_conway
+from oracles import model_entries, pattern_runs, random_even_b_words
 from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq
 from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
 from twobridge import morse, serialize
-from twobridge.morse import assemble_stable_map, build_block
+from twobridge.morse import assemble_stable_map, build_block, validate_model
+from twobridge.render import render_svg
 from twobridge.serialize import export_json, import_json
 
 
@@ -183,8 +184,28 @@ def test_export_rejects_a_positioned_event_tag():
     strip = Strip("type2", (Column("crossing", 1),) * 2, param=2)
     blocks = list(model.blocks)
     blocks[j] = build_block(strip, "f2", index=4)
-    with pytest.raises(InvariantViolationError, match=f"block {j}: event slice \"F4'\""):
-        export_json(replace(model, blocks=tuple(blocks)))
+    for width in (0, 1, 2, 3):  # the blocks as a tuple, or as pattern runs of ``width`` blocks
+        tampered = _RunSeq(pattern_runs(blocks, width), True) if width else tuple(blocks)
+        with pytest.raises(InvariantViolationError, match=f"block {j}: event slice \"F4'\""):
+            export_json(replace(model, blocks=tampered))
+
+
+@given(
+    st.sampled_from(["C(3,2,3)", "C(2,-4,2,2,-3)", "C(-5,-2,-3)", "C(4,2,2,2,4)", "C(3,4,-3,2,1,2,2)"]),
+    st.sampled_from(["f2", "f3"]),
+    st.sampled_from(GRANULARITIES),
+    st.integers(1, 4),
+)
+def test_a_model_held_as_any_pattern_runs_exports_and_renders_the_same_bytes(text, variant, granularity, width):
+    # a pattern of several blocks with events, a cap inside a pattern, a pattern cut short at the end
+    model = assemble_stable_map(parse_conway(text), variant, granularity)
+    strips = _RunSeq(pattern_runs(model.strips.strips, width), True)
+    patterned = replace(model, strips=replace(model.strips, strips=strips), blocks=_RunSeq(pattern_runs(model.blocks, width), True))
+    assert patterned == model
+    assert "".join(serialize._export_parts(patterned)) == export_json(model)
+    assert render_svg(patterned) == render_svg(model) and render_svg(patterned.strips) == render_svg(model.strips)
+    assert (patterned.census, patterned.trace.components) == (model.census, model.trace.components)
+    validate_model(patterned)
 
 
 def test_export_rejects_a_template_field_in_a_block_kind():
