@@ -58,14 +58,11 @@ _object, _count = itemgetter(0), itemgetter(1)  # of a run ``(object, count)``
 
 
 class _RunSeq:
-    """An immutable sequence held as runs.
-
-    ``runs`` is a tuple of ``(object, count)`` pairs, one object repeated
-    ``count`` times, or, in a ``patterned`` sequence, of ``(pattern,
-    count)`` pairs, a tuple of objects repeated ``count`` times, as a fine
-    decomposition repeats ``(strip, filler)``.  Every count is positive,
-    which is taken on trust, and adjacent runs may hold the same object.
-    As a sequence it is ``tuple(self)``: its length, indexing, iteration,
+    """An immutable sequence held as runs ``(object, count)``, or in a
+    ``patterned`` one ``(pattern, count)``, a tuple of objects repeated
+    (a fine decomposition repeats ``(strip, filler)``).  Counts are
+    positive, on trust; adjacent runs may hold the same object.  As a
+    sequence it is ``tuple(self)``: its length, indexing, iteration,
     ``==``, ``hash`` and ``repr`` are those of the expanded tuple, and a
     slice is that tuple's slice.  Length is O(1), an index is a bisection
     over the run ends, iteration runs at C speed, and equality with
@@ -96,12 +93,9 @@ class _RunSeq:
             raise IndexError("tuple index out of range")
         run = bisect_right(self._ends, i)
         item = self.runs[run][0]
-        # a pattern run ends on its pattern's last item
-        return item[(i - self._ends[run]) % len(item)] if self.patterned else item
+        return item[(i - self._ends[run]) % len(item)] if self.patterned else item  # a pattern run ends on its last item
 
-    def _shape(self) -> tuple:
-        """What two sequences whose runs line up share: the run ends, and
-        the pattern lengths of a patterned one."""
+    def _shape(self) -> tuple:  # what two sequences whose runs line up share
         return self._ends, self.patterned and tuple(map(len, map(_object, self.runs)))
 
     def __eq__(self, other):
@@ -213,47 +207,16 @@ def _runs(items) -> list[tuple[object, int]]:
     return [(items[a], b - a) for a, b in zip(starts, starts[1:] + [len(items)])]
 
 
-def _span(pattern, count) -> int:
-    return len(pattern) * count
-
-
 def _runs_of(items) -> Sequence[tuple[object, int]]:
     """The runs ``(object, count)`` of ``items``: those a run-length
-    sequence without patterns carries, or ``_runs(items)`` for any other
-    sequence, such as a tuple put into a model after assembly, item by
-    item."""
+    sequence without patterns carries, or ``_runs`` of any other sequence,
+    such as a tuple put into a model after assembly."""
     return items.runs if isinstance(items, _RunSeq) and not items.patterned else _runs(tuple(items))
 
 
 def _as_runs(items) -> _RunSeq:
     """``items`` as a run-length sequence: itself, or its runs."""
     return items if isinstance(items, _RunSeq) else _RunSeq(_runs(items))
-
-
-def _counted(items) -> Sequence[tuple[object, int]]:
-    """Each object of ``items`` with a count, one pair per run or per
-    item of a pattern run: the multiset of its objects, out of order."""
-    seq = _as_runs(items)
-    return [(x, count) for pattern, count in seq.runs for x in pattern] if seq.patterned else seq.runs
-
-
-def _paired(a, b: _RunSeq):
-    """The items of two sequences of one length side by side: ``(x, y,
-    start)`` where ``a`` holds ``x`` and ``b`` holds ``y`` from index
-    ``start``, through the rest of their run.  Runs that line up are
-    paired one step per run, or per item of a pattern run, where ``start``
-    is the item's first index; any others item by item."""
-    a = _as_runs(a)
-    if a._shape() != b._shape():
-        return zip(a, b, range(len(a)))
-    starts = (0, *a._ends)
-    if not a.patterned:
-        return zip(map(_object, a.runs), map(_object, b.runs), starts)
-    return (
-        (x, y, start + j)
-        for (p, _), (q, _), start in zip(a.runs, b.runs, starts)
-        for j, (x, y) in enumerate(zip(p, q))
-    )
 
 
 def _expand(runs, patterned=False):
@@ -272,11 +235,7 @@ def _mapped(items, f) -> tuple[list, bool]:
     for x, count in seq.runs:
         key = id(x)
         if key not in values:
-            values[key] = (
-                tuple([values[k] if (k := id(y)) in values else values.setdefault(k, f(y)) for y in x])
-                if patterned
-                else f(x)
-            )
+            values[key] = tuple([values[k] if (k := id(y)) in values else values.setdefault(k, f(y)) for y in x]) if patterned else f(x)
         runs.append((values[key], count))
     return runs, patterned
 

@@ -45,13 +45,10 @@ from .curves import (
     Strip,
     StripDecomposition,
     _as_runs,
-    _counted,
     _RunSeq,
     _curve,
     _mapped,
-    _paired,
     _runs_of,
-    _span,
     strip_decompose,
 )
 from .errors import (
@@ -313,48 +310,20 @@ def _permuting(perm: tuple[int, ...], index: int) -> tuple[int, ...]:
 
 
 def _pattern_permutation(pattern: tuple[BlockMap, ...], index: int) -> tuple[int, ...]:
-    """The permutation that carries the strands across ``pattern``, from
-    block ``index`` on: its blocks' permutations, each checked
-    (``_permuting``), applied in order."""
+    """The permutation that carries the strands across ``pattern`` from
+    block ``index`` on: its blocks', each checked, in order."""
     perms = tuple(map(_permutation, pattern))
-    composed = _composition(perms)
-    if composed is None:
-        for j, perm in enumerate(perms):
-            _permuting(perm, index + j)
-    return composed
+    if not _PERMUTATIONS.issuperset(perms):
+        all(map(_permuting, perms, range(index, index + len(perms))))  # raises at the first
+    return _composition(perms)
 
 
 @lru_cache(maxsize=256)
-def _composition(perms: tuple) -> tuple[int, ...] | None:
-    """``perms`` applied in order, as one permutation; None unless each
-    permutes the four punctures."""
-    if not _PERMUTATIONS.issuperset(perms):
-        return None
+def _composition(perms: tuple) -> tuple[int, ...]:
     out = IDENTITY
     for perm in perms:
         out = tuple(perm[x - 1] for x in out)
     return IDENTITY if out == IDENTITY else out
-
-
-def _middle_runs(blocks: Sequence[BlockMap]) -> tuple[Sequence, bool]:
-    """The runs of the middle blocks, 1 to n - 1, and whether they are
-    pattern runs: either cap is cut off its run, one step at either end,
-    and a pattern run that holds a cap and more is first taken block by
-    block (assembly puts each cap in a run of its own)."""
-    seq = _as_runs(blocks)
-    runs = seq.runs
-    if seq.patterned:
-        if len(runs) > 1 and _span(*runs[0]) == 1 == _span(*runs[-1]):
-            return runs[1:-1], True
-        runs = _runs_of(seq)
-    runs = list(runs)
-    runs[0] = (runs[0][0], runs[0][1] - 1)
-    runs[-1] = (runs[-1][0], runs[-1][1] - 1)  # the same run, if there is one
-    if not runs[-1][1]:
-        runs.pop()
-    if runs and not runs[0][1]:
-        del runs[0]
-    return runs, False
 
 
 @lru_cache(maxsize=256)
@@ -386,27 +355,28 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
     The caps pair the punctures of the first and of the last section,
     and a run of ``count`` middle blocks with permutation P carries the
     strands across as P to the power ``count``, as does a pattern run
-    whose blocks compose to P (``_pattern_permutation``); a run of the
-    identity carries them straight, and is passed over.  Composed along
-    the runs, they carry section 1 to section n by one permutation, and
-    the components are the cycles it makes with the caps' pairings
-    (``_cycles``).
+    whose blocks compose to P; a run of the identity carries them
+    straight, and is passed over.  Composed along the runs, they carry
+    section 1 to section n by one permutation, and the components are
+    the cycles it makes with the caps' pairings (``_cycles``).
     """
     left, right = _cap_pairings(blocks)
-    runs, patterned = _middle_runs(blocks)
+    n = len(blocks) - 1
+    seq = _as_runs(blocks)
+    runs, patterned = seq.runs, seq.patterned
+    if patterned and not len(runs[0][0]) * runs[0][1] == 1 == len(runs[-1][0]) * runs[-1][1]:
+        runs, patterned = _runs_of(seq), False  # a cap shares a pattern run: block by block
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
-    index = 1  # of the run's first block
+    start = 0
     for block, count in runs:
-        if patterned:
-            perm, span = _pattern_permutation(block, index), len(block) * count
-        else:
-            perm, span = block.permutation, count
-        if perm is not IDENTITY:
-            # Every permutation of four points has an order dividing 12.
-            power = _power(_permuting(perm, index), count % 12)
-            _, a, b, c, d = across
-            across = (0, power[a], power[b], power[c], power[d])
-        index += span
+        lo, start = start or 1, start + (len(block) * count if patterned else count)
+        if lo < min(start, n):  # the run, cut to 1..n-1; a pattern run, between the caps, is never cut
+            perm = _pattern_permutation(block, lo) if patterned else block.permutation
+            if perm is not IDENTITY:
+                # Every permutation of four points has an order dividing 12.
+                power = _power(_permuting(perm, lo), (count if patterned else min(start, n) - lo) % 12)
+                _, a, b, c, d = across
+                across = (0, power[a], power[b], power[c], power[d])
     return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
 
 
@@ -447,8 +417,10 @@ def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) ->
     The indefinite fold set's two curves run through every block ('id'
     or 'swap' only exchanges which is which) and close up only in 'join'
     blocks, so each of its circles takes two of those."""
+    seq = _as_runs(blocks)
+    runs = [(block, count) for pattern, count in seq.runs for block in pattern] if seq.patterned else seq.runs
     ii2 = ii3 = joins = 0
-    for block, count in _counted(blocks):
+    for block, count in runs:
         for event in block.events:
             if event.kind == "II2":
                 ii2 += count
@@ -536,8 +508,9 @@ def validate_model(model: StableMapModel) -> None:
     block per strip, the trace of the blocks is checked against the
     fraction first, so a permutation that changes the component count
     raises ``TraceMismatchError``.  Then the strips and the blocks (run
-    by run: a long run costs one look) are compared with the assembly's,
-    and the first difference raises ``InvariantViolationError``."""
+    by run, where their runs line up) are compared with the assembly's,
+    and the first difference, found block by block, raises
+    ``InvariantViolationError``."""
     if len(model.blocks) != len(model.strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
     _check_trace(model.trace, fraction_of(model.word))
@@ -547,11 +520,11 @@ def validate_model(model: StableMapModel) -> None:
         raise InvariantViolationError(f"the word does not decompose: {err}") from None
     if model.strips != fresh.strips:
         raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
-    for block, catalogued, index in _paired(model.blocks, fresh.blocks):
-        if block is not catalogued and block != catalogued:
-            # the first field that differs, or else the class
-            name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")
-            raise InvariantViolationError(
-                f"block {index}: {name} is {getattr(block, name, type(block))!r}, "
-                f"the catalogued {catalogued.kind} block has {getattr(catalogued, name, BlockMap)!r}"
-            )
+    if model.blocks != fresh.blocks:  # the first block that differs, item by item
+        index, block, catalogued = next((i, x, y) for i, (x, y) in enumerate(zip(model.blocks, fresh.blocks)) if x != y)
+        # the first field that differs, or else the class
+        name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")
+        raise InvariantViolationError(
+            f"block {index}: {name} is {getattr(block, name, type(block))!r}, "
+            f"the catalogued {catalogued.kind} block has {getattr(catalogued, name, BlockMap)!r}"
+        )

@@ -47,13 +47,10 @@ def _line(x1, y1, x2, y2, cls, dashed=False) -> str:
     return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"{dash}/>'
 
 
-_FIELD = re.compile(r"\{(\d+)\}")  # a template's field ``{i}``
-
-
 @lru_cache(maxsize=64)
 def _pieces(template: str) -> tuple[str, ...]:
     """The template split at its ``{i}`` fields: text, field, text, ..."""
-    return tuple(_FIELD.split(template))
+    return tuple(re.split(r"\{(\d+)\}", template))
 
 
 def _heads(x: int, step: int, n: int) -> list[str]:
@@ -219,12 +216,8 @@ def _model_parts(model: StableMapModel) -> list[str]:
             continue
         # A pattern's blocks take turns: block j of each repetition is j strips on.
         step = len(dots) * STRIP_W
-        rows = [
-            map(str.join, map(str, range(x, x + count * step, step)), repeat(d))
-            for x, d in zip(range(mid, mid + step, STRIP_W), dots)
-            if d
-        ]
-        parts += rows[0] if len(rows) == 1 else chain.from_iterable(zip(*rows))
+        rows = (map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d)
+        parts += chain.from_iterable(zip(*rows))
         mid += count * step
     # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
     x = MARGIN + STRIP_W

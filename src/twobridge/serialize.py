@@ -24,7 +24,7 @@ from .conway import _require_size, format_conway, fraction_of, parse_conway
 from .curves import GRANULARITIES, VARIANTS, _expand, _mapped, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
-from .render import _FIELD, _fill, _pieces
+from .render import _fill, _pieces
 
 SCHEMA_VERSION = "1"
 
@@ -116,7 +116,7 @@ def _pattern_template(templates: tuple, phase: int) -> tuple[str | None, tuple]:
     for j, (piece, offsets) in enumerate(templates):
         if piece is None:
             return None, ()
-        text += _FIELD.sub(lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", piece)
+        text += re.sub(r"\{(\d+)\}", lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", piece)
         fields += tuple((phase + j + offset, len(templates)) for offset, _ in offsets)
     return text, fields
 
