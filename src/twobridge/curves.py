@@ -93,7 +93,8 @@ class _RunSeq:
             raise IndexError("tuple index out of range")
         run = bisect_right(self._ends, i)
         item = self.runs[run][0]
-        return item[(i - self._ends[run]) % len(item)] if self.patterned else item  # a pattern run ends on its last item
+        # a pattern run ends on its pattern's last item
+        return item[(i - self._ends[run]) % len(item)] if self.patterned else item
 
     def _shape(self) -> tuple:  # what two sequences whose runs line up share
         return self._ends, self.patterned and tuple(map(len, map(_object, self.runs)))
@@ -235,7 +236,15 @@ def _mapped(items, f) -> tuple[list, bool]:
     for x, count in seq.runs:
         key = id(x)
         if key not in values:
-            values[key] = tuple([values[k] if (k := id(y)) in values else values.setdefault(k, f(y)) for y in x]) if patterned else f(x)
+            if patterned:  # a pattern, item by item
+                pattern = []
+                for y in x:
+                    if id(y) not in values:
+                        values[id(y)] = f(y)
+                    pattern.append(values[id(y)])
+                values[key] = tuple(pattern)
+            else:
+                values[key] = f(x)
         runs.append((values[key], count))
     return runs, patterned
 
@@ -312,9 +321,10 @@ def strip_decompose(
     decomposition; each self-tangency gets its own Type 2 strip in f3.
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' puts the empty filler after each interior
-    strip, as pattern runs); the Type 2 content is invariant.  Strips of one kind over the same
-    column runs are one object, wherever they sit, and those that need
-    no word are one object in every decomposition.
+    strip, as pattern runs); the Type 2 content is invariant.  Strips of
+    one kind over the same column runs are one object, wherever they
+    sit, and those that need no word are one object in every
+    decomposition.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

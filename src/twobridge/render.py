@@ -216,8 +216,9 @@ def _model_parts(model: StableMapModel) -> list[str]:
             continue
         # A pattern's blocks take turns: block j of each repetition is j strips on.
         step = len(dots) * STRIP_W
-        rows = (map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d)
-        parts += chain.from_iterable(zip(*rows))
+        if any(dots):
+            rows = (map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d)
+            parts += chain.from_iterable(zip(*rows))
         mid += count * step
     # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
     x = MARGIN + STRIP_W
