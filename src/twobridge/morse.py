@@ -314,7 +314,8 @@ def _pattern_permutation(pattern: tuple[BlockMap, ...], index: int) -> tuple[int
     block ``index`` on: its blocks', each checked, in order."""
     perms = tuple(map(_permutation, pattern))
     if not _PERMUTATIONS.issuperset(perms):
-        all(map(_permuting, perms, range(index, index + len(perms))))  # raises at the first
+        for j, perm in enumerate(perms):
+            _permuting(perm, index + j)
     return _composition(perms)
 
 
