@@ -211,8 +211,19 @@ def _runs(items) -> list[tuple[object, int]]:
 def _runs_of(items) -> Sequence[tuple[object, int]]:
     """The runs ``(object, count)`` of ``items``: those a run-length
     sequence without patterns carries, or ``_runs`` of any other sequence,
-    such as a tuple put into a model after assembly."""
-    return items.runs if isinstance(items, _RunSeq) and not items.patterned else _runs(tuple(items))
+    such as a tuple put into a model after assembly.  A patterned
+    sequence is refused, since its runs are not of one object: a caller
+    that takes one writes it out (``_item_runs``)."""
+    if getattr(items, "patterned", False):
+        raise TypeError("a patterned sequence has no runs of one object")
+    return items.runs if isinstance(items, _RunSeq) else _runs(tuple(items))
+
+
+def _item_runs(items) -> Sequence[tuple[object, int]]:
+    """``_runs_of(items)``, with a patterned sequence written out first,
+    a step per item.  Only what writes out every item anyway (a trace's
+    components, a document's entries) asks for these."""
+    return _runs(tuple(items)) if getattr(items, "patterned", False) else _runs_of(items)
 
 
 def _as_runs(items) -> _RunSeq:

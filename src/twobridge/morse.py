@@ -47,6 +47,7 @@ from .curves import (
     _as_runs,
     _RunSeq,
     _curve,
+    _item_runs,
     _mapped,
     _runs_of,
     strip_decompose,
@@ -257,11 +258,7 @@ def _cap_pairings(blocks: Sequence[BlockMap]) -> tuple[tuple, tuple]:
     n = len(blocks) - 1
     if n < 1:
         raise TraceMismatchError("a model needs a cap block at either end")
-    seq = _as_runs(blocks)
-    first, last = seq.runs[0][0], seq.runs[-1][0]
-    if seq.patterned:
-        first, last = first[0], last[-1]
-    pairings = first.pairing, last.pairing
+    pairings = blocks[0].pairing, blocks[n].pairing
     for index, pairing in zip((0, n), pairings):
         if _partners(pairing) is None:
             raise TraceMismatchError(f"block {index} pairing {pairing!r} does not pair the four punctures")
@@ -366,7 +363,7 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
     seq = _as_runs(blocks)
     runs, patterned = seq.runs, seq.patterned
     if patterned and not len(runs[0][0]) * runs[0][1] == 1 == len(runs[-1][0]) * runs[-1][1]:
-        runs, patterned = _runs_of(seq), False  # a cap shares a pattern run: block by block
+        runs, patterned = _item_runs(seq), False  # a cap shares a pattern run: block by block
     across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
     start = 0
     for block, count in runs:
@@ -394,7 +391,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     n = len(blocks) - 1
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
     start = 0
-    for block, count in _runs_of(blocks):
+    for block, count in _item_runs(blocks):
         lo, start = start or 1, start + count
         if lo < min(start, n):  # the run, cut to 1..n-1
             perm, count = _permuting(block.permutation, lo), min(start, n) - lo
@@ -521,7 +518,7 @@ def validate_model(model: StableMapModel) -> None:
         raise InvariantViolationError(f"the word does not decompose: {err}") from None
     if model.strips != fresh.strips:
         raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
-    if model.blocks != fresh.blocks:  # the first block that differs, item by item
+    if _as_runs(model.blocks) != fresh.blocks:  # the first block that differs, item by item
         index, block, catalogued = next((i, x, y) for i, (x, y) in enumerate(zip(model.blocks, fresh.blocks)) if x != y)
         # the first field that differs, or else the class
         name = next((f.name for f in fields(BlockMap) if getattr(block, f.name) != getattr(catalogued, f.name)), "type")

@@ -21,7 +21,7 @@ from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _expand, _mapped, _runs_of
+from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _mapped
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
 from .render import _fill, _pieces
@@ -96,7 +96,7 @@ def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> t
         return None, ()
     fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
     text = _entry_text(_block_entry(kind, events, permutation, fields)) + ",\n"
-    if events and len(_pieces(text)) != 2 * len(events) + 1:
+    if len(_pieces(text)) != 2 * len(events) + 1:
         raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
     return text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events)
 
@@ -151,7 +151,7 @@ def _block_rows(parts: list, blocks) -> None:
 def _block_entries(blocks) -> list[dict]:
     entries = []
     first = 0
-    for block, count in _runs_of(blocks):
+    for block, count in _item_runs(blocks):
         if block.events:
             slices = [EVENT_SLICES[e.slice] for e in block.events]
             for j in range(first, first + count):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import octahedron_volume_oracle
@@ -189,6 +189,7 @@ def test_threshold_algebra(volume_fraction):
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
+@example(-math.inf)  # non-finite, and not positive either: the finiteness check must come first
 def test_every_volume_boundary_rejects_non_finite(volume):
     word = ConwayWord((2, 2, 2))
     calls = (

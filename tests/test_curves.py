@@ -12,8 +12,10 @@ from twobridge.curves import (
     Column,
     ImmersedCurve,
     PlatDiagram,
+    _item_runs,
     _RunSeq,
     _runs,
+    _runs_of,
     bigon_reduce,
     build_plat_diagram,
     outer_smooth,
@@ -285,3 +287,13 @@ def test_a_run_length_sequence_equals_no_list():
     seq = _RunSeq([(POOL[0], 2), (POOL[1], 1)])
     assert seq.__eq__(list(seq)) is NotImplemented
     assert seq != list(seq) and not seq == list(seq)
+
+
+def test_only_a_named_writing_out_takes_the_runs_of_one_object_of_a_patterned_sequence():
+    # a pattern run is not a run of one object, so taking it for one would lose the O(runs) bound unseen
+    seq = _RunSeq([((POOL[0], POOL[1]), 2), ((POOL[1],), 1)], True)
+    with pytest.raises(TypeError, match="patterned"):
+        _runs_of(seq)
+    assert _item_runs(seq) == _runs(tuple(seq)) == [(POOL[0], 1), (POOL[1], 1), (POOL[0], 1), (POOL[1], 2)]
+    plain = _RunSeq(_runs(tuple(seq)))
+    assert _item_runs(plain) is _runs_of(plain) is plain.runs

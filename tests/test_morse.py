@@ -216,9 +216,13 @@ def test_trace_matches_plat_oracle():
     assert trace.count == component_count(fraction_of(word))
 
 
-def test_validate_model_passes():
-    model = assemble_stable_map(ConwayWord((2, -4, 2)), "f3")
+@pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])
+def test_validate_model_passes(granularity):
+    model = assemble_stable_map(ConwayWord((2, -4, 2)), "f3", granularity)
     validate_model(model)
+    # the same blocks held as a tuple or a list, which no run-length sequence equals
+    for blocks in (tuple(model.blocks), list(model.blocks)):
+        validate_model(replace(model, blocks=blocks))
 
 
 def test_a_model_is_its_strips_and_blocks():

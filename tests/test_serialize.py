@@ -206,6 +206,13 @@ def test_a_model_held_as_any_pattern_runs_exports_and_renders_the_same_bytes(tex
     assert render_svg(patterned) == render_svg(model) and render_svg(patterned.strips) == render_svg(model.strips)
     assert (patterned.census, patterned.trace.components) == (model.census, model.trace.components)
     validate_model(patterned)
+    # a template field in the kind of the last block without events, which a pattern may put after one with events
+    j = max(i for i, block in enumerate(model.blocks) if not block.events)
+    blocks = list(model.blocks)
+    blocks[j] = replace(blocks[j], kind="type{0}")
+    for tampered in (tuple(blocks), _RunSeq(pattern_runs(blocks, width), True)):
+        with pytest.raises(InvariantViolationError, match="template field"):
+            serialize._export_parts(replace(model, blocks=tampered))
 
 
 def test_export_rejects_a_template_field_in_a_block_kind():
