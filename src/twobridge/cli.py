@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit status: 0 on success, 2 when a construction hypothesis fails for
-the given input (odd vertical twists, torus words, exhausted even-b
-search), 1 on any other error including usage problems.
+the given input (odd vertical twists, torus words, no even-b form
+within the normalize bound), 1 on any other error including usage
+problems.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .complexity import (
     volume_upper_bound,
 )
 from .conway import (
+    DEFAULT_SUM_BOUND,
     EquivalencePolicy,
     FailureReport,
     SchubertFraction,
@@ -207,8 +209,7 @@ def _cmd_normalize(args, out) -> int:
     if isinstance(result, FailureReport):
         out.write(
             f"search exhausted: no even-b form of {format_conway(word)} found "
-            f"within sum bound {result.sum_bound} and length bound "
-            f"{result.length_bound} (existence not excluded)\n"
+            f"within sum bound {result.sum_bound} (existence not excluded)\n"
         )
         return EXIT_HYPOTHESIS
     out.write(f"{format_conway(word)} -> {format_conway(result)}\n")
@@ -269,10 +270,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--granularity", choices=GRANULARITIES, default="crossing")
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("normalize", help="search for an even-b Conway form")
+    p = sub.add_parser("normalize", help="an equivalent Conway form with every b_i even")
     p.set_defaults(run=_cmd_normalize)
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=40)
+    p.add_argument("--bound", type=int, default=DEFAULT_SUM_BOUND, help="largest magnitude sum of the form (default %(default)s)")
 
     p = sub.add_parser("batch", help="map a file of words through a subcommand")
     p.set_defaults(run=lambda args, out: _cmd_batch(args, out, parser))

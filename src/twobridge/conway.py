@@ -14,14 +14,14 @@ checkerboard (Goeritz) determinant of the plat diagram built from the
 same word, and the test suite enforces that identity on an exhaustive
 corpus.
 
-All arithmetic in this module is exact integer/rational arithmetic.
+All arithmetic in this module is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import (
@@ -34,7 +34,6 @@ from .errors import (
 )
 
 DEFAULT_SUM_BOUND = 40
-DEFAULT_LENGTH_BOUND = 11
 
 # The most crossings a word may have where the output holds one entry per
 # crossing: the CLI's build and render, and import_json, whose document
@@ -129,12 +128,11 @@ class EquivalencePolicy:
 
 @dataclass(frozen=True)
 class FailureReport:
-    """Outcome of an exhausted even-b search; never a claim of nonexistence."""
+    """No even-b form found within a sum bound; never a claim of nonexistence."""
 
     word: ConwayWord
     fraction: SchubertFraction
     sum_bound: int
-    length_bound: int
     note: str
 
 
@@ -241,107 +239,72 @@ def transform(word: ConwayWord, kind: str) -> ConwayWord:
     raise ValueError(f"unknown transform {kind!r}")
 
 
-def _expansion_targets(f: SchubertFraction) -> list[Fraction]:
-    """Rational targets whose words normalize into f's mirror-free class.
+def _least_even_b_word(f: SchubertFraction, sum_bound: int) -> tuple[int, ...] | None:
+    """The least even-b word, by (length, sum of magnitudes, entries), of
+    magnitude sum at most ``sum_bound`` that expands p/y for y one of q,
+    q - p, q^{-1} and q^{-1} - p, so lies in ``f``'s mirror-free class.
 
-    cont(w) = X/Y lands on f exactly when |X| = p and sign(X)*Y is q or
-    q^{-1} mod p, so we sweep small representatives Y of those residues.
+    A state (X, Y, slot) is the value X/Y still to expand.  An a-slot takes
+    the floor or the ceiling of X/Y, a b-slot an even c with
+    |X - cY| <= |Y|, and the next state is (Y, X - cY); a word ends at an
+    a-slot with |Y| = 1.  So |Y| falls at every step but a b-slot's at
+    |Y| = 1, after which the word ends, and the states are taken in order
+    of decreasing |Y|: a state with |Y| > 1 has every prefix reaching it
+    when it is taken, and keeps those that no shorter or equally long
+    prefix matches in magnitude sum.
     """
-    p = f.p
-    targets = []
-    seen = set()
-    for base in (f.q, f.q_inverse):
-        for eps in (1, -1):
-            for k in range(-2, 3):
-                y = eps * base + k * p
-                if y == 0 or abs(y) > 2 * p:
+    frontier: dict[tuple[int, int, int], list] = {}
+    order: list[tuple[int, int, int]] = []  # a heap of the frontier's states, largest |Y| first
+    words = []
+
+    def reach(x: int, y: int, entries: tuple[int, ...], total: int) -> None:
+        if y < 0:
+            x, y = -x, -y
+        state = (-y, x, len(entries) % 2)
+        if state not in frontier:
+            frontier[state] = []
+            heappush(order, state)
+        frontier[state].append((len(entries), total, entries))
+
+    for y in {f.q, f.q - f.p, f.q_inverse, f.q_inverse - f.p}:
+        reach(f.p, y, (), 0)
+    while order:
+        state = heappop(order)
+        y, x, b_slot = -state[0], state[1], state[2]
+        lo = x // y
+        choices = (lo, lo + 1) if y > 1 else (lo - 1, lo + 1) if b_slot else (lo,)
+        lightest = sum_bound + 1
+        for _, total, entries in sorted(frontier.pop(state)):
+            if total >= lightest:
+                continue
+            lightest = total
+            for c in choices:
+                if b_slot and c % 2 or total + abs(c) > sum_bound:
                     continue
-                t = Fraction(eps * p, y)
-                if t not in seen:
-                    seen.add(t)
-                    targets.append(t)
-    targets.sort(key=lambda t: (abs(t.denominator), t < 0))
-    return targets
-
-
-def _expand_target(
-    target: Fraction,
-    length_bound: int,
-    sum_bound: int,
-    witnesses: list[tuple[int, ...]],
-) -> None:
-    """Depth-first expansion of ``target`` into words with even b-entries.
-
-    Candidate entries stay within distance 2 of the running value; that
-    window always contains the greedy nearest-integer (or nearest-even)
-    choices on both sides.
-    """
-
-    def min_tail(position: int) -> int:
-        # Cheapest legal completion: end now costs >= 1; if the next
-        # position is a b-slot, at least one even entry plus a final a.
-        return 1 if position % 2 == 1 else 3
-
-    def rec(t: Fraction, position: int, prefix: list[int], used: int) -> None:
-        a_slot = position % 2 == 1
-        if a_slot and t.denominator == 1:
-            c = int(t)
-            if c != 0 and used + abs(c) <= sum_bound:
-                witnesses.append(tuple(prefix + [c]))
-        if position >= length_bound:
-            return
-        lo = int(t) - 2
-        cands = [c for c in range(lo, lo + 6) if c != 0 and abs(Fraction(c) - t) <= 2]
-        if not a_slot:
-            cands = [c for c in cands if c % 2 == 0]
-        cands.sort(key=lambda c: (abs(Fraction(c) - t), c))
-        for c in cands:
-            r = t - c
-            if r == 0:
-                continue
-            nxt = used + abs(c)
-            if nxt + min_tail(position + 1) > sum_bound:
-                continue
-            rec(1 / r, position + 1, prefix + [c], nxt)
-
-    rec(target, 1, [], 0)
-
-
-def _witnesses(f: SchubertFraction, sum_bound: int) -> list[tuple[int, ...]]:
-    """The even-b words expanding to ``f``'s targets, so in its mirror-free
-    class (``_expansion_targets``), at the first odd length cap with any."""
-    targets = _expansion_targets(f)
-    for length_cap in range(1, DEFAULT_LENGTH_BOUND + 1, 2):
-        witnesses: list[tuple[int, ...]] = []
-        for target in targets:
-            _expand_target(target, length_cap, sum_bound, witnesses)
-        if witnesses:
-            break
-    return witnesses
+                if rest := x - c * y:
+                    reach(y, rest, entries + (c,), total + abs(c))
+                else:
+                    words.append(entries + (c,))
+    return min(words, key=lambda w: (len(w), sum(map(abs, w)), w), default=None)
 
 
 def even_b_normalize(word: ConwayWord, sum_bound: int = DEFAULT_SUM_BOUND) -> ConwayWord | FailureReport:
-    """Find an odd-length all-even-b word Schubert-equivalent (mirror off)
-    to ``word``; returns the input unchanged when it already qualifies.
-
-    The search expands continued fractions toward every small-denominator
-    representative of the fraction's class and keeps the minimal witness
-    by (length, sum of magnitudes, entries).  A FailureReport records the
-    searched bounds; it never claims nonexistence.
+    """An odd-length all-even-b word Schubert-equivalent (mirror off) to
+    ``word``: the input unchanged when it already qualifies, else the
+    least one ``_least_even_b_word`` builds within ``sum_bound``.  A
+    FailureReport records the bound; it never claims nonexistence.
     """
+    f = fraction_of(word)
     if all_b_even(word):
         return word
-    f = fraction_of(word)
-    if witnesses := _witnesses(f, sum_bound):
-        return ConwayWord(min(witnesses, key=lambda w: (len(w), sum(map(abs, w)), w)))
+    if entries := _least_even_b_word(f, sum_bound):
+        return ConwayWord(entries)
     return FailureReport(
         word=word,
         fraction=f,
         sum_bound=sum_bound,
-        length_bound=DEFAULT_LENGTH_BOUND,
         note=(
-            "no even-b word found by targeted continued-fraction expansion "
-            f"within sum {sum_bound} and length {DEFAULT_LENGTH_BOUND}; "
-            "existence is not excluded"
+            "no even-b word found by integer continued-fraction expansion "
+            f"within sum {sum_bound}; existence is not excluded"
         ),
     )

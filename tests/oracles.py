@@ -5,7 +5,9 @@ comes from checkerboard-coloring the plat diagram's complement (faces
 traced from the planar rotation system) and an exact integer Bareiss
 determinant; component counts come from tracing strand endpoints; the
 definite-fold trace of a block sequence from walking an adjacency-list
-graph; the octahedron volume from summing the Lobachevsky series.
+graph; the octahedron volume from summing the Lobachevsky series; the
+least even-b word from the bounded depth-first search over ``Fraction``
+targets that the library's integer construction replaced.
 """
 
 from __future__ import annotations
@@ -291,6 +293,101 @@ def nearest_integer_expansion(p: int, q: int):
         entries.extend([c - s, s])
     assert all(e != 0 for e in entries) and len(entries) % 2 == 1
     return tuple(entries)
+
+
+# The bounded depth-first search for even-b words, with its fixed length cap.
+SEARCH_LENGTH_BOUND = 11
+
+
+def _expansion_targets(f: SchubertFraction) -> list[Fraction]:
+    """Rational targets whose words normalize into f's mirror-free class.
+
+    cont(w) = X/Y lands on f exactly when |X| = p and sign(X)*Y is q or
+    q^{-1} mod p, so we sweep small representatives Y of those residues.
+    """
+    p = f.p
+    targets = []
+    seen = set()
+    for base in (f.q, f.q_inverse):
+        for eps in (1, -1):
+            for k in range(-2, 3):
+                y = eps * base + k * p
+                if y == 0 or abs(y) > 2 * p:
+                    continue
+                t = Fraction(eps * p, y)
+                if t not in seen:
+                    seen.add(t)
+                    targets.append(t)
+    targets.sort(key=lambda t: (abs(t.denominator), t < 0))
+    return targets
+
+
+def _expand_target(
+    target: Fraction,
+    length_bound: int,
+    sum_bound: int,
+    witnesses: list[tuple[int, ...]],
+) -> None:
+    """Depth-first expansion of ``target`` into words with even b-entries.
+
+    Candidate entries stay within distance 2 of the running value; that
+    window always contains the greedy nearest-integer (or nearest-even)
+    choices on both sides.
+    """
+
+    def min_tail(position: int) -> int:
+        # Cheapest legal completion: end now costs >= 1; if the next
+        # position is a b-slot, at least one even entry plus a final a.
+        return 1 if position % 2 == 1 else 3
+
+    def rec(t: Fraction, position: int, prefix: list[int], used: int) -> None:
+        a_slot = position % 2 == 1
+        if a_slot and t.denominator == 1:
+            c = int(t)
+            if c != 0 and used + abs(c) <= sum_bound:
+                witnesses.append(tuple(prefix + [c]))
+        if position >= length_bound:
+            return
+        lo = int(t) - 2
+        cands = [c for c in range(lo, lo + 6) if c != 0 and abs(Fraction(c) - t) <= 2]
+        if not a_slot:
+            cands = [c for c in cands if c % 2 == 0]
+        cands.sort(key=lambda c: (abs(Fraction(c) - t), c))
+        for c in cands:
+            r = t - c
+            if r == 0:
+                continue
+            nxt = used + abs(c)
+            if nxt + min_tail(position + 1) > sum_bound:
+                continue
+            rec(1 / r, position + 1, prefix + [c], nxt)
+
+    rec(target, 1, [], 0)
+
+
+def even_b_witnesses(f: SchubertFraction, sum_bound: int) -> list[tuple[int, ...]]:
+    """The even-b words expanding to ``f``'s targets, so in its mirror-free
+    class (``_expansion_targets``), at the first odd length cap with any.
+
+    This bounded search was the library's ``even_b_normalize`` until the
+    integer construction replaced it; it stays as the reference for
+    minimality."""
+    targets = _expansion_targets(f)
+    for length_cap in range(1, SEARCH_LENGTH_BOUND + 1, 2):
+        witnesses: list[tuple[int, ...]] = []
+        for target in targets:
+            _expand_target(target, length_cap, sum_bound, witnesses)
+        if witnesses:
+            break
+    return witnesses
+
+
+@lru_cache(maxsize=None)
+def least_even_b_witness(f, sum_bound: int) -> tuple[int, ...] | None:
+    """The least of ``even_b_witnesses`` by (length, sum of magnitudes,
+    entries), or None when the search finds none; kept per fraction and
+    bound, since many words share a fraction."""
+    return min(even_b_witnesses(f, sum_bound), key=lambda w: (len(w), sum(map(abs, w)), w), default=None)
 
 
 def compositions(total: int, parts: int):

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from twobridge import cli
 from twobridge.cli import run_cli
-from twobridge.conway import SchubertFraction, parse_conway
+from twobridge.conway import EquivalencePolicy, SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
 from twobridge.errors import ConwaySyntaxError
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.render import render_svg
@@ -285,6 +288,46 @@ def test_normalize_success(capsys):
 def test_normalize_exhausted_exits_2(capsys):
     assert run_cli(["normalize", "C(2,1,2)", "--bound", "2"]) == 2
     assert "search exhausted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["C(1)", "C(-1)", "C(1,-2,1)"])
+def test_normalize_of_a_degenerate_even_b_word_exits_1(text, capsys):
+    assert run_cli(["normalize", text]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and "not a two-bridge fraction" in captured.err
+
+
+def _long_odd_b_word() -> str:
+    """A seeded 4001-entry word of entries from -3 to 3 with b_1 = 3."""
+    rng = random.Random(4001)
+    entries = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4001)]
+    entries[1] = 3
+    return "C(" + ",".join(map(str, entries)) + ")"
+
+
+def test_normalize_of_a_4001_entry_word_within_a_large_bound(capsys):
+    text = _long_odd_b_word()
+    tracemalloc.start()
+    try:
+        assert run_cli(["normalize", text, "--bound", "1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert peak < 50 * 2**20 and not captured.err
+    left, _, right = captured.out.strip().partition(" -> ")
+    assert left == text
+    form = parse_conway(right)
+    assert all_b_even(form)
+    assert schubert_equivalent(fraction_of(form), fraction_of(parse_conway(text)), EquivalencePolicy(allow_mirror=False))
+
+
+def test_normalize_of_a_4001_entry_word_at_the_default_bound_exits_2_quickly(capsys):
+    text = _long_odd_b_word()
+    start = time.perf_counter()
+    assert run_cli(["normalize", text]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.startswith("search exhausted: no even-b form of")
 
 
 def test_parse_error_exits_1(capsys):

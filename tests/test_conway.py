@@ -41,6 +41,12 @@ entry = st.integers(min_value=-9, max_value=9).filter(lambda e: e != 0)
 words = st.lists(entry, min_size=1, max_size=9).filter(lambda l: len(l) % 2 == 1).map(
     lambda l: ConwayWord(tuple(l))
 )
+odd_b_words = (
+    st.integers(min_value=1, max_value=20)
+    .flatmap(lambda m: st.lists(entry, min_size=2 * m + 1, max_size=2 * m + 1))
+    .map(lambda l: ConwayWord(tuple(l)))
+    .filter(lambda word: not all_b_even(word))
+)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -304,6 +310,33 @@ def test_normalize_finds_figure_eight_form():
     assert isinstance(result, ConwayWord)
     assert all_b_even(result)
     assert fraction_of(result).p == 5
+
+
+@pytest.mark.parametrize("entries", [(1,), (-1,), (1, -2, 1)])
+def test_normalize_of_a_degenerate_even_b_word_raises(entries):
+    with pytest.raises(DegenerateFractionError):
+        even_b_normalize(ConwayWord(entries))
+
+
+def test_normalize_has_no_length_cap():
+    # 42837/12970: its shortest even-b form has 13 entries
+    word = parse_conway("C(3,3,3,3,3,3,3,3,3)")
+    assert even_b_normalize(word) == parse_conway("C(-1,-2,-3,-4,1,2,3,4,-1,-2,-3,-2,-1)")
+
+
+@given(odd_b_words)
+@settings(max_examples=50, deadline=None)
+def test_normalize_gives_an_equivalent_even_b_word_of_any_length(word):
+    try:
+        f = fraction_of(word)
+    except DegenerateFractionError:
+        return
+    result = even_b_normalize(word, sum_bound=10**6)
+    assert isinstance(result, ConwayWord)
+    assert len(result.entries) % 2 == 1 and all_b_even(result)
+    assert schubert_equivalent(fraction_of(result), f, STRICT)
+    # reversal keeps the mirror-free class, so the construction starts alike
+    assert even_b_normalize(transform(word, "reverse"), sum_bound=10**6) == result
 
 
 def test_normalize_reports_exhausted_bounds():

@@ -1,21 +1,28 @@
 """Every small word through the whole pipeline, checked against the
 independent oracles of ``oracles.py``.
 
-Tier-1 sweeps the even-b words of magnitude sum at most 8 and the
-normalize witnesses of the odd-b words of magnitude sum at most 7.  The
+Tier-1 sweeps the even-b words of magnitude sum at most 8, the search
+oracle's witnesses for the odd-b words of magnitude sum at most 7, and
+``even_b_normalize`` against that oracle on the odd-b words of magnitude
+sum at most 8 and on the fractions with p at most 12 at every bound up to
+40, and finds an even-b form for every fraction with p below 60.  The
 larger sweeps run as a CI step:
 
-    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9))'
+    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300))'
 """
 
 import contextlib
 import io
+from math import gcd
 
 import pytest
 
 from oracles import (
     all_entry_tuples,
+    even_b_witnesses,
     goeritz_determinant_of_entries,
+    least_even_b_witness,
+    nearest_integer_expansion,
     oracle_curve_svg,
     oracle_model_svg,
     plat_component_count_of_entries,
@@ -26,8 +33,11 @@ from twobridge.conway import (
     DEFAULT_SUM_BOUND,
     ConwayWord,
     EquivalencePolicy,
-    _witnesses,
+    FailureReport,
+    SchubertFraction,
+    _least_even_b_word,
     all_b_even,
+    even_b_normalize,
     format_conway,
     fraction_of,
     schubert_equivalent,
@@ -117,12 +127,10 @@ def check_odd_b_words(cli_max_sum: int, library_max_sum: int) -> tuple[int, int]
 
 
 def check_normalize_witnesses(max_sum: int) -> tuple[int, int]:
-    """Every witness that ``even_b_normalize`` chooses among
-    (``conway._witnesses``), for every odd-b word of
-    ``all_entry_tuples(max_sum)`` whose fraction is two-bridge, is
-    Schubert-equivalent to the word with the mirror off: the search
-    returns the least witness unchecked.  Returns the number of words and
-    of witnesses."""
+    """Every witness of the search oracle (``oracles.even_b_witnesses``),
+    for every odd-b word of ``all_entry_tuples(max_sum)`` whose fraction
+    is two-bridge, is Schubert-equivalent to the word with the mirror off.
+    Returns the number of words and of witnesses."""
     strict = EquivalencePolicy(allow_mirror=False)
     words = witnesses = 0
     for word in _odd_b_words(max_sum):
@@ -131,11 +139,79 @@ def check_normalize_witnesses(max_sum: int) -> tuple[int, int]:
         except DegenerateFractionError:
             continue
         words += 1
-        found = _witnesses(f, DEFAULT_SUM_BOUND)
+        found = even_b_witnesses(f, DEFAULT_SUM_BOUND)
         for entries in found:
             assert schubert_equivalent(fraction_of(ConwayWord(entries)), f, strict), (word, entries)
         witnesses += len(found)
     return words, witnesses
+
+
+# The fractions where the construction and the search oracle pick
+# different words of the same length and sum: the search's word takes a
+# step whose remainder grows, which the construction never does.
+TIE_BREAK_FRACTIONS = {(29, 12), (29, 17), (35, 8), (35, 13), (35, 22), (35, 27)}
+
+
+def _check_against_search(word: ConwayWord, f, sum_bound: int) -> None:
+    """``even_b_normalize(word, sum_bound)`` is the search oracle's least
+    witness, or, for ``TIE_BREAK_FRACTIONS``, a word of its length and sum."""
+    got = even_b_normalize(word, sum_bound)
+    want = least_even_b_witness(f, sum_bound)
+    where = (format_conway(word), sum_bound, got, want)
+    if want is None:
+        assert isinstance(got, FailureReport), where
+    elif (f.p, f.q) in TIE_BREAK_FRACTIONS:
+        assert (len(got.entries), got.sum_abs) == (len(want), sum(map(abs, want))), where
+    else:
+        assert got == ConwayWord(want), where
+
+
+def check_normalize_against_search(max_sum: int) -> int:
+    """``even_b_normalize`` agrees with the search oracle on every odd-b
+    word of ``all_entry_tuples(max_sum)`` whose fraction is two-bridge, at
+    the default bound.  Returns the number of words."""
+    words = 0
+    for word in _odd_b_words(max_sum):
+        try:
+            f = fraction_of(word)
+        except DegenerateFractionError:
+            continue
+        words += 1
+        _check_against_search(word, f, DEFAULT_SUM_BOUND)
+    return words
+
+
+def check_normalize_bounds(max_p: int) -> int:
+    """``even_b_normalize`` agrees with the search oracle on the odd-b
+    nearest-integer word of every fraction p/q with p at most ``max_p``,
+    at every sum bound from 1 to 40.  Returns the number of cases."""
+    cases = 0
+    for p in range(2, max_p + 1):
+        for q in filter(lambda q: gcd(p, q) == 1, range(1, p)):
+            word = ConwayWord(nearest_integer_expansion(p, q))
+            if all_b_even(word):
+                continue
+            for sum_bound in range(1, 41):
+                cases += 1
+                _check_against_search(word, fraction_of(word), sum_bound)
+    return cases
+
+
+def check_every_fraction(max_p: int) -> int:
+    """Every fraction p/q with p below ``max_p`` has an even-b form when
+    the sum bound does not bind: an odd-length all-even-b word equivalent
+    to p/q with the mirror off.  Returns the number of fractions."""
+    strict = EquivalencePolicy(allow_mirror=False)
+    fractions = 0
+    for p in range(2, max_p):
+        for q in filter(lambda q: gcd(p, q) == 1, range(1, p)):
+            fractions += 1
+            f = SchubertFraction(p, q)
+            entries = _least_even_b_word(f, 10**6)
+            assert entries is not None and len(entries) % 2 == 1, (f, entries)
+            word = ConwayWord(entries)
+            assert all_b_even(word) and schubert_equivalent(fraction_of(word), f, strict), (f, word)
+    return fractions
 
 
 def test_every_even_b_word_up_to_magnitude_sum_8():
@@ -144,3 +220,15 @@ def test_every_even_b_word_up_to_magnitude_sum_8():
 
 def test_every_normalize_witness_up_to_magnitude_sum_7():
     assert check_normalize_witnesses(7) == (672, 2408)
+
+
+def test_normalize_agrees_with_search_up_to_magnitude_sum_8():
+    assert check_normalize_against_search(8) == 2248
+
+
+def test_normalize_agrees_with_search_at_every_bound_up_to_p_12():
+    assert check_normalize_bounds(12) == 640
+
+
+def test_every_fraction_below_p_60_has_an_even_b_form():
+    assert check_every_fraction(60) == 1085
