@@ -42,8 +42,8 @@ from .errors import (
     TwoBridgeError,
 )
 from .morse import assemble_stable_map
-from .render import _svg_parts
-from .serialize import _export_parts
+from .render import _svg_windows
+from .serialize import _export_windows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,14 +67,16 @@ def _exit_status(err: Exception) -> int:
     return EXIT_HYPOTHESIS if isinstance(err, HypothesisError) else EXIT_ERROR
 
 
-def _write_output(parts: list[str], path: str | None, out) -> None:
-    """Write a document's parts to ``path`` or else to ``out``, joined
-    65536 at a time, so that the whole document is never one string."""
+def _write_output(windows, path: str | None, out) -> None:
+    """Write a document's stream of part lists to ``path`` or else to
+    ``out``, each list joined and written as it comes, so that neither the
+    whole document nor all its parts are ever held."""
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
-            return _write_output(parts, None, handle)
-    for i in range(0, len(parts), 65536):
-        out.write("".join(parts[i : i + 65536]))
+            return _write_output(windows, None, handle)
+    for parts in windows:
+        out.write("".join(parts))
+        parts.clear()
 
 
 def _cmd_analyze(args, out) -> int:
@@ -106,7 +108,7 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_build(args, out) -> int:
     word = _require_size(parse_conway(args.word))
     model = assemble_stable_map(word, args.variant, args.granularity)
-    _write_output(_export_parts(model), args.output, out)
+    _write_output(_export_windows(model), args.output, out)
     return EXIT_OK
 
 
@@ -199,11 +201,13 @@ def _cmd_render(args, out) -> int:
     else:
         curve = _curve(word, args.variant)
         subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
-    _write_output(_svg_parts(subject), args.output, out)
+    _write_output(_svg_windows(subject), args.output, out)
     return EXIT_OK
 
 
 def _cmd_normalize(args, out) -> int:
+    if args.bound < 1:
+        raise ValueError(f"--bound must be at least 1, got {args.bound}")
     word = parse_conway(args.word)
     result = even_b_normalize(word, sum_bound=args.bound)
     if isinstance(result, FailureReport):
@@ -273,7 +277,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="an equivalent Conway form with every b_i even")
     p.set_defaults(run=_cmd_normalize)
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=DEFAULT_SUM_BOUND, help="largest magnitude sum of the form (default %(default)s)")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=DEFAULT_SUM_BOUND,
+        help="largest magnitude sum of a form built for an odd-b word; an even-b word is returned as given (default %(default)s)",
+    )
 
     p = sub.add_parser("batch", help="map a file of words through a subcommand")
     p.set_defaults(run=lambda args, out: _cmd_batch(args, out, parser))

@@ -232,8 +232,9 @@ def _as_runs(items) -> _RunSeq:
 
 
 def _expand(runs, patterned=False):
-    """The items of ``runs``, at C speed."""
-    return chain.from_iterable(starmap(mul if patterned else repeat, runs))
+    """The items of ``runs``, at C speed, never holding more than one."""
+    items = chain.from_iterable(starmap(repeat, runs))
+    return chain.from_iterable(items) if patterned else items
 
 
 def _mapped(items, f) -> tuple[list, bool]:

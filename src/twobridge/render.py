@@ -6,22 +6,28 @@ as vertical lines, Type 2 strips are highlighted, and model renders add
 the standard Reeb tree beneath every separator.  Rendering is one-way;
 SVG is never imported.
 
-A document is one flat list of shared strings, joined once.  Its
-elements are rows of a few templates, and along a run of rows each x is
-``offset + k*step``, so its text is two shared pieces taken from tables
-built once per process: its thousands, and its last three digits with
-the template's next literal (``_fill``).
+A document is runs of rows: a strip rect, a gamma line, a tree, a column
+glyph of a curve, or in an export a strip or block entry.  Along a run
+each x is ``offset + k*step``, so a row's text is shared pieces: per x
+its thousands, and its last three digits with the template's next
+literal.  A template's rows are laid out once per process, only as far
+as calls ask, and a row past them is a slice of a cached page of its
+period (``_Layout``), so a call costs the same wherever its run starts.
+A document is made as a stream (``_windowed``): one list of parts,
+handed on each time ``_WINDOW`` more parts have gone in.  ``render_svg``
+and ``export_json`` let it grow and join it once; the CLI writes and
+empties it each time, so what it holds does not grow with the document.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, repeat
-from math import gcd, lcm
+from itertools import accumulate, chain, islice, repeat
+from math import gcd, inf, lcm
 from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _expand, _mapped, _runs_of
+from .curves import ImmersedCurve, StripDecomposition, _count, _expand, _mapped, _object
 from .morse import CrossSection, StableMapModel
 
 MARGIN = 16
@@ -34,6 +40,8 @@ STRIP_TOP = 16
 STRIP_BOT = 112
 TREE_H = 48
 TREE_W = 16
+
+_WINDOW = 1 << 13  # parts between two hand-ons of a stream, give or take a run
 
 
 def _opening(width: int, height: int) -> list[str]:
@@ -62,51 +70,197 @@ def _heads(x: int, step: int, n: int) -> list[str]:
     return heads
 
 
+# A row source has ``stride``, the parts of each of its rows, and
+# ``fill(parts, first, n)``, which appends rows first to first + n - 1.
+
+
+class _Layout:
+    """The rows of ``template`` over the progressions ``fields``: a row is
+    its first literal, then per field the thousands of its x and the rest
+    with the next literal.  Rows are built as far as calls ask, until
+    every x is 1000 or more and then for the period of the tails (1000 /
+    gcd(step, 1000) rows), so a small document is one slice of them.  A
+    row past them is a row of a page, the period with the thousands of
+    one stretch of rows written in; the last page is kept.  Both lists are
+    swapped in whole and never changed after, so calls from two threads
+    at once read consistent rows."""
+
+    __slots__ = ("template", "fields", "pieces", "stride", "low", "period", "places", "rows", "page")
+
+    def __init__(self, template: str, fields: tuple):
+        self.template, self.fields = template, fields
+        self.pieces = pieces = _pieces(template)
+        self.stride = bool(pieces[0]) + len(pieces) - 1  # parts per row
+        self.low = max((max(0, (1000 - offset + step - 1) // step) for offset, step in fields), default=0)
+        self.period = lcm(*(1000 // gcd(step, 1000) for _, step in fields))
+        places: dict[tuple, list[int]] = {}  # each progression's thousands in a row
+        for at, name in enumerate(pieces[1::2]):
+            places.setdefault(fields[int(name)], []).append(bool(pieces[0]) + 2 * at)
+        self.places = tuple(places.items())
+        self.rows: list[str] = []
+        self.page: tuple[int, int, list[str]] = (0, 0, [])  # first row, end, rows
+
+    def _build(self, start: int, end: int) -> list[str]:
+        """Rows ``start`` to ``end - 1``, part by part."""
+        n, pieces = end - start, self.pieces
+        columns = [repeat(pieces[0], n)] if pieces[0] else []
+        for name, literal in zip(pieces[1::2], pieces[2::2]):
+            offset, step = self.fields[int(name)]
+            x = offset + start * step
+            xs = range(x, x + n * step, step)
+            columns += (_heads(x, step, n), [f"{x % 1000:03d}{literal}" if x >= 1000 else f"{x}{literal}" for x in xs])
+        return list(chain.from_iterable(zip(*columns)))
+
+    def fill(self, parts: list, first: int, n: int) -> None:
+        """Append rows ``first`` to ``first + n - 1``, for ``n >= 1``."""
+        end, stride, rows = first + n, self.stride, self.rows
+        if end * stride <= len(rows):
+            parts += rows[first * stride : end * stride]
+            return
+        start, stop, page = self.page
+        if start <= first and end <= stop:
+            parts += page[(first - start) * stride : (end - start) * stride]
+            return
+        built, count = len(rows) // stride, self.low + self.period
+        if built < count:
+            rows = self.rows = rows + self._build(built, min(count, max(end, 2 * built, 16)))
+            built = len(rows) // stride
+        if first < built:
+            parts += rows[first * stride : min(end, built) * stride]
+            first = built
+        low, period = self.low, self.period
+        if end - first <= period:  # a slice of a page or two
+            while first < end:
+                start = first - (first - low) % period
+                stop, page = self._page(rows, start)
+                parts += page[(first - start) * stride : (min(end, stop) - start) * stride]
+                first = stop
+            return
+        # Longer: whole periods of the page, then the thousands written in.
+        page = self.page[2] or self._page(rows, count)[1]
+        start, size = len(parts), (end - first) * stride
+        at = (first - low) % period * stride
+        parts += page[at : at + size]
+        for _ in range((start + size - len(parts)) // len(page)):
+            parts += page
+        parts += page[: start + size - len(parts)]
+        for (offset, step), places in self.places:
+            heads = _heads(offset + first * step, step, end - first)
+            for j in places:
+                parts[start + j :: stride] = heads
+
+    def _page(self, rows: list, start: int) -> tuple[int, list[str]]:
+        """The end and the rows of the page from row ``start`` on: the
+        period at the end of the whole ``rows``, with the thousands of rows
+        ``start`` onwards written in."""
+        at, stop, page = self.page
+        if at != start:
+            page, stop, stride = rows[self.low * self.stride :], start + self.period, self.stride
+            for (offset, step), places in self.places:
+                heads = _heads(offset + start * step, step, self.period)
+                for j in places:
+                    page[j::stride] = heads
+            self.page = (start, stop, page)
+        return stop, page
+
+
 @lru_cache(maxsize=64)
-def _layout(template: str, fields: tuple) -> tuple[list[str], int, list[str], dict]:
-    """The first rows of ``template`` over the progressions ``fields``,
-    once per process: a row is its first literal, then per field the
-    thousands of its x and the rest with the next literal.  They run until
-    every x is 1000 or more, then for the period of the tails (1000 /
-    gcd(step, 1000) rows).  Returns the rows, their stride, the period's
-    rows and, for each progression, the places of its thousands in a row."""
-    pieces = _pieces(template)
-    low = max((max(0, (1000 - offset + step - 1) // step) for offset, step in fields), default=0)
-    count = low + lcm(*(1000 // gcd(step, 1000) for _, step in fields))
-    columns, slots = [[pieces[0]] * count] if pieces[0] else [], {}
-    for name, literal in zip(pieces[1::2], pieces[2::2]):
-        offset, step = fields[int(name)]
-        slots.setdefault((offset, step), []).append(len(columns))
-        xs = range(offset, offset + count * step, step)
-        columns += (_heads(offset, step, count), [f"{x % 1000:03d}{literal}" if x >= 1000 else f"{x}{literal}" for x in xs])
-    rows = list(chain.from_iterable(zip(*columns)))
-    return rows, len(columns), rows[low * len(columns) :], slots
+def _layout(template: str, fields: tuple) -> _Layout:
+    """The one layout of ``template`` over ``fields`` in this process."""
+    return _Layout(template, fields)
+
+
+class _Text:
+    """Rows that are one text each."""
+
+    __slots__ = ("text",)
+    stride = 1
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def fill(self, parts: list, first: int, n: int) -> None:
+        parts += repeat(self.text, n)
+
+
+class _Texts:
+    """Rows that are the texts of an iterator, one each, taken in order:
+    filled from the first row on, each row once, at C speed."""
+
+    __slots__ = ("texts",)
+    stride = 1
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def fill(self, parts: list, first: int, n: int) -> None:
+        parts += islice(self.texts, n)
+
+
+def _row(template: str, fields: tuple):
+    """The rows of ``template`` over ``fields``: a layout, or a text if it
+    has no field."""
+    return _layout(template, fields) if fields else _Text(template)
 
 
 def _fill(parts: list, template: str, n: int, fields: tuple, first: int = 0) -> None:
     """Append rows ``first`` to ``first + n - 1`` of ``template``, whose
     field ``{j}`` reads offset + k*step in row k for ``fields[j] = (offset,
-    step)``: sliced out of the layout, then out of its period, for which
-    only the thousands are written, one shared text per run of rows.  No
-    row is made as one string and no number is formatted per row; for
-    ``n <= 0`` nothing is appended."""
-    if n <= 0:
-        return
-    rows, stride, period, slots = _layout(template, fields)
-    end, top = first + n, max(first, len(rows) // stride)
-    parts += rows[first * stride : min(end, top) * stride]
-    if end <= top:
-        return
-    start, size = len(parts), (end - top) * stride
-    at = (top * stride - len(rows) + len(period)) % len(period)
-    parts += period[at : at + size]
-    for _ in range((start + size - len(parts)) // len(period)):
-        parts += period
-    parts += period[: start + size - len(parts)]
-    for (offset, step), places in slots.items():
-        heads = _heads(offset + top * step, step, end - top)
-        for j in places:
-            parts[start + j :: stride] = heads
+    step)``.  No row is made as one string and no number is formatted per
+    row; for ``n <= 0`` nothing is appended."""
+    if n > 0:
+        _layout(template, fields).fill(parts, first, n)
+
+
+@lru_cache(maxsize=64)
+def _pattern(rows: tuple, phase: int):
+    """The ``rows`` of a pattern's items (``_row``) as one row per
+    repetition, from item ``phase`` mod their number on: an item's fields
+    step per item, so in the joined row they step by the pattern."""
+    text, fields, width = "", (), len(rows)
+    for j, row in enumerate(rows):
+        if isinstance(row, _Layout):
+            text += re.sub(r"\{(\d+)\}", lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", row.template)
+            fields += tuple((offset + (phase + j) * step, width * step) for offset, step in row.fields)
+        else:
+            text += row.text
+    return _row(text, fields)
+
+
+def _placed(runs) -> zip:
+    """Runs ``(row, count)`` as ``(row, count, first)``, row 0 first."""
+    return zip(map(_object, runs), map(_count, runs), accumulate(map(_count, runs), initial=0))
+
+
+def _windowed(parts: list, runs):
+    """Append to ``parts`` the rows of each run ``(row, count, first)``,
+    rows ``first`` to ``first + count - 1`` of a row source, none for a
+    count below 1.  Each time ``_WINDOW`` parts have gone in, before more
+    go in, ``parts`` is handed on (yielded).  A consumer that writes it
+    empties it (``cli._write_output``); one that keeps it (``_collected``)
+    gets the rest in one go, not window by window."""
+    limit = len(parts) + _WINDOW
+    for row, count, first in runs:
+        if len(parts) >= limit:
+            yield parts
+            limit = inf if parts else _WINDOW
+        if 0 < count * row.stride < limit - len(parts):
+            row.fill(parts, first, count)
+            continue
+        while count > 0:  # a run past the window, in pieces
+            if len(parts) >= limit:
+                yield parts
+                limit = inf if parts else _WINDOW
+            k = min(count, (limit - len(parts)) // row.stride + 1)
+            row.fill(parts, first, k)
+            first, count = first + k, count - k
+
+
+def _collected(windows) -> list[str]:
+    """The one list of parts a stream hands on, kept until it runs out."""
+    for parts in windows:
+        pass
+    return parts
 
 
 # One row per column kind: {0} is the column's left x, {1} its right x
@@ -126,7 +280,8 @@ _PASS_ROW = (
 )
 
 
-def _curve_parts(curve: ImmersedCurve) -> list[str]:
+def _curve_runs(curve: ImmersedCurve) -> tuple[list[str], list]:
+    """The opening parts of the curve's document and its runs of rows."""
     width = 2 * MARGIN + 2 * CAP_W + len(curve.columns) * COL_W
     height = CURVE_BOT + CURVE_TOP
     left, right = MARGIN + CAP_W, width - MARGIN - CAP_W
@@ -141,11 +296,8 @@ def _curve_parts(curve: ImmersedCurve) -> list[str]:
         )
     )
     fields = ((left, COL_W), (left + COL_W, COL_W), (left + COL_W // 2, COL_W))
-    first = 0
-    for column, count in _runs_of(curve.columns):
-        _fill(parts, _COLUMN_ROWS.get(column.kind, _PASS_ROW), count, fields, first)
-        first += count
-    return parts
+    runs, _ = _mapped(curve.columns, lambda column: _layout(_COLUMN_ROWS.get(column.kind, _PASS_ROW), fields))
+    return parts, list(_placed(runs))
 
 
 _RECT_FILL = {"type1": "#e8e8e8", "type2": "#ffd27f", "type4": "#e8e8e8"}
@@ -163,22 +315,37 @@ def _strip_rect(kind: str) -> tuple[str, str]:
     )
 
 
-def _strip_parts(parts: list, strips) -> list[str]:
-    """``parts`` with the strip rects, the outline of E and the gamma
-    lines appended; a rect's x lies between the two pieces of its rect."""
+class _Rects:
+    """The strip rects, a rect's two pieces around the two of its x,
+    filled from the first strip on, each once: the pieces at C speed per
+    strip, the x in one layout call per fill."""
+
+    __slots__ = ("pieces",)
+    stride = 4
+
+    def __init__(self, strips):
+        self.pieces = _expand(*_mapped(strips, lambda strip: _strip_rect(strip.kind)))
+
+    def fill(self, parts: list, first: int, n: int) -> None:
+        rects, xs, start = list(islice(self.pieces, n)), [], len(parts)
+        _fill(xs, "{0}", n, ((MARGIN, STRIP_W),), first)
+        parts += repeat(None, 4 * n)
+        parts[start::4], parts[start + 3 :: 4] = map(itemgetter(0), rects), map(itemgetter(1), rects)
+        parts[start + 1 :: 4], parts[start + 2 :: 4] = xs[0::2], xs[1::2]
+
+
+_GAMMA = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n"
+
+
+def _strip_runs(strips) -> list:
+    """The strip rects, the outline of E and the gamma lines."""
     n = len(strips)
-    rects, xs = list(_expand(*_mapped(strips, lambda strip: _strip_rect(strip.kind)))), []
-    _fill(xs, "{0}", n, ((MARGIN, STRIP_W),))
-    start = len(parts)
-    parts += repeat(None, 4 * n)
-    parts[start :: 4], parts[start + 3 :: 4] = map(itemgetter(0), rects), map(itemgetter(1), rects)
-    parts[start + 1 :: 4], parts[start + 2 :: 4] = xs[0::2], xs[1::2]
-    parts.append(
+    outline = (
         f'<rect class="region-E" x="{MARGIN}" y="{STRIP_TOP}" width="{n * STRIP_W}" '
         f'height="{STRIP_BOT - STRIP_TOP}" fill="none" stroke="black" stroke-width="2"/>\n'
     )
-    _fill(parts, _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n", n - 1, ((MARGIN + STRIP_W, STRIP_W),))
-    return parts
+    gamma = _layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),))
+    return [(_Rects(strips), n, 0), (_Text(outline), 1, 0), (gamma, n - 1, 0)]
 
 
 # The standard cross-section tree, edge by edge: leaves 1 and 2 above,
@@ -187,6 +354,7 @@ def _strip_parts(parts: list, strips) -> list[str]:
 _TOP, _HI, _LO, _BOT = (STRIP_BOT + MARGIN + k * TREE_H // 3 for k in range(4))
 _PLACES = {1: ("{0}", _TOP), 2: ("{2}", _TOP), "s_hi": ("{1}", _HI), "s_lo": ("{1}", _LO), 3: ("{0}", _BOT), 4: ("{2}", _BOT)}
 _TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in CrossSection.edges) + "</g>\n"
+_TREE_X = tuple((MARGIN + STRIP_W + dx, STRIP_W) for dx in (-TREE_W // 2, 0, TREE_W // 2))
 
 
 @lru_cache(maxsize=64)
@@ -202,44 +370,55 @@ def _event_dots(events: tuple) -> tuple[str, ...]:
     return tuple(dots.split("{0}")) if dots else ()
 
 
-def _model_parts(model: StableMapModel) -> list[str]:
-    n = len(model.strips.strips)
-    parts = _strip_parts(_opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN), model.strips.strips)
-    # The dots of each block with events, at the middle x of its strip.
-    mid = MARGIN + STRIP_W // 2
-    runs, patterned = _mapped(model.blocks, lambda block: _event_dots(block.events))
+def _dot_run(blocks) -> tuple[_Texts, int, int]:
+    """The dots of each block with events, at the middle x of its strip,
+    as one run of texts, one per block, formatted as they are taken: that
+    costs less than a fill per run where runs are one block long, the
+    common case."""
+    runs, patterned = _mapped(blocks, lambda block: _event_dots(block.events))
+    texts, total, mid = [], 0, MARGIN + STRIP_W // 2
     for dots, count in runs:
         if not patterned:
             if dots:
-                parts += map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots))
+                texts.append(map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots)))
+                total += count
             mid += count * STRIP_W
             continue
         # A pattern's blocks take turns: block j of each repetition is j strips on.
         step = len(dots) * STRIP_W
         if any(dots):
-            rows = (map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d)
-            parts += chain.from_iterable(zip(*rows))
+            rows = [map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d]
+            texts.append(chain.from_iterable(zip(*rows)))
+            total += count * len(rows)
         mid += count * step
-    # One tree beneath each separator, at x = MARGIN + k * STRIP_W.
-    x = MARGIN + STRIP_W
-    _fill(parts, _TREE, n - 1, ((x - TREE_W // 2, STRIP_W), (x, STRIP_W), (x + TREE_W // 2, STRIP_W)))
-    return parts
+    return _Texts(chain.from_iterable(texts)), total, 0
 
 
-def _svg_parts(subject) -> list[str]:
-    """The parts of ``render_svg(subject)``, in order."""
+def _model_runs(model: StableMapModel) -> tuple[list[str], list]:
+    """The opening parts of the model's document and its runs of rows:
+    the strips', the dots, and one tree beneath each separator, at x =
+    MARGIN + k * STRIP_W."""
+    n = len(model.strips.strips)
+    parts = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN)
+    return parts, [*_strip_runs(model.strips.strips), _dot_run(model.blocks), (_layout(_TREE, _TREE_X), n - 1, 0)]
+
+
+def _svg_windows(subject):
+    """The parts of ``render_svg(subject)``, in order, as a stream
+    (``_windowed``) that hands on its list a last time at the end."""
     if isinstance(subject, ImmersedCurve):
-        parts = _curve_parts(subject)
+        parts, runs = _curve_runs(subject)
     elif isinstance(subject, StripDecomposition):
-        parts = _strip_parts(_opening(2 * MARGIN + len(subject.strips) * STRIP_W, STRIP_BOT + MARGIN), subject.strips)
+        parts, runs = _opening(2 * MARGIN + len(subject.strips) * STRIP_W, STRIP_BOT + MARGIN), _strip_runs(subject.strips)
     elif isinstance(subject, StableMapModel):
-        parts = _model_parts(subject)
+        parts, runs = _model_runs(subject)
     else:
         raise TypeError(f"cannot render {type(subject).__name__}")
+    yield from _windowed(parts, runs)
     parts.append("</svg>\n")
-    return parts
+    yield parts
 
 
 def render_svg(subject) -> str:
     """Render an ImmersedCurve, StripDecomposition, or StableMapModel."""
-    return "".join(_svg_parts(subject))
+    return "".join(_collected(_svg_windows(subject)))

@@ -16,7 +16,7 @@ import re
 import reprlib
 from dataclasses import fields
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice
 from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
@@ -24,7 +24,7 @@ from .conway import _require_size, format_conway, fraction_of, parse_conway
 from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _mapped
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
-from .render import _fill, _pieces
+from .render import _collected, _pattern, _pieces, _placed, _row, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -87,11 +87,11 @@ def _plain_strip_text(kind: str, param: int) -> str:
     return _entry_text({"type": kind, "param": param}) + ",\n"
 
 
-@lru_cache(maxsize=1024)
 def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> tuple[str | None, tuple]:
     """The text of a block and its separator, with the field ``{i}`` for
-    the section number in the slice tag of event ``i``, and its fields for
-    ``_fill``; None, () if an event slice is none of ``EVENT_SLICES``."""
+    the section number in the slice tag of event ``i``, and its fields,
+    which step by one per block; None, () if an event slice is none of
+    ``EVENT_SLICES``."""
     if any(e.slice not in EVENT_SLICES for e in events):
         return None, ()
     fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
@@ -101,51 +101,42 @@ def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> t
     return text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events)
 
 
+@lru_cache(maxsize=1024)
+def _block_row(kind: str, events: tuple, permutation: tuple[int, ...]):
+    """The rows of a block's template (``render._row``), None if it has none."""
+    text, fields = _block_template(kind, events, permutation)
+    return None if text is None else _row(text, fields)
+
+
 # No export is shorter per block than the shortest strip and catalogued block texts with separators.
 _MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
     len(_block_template(block.kind, block.events, block.permutation)[0]) for block in _CATALOGUE.values()
 )
 
 
-@lru_cache(maxsize=64)
-def _pattern_template(templates: tuple, phase: int) -> tuple[str | None, tuple]:
-    """The block ``templates`` of a pattern as one, one row per repetition
-    from a block index ``phase`` mod their number, whose fields step by
-    that number; None, () if any of them is None."""
-    text, fields = "", ()
-    for j, (piece, offsets) in enumerate(templates):
-        if piece is None:
-            return None, ()
-        text += re.sub(r"\{(\d+)\}", lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", piece)
-        fields += tuple((phase + j + offset, len(templates)) for offset, _ in offsets)
-    return text, fields
+def _block_rows(blocks):
+    """The runs of rows of the blocks (``render._windowed``): one template
+    per distinct block, filled per run, whose fields are its events'
+    section numbers, and a pattern run's blocks' templates joined into one
+    (``render._pattern``).  A block's event slice tags name its own section
+    or the next, relative to its position (``EVENT_SLICES``)."""
+    unlisted = []  # blocks with an event slice none of EVENT_SLICES, which have no row
 
+    def row(block):
+        return _block_row(block.kind, block.events, block.permutation) or unlisted.append(block)
 
-def _block_rows(parts: list, blocks) -> None:
-    """Append the text and separator of every block: one template per
-    distinct block, laid out along the runs, and for each run of blocks
-    with events filled in by ``render._fill``, whose fields are the
-    events' section numbers.  A pattern run is one template, its blocks'
-    in order, filled in one call.  A block's event slice tags name its
-    own section or the next, relative to its position (``EVENT_SLICES``)."""
-    first = 0
-    runs, patterned = _mapped(blocks, lambda block: _block_template(block.kind, block.events, block.permutation))
-    width = 1
-    for template, count in runs:
-        if patterned:
-            width = len(template)
-            template = _pattern_template(template, first % width)
-        text, fields = template
-        if text is None:
-            index, bad = next(
-                (i, e.slice) for i in range(first, first + width) for e in blocks[i].events if e.slice not in EVENT_SLICES
-            )
-            raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-        if fields:
-            _fill(parts, text, count, fields, first // width)
-        else:
-            parts += repeat(text, count)
+    runs, patterned = _mapped(blocks, row)
+    if unlisted:
+        index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
+        raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
+    if not patterned:
+        return _placed(runs)
+    rows, first = [], 0
+    for pattern, count in runs:
+        width = len(pattern)
+        rows.append((_pattern(pattern, first % width), count, first // width))
         first += width * count
+    return rows
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -172,6 +163,12 @@ def _frame() -> list[str]:
 
 
 _HEAD, _MIDDLE, _TAIL = _frame()
+_MIDDLE_ROWS = (_Text(_MIDDLE + "[]"), _Text(_MIDDLE + "[\n"))  # without and with blocks
+
+
+def _closed(entry: str) -> str:
+    """An array's last entry text, its separator replaced by the array's end."""
+    return entry[:-2] + "\n  ]"
 
 
 @lru_cache(maxsize=1)
@@ -190,19 +187,26 @@ def export_json(model: StableMapModel) -> str:
 
 
 def _export_parts(model: StableMapModel) -> list[str]:
-    """The parts of the export of ``model``, in order.  Each entry of an
-    array ends in its separator, and the last one's closes the array."""
+    """The parts of the export of ``model``, in order, in one list."""
+    return _collected(_export_windows(model))
+
+
+def _export_windows(model: StableMapModel):
+    """The parts of the export of ``model``, in order, as a stream
+    (``render._windowed``) that hands on its list a last time at the end.
+    Each entry of an array ends in its separator, and the last one's
+    closes the array."""
     word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
     fraction = fraction_of(word)
     strings = map(json.dumps, (format_conway(word), model.variant, model.granularity))
-    parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
-    parts += _expand(*_mapped(strips, _strip_text))
-    parts[-1] = parts[-1][:-2] + "\n  ]" if strips else "[]"
-    parts += (_MIDDLE, "[\n")
-    _block_rows(parts, blocks)
-    parts[-1] = parts[-1][:-2] + "\n  ]" if blocks else "[]"
+    texts = _expand(*_mapped(strips, _strip_text))
+    closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array
+    parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n" if strips else "[]"]
+    yield from _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(blocks)])
+    if blocks:
+        parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
-    return parts
+    yield parts
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -93,6 +94,22 @@ def test_output_to_a_file_is_the_output_to_stdout(argv, tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out) > 1_000_000
     assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [["render", "--subject", "model"], ["render", "--subject", "curve"], ["build", "--variant", "f2"]])
+def test_writing_an_output_holds_no_more_for_a_ten_times_larger_word(argv):
+    # written window by window to a null sink, so the peak does not grow
+    # with the word; the first call lays out the rows the later ones slice
+    assert run_cli([*argv, "C(3,2,2000)", "-o", os.devnull]) == 0
+    peaks = []
+    for text in ("C(3,2,20000)", "C(3,2,200000)"):
+        tracemalloc.start()
+        try:
+            assert run_cli([*argv, text, "-o", os.devnull]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
 
 @pytest.mark.parametrize("argv", [["build", "C(3,2,3)", "--variant", "f2"], ["render", "C(3,2,3)"]])
@@ -288,6 +305,25 @@ def test_normalize_success(capsys):
 def test_normalize_exhausted_exits_2(capsys):
     assert run_cli(["normalize", "C(2,1,2)", "--bound", "2"]) == 2
     assert "search exhausted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["C(2,1,2)", "C(3,2,3)"])
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_normalize_with_a_bound_below_1_is_a_usage_error(text, bound, capsys):
+    # no word has a magnitude sum below 1, so no bound below 1 can be met
+    assert run_cli(["normalize", text, "--bound", bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error on {text!r}: --bound must be at least 1, got {bound}\n"
+
+
+def test_normalize_returns_an_even_b_word_as_given_whatever_the_bound(capsys):
+    # the bound caps a form built for an odd-b word; an even-b word is no built form
+    assert run_cli(["normalize", "C(3,2,3)", "--bound", "2"]) == 0
+    assert capsys.readouterr().out == "C(3,2,3) -> C(3,2,3)\n"
+    with pytest.raises(SystemExit):
+        run_cli(["normalize", "--help"])
+    assert "an even-b word is returned as given" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("text", ["C(1)", "C(-1)", "C(1,-2,1)"])

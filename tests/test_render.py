@@ -1,8 +1,11 @@
 """SVG rendering: glyph counts, determinism, well-formedness."""
 
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -160,16 +163,47 @@ def _progressions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_progressions(), st.integers(1, 40), st.sampled_from(["", ",", '" y2="5"/>\n']))
-def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, literal):
+@given(
+    _progressions(),
+    st.integers(1, 40),
+    st.sampled_from(["", ",", '" y2="5"/>\n']),
+    st.integers(0, 5000),
+    st.lists(st.integers(0, 300), max_size=4),
+    st.booleans(),
+)
+def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, literal, far, lengths, far_first):
+    # rows are built on demand: each example starts from no layout, and a
+    # far stretch, filled in consecutive runs as a document fills them,
+    # comes before or after the drawn run
+    render._layout.cache_clear()
     offset, step, first, n = progression
     template = "<{0}" + literal + "{1}|{0}>"
-    parts = ["before"]
-    _fill(parts, template, n, ((offset, step), (offset + 8, other_step)), first)
-    expected = "".join(
-        f"<{offset + k * step}{literal}{offset + 8 + k * other_step}|{offset + k * step}>" for k in range(first, first + n)
-    )
-    assert "".join(parts) == "before" + expected
+    fields = ((offset, step), (offset + 8, other_step))
+    stretch = list(zip(accumulate(lengths, initial=far), lengths))
+    for first, n in [*stretch, (first, n)] if far_first else [(first, n), *stretch]:
+        parts = ["before"]
+        _fill(parts, template, n, fields, first)
+        expected = "".join(
+            f"<{offset + k * step}{literal}{offset + 8 + k * other_step}|{offset + k * step}>" for k in range(first, first + n)
+        )
+        assert "".join(parts) == "before" + expected
+
+
+def test_threads_rendering_at_once_write_the_same_bytes():
+    # each grows the layouts and swaps in pages while the others read them,
+    # with more threads than cores and a thread switch every microsecond
+    models = [assemble_stable_map(parse_conway(text), "f3") for text in ("C(3,2,3,2,9000)", "C(-3,-20000,-3)", "C(2,4,2)")]
+    expected = [render_svg(model) for model in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            render._layout.cache_clear()
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(render_svg, model) for model in models * 2]
+                assert [future.result(timeout=60) for future in futures] == expected * 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_model_render_peaks_under_1_7_times_its_length():
