@@ -241,13 +241,10 @@ def _windowed(parts: list, runs):
     gets the rest in one go, not window by window."""
     limit = len(parts) + _WINDOW
     for row, count, first in runs:
-        if len(parts) >= limit:
-            yield parts
-            limit = inf if parts else _WINDOW
-        if 0 < count * row.stride < limit - len(parts):
+        if 0 < count * row.stride < limit - len(parts):  # the run fits the window
             row.fill(parts, first, count)
             continue
-        while count > 0:  # a run past the window, in pieces
+        while count > 0:
             if len(parts) >= limit:
                 yield parts
                 limit = inf if parts else _WINDOW
