@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from functools import partial
 
 from .complexity import (
     certify_smc,
@@ -40,10 +41,11 @@ from .errors import (
     NotReducedAlternatingError,
     TorusCaseError,
     TwoBridgeError,
+    _quoted,
 )
 from .morse import assemble_stable_map
-from .render import _svg_windows
-from .serialize import _export_windows
+from .render import _svg_parts
+from .serialize import _export_parts
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,16 +69,20 @@ def _exit_status(err: Exception) -> int:
     return EXIT_HYPOTHESIS if isinstance(err, HypothesisError) else EXIT_ERROR
 
 
-def _write_output(windows, path: str | None, out) -> None:
-    """Write a document's stream of part lists to ``path`` or else to
-    ``out``, each list joined and written as it comes, so that neither the
-    whole document nor all its parts are ever held."""
+def _write_output(document, path: str | None, out) -> None:
+    """Write a document to ``path`` or else to ``out``: ``document(flush)``
+    returns its last parts and calls ``flush`` on the parts before them,
+    window by window, which writes them and empties the list, so that
+    neither the whole document nor all its parts are ever held."""
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
-            return _write_output(windows, None, handle)
-    for parts in windows:
+            return _write_output(document, None, handle)
+
+    def flush(parts: list[str]) -> None:
         out.write("".join(parts))
         parts.clear()
+
+    flush(document(flush))
 
 
 def _cmd_analyze(args, out) -> int:
@@ -108,7 +114,7 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_build(args, out) -> int:
     word = _require_size(parse_conway(args.word))
     model = assemble_stable_map(word, args.variant, args.granularity)
-    _write_output(_export_windows(model), args.output, out)
+    _write_output(partial(_export_parts, model), args.output, out)
     return EXIT_OK
 
 
@@ -201,7 +207,7 @@ def _cmd_render(args, out) -> int:
     else:
         curve = _curve(word, args.variant)
         subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
-    _write_output(_svg_windows(subject), args.output, out)
+    _write_output(partial(_svg_parts, subject), args.output, out)
     return EXIT_OK
 
 
@@ -312,7 +318,7 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_ERROR
     except (TwoBridgeError, OSError, ValueError) as err:
         word = next((a for a in argv if a.strip().startswith(("C(", "["))), None)
-        on = "" if word is None else f" on {word!r}"
+        on = "" if word is None else f" on {_quoted(word)}"
         status = _exit_status(err)
         print(f"{'hypothesis failure' if status == EXIT_HYPOTHESIS else 'error'}{on}: {err}", file=sys.stderr)
         return status

@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveVolumeError,
     TableParseError,
     TorusCaseError,
+    _quoted,
 )
 from .morse import SingularFiberCensus
 
@@ -105,7 +106,7 @@ def smc_upper_bound(word: ConwayWord) -> ComplexityBounds:
     """smc(E(L)) <= 2m, witnessed by the f2 model; the f3 model's weight
     (the total vertical crossing count) is reported for comparison."""
     if not all_b_even(word):
-        raise EvenBRequiredError(f"{word} has an odd vertical twist count")
+        raise EvenBRequiredError(f"{_quoted(str(word), str)} has an odd vertical twist count")
     sum_b = sum(map(abs, word.b_entries))
     return ComplexityBounds(m=word.m, smc_upper=2 * word.m, f3_weighted_sum=sum_b)
 
@@ -139,7 +140,7 @@ def certify_smc(
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     lower = smc_lower_bound_from_volume(volume)
     if not all_b_even(word):
-        raise EvenBRequiredError(f"{word} has an odd vertical twist count")
+        raise EvenBRequiredError(f"{_quoted(str(word), str)} has an odd vertical twist count")
     m = word.m
     if m == 0:
         status, value, upper, inconsistent = "inapplicable", None, None, False

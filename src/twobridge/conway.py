@@ -19,6 +19,7 @@ All arithmetic in this module is exact integer arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -31,6 +32,7 @@ from .errors import (
     NotReducedAlternatingError,
     WordTooLargeError,
     ZeroEntryError,
+    _quoted,
 )
 
 DEFAULT_SUM_BOUND = 40
@@ -49,11 +51,10 @@ class ConwayWord:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(map(int, self.entries))
         object.__setattr__(self, "entries", entries)
-        for e in entries:
-            if e == 0:
-                raise ZeroEntryError(f"zero entry in {entries}")
+        if 0 in entries:
+            raise ZeroEntryError(f"zero entry in {_quoted(str(entries), str)}")
         if len(entries) % 2 == 0:
             raise EvenLengthError(
                 f"{len(entries)} entries; Conway forms have odd length 2m+1"
@@ -136,6 +137,11 @@ class FailureReport:
     note: str
 
 
+# An entry: ASCII digits only, as str.isdigit and int() take any Unicode digit.
+_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def parse_conway(text: str) -> ConwayWord:
     """Parse ``C(e1,e2,...)`` or ``[e1,e2,...]`` notation, whitespace-insensitive."""
     compact = "".join(text.split())
@@ -144,19 +150,27 @@ def parse_conway(text: str) -> ConwayWord:
     elif compact.startswith("[") and compact.endswith("]"):
         body = compact[1:-1]
     else:
-        raise ConwaySyntaxError(f"not Conway notation: {text!r}")
+        raise ConwaySyntaxError(f"not Conway notation: {_quoted(text)}")
     if not body:
-        raise ConwaySyntaxError(f"empty entry list: {text!r}")
-    entries = []
-    for token in body.split(","):
-        # ASCII digits only: str.isdigit and int() take any Unicode digit
-        if not (token.isascii() and token.lstrip("-").isdigit() and token.count("-") <= 1):
-            raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}")
-        try:
-            entries.append(int(token))
-        except ValueError:  # too many digits
-            raise ConwaySyntaxError(f"bad integer {token!r} in {text!r}") from None
-    return ConwayWord(tuple(entries))
+        raise ConwaySyntaxError(f"empty entry list: {_quoted(text)}")
+    tokens = body.split(",")
+    try:
+        entries = tuple(map(int, tokens)) if _INTEGERS.fullmatch(body) else None
+    except ValueError:  # too many digits
+        entries = None
+    if entries is None:
+        bad = next(token for token in tokens if not _INTEGER.fullmatch(token) or not _readable(token))
+        raise ConwaySyntaxError(f"bad integer {_quoted(bad)} in {_quoted(text)}")
+    return ConwayWord(entries)
+
+
+def _readable(token: str) -> bool:
+    """Whether ``int()`` reads ``token``, which it refuses past its digit limit."""
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _require_size(word: ConwayWord) -> ConwayWord:
@@ -225,7 +239,7 @@ def twist_number(word: ConwayWord) -> int:
     diagram: 2m + 1, the number of twist regions."""
     if not is_reduced_alternating(word):
         raise NotReducedAlternatingError(
-            f"{format_conway(word)} has an entry of magnitude 1 or mixed signs"
+            f"{_quoted(format_conway(word), str)} has an entry of magnitude 1 or mixed signs"
         )
     return len(word.entries)
 

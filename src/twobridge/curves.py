@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat, starmap
 from operator import index, is_not, itemgetter, mul
 
@@ -324,6 +324,15 @@ _ONE_COLUMN = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _strip(kind: str, runs: tuple[tuple[Column, int], ...]) -> Strip:
+    """The one strip of ``kind`` over the column ``runs`` in this process,
+    while it is among the last 1024 asked for: a frozen value of its key,
+    so every decomposition that has the region may hold it."""
+    columns = _RunSeq(runs)
+    return Strip(kind, columns, param=runs[0][0].sign * len(columns))
+
+
 def strip_decompose(
     curve: ImmersedCurve, variant: str, granularity: str = "crossing"
 ) -> StripDecomposition:
@@ -335,8 +344,8 @@ def strip_decompose(
     Type 3 strips ('fine' puts the empty filler after each interior
     strip, as pattern runs); the Type 2 content is invariant.  Strips of
     one kind over the same column runs are one object, wherever they
-    sit, and those that need no word are one object in every
-    decomposition.
+    sit and in whichever decomposition (``_strip``), and those that need
+    no word always are.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -347,23 +356,13 @@ def strip_decompose(
             f"curve is {curve.variant}-style, decomposition wants {variant}"
         )
 
-    shared: dict[tuple, Strip] = {}  # one strip per kind and column runs
-
-    def strip(kind: str, runs: list[tuple[Column, int]]) -> Strip:
-        key = (kind, *runs)
-        found = shared.get(key)
-        if found is None:
-            columns = _RunSeq(runs)
-            found = shared[key] = Strip(kind, columns, param=runs[0][0].sign * len(columns))
-        return found
-
     interior: list[tuple[Strip, int]] = []  # runs
     for kind, region, group in _regions(curve.columns):
         if kind == "pass" and granularity == "region":
-            interior.append((strip("type3", group), 1))
+            interior.append((_strip("type3", tuple(group)), 1))
         elif kind in _ONE_KIND:
             one = _ONE_KIND[kind]
-            interior += [(_ONE_COLUMN.get(id(c)) or strip(one, [(c, 1)]), n) for c, n in group]
+            interior += [(_ONE_COLUMN.get(id(c)) or _strip(one, ((c, 1),)), n) for c, n in group]
         elif kind == "crossing":
             count = sum(map(_count, group))
             entries = curve.word.entries  # a curve built by hand may have more regions
@@ -373,7 +372,7 @@ def strip_decompose(
                     f"region {region}: {count} double points in one slice, "
                     f"expected the full twist region of {expected}"
                 )
-            interior.append((strip("type2", group), 1))
+            interior.append((_strip("type2", tuple(group)), 1))
         else:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
 

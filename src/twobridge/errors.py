@@ -3,8 +3,20 @@
 ``HypothesisError`` subclasses mark inputs that violate a hypothesis of
 the census or certificate machinery (odd vertical twists, torus words,
 non-alternating diagrams).  The CLI reports these with exit status 2;
-everything else maps to exit status 1.
+everything else maps to exit status 1.  A message quotes at most
+``_SHOWN`` characters of an input in full (``_quoted``).
 """
+
+_SHOWN = 200
+
+
+def _quoted(text: str, form=repr) -> str:
+    """``form(text)``, or for a text of more than ``_SHOWN`` characters
+    that of either end of it around an ellipsis, with its length."""
+    if len(text) <= _SHOWN:
+        return form(text)
+    half = _SHOWN // 2
+    return f"{form(text[:half])}...{form(text[-half:])} ({len(text)} characters)"
 
 
 class TwoBridgeError(Exception):

@@ -58,6 +58,7 @@ from .errors import (
     InvariantViolationError,
     TraceMismatchError,
     TwoBridgeError,
+    _quoted,
 )
 
 LEAVES = (1, 2, 3, 4)
@@ -233,6 +234,16 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
     (``_CATALOGUE``), with it a new block tagged by position (``_block``)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    key = _catalogue_key(strip, variant)
+    return _CATALOGUE[key] if index is None else _block(*key, index)
+
+
+@lru_cache(maxsize=1024)
+def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
+    """The catalogue key of ``strip`` in a ``variant`` model, once the
+    strip is checked against it.  A strip is a frozen value, so its key is
+    kept per value (``curves._strip`` shares them) and not checked again;
+    the key, not the block, is kept, and the catalogue read on every call."""
     kind = strip.kind
     if kind not in _KINDS:
         raise InvalidStripVariantError(f"unknown strip kind {kind!r}")
@@ -248,8 +259,7 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
             raise InvalidStripVariantError(
                 "an f3 Type 2 strip must hold exactly one self-tangency"
             )
-    parity = len(strip.columns) % 2
-    return _CATALOGUE[kind, parity, variant] if index is None else _block(kind, parity, variant, index)
+    return kind, len(strip.columns) % 2, variant
 
 
 def _cap_pairings(blocks: Sequence[BlockMap]) -> tuple[tuple, tuple]:
@@ -461,12 +471,12 @@ def assemble_stable_map(
 def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapModel:
     if not all_b_even(word):
         raise EvenBRequiredError(
-            f"{word} has an odd vertical twist count; the construction needs even b_i"
+            f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
     strips = strip_decompose(_curve(word, variant), variant, granularity)
 
-    model = StableMapModel(strips, _RunSeq(*_mapped(strips.strips, lambda strip: build_block(strip, variant))))
+    model = StableMapModel(strips, _RunSeq(*_mapped(strips.strips, lambda strip: _CATALOGUE[_catalogue_key(strip, variant)])))
     _check_trace(model.trace, fraction)
     census = model.census
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.

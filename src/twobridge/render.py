@@ -13,10 +13,12 @@ its thousands, and its last three digits with the template's next
 literal.  A template's rows are laid out once per process, only as far
 as calls ask, and a row past them is a slice of a cached page of its
 period (``_Layout``), so a call costs the same wherever its run starts.
-A document is made as a stream (``_windowed``): one list of parts,
-handed on each time ``_WINDOW`` more parts have gone in.  ``render_svg``
-and ``export_json`` let it grow and join it once; the CLI writes and
-empties it each time, so what it holds does not grow with the document.
+A document is one list of parts, filled run by run (``_windowed``),
+with an optional ``flush`` callback that is handed the list each time
+``_WINDOW`` more parts have gone in.  ``render_svg`` and ``export_json``
+pass none and join the list once; the CLI passes one that writes the
+parts and empties the list, so what it holds does not grow with the
+document.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .curves import ImmersedCurve, StripDecomposition, _count, _expand, _mapped, _object
@@ -41,7 +43,7 @@ STRIP_BOT = 112
 TREE_H = 48
 TREE_W = 16
 
-_WINDOW = 1 << 13  # parts between two hand-ons of a stream, give or take a run
+_WINDOW = 1 << 13  # parts a flush is handed, give or take a row
 
 
 def _opening(width: int, height: int) -> list[str]:
@@ -232,31 +234,21 @@ def _placed(runs) -> zip:
     return zip(map(_object, runs), map(_count, runs), accumulate(map(_count, runs), initial=0))
 
 
-def _windowed(parts: list, runs):
+def _windowed(parts: list, runs, flush=None) -> list:
     """Append to ``parts`` the rows of each run ``(row, count, first)``,
     rows ``first`` to ``first + count - 1`` of a row source, none for a
-    count below 1.  Each time ``_WINDOW`` parts have gone in, before more
-    go in, ``parts`` is handed on (yielded).  A consumer that writes it
-    empties it (``cli._write_output``); one that keeps it (``_collected``)
-    gets the rest in one go, not window by window."""
-    limit = len(parts) + _WINDOW
+    count below 1, and return it.  With ``flush``, ``parts`` is handed to
+    ``flush`` whenever ``_WINDOW`` parts have gone in and more are to go
+    in, so never after the last row: it writes them and empties the list
+    (``cli._write_output``)."""
     for row, count, first in runs:
-        if 0 < count * row.stride < limit - len(parts):  # the run fits the window
-            row.fill(parts, first, count)
-            continue
         while count > 0:
-            if len(parts) >= limit:
-                yield parts
-                limit = inf if parts else _WINDOW
-            k = min(count, (limit - len(parts)) // row.stride + 1)
+            if flush and len(parts) >= _WINDOW:
+                flush(parts)
+            # the run, or the rows that fill the window and one more
+            k = min(count, (_WINDOW - len(parts)) // row.stride + 1) if flush else count
             row.fill(parts, first, k)
             first, count = first + k, count - k
-
-
-def _collected(windows) -> list[str]:
-    """The one list of parts a stream hands on, kept until it runs out."""
-    for parts in windows:
-        pass
     return parts
 
 
@@ -400,9 +392,8 @@ def _model_runs(model: StableMapModel) -> tuple[list[str], list]:
     return parts, [*_strip_runs(model.strips.strips), _dot_run(model.blocks), (_layout(_TREE, _TREE_X), n - 1, 0)]
 
 
-def _svg_windows(subject):
-    """The parts of ``render_svg(subject)``, in order, as a stream
-    (``_windowed``) that hands on its list a last time at the end."""
+def _svg_parts(subject, flush=None) -> list[str]:
+    """The parts of ``render_svg(subject)``, in order (``_windowed``)."""
     if isinstance(subject, ImmersedCurve):
         parts, runs = _curve_runs(subject)
     elif isinstance(subject, StripDecomposition):
@@ -411,11 +402,10 @@ def _svg_windows(subject):
         parts, runs = _model_runs(subject)
     else:
         raise TypeError(f"cannot render {type(subject).__name__}")
-    yield from _windowed(parts, runs)
-    parts.append("</svg>\n")
-    yield parts
+    _windowed(parts, runs, flush).append("</svg>\n")
+    return parts
 
 
 def render_svg(subject) -> str:
     """Render an ImmersedCurve, StripDecomposition, or StableMapModel."""
-    return "".join(_collected(_svg_windows(subject)))
+    return "".join(_svg_parts(subject))

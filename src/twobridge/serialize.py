@@ -24,7 +24,7 @@ from .conway import _require_size, format_conway, fraction_of, parse_conway
 from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _mapped
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
-from .render import _collected, _pattern, _pieces, _placed, _row, _Text, _Texts, _windowed
+from .render import _pattern, _pieces, _placed, _row, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -178,35 +178,33 @@ def export_json(model: StableMapModel) -> str:
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python, laid out as one list of parts and joined once
     (``_export_parts``): the frame as one text template (``_frame``), its
-    strings through ``json.dumps``, and the arrays as one cached text per
-    distinct strip or block, with the slice tags of a block's events
-    filled in per run.  The last text is kept and returned again for an
-    equal model, whose export it is.
+    strings quoted from a table or else through ``json.dumps``, and the
+    arrays as one cached text per distinct strip or block, with the slice
+    tags of a block's events filled in per run.  The last text is kept
+    and returned again for an equal model, whose export it is.
     """
     return "".join(_export_parts(model))
 
 
-def _export_parts(model: StableMapModel) -> list[str]:
-    """The parts of the export of ``model``, in order, in one list."""
-    return _collected(_export_windows(model))
+# The quoted text of each string of the vocabularies, as json.dumps writes it.
+_QUOTED = {name: json.dumps(name) for name in VARIANTS + GRANULARITIES}
 
 
-def _export_windows(model: StableMapModel):
-    """The parts of the export of ``model``, in order, as a stream
-    (``render._windowed``) that hands on its list a last time at the end.
+def _export_parts(model: StableMapModel, flush=None) -> list[str]:
+    """The parts of the export of ``model``, in order (``render._windowed``).
     Each entry of an array ends in its separator, and the last one's
     closes the array."""
     word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
     fraction = fraction_of(word)
-    strings = map(json.dumps, (format_conway(word), model.variant, model.granularity))
+    strings = (json.dumps(format_conway(word)), *(_QUOTED.get(s) or json.dumps(s) for s in (model.variant, model.granularity)))
     texts = _expand(*_mapped(strips, _strip_text))
     closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n" if strips else "[]"]
-    yield from _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(blocks)])
+    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(blocks)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
-    yield parts
+    return parts
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

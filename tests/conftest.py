@@ -6,19 +6,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pytest
 
-from twobridge import morse, serialize
+from twobridge import curves, morse, serialize
+
+# taken at import, so a test that patches one still clears the cache
+_CACHES = (morse._last_model, curves._strip, morse._catalogue_key, serialize.export_json)
 
 
 @pytest.fixture
 def cold():
     """``cold(function, *args)`` calls ``function`` as a fresh process
-    would: the model assembled last and the text exported last are
-    forgotten first, so an import really assembles and an export really
-    serialises."""
+    would: the model assembled last, the text exported last, the shared
+    strips and their checked catalogue keys are forgotten first, so an
+    import really assembles, an assembly really builds and checks its
+    strips, and an export really serialises."""
 
     def call(function, *args):
-        morse._last_model.cache_clear()
-        serialize.export_json.cache_clear()
+        for cache in _CACHES:
+            cache.cache_clear()
         return function(*args)
 
     return call

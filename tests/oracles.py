@@ -7,13 +7,15 @@ determinant; component counts come from tracing strand endpoints; the
 definite-fold trace of a block sequence from walking an adjacency-list
 graph; the octahedron volume from summing the Lobachevsky series; the
 least even-b word from the bounded depth-first search over ``Fraction``
-targets that the library's integer construction replaced.
+targets that the library's integer construction replaced; a Conway word
+from a character-by-character scan of its text.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -609,3 +611,48 @@ def pattern_runs(items, width: int) -> list[tuple[tuple, int]]:
         runs.append((pattern, count))
         i += count * len(pattern)
     return runs
+
+
+def _quoted(text: str, form=repr) -> str:
+    """An input as an error message quotes it: whole up to 200
+    characters, else 100 from either end and the length."""
+    if len(text) > 200:
+        return f"{form(text[:100])}...{form(text[-100:])} ({len(text)} characters)"
+    return form(text)
+
+
+def parse_conway_oracle(text: str):
+    """``("ConwayWord", entries)`` for a text in Conway notation, else the
+    name of the error class and the message that ``parse_conway`` must
+    raise, read one character at a time: whitespace anywhere is dropped,
+    the text is ``C(...)`` or ``[...]``, an entry is an optional minus and
+    ASCII digits, no more of them than ``int()`` reads, and the first
+    entry that is not names the error."""
+    compact = "".join(ch for ch in text if not ch.isspace())
+    if compact[:2] == "C(" and compact[-1:] == ")":
+        body = compact[2:-1]
+    elif compact[:1] == "[" and compact[-1:] == "]":
+        body = compact[1:-1]
+    else:
+        return "ConwaySyntaxError", f"not Conway notation: {_quoted(text)}"
+    if body == "":
+        return "ConwaySyntaxError", f"empty entry list: {_quoted(text)}"
+    limit = getattr(sys, "get_int_max_str_digits", int)() or len(body)  # 0: no limit
+    entries, token = [], ""
+    for ch in body + ",":
+        if ch != ",":
+            token += ch
+            continue
+        digits = token[1:] if token[:1] == "-" else token
+        if not digits or len(digits) > limit or any(d not in "0123456789" for d in digits):
+            return "ConwaySyntaxError", f"bad integer {_quoted(token)} in {_quoted(text)}"
+        value = 0
+        for d in digits:
+            value = 10 * value + "0123456789".index(d)
+        entries.append(-value if token[:1] == "-" else value)
+        token = ""
+    if 0 in entries:
+        return "ZeroEntryError", f"zero entry in {_quoted(str(tuple(entries)), str)}"
+    if len(entries) % 2 == 0:
+        return "EvenLengthError", f"{len(entries)} entries; Conway forms have odd length 2m+1"
+    return "ConwayWord", tuple(entries)

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twobridge import cli
+from twobridge import cli, render, serialize
 from twobridge.cli import run_cli
 from twobridge.conway import EquivalencePolicy, SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
 from twobridge.errors import ConwaySyntaxError
-from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge.curves import _curve, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge.morse import assemble_stable_map
 from twobridge.render import render_svg
+from twobridge.serialize import export_json
 
 
 def test_analyze_output(capsys):
@@ -110,6 +112,59 @@ def test_writing_an_output_holds_no_more_for_a_ten_times_larger_word(argv):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+
+
+_MB = 1 << 20
+_MANY_PARTS = "C(" + "3,2," * 3000 + "6000)"  # more than one window of parts at every granularity
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "C(" + "3," * (_MB // 2 - 2) + "x)"],  # malformed
+        ["analyze", "C(" + "3," * (_MB // 2 - 2) + "0)"],  # a zero entry
+        ["analyze", "C(" + "1" * _MB + ")"],  # one integer past int()'s limit
+        ["build", "C(" + "9," * (_MB // 2 - 2) + "9)", "--variant", "f2"],  # too large
+    ],
+)
+def test_an_error_on_a_1_mb_word_quotes_its_ends_and_length(argv, capsys):
+    assert len(argv[1]) >= _MB
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err) < 1024
+    assert f"' ({len(argv[1])} characters)" in captured.err
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])
+def test_a_build_written_in_windows_is_the_library_document(variant, granularity, capsys):
+    model = assemble_stable_map(parse_conway(_MANY_PARTS), variant, granularity)
+    assert len(serialize._export_parts(model)) > 8192
+    assert run_cli(["build", _MANY_PARTS, "--variant", variant, "--granularity", granularity]) == 0
+    assert capsys.readouterr().out == export_json(model)
+
+
+@pytest.mark.parametrize("subject", ["model", "curve", "strips"])
+def test_a_render_written_in_windows_is_the_library_svg(subject, capsys):
+    model = assemble_stable_map(parse_conway(_MANY_PARTS), "f2", "crossing")
+    drawn = {"model": model, "curve": _curve(model.word, "f2"), "strips": model.strips}[subject]
+    assert len(render._svg_parts(drawn)) > 8192
+    expected = render_svg(drawn)
+    assert run_cli(["render", _MANY_PARTS, "--subject", subject]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 7, 11])
+def test_a_document_written_in_windows_of_any_size_is_the_library_one(window, monkeypatch):
+    # every boundary between two windows falls somewhere, the last row's too
+    monkeypatch.setattr(render, "_WINDOW", window)
+    for text in ("C(3,2,3)", "C(-2,4,5,2,-3)", "C(3,2,3,2,3,2,3)"):
+        for variant, granularity in [("f2", "crossing"), ("f2", "fine"), ("f3", "region"), ("f3", "fine")]:
+            model = assemble_stable_map(parse_conway(text), variant, granularity)
+            for write, document in ((serialize._export_parts, export_json), (render._svg_parts, render_svg)):
+                out = io.StringIO()
+                cli._write_output(lambda flush: write(model, flush), None, out)
+                assert out.getvalue() == document(model)
 
 
 @pytest.mark.parametrize("argv", [["build", "C(3,2,3)", "--variant", "f2"], ["render", "C(3,2,3)"]])

@@ -10,6 +10,7 @@ from oracles import (
     goeritz_determinant_of_entries,
     nearest_integer_expansion,
     orbit_equivalent,
+    parse_conway_oracle,
     plat_component_count_of_entries,
 )
 from twobridge.conway import (
@@ -99,6 +100,36 @@ def test_parse_reads_only_ascii_digits(digits):
     for text in (f"C({digits},2,3)", f"[3,-{digits},3]"):
         with pytest.raises(ConwaySyntaxError, match="bad integer"):
             parse_conway(text)
+
+
+# Texts near Conway notation: its pieces, whitespace, digits int() reads
+# but parse_conway must not, and integers past int()'s 4300 digits; and
+# entry lists, framed or not, with at most one entry that is none.
+_LONG = ("1" * 4301, "-" + "9" * 4300, "0" * 4400)
+_pieces = st.sampled_from([*"0123456789", "-", ",", " ", "\t", "\n", "C(", ")", "[", "]", "\u0663", "\u00b2", *_LONG])
+_odd_tokens = st.sampled_from(["", "-", "--3", "3-", "+3", "\u0663", "2\u00b2", " ", *_LONG])
+_frames = st.sampled_from([("C(", ")"), ("[", "]"), (" C\t( ", " )\n"), ("C(", "]"), ("(", ")"), ("", "")])
+
+
+def _framed(tokens: list[str], odd: list[str], frame: tuple[str, str]) -> str:
+    tokens[len(tokens) // 2 : len(tokens) // 2] = odd
+    return frame[0] + ",".join(tokens) + frame[1]
+
+
+near_conway = st.one_of(
+    st.lists(_pieces, max_size=12).map("".join),
+    st.builds(_framed, st.lists(st.integers(-30, 30).map(str), max_size=7), st.lists(_odd_tokens, max_size=1), _frames),
+)
+
+
+@settings(max_examples=300)
+@given(near_conway)
+def test_parse_agrees_with_the_character_scan(text):
+    try:
+        got = "ConwayWord", parse_conway(text).entries
+    except (ConwaySyntaxError, ZeroEntryError, EvenLengthError) as err:
+        got = type(err).__name__, str(err)
+    assert got == parse_conway_oracle(text)
 
 
 @given(words)

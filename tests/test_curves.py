@@ -297,3 +297,12 @@ def test_only_a_named_writing_out_takes_the_runs_of_one_object_of_a_patterned_se
     assert _item_runs(seq) == _runs(tuple(seq)) == [(POOL[0], 1), (POOL[1], 1), (POOL[0], 1), (POOL[1], 2)]
     plain = _RunSeq(_runs(tuple(seq)))
     assert _item_runs(plain) is _runs_of(plain) is plain.runs
+
+
+def test_decompositions_that_share_a_region_hold_one_strip(cold):
+    # the strips come from one process-wide cache keyed on (kind, column runs)
+    first = cold(strip_decompose, outer_smooth(build_plat_diagram(ConwayWord((5, 4, 3)))), "f2", "region").strips
+    second = strip_decompose(outer_smooth(build_plat_diagram(ConwayWord((3, 4, 7, -2, 5)))), "f2", "region").strips
+    assert [strip.param for strip in first] == [0, 5, 4, 3, 0]
+    # the b-region 4, and the a-regions 3 and 5, each at another place
+    assert first[2] is second[2] and first[3] is second[1] and first[1] is second[5]

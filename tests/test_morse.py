@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import acyclic_oracle, oracle_trace, pattern_runs, plat_component_count_of_entries, random_even_b_words
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
-from twobridge import morse
+from twobridge import curves, morse
 from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
 from twobridge.errors import (
     DegenerateFractionError,
@@ -409,7 +409,8 @@ def test_every_slice_of_every_catalogued_block_is_the_standard_tree():
 
 def test_positioned_blocks_are_not_kept():
     strips = [Strip("type2", (Column("crossing", 1),) * 2, param=2), Strip("type3", (Column("pass", 1),), param=1)]
-    build_block(strips[0], "f2", index=0)
+    for strip in strips:  # each strip's catalogue key is checked once per process
+        build_block(strip, "f2", index=0)
     tracemalloc.start()
     try:
         for j in range(2000):
@@ -628,6 +629,8 @@ def test_a_fine_model_is_the_crossing_model_with_a_filler_after_each_interior_st
 def test_assembly_memory_does_not_grow_with_the_granularity(variant, granularity):
     # fine holds one pattern run per crossing-level run, not one run per crossing
     word = parse_conway("C(100000,2,100000)")
+    for each in ("crossing", granularity):  # the strips and their keys are kept once per process
+        assemble_stable_map(word, variant, each)
     peaks, runs = [], []
     for each in ("crossing", granularity):
         morse._last_model.cache_clear()
@@ -683,3 +686,23 @@ def test_a_decomposition_with_the_wrong_type2_count_fails_its_check():
     assert [s.kind for s in decomposition.strips].count("type2") == 0
     with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
         validate_model(model)
+
+
+def test_the_shared_strips_and_their_keys_stay_within_their_bounds(cold):
+    # words with distinct region sizes, two strips each: past maxsize the
+    # caches hold no more, and what they hold stops growing
+    cold(assemble_stable_map, ConwayWord((3, 2, 3)), "f2", "region")
+    held = []
+    tracemalloc.start()
+    try:
+        for start in (1, 1501):
+            for k in range(start, start + 1500):
+                assemble_stable_map(ConwayWord((2 * k + 1, 2 * k, 2 * k + 1)), "f2", "region")
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        morse._last_model.cache_clear()
+    for cache in (curves._strip, morse._catalogue_key):
+        info = cache.cache_info()
+        assert info.misses > 2 * info.maxsize and info.currsize == info.maxsize
+    assert held[0] < 2 * 2**20 and abs(held[1] - held[0]) < 128 * 2**10, held

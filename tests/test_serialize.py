@@ -466,7 +466,8 @@ def test_a_cold_path_builds_each_distinct_block_once_and_frames_without_the_inde
     # and the export frame calls neither the indent encoder nor asdict
     word = ConwayWord(max(random_even_b_words(20250808, 200), key=len))
     built = []
-    monkeypatch.setattr(morse, "build_block", lambda strip, variant: built.append(id(strip)) or build_block(strip, variant))
+    key = morse._catalogue_key
+    monkeypatch.setattr(morse, "_catalogue_key", lambda strip, variant: built.append(id(strip)) or key(strip, variant))
     model = cold(assemble_stable_map, word, variant, "fine")
     monkeypatch.undo()
     assert sorted(built) == sorted({id(strip) for strip in model.strips.strips})
