@@ -1,114 +1,87 @@
 """Two-bridge links in Conway form: combinatorial stable-map models,
-singular-fiber censuses, and volume-based complexity certificates."""
+singular-fiber censuses, and volume-based complexity certificates.
 
-from .conway import (
-    ConwayWord,
-    EquivalencePolicy,
-    FailureReport,
-    SchubertFraction,
-    all_b_even,
-    component_count,
-    even_b_normalize,
-    format_conway,
-    fraction_of,
-    is_reduced_alternating,
-    parse_conway,
-    schubert_equivalent,
-    transform,
-    twist_number,
-)
-from .curves import (
-    Column,
-    Crossing,
-    ImmersedCurve,
-    PlatDiagram,
-    Strip,
-    StripDecomposition,
-    bigon_reduce,
-    build_plat_diagram,
-    outer_smooth,
-    strip_decompose,
-)
-from .morse import (
-    BlockMap,
-    CrossSection,
-    DefiniteFoldTrace,
-    FiberEvent,
-    SingularFiberCensus,
-    StableMapModel,
-    assemble_stable_map,
-    build_block,
-    fiber_census,
-    trace_definite_folds,
-    validate_model,
-)
-from .complexity import (
-    Certificate,
-    ComplexityBounds,
-    V_OCT,
-    VolumeRecord,
-    certify_smc,
-    ingest_volume_table,
-    smc_lower_bound_from_volume,
-    smc_upper_bound,
-    volume_upper_bound,
-    weighted_sum,
-)
-from .serialize import SCHEMA_VERSION, export_json, import_json
-from .render import render_svg
-from . import errors
+Importing the package loads none of its submodules.  A public name is
+looked up in its submodule on first read (PEP 562), which imports that
+submodule then, and is kept here, so every later read is a plain
+attribute read."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockMap",
-    "Certificate",
-    "Column",
-    "ComplexityBounds",
-    "ConwayWord",
-    "CrossSection",
-    "Crossing",
-    "DefiniteFoldTrace",
-    "EquivalencePolicy",
-    "FailureReport",
-    "FiberEvent",
-    "ImmersedCurve",
-    "PlatDiagram",
-    "SCHEMA_VERSION",
-    "SchubertFraction",
-    "SingularFiberCensus",
-    "StableMapModel",
-    "Strip",
-    "StripDecomposition",
-    "V_OCT",
-    "VolumeRecord",
-    "all_b_even",
-    "assemble_stable_map",
-    "bigon_reduce",
-    "build_block",
-    "build_plat_diagram",
-    "certify_smc",
-    "component_count",
-    "errors",
-    "even_b_normalize",
-    "export_json",
-    "fiber_census",
-    "format_conway",
-    "fraction_of",
-    "import_json",
-    "ingest_volume_table",
-    "is_reduced_alternating",
-    "outer_smooth",
-    "parse_conway",
-    "render_svg",
-    "schubert_equivalent",
-    "smc_lower_bound_from_volume",
-    "smc_upper_bound",
-    "strip_decompose",
-    "trace_definite_folds",
-    "transform",
-    "twist_number",
-    "validate_model",
-    "volume_upper_bound",
-    "weighted_sum",
-]
+_NAMES = {
+    "conway": (
+        "ConwayWord",
+        "EquivalencePolicy",
+        "FailureReport",
+        "SchubertFraction",
+        "all_b_even",
+        "component_count",
+        "even_b_normalize",
+        "format_conway",
+        "fraction_of",
+        "is_reduced_alternating",
+        "parse_conway",
+        "schubert_equivalent",
+        "transform",
+        "twist_number",
+    ),
+    "curves": (
+        "Column",
+        "Crossing",
+        "ImmersedCurve",
+        "PlatDiagram",
+        "Strip",
+        "StripDecomposition",
+        "bigon_reduce",
+        "build_plat_diagram",
+        "outer_smooth",
+        "strip_decompose",
+    ),
+    "morse": (
+        "BlockMap",
+        "CrossSection",
+        "DefiniteFoldTrace",
+        "FiberEvent",
+        "SingularFiberCensus",
+        "StableMapModel",
+        "assemble_stable_map",
+        "build_block",
+        "fiber_census",
+        "trace_definite_folds",
+        "validate_model",
+    ),
+    "complexity": (
+        "Certificate",
+        "ComplexityBounds",
+        "V_OCT",
+        "VolumeRecord",
+        "certify_smc",
+        "ingest_volume_table",
+        "smc_lower_bound_from_volume",
+        "smc_upper_bound",
+        "volume_upper_bound",
+        "weighted_sum",
+    ),
+    "serialize": ("SCHEMA_VERSION", "export_json", "import_json"),
+    "render": ("render_svg",),
+    "errors": ("errors",),  # the submodule itself
+}
+_SUBMODULE = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    submodule = import_module(f".{module}", __name__)
+    value = globals()[name] = submodule if name == module else getattr(submodule, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*__all__, *globals()})

@@ -10,46 +10,26 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from functools import partial
 
-from .complexity import (
-    certify_smc,
-    ingest_volume_table,
-    smc_upper_bound,
-    volume_upper_bound,
-)
-from .conway import (
-    DEFAULT_SUM_BOUND,
-    EquivalencePolicy,
-    FailureReport,
-    SchubertFraction,
-    _require_size,
-    all_b_even,
-    component_count,
-    even_b_normalize,
-    format_conway,
-    fraction_of,
-    parse_conway,
-    schubert_equivalent,
-    twist_number,
-)
-from .curves import GRANULARITIES, VARIANTS, _curve, strip_decompose
 from .errors import (
+    _SHOWN,
     HypothesisError,
     NotReducedAlternatingError,
     TorusCaseError,
     TwoBridgeError,
     _quoted,
 )
-from .morse import assemble_stable_map
-from .render import _svg_parts
-from .serialize import _export_parts
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
+
+# curves.VARIANTS and curves.GRANULARITIES, written out so that parsing a
+# command that builds no model does not load the model code
+VARIANTS = ("f2", "f3")
+GRANULARITIES = ("crossing", "region", "fine")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,25 +66,27 @@ def _write_output(document, path: str | None, out) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
-    word = parse_conway(args.word)
-    fraction = fraction_of(word)
+    from . import complexity, conway
+
+    word = conway.parse_conway(args.word)
+    fraction = conway.fraction_of(word)
     lines = [
-        f"word: {format_conway(word)}",
+        f"word: {conway.format_conway(word)}",
         f"fraction: {fraction}",
-        f"components: {component_count(fraction)}",
-        f"all_b_even: {'true' if all_b_even(word) else 'false'}",
+        f"components: {conway.component_count(fraction)}",
+        f"all_b_even: {'true' if conway.all_b_even(word) else 'false'}",
         f"m: {word.m}",
     ]
     try:
-        lines.append(f"twist_number: {twist_number(word)}")
+        lines.append(f"twist_number: {conway.twist_number(word)}")
     except NotReducedAlternatingError:
         lines.append("twist_number: undefined (not reduced alternating)")
-    if all_b_even(word):
-        bounds = smc_upper_bound(word)
+    if conway.all_b_even(word):
+        bounds = complexity.smc_upper_bound(word)
         lines.append(f"smc_upper: {bounds.smc_upper} (f2 witness)")
         lines.append(f"f3_weighted_sum: {bounds.f3_weighted_sum}")
         try:
-            lines.append(f"volume_upper: {volume_upper_bound(word):.6f} (4m V_oct)")
+            lines.append(f"volume_upper: {complexity.volume_upper_bound(word):.6f} (4m V_oct)")
         except (NotReducedAlternatingError, TorusCaseError):
             pass
     out.write("\n".join(lines) + "\n")
@@ -112,23 +94,27 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_build(args, out) -> int:
-    word = _require_size(parse_conway(args.word))
-    model = assemble_stable_map(word, args.variant, args.granularity)
-    _write_output(partial(_export_parts, model), args.output, out)
+    from . import conway, morse, serialize
+
+    word = conway._require_size(conway.parse_conway(args.word))
+    model = morse.assemble_stable_map(word, args.variant, args.granularity)
+    _write_output(partial(serialize._export_parts, model), args.output, out)
     return EXIT_OK
 
 
 def _reference_fraction(reference: str):
     """Best-effort reading of a table reference as a Conway word or p/q."""
+    from . import conway
+
     try:
-        return fraction_of(parse_conway(reference))
+        return conway.fraction_of(conway.parse_conway(reference))
     except TwoBridgeError:
         pass
     if not reference.isascii():  # int() reads any Unicode decimal digit, parse_conway ASCII only
         return None
     try:
         p_text, q_text = reference.split("/")
-        return SchubertFraction.normalized(int(p_text), int(q_text))
+        return conway.SchubertFraction.normalized(int(p_text), int(q_text))
     except (TwoBridgeError, ValueError):
         return None
 
@@ -137,12 +123,16 @@ def _volume_table(path: str) -> list:
     """The ``--volume-table`` argument: each row of the file with its
     reference's fraction, read and worked out once per parse, so once
     per batch."""
+    from . import complexity
+
     with open(path, encoding="utf-8") as handle:
-        records = ingest_volume_table(handle.read(), source=path)
+        records = complexity.ingest_volume_table(handle.read(), source=path)
     return [(record, _reference_fraction(record.reference)) for record in records]
 
 
 def _lookup_volume(args, word) -> float:
+    from . import conway
+
     if args.volume is not None:
         return args.volume
     if args.label:
@@ -150,12 +140,12 @@ def _lookup_volume(args, word) -> float:
             if record.label == args.label:
                 return record.volume
         raise TwoBridgeError(f"no table entry labeled {args.label!r}")
-    fraction = fraction_of(word)
-    policy = EquivalencePolicy(allow_mirror=True)  # volume is mirror-invariant
+    fraction = conway.fraction_of(word)
+    policy = conway.EquivalencePolicy(allow_mirror=True)  # volume is mirror-invariant
     matches = [
         record
         for record, other in args.volume_table
-        if other is not None and schubert_equivalent(fraction, other, policy)
+        if other is not None and conway.schubert_equivalent(fraction, other, policy)
     ]
     if len(matches) == 1:
         return matches[0].volume
@@ -169,12 +159,16 @@ def _lookup_volume(args, word) -> float:
 
 
 def _cmd_certify(args, out) -> int:
-    word = parse_conway(args.word)
+    import json
+
+    from . import complexity, conway
+
+    word = conway.parse_conway(args.word)
     volume = _lookup_volume(args, word)
-    certificate = certify_smc(word, volume, epsilon=args.epsilon)
+    certificate = complexity.certify_smc(word, volume, epsilon=args.epsilon)
     if args.json:
         doc = {
-            "word": format_conway(word),
+            "word": conway.format_conway(word),
             "status": certificate.status,
             "smc": certificate.smc_value,
             "volume": certificate.volume,
@@ -189,7 +183,7 @@ def _cmd_certify(args, out) -> int:
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
         lines = [
-            f"word: {format_conway(word)}",
+            f"word: {conway.format_conway(word)}",
             f"status: {certificate.status}",
         ]
         if certificate.smc_value is not None:
@@ -201,32 +195,38 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
-    word = _require_size(parse_conway(args.word))
+    from . import conway, curves, morse, render
+
+    word = conway._require_size(conway.parse_conway(args.word))
     if args.subject == "model":
-        subject = assemble_stable_map(word, args.variant, args.granularity)
+        subject = morse.assemble_stable_map(word, args.variant, args.granularity)
     else:
-        curve = _curve(word, args.variant)
-        subject = strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
-    _write_output(partial(_svg_parts, subject), args.output, out)
+        curve = curves._curve(word, args.variant)
+        subject = curves.strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
+    _write_output(partial(render._svg_parts, subject), args.output, out)
     return EXIT_OK
 
 
 def _cmd_normalize(args, out) -> int:
+    from . import conway
+
     if args.bound < 1:
         raise ValueError(f"--bound must be at least 1, got {args.bound}")
-    word = parse_conway(args.word)
-    result = even_b_normalize(word, sum_bound=args.bound)
-    if isinstance(result, FailureReport):
+    word = conway.parse_conway(args.word)
+    result = conway.even_b_normalize(word, sum_bound=args.bound)
+    if isinstance(result, conway.FailureReport):
         out.write(
-            f"search exhausted: no even-b form of {format_conway(word)} found "
+            f"search exhausted: no even-b form of {conway.format_conway(word)} found "
             f"within sum bound {result.sum_bound} (existence not excluded)\n"
         )
         return EXIT_HYPOTHESIS
-    out.write(f"{format_conway(word)} -> {format_conway(result)}\n")
+    out.write(f"{conway.format_conway(word)} -> {conway.format_conway(result)}\n")
     return EXIT_OK
 
 
 def _cmd_batch(args, out, parser: _Parser) -> int:
+    import json
+
     options = parser.parse_args([args.command, *args.args, "WORD"])
     if getattr(options, "output", None) is not None:
         raise _UsageError("batch writes each output into its record; -o/--output is not allowed")
@@ -248,6 +248,8 @@ def _cmd_batch(args, out, parser: _Parser) -> int:
 
 
 def _build_parser() -> _Parser:
+    from . import conway
+
     parser = _Parser(prog="twobridge", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -286,7 +288,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--bound",
         type=int,
-        default=DEFAULT_SUM_BOUND,
+        default=conway.DEFAULT_SUM_BOUND,
         help="largest magnitude sum of a form built for an odd-b word; an even-b word is returned as given (default %(default)s)",
     )
 
@@ -309,18 +311,30 @@ def _dispatch(argv: list[str], out) -> int:
     return args.run(args, out)
 
 
+def _bounded(message: str, argv: list[str]) -> str:
+    """``message`` with each argument of more than ``_SHOWN`` characters
+    in it shortened by ``_quoted``, and so each value of one: the text
+    after an option's ``=`` or a short option's letter.  argparse quotes
+    a value it refuses whole, and ``open`` a path it cannot open."""
+    long = {text for arg in argv for text in (arg, arg.partition("=")[2], arg[2:]) if len(text) > _SHOWN}
+    for text in sorted(long, key=len, reverse=True):  # an argument before the value in it
+        message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text, str))
+    return message
+
+
 def run_cli(argv: list[str]) -> int:
     """Run one invocation; returns the exit status instead of raising."""
     try:
         return _dispatch(argv, sys.stdout)
     except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_bounded(str(err), argv)}", file=sys.stderr)
         return EXIT_ERROR
     except (TwoBridgeError, OSError, ValueError) as err:
         word = next((a for a in argv if a.strip().startswith(("C(", "["))), None)
         on = "" if word is None else f" on {_quoted(word)}"
         status = _exit_status(err)
-        print(f"{'hypothesis failure' if status == EXIT_HYPOTHESIS else 'error'}{on}: {err}", file=sys.stderr)
+        message = _bounded(str(err), argv)
+        print(f"{'hypothesis failure' if status == EXIT_HYPOTHESIS else 'error'}{on}: {message}", file=sys.stderr)
         return status
 
 

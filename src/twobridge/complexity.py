@@ -29,7 +29,6 @@ from .errors import (
     TorusCaseError,
     _quoted,
 )
-from .morse import SingularFiberCensus
 
 # Volume of the hyperbolic ideal regular octahedron (= 4 * Catalan's
 # constant); the test suite re-derives it from the Lobachevsky function
@@ -98,7 +97,9 @@ def _require_finite(volume: float) -> None:
 
 
 def weighted_sum(census: SingularFiberCensus) -> int:
-    """The complexity weight of one model: |II2| + 2 |II3|."""
+    """The complexity weight of one model: |II2| + 2 |II3|.  The census
+    class is ``morse.SingularFiberCensus``, named here but not imported,
+    so that certifying a word does not load the model code."""
     return census.ii2 + 2 * census.ii3
 
 

@@ -17,7 +17,8 @@ Smoothing every outer-adjacent crossing horizontally disconnects the
 curve whose double points are exactly the b-crossings.  For the f3
 variant, bigon reduction then pairs them into self-tangencies; this
 module owns that pipeline (``_curve``) and the ``VARIANTS`` and
-``GRANULARITIES``, and assembly, import and the CLI read them here.
+``GRANULARITIES``: assembly and import read them here, and the CLI's
+parser writes them out.
 Geometry stays abstract throughout: strips are combinatorial tokens,
 and coordinates only exist in the SVG renderer.
 

@@ -250,7 +250,7 @@ def _export_head(text) -> re.Match | None:
     return head if tail >= 0 and _CANONICAL_TAIL.fullmatch(text, tail) else None
 
 
-def import_json(text: str) -> StableMapModel:
+def import_json(text: str | bytes | bytearray) -> StableMapModel:
     """Reconstruct a model from document text and revalidate everything.
 
     The word, variant, and granularity determine a fresh assembly; the
@@ -264,8 +264,16 @@ def import_json(text: str) -> StableMapModel:
     ``MAX_CROSSINGS`` crossings raises ``WordTooLargeError`` before any
     assembly.  The export of the model assembled last finds that model
     and its text kept (``assemble_stable_map``, ``export_json``), so
-    accepting it costs one string comparison.
+    accepting it costs one string comparison.  Bytes are decoded as
+    UTF-8 first (a leading byte order mark is dropped, as ``json.loads``
+    drops it), so they take the same path; bytes that are not UTF-8
+    raise ``SchemaError``.
     """
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8-sig")
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"not valid UTF-8: {err}") from None
     head = _export_head(text)
     model = None
     if head is not None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twobridge import cli, render, serialize
+from twobridge import cli, complexity, curves, morse, render, serialize
 from twobridge.cli import run_cli
 from twobridge.conway import EquivalencePolicy, SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
 from twobridge.errors import ConwaySyntaxError
@@ -421,6 +421,34 @@ def test_normalize_of_a_4001_entry_word_at_the_default_bound_exits_2_quickly(cap
     assert capsys.readouterr().out.startswith("search exhausted: no even-b form of")
 
 
+_VALUE = "x" * _MB
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["build", "C(3,2,3)", "--variant", _VALUE], _VALUE),
+        (["build", "C(3,2,3)", "--variant=" + _VALUE], _VALUE),
+        (["certify", "C(3,2,3)", "--volume", _VALUE], _VALUE),
+        (["normalize", "C(2,1,2)", "--bound", "1" * _MB], "1" * _MB),
+        (["analyze", "C(3,2,3)", _VALUE], _VALUE),
+        (["build", "C(3,2,3)", "--variant", "f2", "-o", _VALUE], _VALUE),
+        (["build", "C(3,2,3)", "--variant", "f2", "-o" + _VALUE], _VALUE),
+        (["build", "C(3,2,3)", "--variant", "f2", "--out=" + _VALUE], _VALUE),
+    ],
+    ids=["invalid-choice", "invalid-choice-after-=", "invalid-float", "invalid-int", "unrecognized", "path", "path-after-o", "path-after-="],
+)
+def test_an_error_on_a_1_mb_option_value_quotes_its_ends_and_length(argv, value, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err) < 1024
+    assert f" ({len(value)} characters)" in captured.err
+
+
+def test_the_parser_offers_the_vocabularies_of_the_library():
+    assert (cli.VARIANTS, cli.GRANULARITIES) == (curves.VARIANTS, curves.GRANULARITIES)
+
+
 def test_parse_error_exits_1(capsys):
     assert run_cli(["analyze", "C(3,x)"]) == 1
 
@@ -513,13 +541,13 @@ def test_batch_with_fewer_than_one_job_exits_1_with_no_records(tmp_path, capsys,
 def test_batch_writes_each_record_before_the_next_line_runs(tmp_path, monkeypatch):
     out = io.StringIO()
     written = []  # the records in out as each line starts to assemble
-    assemble = cli.assemble_stable_map
+    assemble = morse.assemble_stable_map
 
     def counted(*args):
         written.append(out.getvalue().count("\n"))
         return assemble(*args)
 
-    monkeypatch.setattr(cli, "assemble_stable_map", counted)
+    monkeypatch.setattr(morse, "assemble_stable_map", counted)  # read there by each build
     words = tmp_path / "words.txt"
     words.write_text("C(3,2,3)\nC(2,1,2)\nC(2,2,2)\nC(5)\n")
     assert cli._dispatch(["batch", "--command", "build", "--input", str(words), "--", "--variant", "f2"], out) == 2
@@ -610,7 +638,7 @@ def test_batch_reads_the_volume_table_once(tmp_path, capsys, monkeypatch):
             return function(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(cli, "ingest_volume_table", counted("ingest", cli.ingest_volume_table))
+    monkeypatch.setattr(complexity, "ingest_volume_table", counted("ingest", complexity.ingest_volume_table))
     monkeypatch.setattr(cli, "_reference_fraction", counted("reference", cli._reference_fraction))
     table = tmp_path / "volumes.csv"
     table.write_text("big223,C(2,2,2),14.0\nk323,C(3,2,3),9.0\n")

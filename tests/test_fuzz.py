@@ -50,6 +50,11 @@ floats = (
 stray_flags = st.sampled_from(
     ["--json", "--label", "--granularity", "fine", "bogus", "--variant", "f4", "--subject", "curve", "--", "--volume", "--epsilon", "--jobs", "-x", "--nope"]
 )
+# 1 MB texts: none is a word, a file name or an option value that a command can use
+megabyte = st.sampled_from(["x" * 2**20, "9" * 2**20, "C(" + "3," * 2**19 + ")"])
+valued_options = st.sampled_from(
+    ["--variant", "--granularity", "--subject", "--volume", "--volume-table", "--label", "--epsilon", "--bound", "-o", "--command", "--input", "--jobs"]
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +83,15 @@ def argvs(draw, folder):
     elif command == "normalize":
         args = [word, "--bound", str(draw(st.integers(-3, 40)))]
     else:
-        lines = draw(st.lists(words, max_size=3))
+        lines = draw(st.lists(words | megabyte, max_size=3))
         (folder / "words.txt").write_text("".join(line.replace("\n", " ") + "\n" for line in lines))
         extra = {"build": ["--variant", "f2"], "certify": ["--volume", draw(floats)]}
         inner = draw(st.sampled_from(["analyze", "build", "certify", "render", "normalize"]))
         args = ["--command", inner, "--input", str(folder / "words.txt"), "--", *extra.get(inner, [])]
     for flag in draw(st.lists(stray_flags, max_size=2)):
         args.insert(draw(st.integers(0, len(args))), flag)
+    if draw(st.integers(0, 3)) == 0:  # a 1 MB value for an option; given last, it wins over an earlier one
+        args += [draw(valued_options), draw(megabyte)]
     return [command, *args]
 
 
@@ -92,9 +99,11 @@ def argvs(draw, folder):
 @given(st.data())
 def test_every_argv_exits_0_1_or_2(files, data):
     argv = data.draw(argvs(files))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         status = run_cli(argv)
     assert status in (0, 1, 2), argv
+    assert len(stderr.getvalue().encode()) < 1024, argv
 
 
 # --- import_json of an export with one field replaced ---------------------------

@@ -389,15 +389,19 @@ def test_no_export_is_shorter_than_the_bound_that_skips_the_comparison(variant, 
         assert len(export_json(model)) >= len(model.blocks) * serialize._MIN_BLOCK_TEXT, entries
 
 
-def test_an_export_passed_as_bytes_is_parsed_and_checked(model, monkeypatch):
+def test_an_export_passed_as_bytes_takes_the_text_path(model, monkeypatch):
     text = export_json(model)
     parsed = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda doc: parsed.append(doc) or loads(doc))
-    assert import_json(text.encode()) == model
-    assert parsed == [text.encode()]
+    assert import_json(text.encode()) == model and import_json(bytearray(text.encode())) == model
+    assert parsed == []  # accepted by the canonical comparison
+    tampered = text.replace('"ii2": 2', '"ii2": 3')
     with pytest.raises(InvariantViolationError, match=r"^census\.ii2: document 3, recomputed 2$"):
-        import_json(text.replace('"ii2": 2', '"ii2": 3').encode())
+        import_json(tampered.encode())
+    assert parsed == [tampered]  # decoded before it was parsed
+    with pytest.raises(SchemaError, match="^not valid UTF-8: "):
+        import_json(text.encode().replace(b"C(3,2,3)", b"C(3,2,3\xff)"))
 
 
 @pytest.mark.parametrize("layout", ["export", "compact"])
