@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 _NAMES = {
     "conway": (
         "ConwayWord",
-        "EquivalencePolicy",
         "FailureReport",
         "SchubertFraction",
         "all_b_even",
@@ -41,7 +40,6 @@ _NAMES = {
     ),
     "morse": (
         "BlockMap",
-        "CrossSection",
         "DefiniteFoldTrace",
         "FiberEvent",
         "SingularFiberCensus",

@@ -141,11 +141,10 @@ def _lookup_volume(args, word) -> float:
                 return record.volume
         raise TwoBridgeError(f"no table entry labeled {args.label!r}")
     fraction = conway.fraction_of(word)
-    policy = conway.EquivalencePolicy(allow_mirror=True)  # volume is mirror-invariant
     matches = [
         record
         for record, other in args.volume_table
-        if other is not None and conway.schubert_equivalent(fraction, other, policy)
+        if other is not None and conway.schubert_equivalent(fraction, other, allow_mirror=True)  # volume is mirror-invariant
     ]
     if len(matches) == 1:
         return matches[0].volume

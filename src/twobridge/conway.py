@@ -117,17 +117,6 @@ class SchubertFraction:
 
 
 @dataclass(frozen=True)
-class EquivalencePolicy:
-    """Controls whether b(p,q) and b(p,p-q) are identified.
-
-    The flag is always explicit: equivalence queries take a policy, the
-    library sets no hidden default.
-    """
-
-    allow_mirror: bool
-
-
-@dataclass(frozen=True)
 class FailureReport:
     """No even-b form found within a sum bound; never a claim of nonexistence."""
 
@@ -205,16 +194,16 @@ def fraction_of(word: ConwayWord) -> SchubertFraction:
     return SchubertFraction.normalized(p, q)
 
 
-def schubert_equivalent(
-    f1: SchubertFraction, f2: SchubertFraction, policy: EquivalencePolicy
-) -> bool:
+def schubert_equivalent(f1: SchubertFraction, f2: SchubertFraction, *, allow_mirror: bool) -> bool:
     """True iff p1 = p2 and q2 is q1 or its inverse mod p (plus negations
-    of both when the policy allows mirrors)."""
+    of both when ``allow_mirror``).  The flag is keyword-only and has no
+    default, so every query states whether b(p,q) and b(p,p-q) are
+    identified."""
     if f1.p != f2.p:
         return False
     p = f1.p
     images = {f1.q, f1.q_inverse}
-    if policy.allow_mirror:
+    if allow_mirror:
         images |= {(p - f1.q) % p, (p - f1.q_inverse) % p}
     return f2.q in images
 

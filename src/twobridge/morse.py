@@ -10,15 +10,16 @@ every intermediate slice carries a tree of the same shape.
 A block depends only on its strip's kind, the parity of the strip's
 crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
-is a ``CrossSection``, a tag, and the class holds the tree once.  An
-assembled model holds catalogued blocks, repeated, as runs ``(block,
-count)`` (``curves._RunSeq``): assembly, the trace and the census take
-one step per run.  Assembly checks the trace against the fraction and
-the census against the variant's closed form.  A model is valid when it
-equals the assembly of its word (``validate_model``); a block that
-differs raises ``InvariantViolationError`` naming its index, the first
-field that differs, and the catalogued and actual values.  Event slices
-carry tags relative to the block, and a document names them by position
+is its tag, and the module holds the tree once (``LEAVES``, ``SADDLES``
+and ``REEB_EDGES``).  An assembled model holds catalogued blocks,
+repeated, as runs ``(block, count)`` (``curves._RunSeq``): assembly, the
+trace and the census take one step per run.  Assembly checks the trace
+against the fraction and the census against the variant's closed form.
+A model is valid when it equals the assembly of its word
+(``validate_model``); a block that differs raises
+``InvariantViolationError`` naming its index, the first field that
+differs, and the catalogued and actual values.  Event slices carry tags
+relative to the block, and a document names them by position
 (``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from operator import attrgetter
-from typing import ClassVar
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -61,34 +61,22 @@ from .errors import (
     _quoted,
 )
 
+# The Reeb tree of the standard cross-section, which every slice carries:
+# leaves 1 and 2 meet at the upper saddle, 3 and 4 at the lower one.
 LEAVES = (1, 2, 3, 4)
+SADDLES = ("s_hi", "s_lo")
+REEB_EDGES = ((1, "s_hi"), (2, "s_hi"), SADDLES, ("s_lo", 3), ("s_lo", 4))
 IDENTITY = (1, 2, 3, 4)
 SWAP_MIDDLE = (1, 3, 2, 4)  # transposition induced by one middle-strand crossing
 SWAP_TOP = (2, 1, 3, 4)  # transposition induced by one top-strand crossing
-CAP_PAIRING = ((1, 2), (3, 4))
+# Both caps close the plat by the arcs (1,2) and (3,4): each puncture's partner.
+_PARTNER = {1: 2, 2: 1, 3: 4, 4: 3}
 
 # An event slice's tag relative to its block: F' lies just after the
 # block's entry section, F'' just before its exit section.  By position,
 # in block k, they are named F{k}' and F{k+1}'': each relative tag maps
 # to its positioned name and the offset of the section number from k.
 EVENT_SLICES = {"F'": ("F{}'", 0), "F''": ("F{}''", 1)}
-
-
-@dataclass(frozen=True)
-class CrossSection:
-    """A slice, by its tag.  Every slice carries the Reeb tree of the
-    standard cross-section, which the construction fixes, so the tree is
-    the class's, not each slice's."""
-
-    tag: str
-    leaves: ClassVar[tuple[int, ...]] = LEAVES
-    saddles: ClassVar[tuple[str, ...]] = ("s_hi", "s_lo")
-    edges: ClassVar[tuple[tuple[object, object], ...]] = ((1, "s_hi"), (2, "s_hi"), saddles, ("s_lo", 3), ("s_lo", 4))
-
-
-# The one section that every relative block has as its entry and exit,
-# and that every separating segment of an assembled model carries.
-_SECTION = CrossSection(tag="F")
 
 
 @dataclass(frozen=True)
@@ -101,20 +89,24 @@ class FiberEvent:
 class BlockMap:
     """One block of the decomposition with its deformation event log.
 
-    ``permutation`` sends the entry position of a link strand to its exit
-    position; ``saddle_map`` tracks how the two indefinite fold curves
-    continue ('join' in caps, where they close onto each other).
+    ``entry`` and ``exit`` are the tags of its sections, None on the
+    missing side of a cap; ``permutation`` sends the entry position of a
+    link strand to its exit position.  The rest follows from the kind: a
+    cap (Type 1 or 4) is a 3-ball whose arcs pair the punctures (1,2) and
+    (3,4), where the two indefinite fold curves close onto each other,
+    and every other block is S^2 x I.
     """
 
     kind: str
-    entry: CrossSection | None
-    exit: CrossSection | None
+    entry: str | None
+    exit: str | None
     events: tuple[FiberEvent, ...]
     permutation: tuple[int, int, int, int]
-    saddle_map: str  # 'id' | 'swap' | 'join'
-    pairing: tuple[tuple[int, int], ...]
-    topology: str  # 'ball' | 'sphere_x_interval'
-    slices: tuple[CrossSection, ...]
+
+    @property
+    def slices(self) -> tuple[str, ...]:
+        """The tags of its slices in order: entry, event slices, exit."""
+        return tuple(tag for tag in (self.entry, *(event.slice for event in self.events), self.exit) if tag is not None)
 
 
 @dataclass(frozen=True)
@@ -189,37 +181,22 @@ def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
     """
     if index is None:
         prime, dprime = EVENT_SLICES
-        entry = exit_section = _SECTION
+        entry = exit_section = "F"  # the one section of every separating segment
     else:
         prime, dprime = (name.format(index + offset) for name, offset in EVENT_SLICES.values())
-        entry, exit_section = CrossSection(f"F{index}"), CrossSection(f"F{index + 1}")
+        entry, exit_section = f"F{index}", f"F{index + 1}"
     # A cap has one section: a Type 1 block its exit, a Type 4 block its entry.
     entry, exit_section = (None if kind == "type1" else entry), (None if kind == "type4" else exit_section)
 
-    events, permutation, saddle_map = (), IDENTITY, "id"
-    if kind in ("type1", "type4"):
-        saddle_map, slices = "join", (entry or exit_section,)
-    elif kind == "type3":
-        permutation, slices = (SWAP_MIDDLE if parity else IDENTITY), (entry, exit_section)
-    elif variant == "f2":
+    events, permutation = (), IDENTITY
+    if kind == "type3":
+        permutation = SWAP_MIDDLE if parity else IDENTITY
+    elif kind == "type2" and variant == "f2":
         events = (FiberEvent("II2", prime), FiberEvent("II2", dprime))
         permutation = SWAP_TOP if parity else IDENTITY
-        slices = (entry, CrossSection(prime), CrossSection(dprime), exit_section)
-    else:
-        events, saddle_map = (FiberEvent("II3", dprime),), "swap"
-        slices = (entry, CrossSection(dprime), exit_section)
-    cap = saddle_map == "join"
-    return BlockMap(
-        kind=kind,
-        entry=entry,
-        exit=exit_section,
-        events=events,
-        permutation=permutation,
-        saddle_map=saddle_map,
-        pairing=CAP_PAIRING if cap else (),
-        topology="ball" if cap else "sphere_x_interval",
-        slices=slices,
-    )
+    elif kind == "type2":
+        events = (FiberEvent("II3", dprime),)
+    return BlockMap(kind, entry, exit_section, events, permutation)
 
 
 # The catalogue of local models: one relative block per strip kind,
@@ -262,25 +239,13 @@ def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
     return kind, len(strip.columns) % 2, variant
 
 
-def _cap_pairings(blocks: Sequence[BlockMap]) -> tuple[tuple, tuple]:
-    """The pairings of either cap, the first block and the last, each
-    checked to pair the four punctures."""
+def _last_section(blocks: Sequence[BlockMap]) -> int:
+    """n, the index of the last block and of the last section, once the
+    first block is checked to be a Type 1 cap and the last a Type 4 one."""
     n = len(blocks) - 1
-    if n < 1:
+    if n < 1 or blocks[0].kind != "type1" or blocks[n].kind != "type4":
         raise TraceMismatchError("a model needs a cap block at either end")
-    pairings = blocks[0].pairing, blocks[n].pairing
-    for index, pairing in zip((0, n), pairings):
-        if _partners(pairing) is None:
-            raise TraceMismatchError(f"block {index} pairing {pairing!r} does not pair the four punctures")
-    return pairings
-
-
-@lru_cache(maxsize=64)
-def _partners(pairing: tuple[tuple[int, int], ...]) -> dict[int, int] | None:
-    """Each puncture's partner under the arcs of ``pairing`` (a shared
-    dict, read only); None unless it pairs the four punctures."""
-    ends = [x for pair in pairing for x in pair]
-    return {x: ends[i ^ 1] for i, x in enumerate(ends)} if sorted(ends) == list(LEAVES) else None
+    return n
 
 
 def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
@@ -335,13 +300,12 @@ def _composition(perms: tuple) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _cycles(left: tuple, across: tuple[int, ...], right: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _cycles(across: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The components of the definite fold set as legs ``(q, p)`` on
-    section 1: leave the ``left`` cap pairing at q, cross to section n (the
-    strand from puncture p gets to ``across[p]``), take the ``right`` one
+    section 1: leave the first cap's arc at q, cross to section n (the
+    strand from puncture p gets to ``across[p]``), take the last cap's arc
     and come back to p; the next leg leaves from p's partner.  Each
     component starts from its smallest puncture."""
-    left, right = _partners(left), _partners(right)
     back = {q: p for p, q in enumerate(across)}
     unseen = set(LEAVES)
     cycles = []
@@ -349,9 +313,9 @@ def _cycles(left: tuple, across: tuple[int, ...], right: tuple) -> tuple[tuple[t
         p = start = min(unseen)
         legs = []
         while not legs or p != start:
-            q = left[p]
+            q = _PARTNER[p]
             unseen -= {p, q}
-            p = back[right[across[q]]]
+            p = back[_PARTNER[across[q]]]
             legs.append((q, p))
         cycles.append(tuple(legs))
     return tuple(cycles)
@@ -360,16 +324,15 @@ def _cycles(left: tuple, across: tuple[int, ...], right: tuple) -> tuple[tuple[t
 def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
     """Count the components of the definite fold set, one step per run.
 
-    The caps pair the punctures of the first and of the last section,
-    and a run of ``count`` middle blocks with permutation P carries the
-    strands across as P to the power ``count``, as does a pattern run
-    whose blocks compose to P; a run of the identity carries them
-    straight, and is passed over.  Composed along the runs, they carry
+    The caps pair the punctures (1,2) and (3,4) of the first and of the
+    last section, and a run of ``count`` middle blocks with permutation P
+    carries the strands across as P to the power ``count``, as does a
+    pattern run whose blocks compose to P; a run of the identity carries
+    them straight, and is passed over.  Composed along the runs, they carry
     section 1 to section n by one permutation, and the components are
-    the cycles it makes with the caps' pairings (``_cycles``).
+    the cycles it makes with the caps' arcs (``_cycles``).
     """
-    left, right = _cap_pairings(blocks)
-    n = len(blocks) - 1
+    n = _last_section(blocks)
     seq = _as_runs(blocks)
     runs, patterned = seq.runs, seq.patterned
     if patterned and not len(runs[0][0]) * runs[0][1] == 1 == len(runs[-1][0]) * runs[-1][1]:
@@ -385,7 +348,7 @@ def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
                 power = _power(_permuting(perm, lo), (count if patterned else min(start, n) - lo) % 12)
                 _, a, b, c, d = across
                 across = (0, power[a], power[b], power[c], power[d])
-    return DefiniteFoldTrace(count=len(_cycles(left, across, right)), blocks=blocks)
+    return DefiniteFoldTrace(count=len(_cycles(across)), blocks=blocks)
 
 
 def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -397,8 +360,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     permutation P takes the strand round its cycle of P.  Each leg
     ``(q, p)`` of a component (``_cycles``) is q's track forward and p's back.
     """
-    left, right = _cap_pairings(blocks)
-    n = len(blocks) - 1
+    n = _last_section(blocks)
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
     start = 0
     for block, count in _item_runs(blocks):
@@ -410,7 +372,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
                 track += (orbit * (count // len(orbit) + 1))[:count]
     sections = list(range(1, n + 1))
     components = []
-    for legs in _cycles(left, (0, *(track[-1] for track in tracks)), right):
+    for legs in _cycles((0, *(track[-1] for track in tracks))):
         cycle = []
         for q, p in legs:
             cycle += zip(sections, tracks[q - 1])
@@ -422,9 +384,8 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
 
 def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) -> SingularFiberCensus:
     """Event counts from the block logs, one look per run of one block.
-    The indefinite fold set's two curves run through every block ('id'
-    or 'swap' only exchanges which is which) and close up only in 'join'
-    blocks, so each of its circles takes two of those."""
+    The indefinite fold set's two curves run through every block and
+    close up only in the caps, so each of its circles takes two of those."""
     seq = _as_runs(blocks)
     runs = [(block, count) for pattern, count in seq.runs for block in pattern] if seq.patterned else seq.runs
     ii2 = ii3 = joins = 0
@@ -434,7 +395,7 @@ def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) ->
                 ii2 += count
             elif event.kind == "II3":
                 ii3 += count
-        if block.saddle_map == "join":
+        if block.kind in ("type1", "type4"):
             joins += count
     return SingularFiberCensus(
         ii2=ii2,

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .curves import ImmersedCurve, StripDecomposition, _count, _expand, _mapped, _object
-from .morse import CrossSection, StableMapModel
+from .morse import REEB_EDGES, StableMapModel
 
 MARGIN = 16
 COL_W = 28
@@ -342,7 +342,7 @@ def _strip_runs(strips) -> list:
 # left, middle and right x.
 _TOP, _HI, _LO, _BOT = (STRIP_BOT + MARGIN + k * TREE_H // 3 for k in range(4))
 _PLACES = {1: ("{0}", _TOP), 2: ("{2}", _TOP), "s_hi": ("{1}", _HI), "s_lo": ("{1}", _LO), 3: ("{0}", _BOT), 4: ("{2}", _BOT)}
-_TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in CrossSection.edges) + "</g>\n"
+_TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in REEB_EDGES) + "</g>\n"
 _TREE_X = tuple((MARGIN + STRIP_W + dx, STRIP_W) for dx in (-TREE_W // 2, 0, TREE_W // 2))
 
 

@@ -543,19 +543,20 @@ def oracle_curve_svg(curve) -> str:
 
 def oracle_trace(blocks):
     """Definite-fold components of a block sequence, traced on an
-    adjacency-list graph: the cap pairings of the end blocks close the
-    strands, and each middle block sends puncture ``pos`` of section ``j``
+    adjacency-list graph: the caps close the plat, each by the arcs (1,2)
+    and (3,4), and each middle block sends puncture ``pos`` of section ``j``
     to puncture ``permutation[pos - 1]`` of section ``j + 1``.  Reads only
-    ``block.permutation`` and ``block.pairing``.  Each component is the
+    ``block.permutation``.  Each component is the
     cycle of (section, position) nodes from its first node in
     section-major order, leaving towards the neighbour added first."""
     n = len(blocks) - 1
     nodes = [(k, pos) for k in range(1, n + 1) for pos in (1, 2, 3, 4)]
-    edges = [((1, a), (1, b)) for a, b in blocks[0].pairing]
+    arcs = ((1, 2), (3, 4))
+    edges = [((1, a), (1, b)) for a, b in arcs]
     for j, block in enumerate(blocks[1:-1], start=1):
         for pos in (1, 2, 3, 4):
             edges.append(((j, pos), (j + 1, block.permutation[pos - 1])))
-    edges.extend(((n, a), (n, b)) for a, b in blocks[-1].pairing)
+    edges.extend(((n, a), (n, b)) for a, b in arcs)
 
     adjacency = {node: [] for node in nodes}
     for u, v in edges:

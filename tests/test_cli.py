@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from twobridge import cli, complexity, curves, morse, render, serialize
 from twobridge.cli import run_cli
-from twobridge.conway import EquivalencePolicy, SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
+from twobridge.conway import SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
 from twobridge.errors import ConwaySyntaxError
 from twobridge.curves import _curve, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
@@ -410,7 +410,7 @@ def test_normalize_of_a_4001_entry_word_within_a_large_bound(capsys):
     assert left == text
     form = parse_conway(right)
     assert all_b_even(form)
-    assert schubert_equivalent(fraction_of(form), fraction_of(parse_conway(text)), EquivalencePolicy(allow_mirror=False))
+    assert schubert_equivalent(fraction_of(form), fraction_of(parse_conway(text)), allow_mirror=False)
 
 
 def test_normalize_of_a_4001_entry_word_at_the_default_bound_exits_2_quickly(capsys):

@@ -15,7 +15,6 @@ from oracles import (
 )
 from twobridge.conway import (
     ConwayWord,
-    EquivalencePolicy,
     FailureReport,
     SchubertFraction,
     _continuant,
@@ -207,27 +206,30 @@ def test_fraction_p_matches_determinant_oracle(word):
 
 # --- equivalence ------------------------------------------------------------
 
-STRICT = EquivalencePolicy(allow_mirror=False)
-MIRROR = EquivalencePolicy(allow_mirror=True)
-
-
 def test_equivalent_by_inverse():
     # 2 * 3 = 6 = 1 mod 5
     f1 = SchubertFraction.normalized(5, 2)
     f2 = SchubertFraction.normalized(5, 3)
-    assert schubert_equivalent(f1, f2, STRICT)
+    assert schubert_equivalent(f1, f2, allow_mirror=False)
 
 
 def test_equivalent_reflexive():
     f = SchubertFraction.normalized(5, 2)
-    assert schubert_equivalent(f, f, STRICT)
+    assert schubert_equivalent(f, f, allow_mirror=False)
 
 
 def test_not_equivalent():
     f1 = SchubertFraction.normalized(7, 2)
     f2 = SchubertFraction.normalized(7, 3)
-    assert not schubert_equivalent(f1, f2, STRICT)
-    assert schubert_equivalent(f1, f2, MIRROR)  # -2^{-1} = -4 = 3 mod 7
+    assert not schubert_equivalent(f1, f2, allow_mirror=False)
+    assert schubert_equivalent(f1, f2, allow_mirror=True)  # -2^{-1} = -4 = 3 mod 7
+
+
+def test_the_mirror_choice_is_stated_by_keyword():
+    f = SchubertFraction.normalized(5, 2)
+    for args in ((f, f), (f, f, False)):  # no default, and not positional
+        with pytest.raises(TypeError):
+            schubert_equivalent(*args)
 
 
 @given(
@@ -240,10 +242,8 @@ def test_equivalence_matches_orbit_enumeration(p, data):
     q2 = data.draw(st.sampled_from(coprime))
     f1 = SchubertFraction.normalized(p, q1)
     f2 = SchubertFraction.normalized(p, q2)
-    for policy in (STRICT, MIRROR):
-        assert schubert_equivalent(f1, f2, policy) == orbit_equivalent(
-            p, q1, q2, policy.allow_mirror
-        )
+    for allow_mirror in (False, True):
+        assert schubert_equivalent(f1, f2, allow_mirror=allow_mirror) == orbit_equivalent(p, q1, q2, allow_mirror)
 
 
 # --- components, parity, twist number ---------------------------------------
@@ -315,7 +315,7 @@ def test_reverse_is_equivalent_under_mirror_policy(word):
     except DegenerateFractionError:
         return
     g = fraction_of(transform(word, "reverse"))
-    assert schubert_equivalent(f, g, MIRROR)
+    assert schubert_equivalent(f, g, allow_mirror=True)
 
 
 # --- even-b normalization ---------------------------------------------------
@@ -331,7 +331,7 @@ def test_normalize_two_component_example():
     assert isinstance(result, ConwayWord)
     assert all_b_even(result)
     assert len(result.entries) % 2 == 1
-    assert schubert_equivalent(fraction_of(result), fraction_of(word), STRICT)
+    assert schubert_equivalent(fraction_of(result), fraction_of(word), allow_mirror=False)
 
 
 def test_normalize_finds_figure_eight_form():
@@ -365,7 +365,7 @@ def test_normalize_gives_an_equivalent_even_b_word_of_any_length(word):
     result = even_b_normalize(word, sum_bound=10**6)
     assert isinstance(result, ConwayWord)
     assert len(result.entries) % 2 == 1 and all_b_even(result)
-    assert schubert_equivalent(fraction_of(result), f, STRICT)
+    assert schubert_equivalent(fraction_of(result), f, allow_mirror=False)
     # reversal keeps the mirror-free class, so the construction starts alike
     assert even_b_normalize(transform(word, "reverse"), sum_bound=10**6) == result
 
@@ -389,5 +389,5 @@ def test_normalize_succeeds_for_every_small_even_p(k):
     assert isinstance(result, ConwayWord), f"search failed for {p}/{q}"
     assert all_b_even(result)
     assert schubert_equivalent(
-        fraction_of(result), SchubertFraction.normalized(p, q), STRICT
+        fraction_of(result), SchubertFraction.normalized(p, q), allow_mirror=False
     )

@@ -5,10 +5,11 @@ Tier-1 sweeps the even-b words of magnitude sum at most 8, the search
 oracle's witnesses for the odd-b words of magnitude sum at most 7, and
 ``even_b_normalize`` against that oracle on the odd-b words of magnitude
 sum at most 8 and on the fractions with p at most 12 at every bound up to
-40, and finds an even-b form for every fraction with p below 60.  The
-larger sweeps run as a CI step:
+40, finds an even-b form for every fraction with p below 60, and
+compares the trace of C(100,2,100) with the oracle's.  The larger sweeps
+run as a CI step:
 
-    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300))'
+    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300), t.check_ladder_trace(10000))'
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from oracles import (
     nearest_integer_expansion,
     oracle_curve_svg,
     oracle_model_svg,
+    oracle_trace,
     plat_component_count_of_entries,
 )
 from twobridge import morse, serialize
@@ -32,7 +34,6 @@ from twobridge.cli import run_cli
 from twobridge.conway import (
     DEFAULT_SUM_BOUND,
     ConwayWord,
-    EquivalencePolicy,
     FailureReport,
     SchubertFraction,
     _least_even_b_word,
@@ -131,7 +132,6 @@ def check_normalize_witnesses(max_sum: int) -> tuple[int, int]:
     for every odd-b word of ``all_entry_tuples(max_sum)`` whose fraction
     is two-bridge, is Schubert-equivalent to the word with the mirror off.
     Returns the number of words and of witnesses."""
-    strict = EquivalencePolicy(allow_mirror=False)
     words = witnesses = 0
     for word in _odd_b_words(max_sum):
         try:
@@ -141,7 +141,7 @@ def check_normalize_witnesses(max_sum: int) -> tuple[int, int]:
         words += 1
         found = even_b_witnesses(f, DEFAULT_SUM_BOUND)
         for entries in found:
-            assert schubert_equivalent(fraction_of(ConwayWord(entries)), f, strict), (word, entries)
+            assert schubert_equivalent(fraction_of(ConwayWord(entries)), f, allow_mirror=False), (word, entries)
         witnesses += len(found)
     return words, witnesses
 
@@ -201,7 +201,6 @@ def check_every_fraction(max_p: int) -> int:
     """Every fraction p/q with p below ``max_p`` has an even-b form when
     the sum bound does not bind: an odd-length all-even-b word equivalent
     to p/q with the mirror off.  Returns the number of fractions."""
-    strict = EquivalencePolicy(allow_mirror=False)
     fractions = 0
     for p in range(2, max_p):
         for q in filter(lambda q: gcd(p, q) == 1, range(1, p)):
@@ -210,8 +209,23 @@ def check_every_fraction(max_p: int) -> int:
             entries = _least_even_b_word(f, 10**6)
             assert entries is not None and len(entries) % 2 == 1, (f, entries)
             word = ConwayWord(entries)
-            assert all_b_even(word) and schubert_equivalent(fraction_of(word), f, strict), (f, word)
+            assert all_b_even(word) and schubert_equivalent(fraction_of(word), f, allow_mirror=False), (f, word)
     return fractions
+
+
+def check_ladder_trace(k: int) -> int:
+    """The components of the f2 and f3 models of C(k,2,k), written out
+    run by run, against ``oracles.oracle_trace``, which walks every
+    block.  Returns the number of punctures compared."""
+    word = ConwayWord((k, 2, k))
+    punctures = 0
+    for variant in ("f2", "f3"):
+        _forget()
+        model = assemble_stable_map(word, variant)
+        expected = oracle_trace(tuple(model.blocks))
+        assert model.trace.components == expected, variant
+        punctures += sum(map(len, expected))
+    return punctures
 
 
 def test_every_even_b_word_up_to_magnitude_sum_8():
@@ -232,3 +246,7 @@ def test_normalize_agrees_with_search_at_every_bound_up_to_p_12():
 
 def test_every_fraction_below_p_60_has_an_even_b_form():
     assert check_every_fraction(60) == 1085
+
+
+def test_the_trace_of_a_ladder_word_agrees_with_the_oracle():
+    assert check_ladder_trace(100) == 2 * 4 * (2 * 100 + 2)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import acyclic_oracle, oracle_trace, pattern_runs, plat_component_count_of_entries, random_even_b_words
-from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway
+from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway, transform
 from twobridge import curves, morse
 from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
 from twobridge.errors import (
@@ -19,9 +19,12 @@ from twobridge.errors import (
     TraceMismatchError,
 )
 from twobridge.morse import (
+    LEAVES,
+    REEB_EDGES,
+    SADDLES,
     BlockMap,
-    CrossSection,
     DefiniteFoldTrace,
+    FiberEvent,
     StableMapModel,
     _definite_trace,
     assemble_stable_map,
@@ -41,24 +44,25 @@ even_b_words = (
 
 
 def test_standard_cross_section_shape():
-    section = CrossSection(tag="F")
-    assert len(section.leaves) == 4
-    assert len(section.saddles) == 2
-    assert len(section.leaves) - len(section.saddles) == 2
-    assert {v for edge in section.edges for v in edge} == {*section.leaves, *section.saddles}
-    assert acyclic_oracle(section.edges)
+    assert len(LEAVES) == 4
+    assert len(SADDLES) == 2
+    assert len(LEAVES) - len(SADDLES) == 2
+    assert {v for edge in REEB_EDGES for v in edge} == {*LEAVES, *SADDLES}
+    assert acyclic_oracle(REEB_EDGES)
 
 
 def test_tree_check_is_keyed_on_shape():
     cyclic = ((1, "s_hi"), (2, "s_hi"), ("s_hi", 1), ("s_lo", 3), ("s_lo", 4))
-    assert acyclic_oracle(CrossSection.edges)
+    assert acyclic_oracle(REEB_EDGES)
     assert not acyclic_oracle(cyclic)
 
 
 def test_a_cross_section_is_its_tag():
-    assert [f.name for f in fields(CrossSection)] == ["tag"]
-    assert CrossSection(tag="F").edges is CrossSection(tag="F4'").edges is CrossSection.edges
-    assert CrossSection(tag="F") == CrossSection(tag="F") != CrossSection(tag="F'")
+    # a block stores its kind, section tags, events and permutation; its slices are read off them
+    assert [f.name for f in fields(BlockMap)] == ["kind", "entry", "exit", "events", "permutation"]
+    block = build_block(Strip("type2", (Column("crossing", 1),) * 2, param=2), "f2", index=4)
+    assert (block.entry, block.exit) == ("F4", "F5")
+    assert block.slices == ("F4", "F4'", "F5''", "F5")
 
 
 # --- blocks -------------------------------------------------------------------
@@ -70,7 +74,6 @@ def test_type2_f2_block_events():
     assert [e.slice for e in block.events] == ["F4'", "F5''"]
     assert block.permutation == (1, 2, 3, 4)
     assert len(block.slices) == 4
-    assert block.topology == "sphere_x_interval"
 
 
 def test_type2_f3_block_event():
@@ -90,12 +93,13 @@ def test_type3_block_no_events():
 
 
 def test_cap_blocks():
-    for kind in ("type1", "type4"):
+    # a Type 1 cap has only its exit section, a Type 4 cap only its entry
+    for kind, sections in (("type1", (None, "F")), ("type4", ("F", None))):
         block = build_block(Strip(kind), "f2")
         assert block.events == ()
-        assert block.topology == "ball"
-        assert block.pairing == ((1, 2), (3, 4))
-        assert len(block.slices) == 1
+        assert block.permutation == (1, 2, 3, 4)
+        assert (block.entry, block.exit) == sections
+        assert block.slices == ("F",)
 
 
 def test_invalid_strip_variant():
@@ -119,13 +123,12 @@ def test_build_block_rejects_an_unknown_variant_or_strip_kind():
 
 
 def test_euler_holds_on_every_slice_of_every_block():
+    # every slice is a tag, and carries the one standard tree
+    assert len(LEAVES) - len(SADDLES) == 2
     word = ConwayWord((2, 4, 2, -2, 2))
     for variant in ("f2", "f3"):
         model = assemble_stable_map(word, variant)
-        for block in model.blocks:
-            for section in block.slices:
-                assert type(section) is CrossSection
-                assert len(section.leaves) - len(section.saddles) == 2
+        assert all(type(tag) is str for block in model.blocks for tag in block.slices)
 
 
 # --- assembly -----------------------------------------------------------------
@@ -279,7 +282,7 @@ def test_sections_share_one_standard_cross_section():
     sections = [section for block in model.blocks for section in (block.entry, block.exit) if section is not None]
     assert len(sections) == 2 * (len(model.blocks) - 1)
     assert all(section is sections[0] for section in sections)
-    assert sections[0] == CrossSection(tag="F")
+    assert sections[0] == "F"
 
 
 def test_models_share_their_blocks_and_sections():
@@ -300,21 +303,23 @@ def test_validate_model_checks_a_block_swapped_into_a_shared_run():
     block = model.blocks[2]
     assert block.kind == "type3" and model.blocks[3] is block
     blocks = list(model.blocks)
-    blocks[3] = replace(block, slices=(block.entry, CrossSection(tag="G'"), block.exit))
+    blocks[3] = replace(block, events=(FiberEvent("II2", "G'"),))
+    assert blocks[3].slices == ("F", "G'", "F")
     with pytest.raises(InvariantViolationError):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
-# Every slice is the standard tree, the class's, so a slice swapped in
+# Every slice is the standard tree, the module's, so a slice swapped in
 # differs by its tag: another relative tag, a positioned one, the exit side's.
 @pytest.mark.parametrize("tag", ["G'", "F4'", "F''"])
 def test_validate_model_rejects_an_event_slice_that_is_not_a_tree(tag):
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     block = blocks[4]
-    assert block.kind == "type2" and block.slices[1].tag == "F'"
-    blocks[4] = replace(block, slices=(block.entry, CrossSection(tag=tag), *block.slices[2:]))
-    with pytest.raises(InvariantViolationError, match="block 4: slices is .*, the catalogued type2 block has "):
+    assert block.kind == "type2" and block.slices[1] == "F'"
+    blocks[4] = replace(block, events=(replace(block.events[0], slice=tag), *block.events[1:]))
+    assert blocks[4].slices == ("F", tag, "F''", "F")
+    with pytest.raises(InvariantViolationError, match="block 4: events is .*, the catalogued type2 block has "):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -322,9 +327,10 @@ def test_validate_model_rejects_an_event_slice_that_was_dropped():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     block = blocks[4]
-    assert [s.tag for s in block.slices] == ["F", "F'", "F''", "F"]
-    blocks[4] = replace(block, slices=(block.entry, block.slices[1], block.exit))
-    with pytest.raises(InvariantViolationError, match="block 4: slices is .*, the catalogued type2 block has "):
+    assert block.slices == ("F", "F'", "F''", "F")
+    blocks[4] = replace(block, events=block.events[:1])
+    assert blocks[4].slices == ("F", "F'", "F")
+    with pytest.raises(InvariantViolationError, match="block 4: events is .*, the catalogued type2 block has "):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -346,13 +352,13 @@ def test_validate_model_rejects_a_census_that_mixes_fiber_types(variant):
 
 def test_validate_model_rejects_a_positioned_event_tag():
     # build_block(..., index=4) names the event slices F4' and F5'', which
-    # its own slices materialise but no document position can name
+    # no document position can name
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     assert model.blocks[4].kind == "type2"
     section = model.blocks[0].exit
     blocks = list(model.blocks)
     block = build_block(model.strips.strips[4], "f2", index=4)
-    blocks[4] = replace(block, entry=section, exit=section, slices=(section, *block.slices[1:-1], section))
+    blocks[4] = replace(block, entry=section, exit=section)
     with pytest.raises(InvariantViolationError, match=r"block 4: events is \(FiberEvent\(kind='II2', slice=\"F4'\"\)"):
         validate_model(replace(model, blocks=tuple(blocks)))
 
@@ -362,7 +368,7 @@ def test_validate_model_rejects_a_positioned_block_for_its_sections():
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     blocks = list(model.blocks)
     blocks[4] = build_block(model.strips.strips[4], "f2", index=4)
-    with pytest.raises(InvariantViolationError, match=r"block 4: entry is CrossSection\(tag='F4'"):
+    with pytest.raises(InvariantViolationError, match=r"^block 4: entry is 'F4', the catalogued type2 block has 'F'$"):
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
@@ -401,10 +407,11 @@ def test_validate_model_rejects_any_field_of_a_block_taken_from_another_catalogu
 
 def test_every_slice_of_every_catalogued_block_is_the_standard_tree():
     assert set(morse._CATALOGUE) == {(kind, parity, variant) for kind in ("type1", "type2", "type3", "type4") for parity in (0, 1) for variant in ("f2", "f3")}
-    for block in morse._CATALOGUE.values():
-        for section in block.slices:
-            assert type(section) is CrossSection
-            assert len(section.leaves) - len(section.saddles) == 2
+    # one slice per cap, two per Type 3 block, and a Type 2 block's events between its sections
+    widths = {"type1": 1, "type3": 2, "type4": 1, ("type2", "f2"): 4, ("type2", "f3"): 3}
+    for (kind, _, variant), block in morse._CATALOGUE.items():
+        assert all(type(tag) is str for tag in block.slices)
+        assert len(block.slices) == widths.get(kind, widths.get((kind, variant)))
 
 
 def test_positioned_blocks_are_not_kept():
@@ -463,13 +470,15 @@ def test_validate_model_rejects_a_word_that_does_not_decompose():
 
 
 def test_trace_rejects_blocks_that_lose_a_strand():
+    # a middle block that loses a strand, or an end block that is no cap
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
-    for j, field, value in ((2, "permutation", (1, 1, 3, 4)), (0, "pairing", ((1, 2),))):
+    cases = ((2, "permutation", (1, 1, 3, 4), "block 2 permutation"), (0, "kind", "type3", "a cap block at either end"), (-1, "kind", "type3", "a cap block at either end"))
+    for j, field, value, message in cases:
         blocks = list(model.blocks)
         blocks[j] = replace(blocks[j], **{field: value})
-        with pytest.raises(TraceMismatchError, match=f"block {j} {field}"):
+        with pytest.raises(TraceMismatchError, match=message):
             trace_definite_folds(replace(model, blocks=tuple(blocks)))
-        with pytest.raises(TraceMismatchError, match=f"block {j} {field}"):
+        with pytest.raises(TraceMismatchError, match=message):
             DefiniteFoldTrace(count=2, blocks=tuple(blocks)).components  # a hand-built trace
 
 
@@ -543,19 +552,16 @@ def test_census_invariant_under_granularity(word, granularity):
 # --- run-level trace and checks -----------------------------------------------
 
 permutations = st.permutations([1, 2, 3, 4]).map(tuple)
-pairings = st.sampled_from([((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))])
 middle_runs = st.lists(st.tuples(permutations, st.integers(1, 7)), max_size=8) | st.tuples(
     permutations, permutations, st.integers(1, 12)
 ).map(lambda t: [(t[0], 1), (t[1], 1)] * t[2])  # alternating runs of one, as fine granularity makes
 
 
-@given(pairings, middle_runs, pairings, st.integers(1, 3))
-def test_run_level_trace_matches_adjacency_oracle(left, runs, right, width):
+@given(middle_runs, st.integers(1, 3))
+def test_run_level_trace_matches_adjacency_oracle(runs, width):
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     cap, middle, end = model.blocks[0], model.blocks[1], model.blocks[-1]
-    blocks = _RunSeq(
-        [(replace(cap, pairing=left), 1), *((replace(middle, permutation=p), n) for p, n in runs), (replace(end, pairing=right), 1)]
-    )
+    blocks = _RunSeq([(cap, 1), *((replace(middle, permutation=p), n) for p, n in runs), (end, 1)])
     expected = oracle_trace(tuple(blocks))
     # the same blocks as pattern runs of ``width`` blocks, with the caps inside them or each in a run of its own
     caps = [((blocks[0],), 1)], [((blocks[-1],), 1)]
@@ -566,7 +572,7 @@ def test_run_level_trace_matches_adjacency_oracle(left, runs, right, width):
         assert trace.components == expected
 
 
-TAMPERS = ("kind", "slice", "permutation", "pairing")
+TAMPERS = ("kind", "slice", "permutation", "strand")
 
 
 @given(
@@ -585,13 +591,14 @@ def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, gra
     j = data.draw(st.integers(0, len(pattern) - 1))
     block = pattern[j]
     tamper = data.draw(st.sampled_from(TAMPERS))
-    if tamper == "kind":
+    if tamper == "kind":  # a cap made a middle block, or a middle block of the other kind
         bad = replace(block, kind="type2" if block.kind == "type3" else "type3")
-    elif tamper == "slice":
-        bad = replace(block, slices=(*block.slices, CrossSection(tag="G'")))
-    elif block.pairing:  # a cap: another pairing of the four punctures
-        bad = replace(block, pairing=((1, 3), (2, 4)))
-    else:  # a middle block: another permutation, or none at all
+    elif tamper == "slice" and block.events:  # an event slice tagged otherwise, or dropped with its event
+        tagged = (*block.events[:-1], replace(block.events[-1], slice="G'"))
+        bad = replace(block, events=data.draw(st.sampled_from([tagged, block.events[:-1]])))
+    elif tamper == "slice":  # a section tagged otherwise
+        bad = replace(block, entry="G") if block.entry else replace(block, exit="G")
+    else:  # another permutation, or one that loses a strand
         other = tuple(block.permutation[j - 1] for j in (2, 1, 3, 4))
         bad = replace(block, permutation=other if tamper == "permutation" else (1, 1, 3, 4))
     runs[i] = ((*pattern[:j], bad, *pattern[j + 1 :]) if seq.patterned else bad, count)
@@ -622,6 +629,31 @@ def test_a_fine_model_is_the_crossing_model_with_a_filler_after_each_interior_st
         assert [(first, one), (last, other)] == [((theirs.runs[0][0],), 1), ((theirs.runs[-1][0],), 1)]
         assert [(pattern[0], count) for pattern, count in middle] == list(theirs.runs[1:-1])
         assert all(len(pattern) == 2 and pattern[1] == filler for pattern, _ in middle)
+
+
+def _run_heads(seq) -> list:
+    """``(item, count)`` per run; of a pattern run, the pattern's first item."""
+    return [(item[0] if seq.patterned else item, count) for item, count in seq.runs]
+
+
+@given(large_even_b_words)
+def test_reversed_and_mirrored_words_give_the_mirrored_models(word):
+    # reversing a word reverses its strips and blocks, the caps exchanged;
+    # mirroring it keeps the census.  Compared run by run: at fine, the
+    # filler follows each strip, so the expanded blocks do not reverse.
+    try:
+        fraction_of(word)
+    except DegenerateFractionError:
+        return
+    caps = {"type1": "type4", "type4": "type1"}
+    for variant in ("f2", "f3"):
+        for granularity in ("crossing", "region", "fine"):
+            model, reverse, mirror = (assemble_stable_map(w, variant, granularity) for w in (word, transform(word, "reverse"), transform(word, "mirror")))
+            assert model.census == reverse.census == mirror.census
+            kinds = [(caps.get(strip.kind, strip.kind), count) for strip, count in _run_heads(model.strips.strips)]
+            assert kinds[::-1] == [(strip.kind, count) for strip, count in _run_heads(reverse.strips.strips)]
+            perms = [(block.permutation, count) for block, count in _run_heads(model.blocks)]
+            assert perms[::-1] == [(block.permutation, count) for block, count in _run_heads(reverse.blocks)]
 
 
 @pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])

@@ -15,7 +15,7 @@ from oracles import model_entries, oracle_curve_svg, oracle_model_svg
 from twobridge.conway import ConwayWord, parse_conway
 from twobridge.curves import StripDecomposition, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge import render
-from twobridge.morse import CrossSection, StableMapModel, assemble_stable_map
+from twobridge.morse import LEAVES, REEB_EDGES, SADDLES, StableMapModel, assemble_stable_map
 from twobridge.render import _fill, render_svg
 
 
@@ -60,9 +60,9 @@ def test_the_edges_of_a_rendered_tree_follow_the_cross_section_edges():
         x = 16 + 36 * k
         vertex = {(x - 8, 128): 1, (x + 8, 128): 2, (x, 144): "s_hi", (x, 160): "s_lo", (x - 8, 176): 3, (x + 8, 176): 4}
         ends = [tuple(int(line.get(a)) for a in ("x1", "y1", "x2", "y2")) for line in tree]
-        assert [(vertex[e[:2]], vertex[e[2:]]) for e in ends] == list(CrossSection.edges)
+        assert [(vertex[e[:2]], vertex[e[2:]]) for e in ends] == list(REEB_EDGES)
     # the drawing is read off the tree: one place per vertex
-    assert set(render._PLACES) == {*CrossSection.leaves, *CrossSection.saddles}
+    assert set(render._PLACES) == {*LEAVES, *SADDLES}
 
 
 def test_f3_model_svg_marks_ii3_events():

@@ -206,8 +206,9 @@ def test_a_model_held_as_any_pattern_runs_exports_and_renders_the_same_bytes(tex
     assert render_svg(patterned) == render_svg(model) and render_svg(patterned.strips) == render_svg(model.strips)
     assert (patterned.census, patterned.trace.components) == (model.census, model.trace.components)
     validate_model(patterned)
-    # a template field in the kind of the last block without events, which a pattern may put after one with events
-    j = max(i for i, block in enumerate(model.blocks) if not block.events)
+    # a template field in the kind of the last middle block without events,
+    # which a pattern may put after one with events; a cap's kind is what the trace checks
+    j = max(i for i, block in enumerate(model.blocks) if not block.events and block.kind == "type3")
     blocks = list(model.blocks)
     blocks[j] = replace(blocks[j], kind="type{0}")
     for tampered in (tuple(blocks), _RunSeq(pattern_runs(blocks, width), True)):
