@@ -383,7 +383,7 @@ def test_validate_model_rejects_a_model_whose_fields_disagree_with_its_strips(fi
         validate_model(tampered)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(BlockMap)])
+@pytest.mark.parametrize("name", [f.name for f in fields(BlockMap)] + ["slices"])
 def test_validate_model_rejects_any_field_of_a_block_taken_from_another_catalogued_block(name):
     # C(5,2,5) f2: blocks 1-5 are one run of one Type 3 block
     model = assemble_stable_map(ConwayWord((5, 2, 5)), "f2")
@@ -391,7 +391,15 @@ def test_validate_model_rejects_any_field_of_a_block_taken_from_another_catalogu
     block, count = runs[1]
     assert block.kind == "type3" and count == 5
     value = next(getattr(other, name) for other in morse._CATALOGUE.values() if getattr(other, name) != getattr(block, name))
-    bad = replace(block, **{name: value})
+    if name == "slices":  # a property: take the sections and events that give it
+        other = next(other for other in morse._CATALOGUE.values() if other.slices == value)
+        bad = replace(block, entry=other.entry, events=other.events, exit=other.exit)
+        assert bad.slices == value
+        # the error names the first stored field that differs
+        name = next(f for f in ("entry", "events", "exit") if getattr(bad, f) != getattr(block, f))
+        value = getattr(bad, name)
+    else:
+        bad = replace(block, **{name: value})
     blocks = list(model.blocks)
     blocks[3] = bad  # one block inside the run, in a tuple
     runs[1] = (bad, count)  # the whole run
