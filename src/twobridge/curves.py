@@ -72,11 +72,12 @@ class _RunSeq:
 
     __slots__ = ("runs", "patterned", "_ends")
 
-    def __init__(self, runs=(), patterned=False):
+    def __init__(self, runs=(), patterned=False, like=None):
+        """``like``, if given, is a sequence whose runs line up with these."""
         self.runs = runs = tuple(runs)
         self.patterned = patterned
         counts = map(_count, runs)
-        self._ends = tuple(accumulate(map(mul, map(len, map(_object, runs)), counts) if patterned else counts))
+        self._ends = like._ends if like else tuple(accumulate(map(mul, map(len, map(_object, runs)), counts) if patterned else counts))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -238,28 +239,42 @@ def _expand(runs, patterned=False):
     return chain.from_iterable(items) if patterned else items
 
 
-def _mapped(items, f) -> tuple[list, bool]:
-    """The runs of ``items`` with each object ``x`` replaced by ``f(x)``,
-    and whether they are pattern runs: one call per distinct object, one
-    step per run, and a distinct pattern mapped item by item."""
+def _numbered(items) -> tuple[list, tuple, list | None, list]:
+    """``items`` numbered by identity, one step per run: ``(numbers,
+    counts, patterns, values)``, ``values`` each distinct object in order
+    of first sight.  A run's number is its object's place there, or its
+    pattern's among the distinct ``patterns``, tuples of numbers (None in
+    a plain sequence)."""
     seq = _as_runs(items)
-    patterned = seq.patterned
-    values: dict[int, object] = {}  # by the id of an object or a pattern
-    runs = []
-    for x, count in seq.runs:
-        key = id(x)
-        if key not in values:
-            if patterned:  # a pattern, item by item
+    patterns = [] if seq.patterned else None
+    place, values, numbers = {}, [], []  # place: an object's number, by its id
+    for x, _ in seq.runs:
+        k = place.get(id(x))
+        if k is None:
+            if patterns is None:
+                k = place[id(x)] = len(values)
+                values.append(x)
+            else:  # a pattern: its items numbered in turn, and it among the patterns
                 pattern = []
                 for y in x:
-                    if id(y) not in values:
-                        values[id(y)] = f(y)
-                    pattern.append(values[id(y)])
-                values[key] = tuple(pattern)
-            else:
-                values[key] = f(x)
-        runs.append((values[key], count))
-    return runs, patterned
+                    j = place.get(id(y))
+                    if j is None:
+                        j = place[id(y)] = len(values)
+                        values.append(y)
+                    pattern.append(j)
+                k = place[id(x)] = len(patterns)
+                patterns.append(tuple(pattern))
+        numbers.append(k)
+    return numbers, tuple(map(_count, seq.runs)), patterns, values
+
+
+def _through(numbered, table) -> zip:
+    """The runs of ``numbered`` (``_numbered``), number k read as
+    ``table[k]`` and a pattern as the tuple of its items', at C speed."""
+    numbers, counts, patterns = numbered[:3]
+    if patterns is not None:
+        table = [tuple(map(table.__getitem__, p)) for p in patterns]
+    return zip(map(table.__getitem__, numbers), counts)
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:

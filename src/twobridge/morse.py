@@ -12,9 +12,13 @@ crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
 is its tag, and the module holds the tree once (``LEAVES``, ``SADDLES``
 and ``REEB_EDGES``).  An assembled model holds catalogued blocks,
-repeated, as runs ``(block, count)`` (``curves._RunSeq``): assembly, the
-trace and the census take one step per run.  Assembly checks the trace
-against the fraction and the census against the variant's closed form.
+repeated, as runs ``(block, count)`` (``curves._RunSeq``).  The 16
+entries are numbered, and a model's runs are numbered once, by entry
+(``_catalogued``), in the pass of assembly that maps strips to blocks:
+the trace and the census (``_walk``), the export and the render read
+each entry's facts from tables made beside the catalogue, one step per
+run.  Assembly checks the trace against the fraction and the census
+against the variant's closed form.
 A model is valid when it equals the assembly of its word
 (``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
@@ -35,8 +39,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import permutations, product
-from operator import attrgetter
+from itertools import accumulate, permutations, product, repeat
+from operator import mul
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -45,11 +49,14 @@ from .curves import (
     Strip,
     StripDecomposition,
     _as_runs,
-    _RunSeq,
     _curve,
+    _expand,
     _item_runs,
-    _mapped,
+    _numbered,
+    _runs,
+    _RunSeq,
     _runs_of,
+    _through,
     strip_decompose,
 )
 from .errors import (
@@ -161,11 +168,18 @@ class StableMapModel:
 
     @cached_property
     def trace(self) -> DefiniteFoldTrace:
-        return _definite_trace(self.blocks)
+        return _walk(self.blocks, self._numbering[0])[0]
 
     @cached_property
     def census(self) -> SingularFiberCensus:
-        return _census_from_blocks(self.blocks, self.trace)
+        return _walk(self.blocks, self._numbering[0])[1]
+
+    @cached_property
+    def _numbering(self) -> tuple[tuple, tuple]:
+        """The blocks numbered by entry (``_catalogued``) and the strips by
+        identity (``curves._numbered``): set by assembly, or for a model
+        built by hand found here, by block value, on first use."""
+        return _catalogued(_numbered(self.blocks)), _numbered(self.strips.strips)
 
 
 _KINDS = ("type1", "type2", "type3", "type4")
@@ -200,8 +214,40 @@ def _block(kind: str, parity: int, variant: str, index: int | None) -> BlockMap:
 
 
 # The catalogue of local models: one relative block per strip kind,
-# crossing parity and variant, shared by every model.
+# crossing parity and variant, shared by every model, and its entries
+# numbered in order.
 _CATALOGUE = {key: _block(*key, None) for key in product(_KINDS, (0, 1), VARIANTS)}
+_ENTRIES = tuple(_CATALOGUE.values())
+_NUMBER = {id(block): e for e, block in enumerate(_ENTRIES)}
+
+
+def _catalogued(numbered: tuple, blocks: list | None = None) -> tuple:
+    """``numbered`` (``curves._numbered``), whose value k has the block
+    ``blocks[k]`` (the value itself by default), numbered by catalogue
+    entry: a run's number is its block's, or its pattern's place among the
+    distinct tuples of entry numbers.  Its values are ``_ENTRIES``, then
+    any block equal to no entry, numbered on."""
+    numbers, counts, patterns, blocks = *numbered[:3], numbered[3] if blocks is None else blocks
+    entry, extra = list(map(_NUMBER.get, map(id, blocks))), []
+    for k in range(len(blocks)) if None in entry else ():
+        if entry[k] is None and blocks[k] in _ENTRIES:  # equal to an entry
+            entry[k] = _ENTRIES.index(blocks[k])
+        elif entry[k] is None:
+            entry[k] = len(_ENTRIES) + len(extra)
+            extra.append(blocks[k])
+    table = _ENTRIES + tuple(extra) if extra else _ENTRIES
+    if patterns is None:
+        return list(map(entry.__getitem__, numbers)), counts, None, table
+    place: dict[tuple, int] = {}  # the distinct patterns of entries, numbered in order
+    index = [place.setdefault(tuple(map(entry.__getitem__, pattern)), len(place)) for pattern in patterns]
+    return list(map(index.__getitem__, numbers)), counts, list(place), table
+
+
+def _facts(table: tuple, numbered: tuple, fact) -> tuple:
+    """``table``, ``fact`` of each entry, for the blocks ``numbered``
+    (``_catalogued``): itself, then ``fact`` of each block past them."""
+    entries = numbered[3]
+    return table if entries is _ENTRIES else table + tuple(map(fact, entries[len(_ENTRIES) :]))
 
 
 def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMap:
@@ -258,55 +304,21 @@ def _orbit(perm: tuple[int, ...], pos: int) -> list[int]:
     return orbit
 
 
-@lru_cache(maxsize=1024)
-def _power(perm: tuple[int, ...], count: int) -> tuple[int, ...]:
-    """``perm`` applied ``count`` times, indexed by position: 0, then the
-    images of 1..4."""
-    out = [0]
-    for pos in LEAVES:
-        orbit = _orbit(perm, pos)
-        out.append(orbit[count % len(orbit)])
-    return tuple(out)
-
-
-_PERMUTATIONS = frozenset(permutations(LEAVES))
-_permutation = attrgetter("permutation")
-
-
 def _permuting(perm: tuple[int, ...], index: int) -> tuple[int, ...]:
     """``perm``, the permutation of block ``index``, if it permutes the
     four punctures; else no strand walk through it ends."""
-    if perm not in _PERMUTATIONS:
+    if perm not in _PERM_NUMBER:
         raise TraceMismatchError(f"block {index} permutation {perm!r} does not permute the four punctures")
     return perm
 
 
-def _pattern_permutation(pattern: tuple[BlockMap, ...], index: int) -> tuple[int, ...]:
-    """The permutation that carries the strands across ``pattern`` from
-    block ``index`` on: its blocks', each checked, in order."""
-    perms = tuple(map(_permutation, pattern))
-    if not _PERMUTATIONS.issuperset(perms):
-        for j, perm in enumerate(perms):
-            _permuting(perm, index + j)
-    return _composition(perms)
-
-
-@lru_cache(maxsize=256)
-def _composition(perms: tuple) -> tuple[int, ...]:
-    out = IDENTITY
-    for perm in perms:
-        out = tuple(perm[x - 1] for x in out)
-    return IDENTITY if out == IDENTITY else out
-
-
-@lru_cache(maxsize=256)
 def _cycles(across: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The components of the definite fold set as legs ``(q, p)`` on
     section 1: leave the first cap's arc at q, cross to section n (the
-    strand from puncture p gets to ``across[p]``), take the last cap's arc
-    and come back to p; the next leg leaves from p's partner.  Each
+    strand from puncture p gets to ``across[p - 1]``), take the last cap's
+    arc and come back to p; the next leg leaves from p's partner.  Each
     component starts from its smallest puncture."""
-    back = {q: p for p, q in enumerate(across)}
+    back = {q: p for p, q in enumerate(across, 1)}
     unseen = set(LEAVES)
     cycles = []
     while unseen:
@@ -315,40 +327,78 @@ def _cycles(across: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
         while not legs or p != start:
             q = _PARTNER[p]
             unseen -= {p, q}
-            p = back[_PARTNER[across[q]]]
+            p = back[_PARTNER[across[q - 1]]]
             legs.append((q, p))
         cycles.append(tuple(legs))
     return tuple(cycles)
 
 
-def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
-    """Count the components of the definite fold set, one step per run.
+# The 24 permutations of the four punctures, numbered, the identity 0:
+# ``_THEN[a][b]`` is a then b, ``_POWERS[a][k]`` is a applied k times
+# (every permutation of four points has an order dividing 12), and
+# ``_CYCLES[a]`` the components that a, carrying section 1 to section n,
+# makes with the caps' arcs.
+_PERMS = tuple(permutations(LEAVES))
+_PERM_NUMBER = {perm: a for a, perm in enumerate(_PERMS)}
+_THEN = tuple(tuple(_PERM_NUMBER[tuple(q[x - 1] for x in p)] for q in _PERMS) for p in _PERMS)
+_POWERS = tuple(tuple(accumulate(repeat(a, 11), lambda b, a: _THEN[b][a], initial=0)) for a in range(len(_PERMS)))
+_CYCLES = tuple(map(_cycles, _PERMS))
 
-    The caps pair the punctures (1,2) and (3,4) of the first and of the
-    last section, and a run of ``count`` middle blocks with permutation P
-    carries the strands across as P to the power ``count``, as does a
-    pattern run whose blocks compose to P; a run of the identity carries
-    them straight, and is passed over.  Composed along the runs, they carry
-    section 1 to section n by one permutation, and the components are
-    the cycles it makes with the caps' arcs (``_cycles``).
-    """
-    n = _last_section(blocks)
-    seq = _as_runs(blocks)
-    runs, patterned = seq.runs, seq.patterned
-    if patterned and not len(runs[0][0]) * runs[0][1] == 1 == len(runs[-1][0]) * runs[-1][1]:
-        runs, patterned = _item_runs(seq), False  # a cap shares a pattern run: block by block
-    across = (0, *LEAVES)  # across[p]: where puncture p of section 1 has got to
-    start = 0
-    for block, count in runs:
-        lo, start = start or 1, start + (len(block) * count if patterned else count)
-        if lo < min(start, n):  # the run, cut to 1..n-1; a pattern run, between the caps, is never cut
-            perm = _pattern_permutation(block, lo) if patterned else block.permutation
-            if perm is not IDENTITY:
-                # Every permutation of four points has an order dividing 12.
-                power = _power(_permuting(perm, lo), (count if patterned else min(start, n) - lo) % 12)
-                _, a, b, c, d = across
-                across = (0, power[a], power[b], power[c], power[d])
-    return DefiniteFoldTrace(count=len(_cycles(across)), blocks=blocks)
+
+def _block_facts(block: BlockMap) -> tuple[int, int, int, bool]:
+    """What ``_walk`` reads off a block: its permutation's number (-1 if
+    it permutes no four punctures), its II2 and II3 events, and whether it
+    is a cap."""
+    kinds = [event.kind for event in block.events]
+    return _PERM_NUMBER.get(block.permutation, -1), kinds.count("II2"), kinds.count("II3"), block.kind in ("type1", "type4")
+
+
+_FACTS = tuple(map(_block_facts, _ENTRIES))
+
+
+def _walk(blocks: Sequence[BlockMap], numbered: tuple | None = None) -> tuple[DefiniteFoldTrace, SingularFiberCensus]:
+    """The trace and the census of ``blocks``, one step per run of their
+    numbering by entry (``_catalogued``).  The caps pair the punctures
+    (1,2) and (3,4) of the first and of the last section; a run of
+    ``count`` blocks 1..n-1 with permutation P, or a pattern run whose
+    blocks compose to P, carries the strands across as P to the power
+    ``count``, and the components are the cycles that their composition
+    makes with the caps' arcs (``_CYCLES``).  The indefinite fold set's
+    two curves close up only in the caps, so each circle takes two."""
+    _last_section(blocks)
+    numbers, counts, patterns, table = numbered = numbered or _catalogued(_numbered(blocks))
+    facts = _facts(_FACTS, numbered, _block_facts)
+    if patterns and not len(patterns[numbers[0]]) * counts[0] == 1 == len(patterns[numbers[-1]]) * counts[-1]:
+        numbers, counts = zip(*_runs(list(_expand(zip(map(patterns.__getitem__, numbers), counts), True))))
+        patterns = None  # a cap shares a pattern run: block by block
+    if patterns:  # a pattern's blocks composed (or -1 - j if its block j permutes none), their events and caps summed
+        items, facts = facts, []
+        for pattern in patterns:
+            perm = ii2 = ii3 = caps = 0
+            for j, (p, a, b, cap) in enumerate(map(items.__getitem__, pattern)):
+                perm = (_THEN[perm][p] if p >= 0 else -1 - j) if perm >= 0 else perm
+                ii2, ii3, caps = ii2 + a, ii3 + b, caps + cap
+            facts.append((perm, ii2, ii3, caps))
+    across = ii2 = ii3 = caps = 0  # across: where the punctures of section 1 have got to
+    last = len(numbers) - 1
+    for i, (number, count) in enumerate(zip(numbers, counts)):
+        perm, a, b, cap = facts[number]
+        if a or b or cap:
+            ii2, ii3, caps = ii2 + a * count, ii3 + b * count, caps + cap * count
+        if perm:
+            count -= (i == 0) + (i == last)  # the run's blocks among 1..n-1
+            if perm > 0:
+                across = _THEN[across][_POWERS[perm][count % 12]]
+            elif count:  # its block -1 - perm permutes no four punctures
+                start = sum(map(mul, map(len, map(patterns.__getitem__, numbers[:i])), counts)) if patterns else sum(counts[:i])
+                block = table[patterns[number][-1 - perm] if patterns else number]
+                _permuting(block.permutation, max(start, 1) - 1 - perm)
+    trace = DefiniteFoldTrace(len(_CYCLES[across]), blocks)
+    return trace, SingularFiberCensus(ii2, ii3, trace.count, caps // 2)
+
+
+def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
+    return _walk(blocks)[0]
 
 
 def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -372,7 +422,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
                 track += (orbit * (count // len(orbit) + 1))[:count]
     sections = list(range(1, n + 1))
     components = []
-    for legs in _cycles((0, *(track[-1] for track in tracks))):
+    for legs in _CYCLES[_PERM_NUMBER[tuple(track[-1] for track in tracks)]]:
         cycle = []
         for q, p in legs:
             cycle += zip(sections, tracks[q - 1])
@@ -380,29 +430,6 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
         cycle.insert(0, cycle.pop())  # it ends at its start, (1, start)
         components.append(tuple(cycle))
     return tuple(components)
-
-
-def _census_from_blocks(blocks: Sequence[BlockMap], trace: DefiniteFoldTrace) -> SingularFiberCensus:
-    """Event counts from the block logs, one look per run of one block.
-    The indefinite fold set's two curves run through every block and
-    close up only in the caps, so each of its circles takes two of those."""
-    seq = _as_runs(blocks)
-    runs = [(block, count) for pattern, count in seq.runs for block in pattern] if seq.patterned else seq.runs
-    ii2 = ii3 = joins = 0
-    for block, count in runs:
-        for event in block.events:
-            if event.kind == "II2":
-                ii2 += count
-            elif event.kind == "II3":
-                ii3 += count
-        if block.kind in ("type1", "type4"):
-            joins += count
-    return SingularFiberCensus(
-        ii2=ii2,
-        ii3=ii3,
-        definite_components=trace.count,
-        indefinite_circles=joins // 2,
-    )
 
 
 def assemble_stable_map(
@@ -437,9 +464,13 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     fraction = fraction_of(word)
     strips = strip_decompose(_curve(word, variant), variant, granularity)
 
-    model = StableMapModel(strips, _RunSeq(*_mapped(strips.strips, lambda strip: _CATALOGUE[_catalogue_key(strip, variant)])))
-    _check_trace(model.trace, fraction)
-    census = model.census
+    # One pass numbers the strips, and each distinct one is mapped to its block.
+    numbered = _numbered(strips.strips)
+    entries = _catalogued(numbered, list(map(_CATALOGUE.__getitem__, map(_catalogue_key, numbered[3], repeat(variant)))))
+    model = StableMapModel(strips, _RunSeq(_through(entries, entries[3]), entries[2] is not None, strips.strips))
+    numbering = entries, numbered
+    trace, census = _walk(model.blocks, entries)
+    vars(model).update(_numbering=numbering, trace=_check_trace(trace, fraction), census=census)
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
     expected = (2 * word.m, 0) if variant == "f2" else (0, sum(map(abs, word.b_entries)) // 2)
     if (census.ii2, census.ii3) != expected:
@@ -454,12 +485,12 @@ _last_model = lru_cache(maxsize=1)(_assemble)
 def fiber_census(model: StableMapModel) -> SingularFiberCensus:
     """Recompute the census from the block event logs; cached counts are
     never trusted."""
-    return _census_from_blocks(model.blocks, _definite_trace(model.blocks))
+    return _walk(model.blocks, model._numbering[0])[1]
 
 
 def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     """Recompute the closed-curve decomposition of the definite fold set."""
-    return _check_trace(_definite_trace(model.blocks), fraction_of(model.word))
+    return _check_trace(_walk(model.blocks, model._numbering[0])[0], fraction_of(model.word))
 
 
 def _check_trace(trace: DefiniteFoldTrace, fraction) -> DefiniteFoldTrace:

@@ -18,7 +18,9 @@ with an optional ``flush`` callback that is handed the list each time
 ``_WINDOW`` more parts have gone in.  ``render_svg`` and ``export_json``
 pass none and join the list once; the CLI passes one that writes the
 parts and empties the list, so what it holds does not grow with the
-document.
+document.  A model's strip rects and event dots are read off its
+numbering (``morse._catalogued``), the dots from a table per catalogue
+entry (``_DOTS``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _count, _expand, _mapped, _object
-from .morse import REEB_EDGES, StableMapModel
+from .curves import ImmersedCurve, StripDecomposition, _expand, _numbered, _object, _through
+from .morse import _ENTRIES, REEB_EDGES, StableMapModel, _facts
 
 MARGIN = 16
 COL_W = 28
@@ -229,9 +231,9 @@ def _pattern(rows: tuple, phase: int):
     return _row(text, fields)
 
 
-def _placed(runs) -> zip:
-    """Runs ``(row, count)`` as ``(row, count, first)``, row 0 first."""
-    return zip(map(_object, runs), map(_count, runs), accumulate(map(_count, runs), initial=0))
+def _placed(rows, counts: tuple) -> zip:
+    """Runs of ``rows`` and ``counts`` as ``(row, count, first)``, row 0 first."""
+    return zip(rows, counts, accumulate(counts, initial=0))
 
 
 def _windowed(parts: list, runs, flush=None) -> list:
@@ -241,6 +243,11 @@ def _windowed(parts: list, runs, flush=None) -> list:
     ``flush`` whenever ``_WINDOW`` parts have gone in and more are to go
     in, so never after the last row: it writes them and empties the list
     (``cli._write_output``)."""
+    if flush is None:
+        for row, count, first in runs:
+            if count > 0:
+                row.fill(parts, first, count)
+        return parts
     for row, count, first in runs:
         while count > 0:
             if flush and len(parts) >= _WINDOW:
@@ -285,23 +292,22 @@ def _curve_runs(curve: ImmersedCurve) -> tuple[list[str], list]:
         )
     )
     fields = ((left, COL_W), (left + COL_W, COL_W), (left + COL_W // 2, COL_W))
-    runs, _ = _mapped(curve.columns, lambda column: _layout(_COLUMN_ROWS.get(column.kind, _PASS_ROW), fields))
-    return parts, list(_placed(runs))
+    numbered = _numbered(curve.columns)
+    rows = [_layout(_COLUMN_ROWS.get(column.kind, _PASS_ROW), fields) for column in numbered[3]]
+    return parts, _placed(map(_object, _through(numbered, rows)), numbered[1])
 
 
 _RECT_FILL = {"type1": "#e8e8e8", "type2": "#ffd27f", "type4": "#e8e8e8"}
-
-
-@lru_cache(maxsize=16)
-def _strip_rect(kind: str) -> tuple[str, str]:
-    """The rect of a strip of ``kind`` before and after its x; a kind
-    other than Type 1, 2 or 4 is drawn as Type 3."""
-    kind = kind if kind in _RECT_FILL else "type3"
-    return (
+# The rect of a strip of each kind before and after its x; a kind other
+# than Type 1, 2 or 4 is drawn as Type 3.
+_RECTS = {
+    kind: (
         f'<rect class="strip strip-{kind}" x="',
         f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
         f'fill="{_RECT_FILL.get(kind, "white")}" stroke="none"/>\n',
     )
+    for kind in ("type1", "type2", "type3", "type4")
+}
 
 
 class _Rects:
@@ -312,8 +318,9 @@ class _Rects:
     __slots__ = ("pieces",)
     stride = 4
 
-    def __init__(self, strips):
-        self.pieces = _expand(*_mapped(strips, lambda strip: _strip_rect(strip.kind)))
+    def __init__(self, numbered):
+        rects = [_RECTS.get(strip.kind) or _RECTS["type3"] for strip in numbered[3]]  # one per distinct strip
+        self.pieces = _expand(_through(numbered, rects), numbered[2] is not None)
 
     def fill(self, parts: list, first: int, n: int) -> None:
         rects, xs, start = list(islice(self.pieces, n)), [], len(parts)
@@ -326,15 +333,15 @@ class _Rects:
 _GAMMA = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n"
 
 
-def _strip_runs(strips) -> list:
-    """The strip rects, the outline of E and the gamma lines."""
-    n = len(strips)
+def _strip_runs(numbered, n: int) -> list:
+    """The rects of the ``n`` strips ``numbered`` (``curves._numbered``),
+    the outline of E and the gamma lines."""
     outline = (
         f'<rect class="region-E" x="{MARGIN}" y="{STRIP_TOP}" width="{n * STRIP_W}" '
         f'height="{STRIP_BOT - STRIP_TOP}" fill="none" stroke="black" stroke-width="2"/>\n'
     )
     gamma = _layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),))
-    return [(_Rects(strips), n, 0), (_Text(outline), 1, 0), (gamma, n - 1, 0)]
+    return [(_Rects(numbered), n, 0), (_Text(outline), 1, 0), (gamma, n - 1, 0)]
 
 
 # The standard cross-section tree, edge by edge: leaves 1 and 2 above,
@@ -346,10 +353,10 @@ _TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-
 _TREE_X = tuple((MARGIN + STRIP_W + dx, STRIP_W) for dx in (-TREE_W // 2, 0, TREE_W // 2))
 
 
-@lru_cache(maxsize=64)
-def _event_dots(events: tuple) -> tuple[str, ...]:
+def _event_dots(block) -> tuple[str, ...]:
     """The dots of a block's events, one line each, split at their cx:
     ``cx.join(...)`` is the block's dots, and ``()`` stands for none."""
+    events = block.events
     n, mid_y = len(events), (STRIP_TOP + STRIP_BOT) // 2
     dots = "".join(
         f'<circle class="{"event-ii2" if event.kind == "II2" else "event-ii3"}" cx="{{0}}" '
@@ -359,25 +366,31 @@ def _event_dots(events: tuple) -> tuple[str, ...]:
     return tuple(dots.split("{0}")) if dots else ()
 
 
-def _dot_run(blocks) -> tuple[_Texts, int, int]:
-    """The dots of each block with events, at the middle x of its strip,
-    as one run of texts, one per block, formatted as they are taken: that
-    costs less than a fill per run where runs are one block long, the
-    common case."""
-    runs, patterned = _mapped(blocks, lambda block: _event_dots(block.events))
+_DOTS = tuple(map(_event_dots, _ENTRIES))  # by entry number
+
+
+def _dot_run(numbered) -> tuple[_Texts, int, int]:
+    """The dots of each block with events, the blocks ``numbered`` by entry
+    (``morse._catalogued``), at the middle x of its strip, as one run of
+    texts, one per block, formatted as they are taken: that costs less
+    than a fill per run where runs are one block long, the common case."""
+    numbers, counts, patterns = numbered[:3]
+    dots = _facts(_DOTS, numbered, _event_dots)
     texts, total, mid = [], 0, MARGIN + STRIP_W // 2
-    for dots, count in runs:
-        if not patterned:
-            if dots:
-                texts.append(map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots)))
+    if patterns:  # each pattern's width, and the offset and dots of each of its blocks with events
+        patterns = [(len(pattern) * STRIP_W, [(j * STRIP_W, dots[k]) for j, k in enumerate(pattern) if dots[k]]) for pattern in patterns]
+    for number, count in zip(numbers, counts):
+        if patterns is None:
+            if dots[number]:
+                texts.append([str(mid).join(dots[number])] if count == 1 else map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots[number])))
                 total += count
             mid += count * STRIP_W
             continue
         # A pattern's blocks take turns: block j of each repetition is j strips on.
-        step = len(dots) * STRIP_W
-        if any(dots):
-            rows = [map(str.join, map(str, range(x, x + count * step, step)), repeat(d)) for x, d in zip(range(mid, mid + step, STRIP_W), dots) if d]
-            texts.append(chain.from_iterable(zip(*rows)))
+        step, dotted = patterns[number]
+        if dotted:
+            rows = [map(str.join, map(str, range(mid + dx, mid + dx + count * step, step)), repeat(split)) for dx, split in dotted]
+            texts.append(chain.from_iterable(zip(*rows)) if len(rows) > 1 else rows[0])
             total += count * len(rows)
         mid += count * step
     return _Texts(chain.from_iterable(texts)), total, 0
@@ -389,7 +402,8 @@ def _model_runs(model: StableMapModel) -> tuple[list[str], list]:
     MARGIN + k * STRIP_W."""
     n = len(model.strips.strips)
     parts = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN)
-    return parts, [*_strip_runs(model.strips.strips), _dot_run(model.blocks), (_layout(_TREE, _TREE_X), n - 1, 0)]
+    blocks, strips = model._numbering
+    return parts, [*_strip_runs(strips, n), _dot_run(blocks), (_layout(_TREE, _TREE_X), n - 1, 0)]
 
 
 def _svg_parts(subject, flush=None) -> list[str]:
@@ -397,7 +411,8 @@ def _svg_parts(subject, flush=None) -> list[str]:
     if isinstance(subject, ImmersedCurve):
         parts, runs = _curve_runs(subject)
     elif isinstance(subject, StripDecomposition):
-        parts, runs = _opening(2 * MARGIN + len(subject.strips) * STRIP_W, STRIP_BOT + MARGIN), _strip_runs(subject.strips)
+        n = len(subject.strips)
+        parts, runs = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + MARGIN), _strip_runs(_numbered(subject.strips), n)
     elif isinstance(subject, StableMapModel):
         parts, runs = _model_runs(subject)
     else:

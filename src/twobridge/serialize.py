@@ -6,7 +6,10 @@ numerics only.  Import never trusts the document's census: the model is
 re-derived from the word and every stored structure is checked against
 the fresh one, and a text shorter than the export it names is parsed,
 never exported to compare.  ``granularity`` is stored so that
-round-trips are lossless across slicing conventions.
+round-trips are lossless across slicing conventions.  The arrays are
+written from the model's numbering (``morse._catalogued``): a text per
+distinct strip, and a block template per catalogue entry, made once
+(``_BLOCK_ROWS``).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _mapped
+from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _through
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
-from .morse import _CATALOGUE, EVENT_SLICES, SingularFiberCensus, StableMapModel, assemble_stable_map
+from .morse import _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
 from .render import _pattern, _pieces, _placed, _row, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
@@ -101,42 +104,41 @@ def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> t
     return text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events)
 
 
-@lru_cache(maxsize=1024)
-def _block_row(kind: str, events: tuple, permutation: tuple[int, ...]):
+def _block_row(block):
     """The rows of a block's template (``render._row``), None if it has none."""
-    text, fields = _block_template(kind, events, permutation)
+    text, fields = _block_template(block.kind, block.events, block.permutation)
     return None if text is None else _row(text, fields)
 
 
+_BLOCK_ROWS = tuple(map(_block_row, _ENTRIES))  # by entry number
 # No export is shorter per block than the shortest strip and catalogued block texts with separators.
 _MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
-    len(_block_template(block.kind, block.events, block.permutation)[0]) for block in _CATALOGUE.values()
+    len(row.text if isinstance(row, _Text) else row.template) for row in _BLOCK_ROWS
 )
 
 
-def _block_rows(blocks):
-    """The runs of rows of the blocks (``render._windowed``): one template
-    per distinct block, filled per run, whose fields are its events'
-    section numbers, and a pattern run's blocks' templates joined into one
-    (``render._pattern``).  A block's event slice tags name its own section
-    or the next, relative to its position (``EVENT_SLICES``)."""
-    unlisted = []  # blocks with an event slice none of EVENT_SLICES, which have no row
-
-    def row(block):
-        return _block_row(block.kind, block.events, block.permutation) or unlisted.append(block)
-
-    runs, patterned = _mapped(blocks, row)
-    if unlisted:
+def _block_rows(numbered):
+    """The runs of rows (``render._windowed``) of the blocks ``numbered`` by
+    entry (``morse._catalogued``): each entry's template, filled per run,
+    whose fields are its events' section numbers, and a pattern's joined
+    into one (``render._pattern``).  A block's event slice tags name its
+    own section or the next, relative to its position (``EVENT_SLICES``)."""
+    numbers, counts, patterns = numbered[:3]
+    rows = _facts(_BLOCK_ROWS, numbered, _block_row)
+    if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
+        blocks = _expand(_through(numbered, numbered[3]), patterns is not None)
         index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-    if not patterned:
-        return _placed(runs)
-    rows, first = [], 0
-    for pattern, count in runs:
-        width = len(pattern)
-        rows.append((_pattern(pattern, first % width), count, first // width))
+    if patterns is None:
+        return _placed(map(rows.__getitem__, numbers), counts)
+    joined, out, first = {}, [], 0  # each pattern's rows joined, by its number and phase
+    for number, count in zip(numbers, counts):
+        width = len(patterns[number])
+        if (number, first % width) not in joined:
+            joined[number, first % width] = _pattern(tuple(map(rows.__getitem__, patterns[number])), first % width)
+        out.append((joined[number, first % width], count, first // width))
         first += width * count
-    return rows
+    return out
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -197,10 +199,11 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
     fraction = fraction_of(word)
     strings = (json.dumps(format_conway(word)), *(_QUOTED.get(s) or json.dumps(s) for s in (model.variant, model.granularity)))
-    texts = _expand(*_mapped(strips, _strip_text))
+    numbered_blocks, numbered = model._numbering
+    texts = _expand(_through(numbered, list(map(_strip_text, numbered[3]))), numbered[2] is not None)
     closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n" if strips else "[]"]
-    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(blocks)], flush)
+    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(numbered_blocks)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
@@ -332,7 +335,8 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    strips = list(_expand(*_mapped(model.strips.strips, _strip_entry)))
+    numbered = model._numbering[1]
+    strips = list(_expand(_through(numbered, list(map(_strip_entry, numbered[3]))), numbered[2] is not None))
     fresh = _model_document(model, strips, _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:

@@ -391,3 +391,19 @@ def test_normalize_succeeds_for_every_small_even_p(k):
     assert schubert_equivalent(
         fraction_of(result), SchubertFraction.normalized(p, q), allow_mirror=False
     )
+
+
+@given(
+    st.lists(st.integers(-(10**5), 10**5).filter(bool), min_size=1, max_size=41).filter(lambda l: len(l) % 2 == 1)
+)
+def test_reversing_and_mirroring_a_word_keep_its_fraction_class_at_every_size(entries):
+    # checked by multiplication alone, apart from the library's arithmetic:
+    # reversing keeps p and inverts q mod p, mirroring sends q to p - q
+    word = ConwayWord(tuple(entries))
+    try:
+        fraction = fraction_of(word)
+    except DegenerateFractionError:
+        return
+    reverse, mirror = fraction_of(transform(word, "reverse")), fraction_of(transform(word, "mirror"))
+    assert reverse.p == fraction.p and (fraction.q * reverse.q - 1) % fraction.p == 0
+    assert (mirror.p, mirror.q) == (fraction.p, fraction.p - fraction.q)

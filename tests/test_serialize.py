@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord, parse_conway
 from oracles import model_entries, pattern_runs, random_even_b_words
-from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq
+from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq, _runs
 from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
 from twobridge import morse, serialize
 from twobridge.morse import assemble_stable_map, build_block, validate_model
@@ -517,3 +517,42 @@ def test_a_document_whose_word_does_not_assemble_is_rejected(cold):
     text = text.replace('"conway": "C(3,2,3)"', '"conway": "C(3,3,3)"')
     with pytest.raises(InvariantViolationError, match=r"^document does not assemble: "):
         cold(import_json, text)
+
+
+@pytest.mark.parametrize("text", ["C(3,2,3)", "C(2,-4,2,2,-3)", "C(3,4,-3,2,1,2,2)"])
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_equal_copies_of_catalogued_blocks_give_the_same_bytes(text, variant, granularity):
+    # a model built by hand is numbered by block value: a copy of an entry
+    # is that entry, held as plain runs, as pattern runs or as a tuple
+    model = assemble_stable_map(parse_conway(text), variant, granularity)
+    copies = {id(block): replace(block) for block in model.blocks}
+    assert all(copy == block and copy is not block for block in model.blocks for copy in [copies[id(block)]])
+    blocks = [copies[id(block)] for block in model.blocks]
+    expected = (export_json(model), render_svg(model), model.census, model.trace.components)
+    for held in (_RunSeq(_runs(blocks)), _RunSeq(pattern_runs(blocks, 2), True), tuple(blocks)):
+        hand = replace(model, blocks=held)
+        assert hand._numbering[0][3] is morse._ENTRIES  # every block is an entry
+        assert ("".join(serialize._export_parts(hand)), render_svg(hand), hand.census, hand.trace.components) == expected
+
+
+@pytest.mark.parametrize("variant", ["f2", "f3"])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_a_model_is_numbered_once_and_its_export_import_and_render_number_nothing(variant, granularity, monkeypatch, cold):
+    # the runs are numbered in the pass that maps strips to blocks; the
+    # export, a canonical import and the render read that numbering
+    from twobridge import curves, render
+
+    numbered, calls = curves._numbered, []
+    for module in (morse, render):
+        monkeypatch.setattr(module, "_numbered", lambda items: calls.append(items) or numbered(items))
+    assert not hasattr(curves, "_mapped")
+    for text in random_even_b_words(20250808, 4):
+        model = cold(assemble_stable_map, ConwayWord(text), variant, granularity)
+        assert calls == [model.strips.strips]
+        text = export_json(model)
+        assert import_json(text) is model and render_svg(model)
+        assert calls == [model.strips.strips]
+        back = cold(import_json, text)  # assembles the word again, and numbers that model
+        assert back == model and back is not model and len(calls) == 2
+        calls.clear()
