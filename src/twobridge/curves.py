@@ -36,6 +36,7 @@ its crossing count.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -239,15 +240,17 @@ def _expand(runs, patterned=False):
     return chain.from_iterable(items) if patterned else items
 
 
-def _numbered(items) -> tuple[list, tuple, list | None, list]:
-    """``items`` numbered by identity, one step per run: ``(numbers,
-    counts, patterns, values)``, ``values`` each distinct object in order
-    of first sight.  A run's number is its object's place there, or its
-    pattern's among the distinct ``patterns``, tuples of numbers (None in
-    a plain sequence)."""
+_Numbering = namedtuple("_Numbering", ("numbers", "counts", "patterns", "values"))
+
+
+def _numbered(items) -> _Numbering:
+    """``items`` numbered by identity, one step per run: per run its count,
+    and its number, its object's place among the distinct ``values`` in
+    order of first sight, or in a patterned sequence its pattern's among
+    the distinct ``patterns`` (else None), tuples of their items' numbers."""
     seq = _as_runs(items)
     patterns = [] if seq.patterned else None
-    place, values, numbers = {}, [], []  # place: an object's number, by its id
+    place, values, numbers = {}, [], []  # place: an object's or a pattern's number, by its id
     for x, _ in seq.runs:
         k = place.get(id(x))
         if k is None:
@@ -265,16 +268,21 @@ def _numbered(items) -> tuple[list, tuple, list | None, list]:
                 k = place[id(x)] = len(patterns)
                 patterns.append(tuple(pattern))
         numbers.append(k)
-    return numbers, tuple(map(_count, seq.runs)), patterns, values
+    return _Numbering(numbers, tuple(map(_count, seq.runs)), patterns, values)
 
 
-def _through(numbered, table) -> zip:
-    """The runs of ``numbered`` (``_numbered``), number k read as
-    ``table[k]`` and a pattern as the tuple of its items', at C speed."""
-    numbers, counts, patterns = numbered[:3]
+def _through(numbered: _Numbering, table) -> zip:
+    """The runs of ``numbered``, number k read as ``table[k]`` and a
+    pattern as the tuple of its items', at C speed."""
+    numbers, counts, patterns, _ = numbered
     if patterns is not None:
         table = [tuple(map(table.__getitem__, p)) for p in patterns]
     return zip(map(table.__getitem__, numbers), counts)
+
+
+def _each(numbered: _Numbering, f):
+    """The items of ``numbered`` as ``f`` of each distinct one, at C speed."""
+    return _expand(_through(numbered, list(map(f, numbered.values))), numbered.patterns is not None)
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:

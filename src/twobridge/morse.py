@@ -12,13 +12,12 @@ crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
 is its tag, and the module holds the tree once (``LEAVES``, ``SADDLES``
 and ``REEB_EDGES``).  An assembled model holds catalogued blocks,
-repeated, as runs ``(block, count)`` (``curves._RunSeq``).  The 16
-entries are numbered, and a model's runs are numbered once, by entry
-(``_catalogued``), in the pass of assembly that maps strips to blocks:
-the trace and the census (``_walk``), the export and the render read
-each entry's facts from tables made beside the catalogue, one step per
-run.  Assembly checks the trace against the fraction and the census
-against the variant's closed form.
+repeated, as runs ``(block, count)`` (``curves._RunSeq``).  Its runs
+are numbered by entry once, as assembly maps strips to blocks
+(``_catalogued``), and the trace and the census (``_walk``), the export
+and the render read each entry's facts from tables made beside the
+catalogue.  Assembly checks the trace against the fraction and the
+census against the variant's closed form.
 A model is valid when it equals the assembly of its word
 (``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
@@ -39,8 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations, product, repeat
-from operator import mul
+from itertools import accumulate, islice, permutations, product, repeat
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
 from .curves import (
@@ -52,6 +50,7 @@ from .curves import (
     _curve,
     _expand,
     _item_runs,
+    _Numbering,
     _numbered,
     _runs,
     _RunSeq,
@@ -168,18 +167,21 @@ class StableMapModel:
 
     @cached_property
     def trace(self) -> DefiniteFoldTrace:
-        return _walk(self.blocks, self._numbering[0])[0]
+        return _walk(self.blocks, self._blocks_numbered)[0]
 
     @cached_property
     def census(self) -> SingularFiberCensus:
-        return _walk(self.blocks, self._numbering[0])[1]
+        return _walk(self.blocks, self._blocks_numbered)[1]
+
+    # The blocks numbered by entry (``_catalogued``) and the strips by
+    # identity: set by assembly, or found on first use.
+    @cached_property
+    def _blocks_numbered(self) -> _Numbering:
+        return _catalogued(_numbered(self.blocks))
 
     @cached_property
-    def _numbering(self) -> tuple[tuple, tuple]:
-        """The blocks numbered by entry (``_catalogued``) and the strips by
-        identity (``curves._numbered``): set by assembly, or for a model
-        built by hand found here, by block value, on first use."""
-        return _catalogued(_numbered(self.blocks)), _numbered(self.strips.strips)
+    def _strips_numbered(self) -> _Numbering:
+        return _numbered(self.strips.strips)
 
 
 _KINDS = ("type1", "type2", "type3", "type4")
@@ -221,13 +223,14 @@ _ENTRIES = tuple(_CATALOGUE.values())
 _NUMBER = {id(block): e for e, block in enumerate(_ENTRIES)}
 
 
-def _catalogued(numbered: tuple, blocks: list | None = None) -> tuple:
+def _catalogued(numbered: _Numbering, blocks: list | None = None) -> _Numbering:
     """``numbered`` (``curves._numbered``), whose value k has the block
     ``blocks[k]`` (the value itself by default), numbered by catalogue
-    entry: a run's number is its block's, or its pattern's place among the
-    distinct tuples of entry numbers.  Its values are ``_ENTRIES``, then
-    any block equal to no entry, numbered on."""
-    numbers, counts, patterns, blocks = *numbered[:3], numbered[3] if blocks is None else blocks
+    entry: a run's number is its block's, and a pattern is the tuple of
+    its blocks'.  Its values are ``_ENTRIES``, then any block equal to no
+    entry, numbered on."""
+    numbers, counts, patterns, values = numbered
+    blocks = values if blocks is None else blocks
     entry, extra = list(map(_NUMBER.get, map(id, blocks))), []
     for k in range(len(blocks)) if None in entry else ():
         if entry[k] is None and blocks[k] in _ENTRIES:  # equal to an entry
@@ -237,16 +240,13 @@ def _catalogued(numbered: tuple, blocks: list | None = None) -> tuple:
             extra.append(blocks[k])
     table = _ENTRIES + tuple(extra) if extra else _ENTRIES
     if patterns is None:
-        return list(map(entry.__getitem__, numbers)), counts, None, table
-    place: dict[tuple, int] = {}  # the distinct patterns of entries, numbered in order
-    index = [place.setdefault(tuple(map(entry.__getitem__, pattern)), len(place)) for pattern in patterns]
-    return list(map(index.__getitem__, numbers)), counts, list(place), table
+        return _Numbering(list(map(entry.__getitem__, numbers)), counts, None, table)
+    return _Numbering(numbers, counts, [tuple(map(entry.__getitem__, pattern)) for pattern in patterns], table)
 
 
-def _facts(table: tuple, numbered: tuple, fact) -> tuple:
-    """``table``, ``fact`` of each entry, for the blocks ``numbered``
-    (``_catalogued``): itself, then ``fact`` of each block past them."""
-    entries = numbered[3]
+def _facts(table: tuple, numbered: _Numbering, fact) -> tuple:
+    """``table`` (a fact per entry), then ``fact`` of each block past the entries of ``numbered``."""
+    entries = numbered.values
     return table if entries is _ENTRIES else table + tuple(map(fact, entries[len(_ENTRIES) :]))
 
 
@@ -347,8 +347,7 @@ _CYCLES = tuple(map(_cycles, _PERMS))
 
 def _block_facts(block: BlockMap) -> tuple[int, int, int, bool]:
     """What ``_walk`` reads off a block: its permutation's number (-1 if
-    it permutes no four punctures), its II2 and II3 events, and whether it
-    is a cap."""
+    none of the 24), its II2 and II3 events, and whether it is a cap."""
     kinds = [event.kind for event in block.events]
     return _PERM_NUMBER.get(block.permutation, -1), kinds.count("II2"), kinds.count("II3"), block.kind in ("type1", "type4")
 
@@ -356,7 +355,7 @@ def _block_facts(block: BlockMap) -> tuple[int, int, int, bool]:
 _FACTS = tuple(map(_block_facts, _ENTRIES))
 
 
-def _walk(blocks: Sequence[BlockMap], numbered: tuple | None = None) -> tuple[DefiniteFoldTrace, SingularFiberCensus]:
+def _walk(blocks: Sequence[BlockMap], numbered: _Numbering | None = None) -> tuple[DefiniteFoldTrace, SingularFiberCensus]:
     """The trace and the census of ``blocks``, one step per run of their
     numbering by entry (``_catalogued``).  The caps pair the punctures
     (1,2) and (3,4) of the first and of the last section; a run of
@@ -365,40 +364,31 @@ def _walk(blocks: Sequence[BlockMap], numbered: tuple | None = None) -> tuple[De
     ``count``, and the components are the cycles that their composition
     makes with the caps' arcs (``_CYCLES``).  The indefinite fold set's
     two curves close up only in the caps, so each circle takes two."""
-    _last_section(blocks)
-    numbers, counts, patterns, table = numbered = numbered or _catalogued(_numbered(blocks))
+    n = _last_section(blocks)
+    numbers, counts, patterns, _ = numbered = numbered or _catalogued(_numbered(blocks))
     facts = _facts(_FACTS, numbered, _block_facts)
+    if facts is not _FACTS and min(facts)[0] < 0:  # a block past the entries permutes no four punctures: is it among 1..n-1?
+        for i, block in enumerate(islice(blocks, 1, n), 1):
+            _permuting(block.permutation, i)
     if patterns and not len(patterns[numbers[0]]) * counts[0] == 1 == len(patterns[numbers[-1]]) * counts[-1]:
         numbers, counts = zip(*_runs(list(_expand(zip(map(patterns.__getitem__, numbers), counts), True))))
         patterns = None  # a cap shares a pattern run: block by block
-    if patterns:  # a pattern's blocks composed (or -1 - j if its block j permutes none), their events and caps summed
+    if patterns:  # a pattern's blocks composed (-1 if one permutes none), their events and caps summed
         items, facts = facts, []
         for pattern in patterns:
             perm = ii2 = ii3 = caps = 0
-            for j, (p, a, b, cap) in enumerate(map(items.__getitem__, pattern)):
-                perm = (_THEN[perm][p] if p >= 0 else -1 - j) if perm >= 0 else perm
+            for p, a, b, cap in map(items.__getitem__, pattern):
+                perm = _THEN[perm][p] if min(perm, p) >= 0 else -1
                 ii2, ii3, caps = ii2 + a, ii3 + b, caps + cap
             facts.append((perm, ii2, ii3, caps))
     across = ii2 = ii3 = caps = 0  # across: where the punctures of section 1 have got to
-    last = len(numbers) - 1
     for i, (number, count) in enumerate(zip(numbers, counts)):
         perm, a, b, cap = facts[number]
-        if a or b or cap:
-            ii2, ii3, caps = ii2 + a * count, ii3 + b * count, caps + cap * count
-        if perm:
-            count -= (i == 0) + (i == last)  # the run's blocks among 1..n-1
-            if perm > 0:
-                across = _THEN[across][_POWERS[perm][count % 12]]
-            elif count:  # its block -1 - perm permutes no four punctures
-                start = sum(map(mul, map(len, map(patterns.__getitem__, numbers[:i])), counts)) if patterns else sum(counts[:i])
-                block = table[patterns[number][-1 - perm] if patterns else number]
-                _permuting(block.permutation, max(start, 1) - 1 - perm)
+        ii2, ii3, caps = ii2 + a * count, ii3 + b * count, caps + cap * count
+        if perm > 0:  # of the run's blocks, those among 1..n-1
+            across = _THEN[across][_POWERS[perm][(count - (i == 0) - (i == len(numbers) - 1)) % 12]]
     trace = DefiniteFoldTrace(len(_CYCLES[across]), blocks)
     return trace, SingularFiberCensus(ii2, ii3, trace.count, caps // 2)
-
-
-def _definite_trace(blocks: Sequence[BlockMap]) -> DefiniteFoldTrace:
-    return _walk(blocks)[0]
 
 
 def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -466,11 +456,10 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
 
     # One pass numbers the strips, and each distinct one is mapped to its block.
     numbered = _numbered(strips.strips)
-    entries = _catalogued(numbered, list(map(_CATALOGUE.__getitem__, map(_catalogue_key, numbered[3], repeat(variant)))))
-    model = StableMapModel(strips, _RunSeq(_through(entries, entries[3]), entries[2] is not None, strips.strips))
-    numbering = entries, numbered
+    entries = _catalogued(numbered, list(map(_CATALOGUE.__getitem__, map(_catalogue_key, numbered.values, repeat(variant)))))
+    model = StableMapModel(strips, _RunSeq(_through(entries, entries.values), entries.patterns is not None, strips.strips))
     trace, census = _walk(model.blocks, entries)
-    vars(model).update(_numbering=numbering, trace=_check_trace(trace, fraction), census=census)
+    vars(model).update(_blocks_numbered=entries, _strips_numbered=numbered, trace=_check_trace(trace, fraction), census=census)
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
     expected = (2 * word.m, 0) if variant == "f2" else (0, sum(map(abs, word.b_entries)) // 2)
     if (census.ii2, census.ii3) != expected:
@@ -485,12 +474,12 @@ _last_model = lru_cache(maxsize=1)(_assemble)
 def fiber_census(model: StableMapModel) -> SingularFiberCensus:
     """Recompute the census from the block event logs; cached counts are
     never trusted."""
-    return _walk(model.blocks, model._numbering[0])[1]
+    return _walk(model.blocks, model._blocks_numbered)[1]
 
 
 def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     """Recompute the closed-curve decomposition of the definite fold set."""
-    return _check_trace(_walk(model.blocks, model._numbering[0])[0], fraction_of(model.word))
+    return _check_trace(_walk(model.blocks, model._blocks_numbered)[0], fraction_of(model.word))
 
 
 def _check_trace(trace: DefiniteFoldTrace, fraction) -> DefiniteFoldTrace:

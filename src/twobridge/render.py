@@ -7,8 +7,9 @@ the standard Reeb tree beneath every separator.  Rendering is one-way;
 SVG is never imported.
 
 A document is runs of rows: a strip rect, a gamma line, a tree, a column
-glyph of a curve, or in an export a strip or block entry.  Along a run
-each x is ``offset + k*step``, so a row's text is shared pieces: per x
+glyph of a curve, or in an export a strip or block entry; rects, glyphs
+and blocks are placed per run off their numbering (``_run_rows``).
+Along a run each x is ``offset + k*step``, so a row's text is shared pieces: per x
 its thousands, and its last three digits with the template's next
 literal.  A template's rows are laid out once per process, only as far
 as calls ask, and a row past them is a slice of a cached page of its
@@ -18,9 +19,7 @@ with an optional ``flush`` callback that is handed the list each time
 ``_WINDOW`` more parts have gone in.  ``render_svg`` and ``export_json``
 pass none and join the list once; the CLI passes one that writes the
 parts and empties the list, so what it holds does not grow with the
-document.  A model's strip rects and event dots are read off its
-numbering (``morse._catalogued``), the dots from a table per catalogue
-entry (``_DOTS``).
+document.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import re
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter
 
-from .curves import ImmersedCurve, StripDecomposition, _expand, _numbered, _object, _through
+from .curves import ImmersedCurve, StripDecomposition, _numbered, _through
 from .morse import _ENTRIES, REEB_EDGES, StableMapModel, _facts
 
 MARGIN = 16
@@ -207,15 +205,6 @@ def _row(template: str, fields: tuple):
     return _layout(template, fields) if fields else _Text(template)
 
 
-def _fill(parts: list, template: str, n: int, fields: tuple, first: int = 0) -> None:
-    """Append rows ``first`` to ``first + n - 1`` of ``template``, whose
-    field ``{j}`` reads offset + k*step in row k for ``fields[j] = (offset,
-    step)``.  No row is made as one string and no number is formatted per
-    row; for ``n <= 0`` nothing is appended."""
-    if n > 0:
-        _layout(template, fields).fill(parts, first, n)
-
-
 @lru_cache(maxsize=64)
 def _pattern(rows: tuple, phase: int):
     """The ``rows`` of a pattern's items (``_row``) as one row per
@@ -231,9 +220,17 @@ def _pattern(rows: tuple, phase: int):
     return _row(text, fields)
 
 
-def _placed(rows, counts: tuple) -> zip:
-    """Runs of ``rows`` and ``counts`` as ``(row, count, first)``, row 0 first."""
-    return zip(rows, counts, accumulate(counts, initial=0))
+def _run_rows(numbered, rows):
+    """The runs ``(row, count, first)`` (``_windowed``) of a sequence
+    ``numbered`` (``curves._numbered``) whose distinct item k has the rows
+    ``rows[k]``, from its first item on; a pattern's joined (``_pattern``)."""
+    if numbered.patterns is None:
+        return zip(map(rows.__getitem__, numbered.numbers), numbered.counts, accumulate(numbered.counts, initial=0))
+    out, first = [], 0
+    for pattern, count in _through(numbered, rows):
+        out.append((_pattern(pattern, first % len(pattern)), count, first // len(pattern)))
+        first += len(pattern) * count
+    return out
 
 
 def _windowed(parts: list, runs, flush=None) -> list:
@@ -243,11 +240,6 @@ def _windowed(parts: list, runs, flush=None) -> list:
     ``flush`` whenever ``_WINDOW`` parts have gone in and more are to go
     in, so never after the last row: it writes them and empties the list
     (``cli._write_output``)."""
-    if flush is None:
-        for row, count, first in runs:
-            if count > 0:
-                row.fill(parts, first, count)
-        return parts
     for row, count, first in runs:
         while count > 0:
             if flush and len(parts) >= _WINDOW:
@@ -293,43 +285,20 @@ def _curve_runs(curve: ImmersedCurve) -> tuple[list[str], list]:
     )
     fields = ((left, COL_W), (left + COL_W, COL_W), (left + COL_W // 2, COL_W))
     numbered = _numbered(curve.columns)
-    rows = [_layout(_COLUMN_ROWS.get(column.kind, _PASS_ROW), fields) for column in numbered[3]]
-    return parts, _placed(map(_object, _through(numbered, rows)), numbered[1])
+    return parts, _run_rows(numbered, [_layout(_COLUMN_ROWS.get(column.kind, _PASS_ROW), fields) for column in numbered.values])
 
 
 _RECT_FILL = {"type1": "#e8e8e8", "type2": "#ffd27f", "type4": "#e8e8e8"}
-# The rect of a strip of each kind before and after its x; a kind other
-# than Type 1, 2 or 4 is drawn as Type 3.
+# The rect of a strip of each kind at its x; a kind other than Type 1, 2
+# or 4 is drawn as Type 3.
 _RECTS = {
-    kind: (
-        f'<rect class="strip strip-{kind}" x="',
-        f'" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
+    kind: _layout(
+        f'<rect class="strip strip-{kind}" x="{{0}}" y="{STRIP_TOP}" width="{STRIP_W}" height="{STRIP_BOT - STRIP_TOP}" '
         f'fill="{_RECT_FILL.get(kind, "white")}" stroke="none"/>\n',
+        ((MARGIN, STRIP_W),),
     )
     for kind in ("type1", "type2", "type3", "type4")
 }
-
-
-class _Rects:
-    """The strip rects, a rect's two pieces around the two of its x,
-    filled from the first strip on, each once: the pieces at C speed per
-    strip, the x in one layout call per fill."""
-
-    __slots__ = ("pieces",)
-    stride = 4
-
-    def __init__(self, numbered):
-        rects = [_RECTS.get(strip.kind) or _RECTS["type3"] for strip in numbered[3]]  # one per distinct strip
-        self.pieces = _expand(_through(numbered, rects), numbered[2] is not None)
-
-    def fill(self, parts: list, first: int, n: int) -> None:
-        rects, xs, start = list(islice(self.pieces, n)), [], len(parts)
-        _fill(xs, "{0}", n, ((MARGIN, STRIP_W),), first)
-        parts += repeat(None, 4 * n)
-        parts[start::4], parts[start + 3 :: 4] = map(itemgetter(0), rects), map(itemgetter(1), rects)
-        parts[start + 1 :: 4], parts[start + 2 :: 4] = xs[0::2], xs[1::2]
-
-
 _GAMMA = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n"
 
 
@@ -340,8 +309,8 @@ def _strip_runs(numbered, n: int) -> list:
         f'<rect class="region-E" x="{MARGIN}" y="{STRIP_TOP}" width="{n * STRIP_W}" '
         f'height="{STRIP_BOT - STRIP_TOP}" fill="none" stroke="black" stroke-width="2"/>\n'
     )
-    gamma = _layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),))
-    return [(_Rects(numbered), n, 0), (_Text(outline), 1, 0), (gamma, n - 1, 0)]
+    rects = [_RECTS.get(strip.kind) or _RECTS["type3"] for strip in numbered.values]
+    return [*_run_rows(numbered, rects), (_Text(outline), 1, 0), (_layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),)), n - 1, 0)]
 
 
 # The standard cross-section tree, edge by edge: leaves 1 and 2 above,
@@ -370,11 +339,10 @@ _DOTS = tuple(map(_event_dots, _ENTRIES))  # by entry number
 
 
 def _dot_run(numbered) -> tuple[_Texts, int, int]:
-    """The dots of each block with events, the blocks ``numbered`` by entry
-    (``morse._catalogued``), at the middle x of its strip, as one run of
-    texts, one per block, formatted as they are taken: that costs less
-    than a fill per run where runs are one block long, the common case."""
-    numbers, counts, patterns = numbered[:3]
+    """The dots of the blocks ``numbered`` by entry (``morse._catalogued``)
+    at the middle x of each strip, one run of texts formatted as taken:
+    cheaper than a fill per run where runs are one block long."""
+    numbers, counts, patterns, _ = numbered
     dots = _facts(_DOTS, numbered, _event_dots)
     texts, total, mid = [], 0, MARGIN + STRIP_W // 2
     if patterns:  # each pattern's width, and the offset and dots of each of its blocks with events
@@ -390,7 +358,7 @@ def _dot_run(numbered) -> tuple[_Texts, int, int]:
         step, dotted = patterns[number]
         if dotted:
             rows = [map(str.join, map(str, range(mid + dx, mid + dx + count * step, step)), repeat(split)) for dx, split in dotted]
-            texts.append(chain.from_iterable(zip(*rows)) if len(rows) > 1 else rows[0])
+            texts.append(chain.from_iterable(zip(*rows)))
             total += count * len(rows)
         mid += count * step
     return _Texts(chain.from_iterable(texts)), total, 0
@@ -402,8 +370,7 @@ def _model_runs(model: StableMapModel) -> tuple[list[str], list]:
     MARGIN + k * STRIP_W."""
     n = len(model.strips.strips)
     parts = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN)
-    blocks, strips = model._numbering
-    return parts, [*_strip_runs(strips, n), _dot_run(blocks), (_layout(_TREE, _TREE_X), n - 1, 0)]
+    return parts, [*_strip_runs(model._strips_numbered, n), _dot_run(model._blocks_numbered), (_layout(_TREE, _TREE_X), n - 1, 0)]
 
 
 def _svg_parts(subject, flush=None) -> list[str]:

@@ -7,9 +7,8 @@ re-derived from the word and every stored structure is checked against
 the fresh one, and a text shorter than the export it names is parsed,
 never exported to compare.  ``granularity`` is stored so that
 round-trips are lossless across slicing conventions.  The arrays are
-written from the model's numbering (``morse._catalogued``): a text per
-distinct strip, and a block template per catalogue entry, made once
-(``_BLOCK_ROWS``).
+written off the model's numbering: a text per distinct strip, and a
+block template per catalogue entry (``_BLOCK_ROWS``).
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, fraction_of, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _expand, _item_runs, _through
+from .curves import GRANULARITIES, VARIANTS, _each, _item_runs
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
-from .render import _pattern, _pieces, _placed, _row, _Text, _Texts, _windowed
+from .render import _pieces, _row, _run_rows, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -90,24 +89,19 @@ def _plain_strip_text(kind: str, param: int) -> str:
     return _entry_text({"type": kind, "param": param}) + ",\n"
 
 
-def _block_template(kind: str, events: tuple, permutation: tuple[int, ...]) -> tuple[str | None, tuple]:
-    """The text of a block and its separator, with the field ``{i}`` for
-    the section number in the slice tag of event ``i``, and its fields,
-    which step by one per block; None, () if an event slice is none of
-    ``EVENT_SLICES``."""
-    if any(e.slice not in EVENT_SLICES for e in events):
-        return None, ()
-    fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
-    text = _entry_text(_block_entry(kind, events, permutation, fields)) + ",\n"
-    if len(_pieces(text)) != 2 * len(events) + 1:
-        raise InvariantViolationError(f"block kind {kind!r} or its event kinds hold a template field")
-    return text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events)
-
-
 def _block_row(block):
-    """The rows of a block's template (``render._row``), None if it has none."""
-    text, fields = _block_template(block.kind, block.events, block.permutation)
-    return None if text is None else _row(text, fields)
+    """The rows (``render._row``) of a block's text and its separator, with
+    the field ``{i}`` for the section number in the slice tag of event
+    ``i``, which steps by one per block; None if an event slice is none of
+    ``EVENT_SLICES``."""
+    events = block.events
+    if any(e.slice not in EVENT_SLICES for e in events):
+        return None
+    fields = [EVENT_SLICES[e.slice][0].format(f"{{{i}}}") for i, e in enumerate(events)]
+    text = _entry_text(_block_entry(block.kind, events, block.permutation, fields)) + ",\n"
+    if len(_pieces(text)) != 2 * len(events) + 1:
+        raise InvariantViolationError(f"block kind {block.kind!r} or its event kinds hold a template field")
+    return _row(text, tuple((EVENT_SLICES[e.slice][1], 1) for e in events))
 
 
 _BLOCK_ROWS = tuple(map(_block_row, _ENTRIES))  # by entry number
@@ -115,30 +109,6 @@ _BLOCK_ROWS = tuple(map(_block_row, _ENTRIES))  # by entry number
 _MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
     len(row.text if isinstance(row, _Text) else row.template) for row in _BLOCK_ROWS
 )
-
-
-def _block_rows(numbered):
-    """The runs of rows (``render._windowed``) of the blocks ``numbered`` by
-    entry (``morse._catalogued``): each entry's template, filled per run,
-    whose fields are its events' section numbers, and a pattern's joined
-    into one (``render._pattern``).  A block's event slice tags name its
-    own section or the next, relative to its position (``EVENT_SLICES``)."""
-    numbers, counts, patterns = numbered[:3]
-    rows = _facts(_BLOCK_ROWS, numbered, _block_row)
-    if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
-        blocks = _expand(_through(numbered, numbered[3]), patterns is not None)
-        index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
-        raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-    if patterns is None:
-        return _placed(map(rows.__getitem__, numbers), counts)
-    joined, out, first = {}, [], 0  # each pattern's rows joined, by its number and phase
-    for number, count in zip(numbers, counts):
-        width = len(patterns[number])
-        if (number, first % width) not in joined:
-            joined[number, first % width] = _pattern(tuple(map(rows.__getitem__, patterns[number])), first % width)
-        out.append((joined[number, first % width], count, first // width))
-        first += width * count
-    return out
 
 
 def _block_entries(blocks) -> list[dict]:
@@ -199,11 +169,14 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
     fraction = fraction_of(word)
     strings = (json.dumps(format_conway(word)), *(_QUOTED.get(s) or json.dumps(s) for s in (model.variant, model.granularity)))
-    numbered_blocks, numbered = model._numbering
-    texts = _expand(_through(numbered, list(map(_strip_text, numbered[3]))), numbered[2] is not None)
+    texts = _each(model._strips_numbered, _strip_text)
     closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n" if strips else "[]"]
-    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_block_rows(numbered_blocks)], flush)
+    rows = _facts(_BLOCK_ROWS, model._blocks_numbered, _block_row)
+    if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
+        index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
+        raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
+    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
@@ -335,9 +308,7 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    numbered = model._numbering[1]
-    strips = list(_expand(_through(numbered, list(map(_strip_entry, numbered[3]))), numbered[2] is not None))
-    fresh = _model_document(model, strips, _block_entries(model.blocks))
+    fresh = _model_document(model, list(_each(model._strips_numbered, _strip_entry)), _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
             raise InvariantViolationError(_first_difference(key, doc[key], fresh[key]))

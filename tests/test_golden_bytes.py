@@ -3,7 +3,7 @@
 ``tests/data/golden_digests.json`` holds the sha256 of ``export_json``
 and ``render_svg`` for every corpus word in both variants at all three
 granularities, plus two ladder-style words in both variants, and three
-fine models past ``render._fill``'s first 1000 layout rows.  It also
+fine models past a layout's (``render._Layout``) first 1000 rows.  It also
 holds the sha256 of the curve render of every corpus word in both
 variants, and of its strip render at all three granularities.  Any
 change to the pipeline or the encoders must reproduce these bytes exactly.

@@ -26,7 +26,7 @@ from twobridge.morse import (
     DefiniteFoldTrace,
     FiberEvent,
     StableMapModel,
-    _definite_trace,
+    _walk,
     assemble_stable_map,
     build_block,
     fiber_census,
@@ -511,7 +511,7 @@ def test_hashing_a_trace_does_not_write_out_its_components(cold):
 def test_a_trace_over_fewer_than_two_blocks_needs_a_cap_at_either_end(count):
     blocks = (assemble_stable_map(ConwayWord((3, 2, 3)), "f2").blocks[0],) * count
     with pytest.raises(TraceMismatchError, match="a cap block at either end"):
-        _definite_trace(blocks)
+        _walk(blocks)
     with pytest.raises(TraceMismatchError, match="a cap block at either end"):
         DefiniteFoldTrace(count=1, blocks=blocks).components  # a hand-built trace
 
@@ -575,7 +575,7 @@ def test_run_level_trace_matches_adjacency_oracle(runs, width):
     caps = [((blocks[0],), 1)], [((blocks[-1],), 1)]
     inside, alone = pattern_runs(blocks, width), caps[0] + pattern_runs(blocks[1:-1], width) + caps[1]
     for seq in (blocks, tuple(blocks), _RunSeq(inside, True), _RunSeq(alone, True)):
-        trace = _definite_trace(seq)
+        trace = _walk(seq)[0]
         assert trace.count == len(expected)
         assert trace.components == expected
 

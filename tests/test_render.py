@@ -16,7 +16,7 @@ from twobridge.conway import ConwayWord, parse_conway
 from twobridge.curves import StripDecomposition, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge import render
 from twobridge.morse import LEAVES, REEB_EDGES, SADDLES, StableMapModel, assemble_stable_map
-from twobridge.render import _fill, render_svg
+from twobridge.render import render_svg
 
 
 def _curve(entries, reduced=False):
@@ -182,7 +182,8 @@ def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, liter
     stretch = list(zip(accumulate(lengths, initial=far), lengths))
     for first, n in [*stretch, (first, n)] if far_first else [(first, n), *stretch]:
         parts = ["before"]
-        _fill(parts, template, n, fields, first)
+        if n:
+            render._layout(template, fields).fill(parts, first, n)
         expected = "".join(
             f"<{offset + k * step}{literal}{offset + 8 + k * other_step}|{offset + k * step}>" for k in range(first, first + n)
         )

@@ -532,7 +532,7 @@ def test_equal_copies_of_catalogued_blocks_give_the_same_bytes(text, variant, gr
     expected = (export_json(model), render_svg(model), model.census, model.trace.components)
     for held in (_RunSeq(_runs(blocks)), _RunSeq(pattern_runs(blocks, 2), True), tuple(blocks)):
         hand = replace(model, blocks=held)
-        assert hand._numbering[0][3] is morse._ENTRIES  # every block is an entry
+        assert hand._blocks_numbered.values is morse._ENTRIES  # every block is an entry
         assert ("".join(serialize._export_parts(hand)), render_svg(hand), hand.census, hand.trace.components) == expected
 
 
