@@ -15,22 +15,24 @@ The plat model fixes one concrete realization of the Conway form:
 Smoothing every outer-adjacent crossing horizontally disconnects the
 (3,4)-strand circle, which is discarded; the rest is a single closed
 curve whose double points are exactly the b-crossings.  For the f3
-variant, bigon reduction then pairs them into self-tangencies; this
-module owns that pipeline (``_curve``) and the ``VARIANTS`` and
-``GRANULARITIES``: assembly and import read them here, and the CLI's
-parser writes them out.
-Geometry stays abstract throughout: strips are combinatorial tokens,
-and coordinates only exist in the SVG renderer.
+variant, bigon reduction then pairs them into self-tangencies
+(``_curve``).  So each twist region fixes its run of columns, and
+assembly reads them off the word (``_word_regions``), building neither
+diagram nor curve; one per-region emitter (``_sliced``) slices those
+regions, or a curve's (``strip_decompose``), into strips.  The module
+owns the ``VARIANTS`` and ``GRANULARITIES``: assembly and import read
+them here, and the CLI's parser writes them out.  Geometry stays
+abstract: strips are combinatorial tokens, and coordinates only exist
+in the SVG renderer.
 
 A plat diagram holds one of four shared Crossing objects per twist
 region, a curve one of six shared Column objects per twist region and a
 strip decomposition one Strip object per value, each as a run
 ``(object, count)`` of a run-length sequence (``_RunSeq``); a fine
 decomposition holds an interior strip and the empty filler after it as
-one pattern run ``((strip, filler), count)``.  Only the runs say where a
-piece sits, so at every granularity the work is per region, not per
-crossing, from the diagram on, and a model's memory does not grow with
-its crossing count.
+one pattern run ``((strip, filler), count)``.  So the work is per
+region, not per crossing, and a model's memory does not grow with its
+crossing count.
 """
 
 from __future__ import annotations
@@ -44,11 +46,7 @@ from itertools import accumulate, chain, compress, repeat, starmap
 from operator import index, is_not, itemgetter, mul
 
 from .conway import ConwayWord
-from .errors import (
-    OddTwistError,
-    UnsliceableShapeError,
-    VariantMismatchError,
-)
+from .errors import OddTwistError, UnsliceableShapeError, VariantMismatchError
 
 VARIANTS = ("f2", "f3")
 GRANULARITIES = ("crossing", "region", "fine")
@@ -244,31 +242,19 @@ _Numbering = namedtuple("_Numbering", ("numbers", "counts", "patterns", "values"
 
 
 def _numbered(items) -> _Numbering:
-    """``items`` numbered by identity, one step per run: per run its count,
-    and its number, its object's place among the distinct ``values`` in
-    order of first sight, or in a patterned sequence its pattern's among
-    the distinct ``patterns`` (else None), tuples of their items' numbers."""
+    """``items`` numbered by identity, at C speed: per run its count, and
+    its number, its object's place among the distinct ``values`` in order
+    of first sight, or in a patterned sequence its pattern's among the
+    distinct ``patterns`` (else None), tuples of their items' numbers."""
     seq = _as_runs(items)
-    patterns = [] if seq.patterned else None
-    place, values, numbers = {}, [], []  # place: an object's or a pattern's number, by its id
-    for x, _ in seq.runs:
-        k = place.get(id(x))
-        if k is None:
-            if patterns is None:
-                k = place[id(x)] = len(values)
-                values.append(x)
-            else:  # a pattern: its items numbered in turn, and it among the patterns
-                pattern = []
-                for y in x:
-                    j = place.get(id(y))
-                    if j is None:
-                        j = place[id(y)] = len(values)
-                        values.append(y)
-                    pattern.append(j)
-                k = place[id(x)] = len(patterns)
-                patterns.append(tuple(pattern))
-        numbers.append(k)
-    return _Numbering(numbers, tuple(map(_count, seq.runs)), patterns, values)
+    objects = list(map(_object, seq.runs))
+    distinct = list(dict(zip(map(id, objects), objects)).values())  # the objects, or the patterns, by first sight
+    items = list(chain.from_iterable(distinct)) if seq.patterned else distinct
+    values = list(dict(zip(map(id, items), items)).values())
+    place = dict(zip(map(id, values), range(len(values))))
+    patterns = [tuple(map(place.__getitem__, map(id, pattern))) for pattern in distinct] if seq.patterned else None
+    number = dict(zip(map(id, distinct), range(len(distinct)))) if seq.patterned else place
+    return _Numbering(list(map(number.__getitem__, map(id, objects))), tuple(map(_count, seq.runs)), patterns, values)
 
 
 def _through(numbered: _Numbering, table) -> zip:
@@ -357,9 +343,67 @@ def _strip(kind: str, runs: tuple[tuple[Column, int], ...]) -> Strip:
     return Strip(kind, columns, param=runs[0][0].sign * len(columns))
 
 
-def strip_decompose(
-    curve: ImmersedCurve, variant: str, granularity: str = "crossing"
-) -> StripDecomposition:
+def _sliced(word: ConwayWord, variant: str, granularity: str, regions) -> tuple[StripDecomposition, _Numbering]:
+    """The strip decomposition of a curve of ``word`` with the twist
+    ``regions`` ``(kind, column runs)``, and its numbering (``_numbered``),
+    from one per-region emitter: each run is numbered by identity as it is
+    emitted, and at ``fine`` a strip's pattern ``(strip, filler)`` is made
+    and numbered when the strip is first emitted."""
+    fine = granularity == "fine"
+    runs, numbers, values = [((_CAP_IN,) if fine else _CAP_IN, 1)], [0], [_CAP_IN]
+    place, patterns, pattern_of = {id(_CAP_IN): 0}, [(0,)] if fine else None, {}  # by id: a strip's number, its pattern's
+    for kind, group in regions:
+        one = _ONE_KIND.get(kind)
+        if kind == "crossing" or kind == "pass" and granularity == "region":  # the region is one strip
+            group, one = [(_strip(one or "type2", tuple(group)), 1)], None
+        for strip, count in group:
+            if one:  # a strip per column: Type 3 over a pass, Type 2 over a tangency
+                strip = _ONE_COLUMN.get(id(strip)) or _strip(one, ((strip, 1),))
+            k = place.setdefault(id(strip), len(values))
+            if k == len(values):
+                values.append(strip)
+            if fine:  # the pattern (strip, filler), made and numbered at the strip's first sight
+                strip, k = pattern_of.get(id(strip)) or ((strip, _FILLER), len(patterns))
+                if k == len(patterns):
+                    pattern_of[id(strip[0])] = strip, k
+                    patterns.append((place[id(strip[0])], place.setdefault(id(_FILLER), len(values))))
+                    values += [_FILLER] if patterns[-1][1] == len(values) else []
+            runs.append((strip, count))
+            numbers.append(k)
+    runs.append(((_CAP_OUT,) if fine else _CAP_OUT, 1))
+    numbers.append(len(patterns) if fine else len(values))
+    if fine:
+        patterns.append((len(values),))
+    values.append(_CAP_OUT)
+    numbering = _Numbering(numbers, tuple(map(_count, runs)), patterns, values)
+    return StripDecomposition(word, variant, granularity, _RunSeq(runs, fine)), numbering
+
+
+def _require_known(variant, granularity) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+
+
+def _word_regions(word: ConwayWord, variant: str):
+    """The twist regions of ``word`` as the curve of a ``variant`` model
+    holds them (``_curve``), one column run each: a pass column at even
+    positions, and at odd ones the crossing column (f2) or |b|/2
+    tangencies (f3), every b even on trust."""
+    odd = "tangency" if variant == "f3" else "crossing"
+    for i, entry in enumerate(word.entries):
+        kind = odd if i % 2 else "pass"
+        yield kind, [(_COLUMNS[kind, entry > 0], abs(entry) // 2 if kind == "tangency" else abs(entry))]
+
+
+def _word_strips(word: ConwayWord, variant: str, granularity: str) -> tuple[StripDecomposition, _Numbering]:
+    """The strip decomposition of a ``variant`` model of ``word``, sliced from its regions, and its numbering."""
+    _require_known(variant, granularity)
+    return _sliced(word, variant, granularity, _word_regions(word, variant))
+
+
+def strip_decompose(curve: ImmersedCurve, variant: str, granularity: str = "crossing") -> StripDecomposition:
     """Slice the rectangle into Type 1..4 strips around the curve.
 
     A whole vertical twist region occupies one Type 2 strip in an f2
@@ -367,42 +411,21 @@ def strip_decompose(
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' puts the empty filler after each interior
     strip, as pattern runs); the Type 2 content is invariant.  Strips of
-    one kind over the same column runs are one object, wherever they
-    sit and in whichever decomposition (``_strip``), and those that need
-    no word always are.
+    one kind over the same column runs are one object (``_strip``).  The
+    curve's regions are checked here, then sliced as a word's are
+    (``_sliced``).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
+    _require_known(variant, granularity)
     if curve.variant != variant:
-        raise VariantMismatchError(
-            f"curve is {curve.variant}-style, decomposition wants {variant}"
-        )
-
-    interior: list[tuple[Strip, int]] = []  # runs
-    for kind, region, group in _regions(curve.columns):
-        if kind == "pass" and granularity == "region":
-            interior.append((_strip("type3", tuple(group)), 1))
-        elif kind in _ONE_KIND:
-            one = _ONE_KIND[kind]
-            interior += [(_ONE_COLUMN.get(id(c)) or _strip(one, ((c, 1),)), n) for c, n in group]
-        elif kind == "crossing":
+        raise VariantMismatchError(f"curve is {curve.variant}-style, decomposition wants {variant}")
+    regions = _regions(curve.columns)
+    for kind, region, group in regions:
+        if kind == "crossing":
             count = sum(map(_count, group))
             entries = curve.word.entries  # a curve built by hand may have more regions
             expected = abs(entries[region]) if region < len(entries) else 0
             if count != expected:
-                raise UnsliceableShapeError(
-                    f"region {region}: {count} double points in one slice, "
-                    f"expected the full twist region of {expected}"
-                )
-            interior.append((_strip("type2", tuple(group)), 1))
-        else:
+                raise UnsliceableShapeError(f"region {region}: {count} double points in one slice, expected the full twist region of {expected}")
+        elif kind not in _ONE_KIND:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
-
-    if granularity == "fine":  # each interior strip followed by the filler, one pattern per strip
-        patterns = {id(s): (s, _FILLER) for s, _ in interior}
-        strips = _RunSeq([((_CAP_IN,), 1), *((patterns[id(s)], n) for s, n in interior), ((_CAP_OUT,), 1)], True)
-    else:
-        strips = _RunSeq([(_CAP_IN, 1), *interior, (_CAP_OUT, 1)])
-    return StripDecomposition(word=curve.word, variant=variant, granularity=granularity, strips=strips)
+    return _sliced(curve.word, variant, granularity, ((kind, group) for kind, _, group in regions))[0]

@@ -11,19 +11,19 @@ A block depends only on its strip's kind, the parity of the strip's
 crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
 is its tag, and the module holds the tree once (``LEAVES``, ``SADDLES``
-and ``REEB_EDGES``).  An assembled model holds catalogued blocks,
-repeated, as runs ``(block, count)`` (``curves._RunSeq``).  Its runs
-are numbered by entry once, as assembly maps strips to blocks
-(``_catalogued``), and the trace and the census (``_walk``), the export
-and the render read each entry's facts from tables made beside the
-catalogue.  Assembly checks the trace against the fraction and the
-census against the variant's closed form.
-A model is valid when it equals the assembly of its word
-(``validate_model``); a block that differs raises
+and ``REEB_EDGES``).  Assembly slices the word's twist regions into
+strips numbered as they are emitted (``curves._word_strips``), with no
+diagram or curve, reads each distinct strip's block off its kind and
+crossing parity, and numbers the blocks by entry (``_catalogued``); the
+model holds them as runs ``(block, count)`` (``curves._RunSeq``), and
+the trace and the census (``_walk``), the export and the render read
+each entry's facts from tables made beside the catalogue.  Assembly
+checks the trace against the fraction and the census against the
+variant's closed form.  A model is valid when it equals the assembly of
+its word (``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
-differs, and the catalogued and actual values.  Event slices carry tags
-relative to the block, and a document names them by position
-(``EVENT_SLICES``).
+differs, and both values.  Event slices carry tags relative to the
+block, and a document names them by position (``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -41,31 +41,9 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice, permutations, product, repeat
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
-from .curves import (
-    GRANULARITIES,
-    VARIANTS,
-    Strip,
-    StripDecomposition,
-    _as_runs,
-    _curve,
-    _expand,
-    _item_runs,
-    _Numbering,
-    _numbered,
-    _runs,
-    _RunSeq,
-    _runs_of,
-    _through,
-    strip_decompose,
-)
-from .errors import (
-    EvenBRequiredError,
-    InvalidStripVariantError,
-    InvariantViolationError,
-    TraceMismatchError,
-    TwoBridgeError,
-    _quoted,
-)
+from .curves import GRANULARITIES, VARIANTS, Strip, StripDecomposition, _as_runs, _expand, _item_runs, _Numbering, _numbered
+from .curves import _runs, _RunSeq, _runs_of, _through, _word_strips
+from .errors import EvenBRequiredError, InvalidStripVariantError, InvariantViolationError, TraceMismatchError, TwoBridgeError, _quoted
 
 # The Reeb tree of the standard cross-section, which every slice carries:
 # leaves 1 and 2 meet at the upper saddle, 3 and 4 at the lower one.
@@ -173,8 +151,8 @@ class StableMapModel:
     def census(self) -> SingularFiberCensus:
         return _walk(self.blocks, self._blocks_numbered)[1]
 
-    # The blocks numbered by entry (``_catalogued``) and the strips by
-    # identity: set by assembly, or found on first use.
+    # The blocks numbered by entry (``_catalogued``), the strips by
+    # identity and the fraction: set by assembly, or found on first use.
     @cached_property
     def _blocks_numbered(self) -> _Numbering:
         return _catalogued(_numbered(self.blocks))
@@ -182,6 +160,10 @@ class StableMapModel:
     @cached_property
     def _strips_numbered(self) -> _Numbering:
         return _numbered(self.strips.strips)
+
+    @cached_property
+    def _fraction(self):  # the word's, kept by assembly
+        return fraction_of(self.word)
 
 
 _KINDS = ("type1", "type2", "type3", "type4")
@@ -264,9 +246,10 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
 @lru_cache(maxsize=1024)
 def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
     """The catalogue key of ``strip`` in a ``variant`` model, once the
-    strip is checked against it.  A strip is a frozen value, so its key is
-    kept per value (``curves._strip`` shares them) and not checked again;
-    the key, not the block, is kept, and the catalogue read on every call."""
+    strip is checked against it (``build_block``: assembly reads the key of
+    the strips it slices off their kind and columns).  A strip is a frozen
+    value, so its key is kept per value and not checked again; the key,
+    not the block, is kept, and the catalogue read on every call."""
     kind = strip.kind
     if kind not in _KINDS:
         raise InvalidStripVariantError(f"unknown strip kind {kind!r}")
@@ -275,21 +258,22 @@ def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
         # is read once.
         content = {column.kind for column, _ in _runs_of(strip.columns)}
         if variant == "f2" and content != {"crossing"}:
-            raise InvalidStripVariantError(
-                "an f2 Type 2 strip must hold a whole twist region of double points"
-            )
+            raise InvalidStripVariantError("an f2 Type 2 strip must hold a whole twist region of double points")
         if variant == "f3" and (content != {"tangency"} or len(strip.columns) != 1):
-            raise InvalidStripVariantError(
-                "an f3 Type 2 strip must hold exactly one self-tangency"
-            )
+            raise InvalidStripVariantError("an f3 Type 2 strip must hold exactly one self-tangency")
     return kind, len(strip.columns) % 2, variant
 
 
 def _last_section(blocks: Sequence[BlockMap]) -> int:
     """n, the index of the last block and of the last section, once the
-    first block is checked to be a Type 1 cap and the last a Type 4 one."""
+    first block is checked to be a Type 1 cap and the last a Type 4 one:
+    of a run-length sequence, the first and last runs' objects, or their
+    patterns' first and last items."""
     n = len(blocks) - 1
-    if n < 1 or blocks[0].kind != "type1" or blocks[n].kind != "type4":
+    if n >= 1:
+        first, last = (blocks.runs[0][0], blocks.runs[-1][0]) if isinstance(blocks, _RunSeq) else (blocks[0], blocks[n])
+        first, last = (first[0], last[-1]) if getattr(blocks, "patterned", False) else (first, last)
+    if n < 1 or first.kind != "type1" or last.kind != "type4":
         raise TraceMismatchError("a model needs a cap block at either end")
     return n
 
@@ -422,22 +406,18 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     return tuple(components)
 
 
-def assemble_stable_map(
-    word: ConwayWord, variant: str, granularity: str = "crossing"
-) -> StableMapModel:
-    """Run the whole pipeline: diagram, curve, strips, blocks, census.
+def assemble_stable_map(word: ConwayWord, variant: str, granularity: str = "crossing") -> StableMapModel:
+    """The model of ``word``: the strips its twist regions slice into,
+    the catalogued block of each, the trace and the census.
 
     Requires every vertical twist count even; the resulting model carries
     exactly 2m II2 events (f2) or half the total vertical crossings as
     II3 events (f3), and its definite-fold trace reproduces the link's
-    component count.
-
-    The last model built is kept, keyed on ``(word, variant,
-    granularity)``, and returned again for the same arguments, so that
-    importing the export of a model just built does not build it twice.
-    A model is frozen and a pure function of those arguments, so the kept
-    one equals a fresh one; it passed assembly's checks when it was built.
-    A call that raises is not kept.
+    component count.  The last model built is kept, keyed on ``(word,
+    variant, granularity)``, and returned again for the same arguments, so
+    that importing the export of a model just built does not build it
+    twice; a model is frozen and a pure function of those arguments, and
+    a call that raises is not kept.
     """
     if variant in VARIANTS and granularity in GRANULARITIES:
         return _last_model(word, variant, granularity)
@@ -448,18 +428,15 @@ def assemble_stable_map(
 
 def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapModel:
     if not all_b_even(word):
-        raise EvenBRequiredError(
-            f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i"
-        )
+        raise EvenBRequiredError(f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i")
     fraction = fraction_of(word)
-    strips = strip_decompose(_curve(word, variant), variant, granularity)
-
-    # One pass numbers the strips, and each distinct one is mapped to its block.
-    numbered = _numbered(strips.strips)
-    entries = _catalogued(numbered, list(map(_CATALOGUE.__getitem__, map(_catalogue_key, numbered.values, repeat(variant)))))
+    # One walk over the word's regions slices and numbers the strips; each
+    # distinct one is mapped to its block by its kind and crossing parity.
+    strips, numbered = _word_strips(word, variant, granularity)
+    entries = _catalogued(numbered, [_CATALOGUE[strip.kind, len(strip.columns) % 2, variant] for strip in numbered.values])
     model = StableMapModel(strips, _RunSeq(_through(entries, entries.values), entries.patterns is not None, strips.strips))
     trace, census = _walk(model.blocks, entries)
-    vars(model).update(_blocks_numbered=entries, _strips_numbered=numbered, trace=_check_trace(trace, fraction), census=census)
+    vars(model).update(_blocks_numbered=entries, _strips_numbered=numbered, _fraction=fraction, trace=_check_trace(trace, fraction), census=census)
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.
     expected = (2 * word.m, 0) if variant == "f2" else (0, sum(map(abs, word.b_entries)) // 2)
     if (census.ii2, census.ii3) != expected:
@@ -479,16 +456,13 @@ def fiber_census(model: StableMapModel) -> SingularFiberCensus:
 
 def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
     """Recompute the closed-curve decomposition of the definite fold set."""
-    return _check_trace(_walk(model.blocks, model._blocks_numbered)[0], fraction_of(model.word))
+    return _check_trace(_walk(model.blocks, model._blocks_numbered)[0], model._fraction)
 
 
 def _check_trace(trace: DefiniteFoldTrace, fraction) -> DefiniteFoldTrace:
     expected = component_count(fraction)
     if trace.count != expected:
-        raise TraceMismatchError(
-            f"definite-fold trace has {trace.count} components, "
-            f"fraction {fraction} demands {expected}"
-        )
+        raise TraceMismatchError(f"definite-fold trace has {trace.count} components, fraction {fraction} demands {expected}")
     return trace
 
 

@@ -16,9 +16,10 @@ _CACHES = (morse._last_model, curves._strip, morse._catalogue_key, serialize.exp
 def cold():
     """``cold(function, *args)`` calls ``function`` as a fresh process
     would: the model assembled last, the text exported last, the shared
-    strips and their checked catalogue keys are forgotten first, so an
-    import really assembles, an assembly really builds and checks its
-    strips, and an export really serialises."""
+    strips and the catalogue keys that ``build_block`` checked are
+    forgotten first, so an import really assembles, an assembly really
+    builds its strips, ``build_block`` really checks a strip, and an
+    export really serialises."""
 
     def call(function, *args):
         for cache in _CACHES:

@@ -6,17 +6,23 @@ oracle's witnesses for the odd-b words of magnitude sum at most 7, and
 ``even_b_normalize`` against that oracle on the odd-b words of magnitude
 sum at most 8 and on the fractions with p at most 12 at every bound up to
 40, finds an even-b form for every fraction with p below 60, and
-compares the trace of C(100,2,100) with the oracle's.  The larger sweeps
-run as a CI step:
+compares the trace of C(100,2,100) with the oracle's.  Assembly's walk
+over a word's regions is checked against the plat pipeline on the same
+words, and on long words drawn by ``hypothesis``.  The larger sweeps run
+as a CI step:
 
-    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300), t.check_ladder_trace(10000))'
+    PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_word_regions(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300), t.check_ladder_trace(10000))'
 """
 
 import contextlib
 import io
+from itertools import repeat
 from math import gcd
+from operator import is_
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     all_entry_tuples,
@@ -29,7 +35,7 @@ from oracles import (
     oracle_trace,
     plat_component_count_of_entries,
 )
-from twobridge import morse, serialize
+from twobridge import curves, morse, serialize
 from twobridge.cli import run_cli
 from twobridge.conway import (
     DEFAULT_SUM_BOUND,
@@ -43,7 +49,7 @@ from twobridge.conway import (
     fraction_of,
     schubert_equivalent,
 )
-from twobridge.curves import GRANULARITIES, bigon_reduce, build_plat_diagram, outer_smooth
+from twobridge.curves import GRANULARITIES, VARIANTS, bigon_reduce, build_plat_diagram, outer_smooth
 from twobridge.errors import DegenerateFractionError, EvenBRequiredError
 from twobridge.morse import assemble_stable_map, validate_model
 from twobridge.render import render_svg
@@ -101,6 +107,49 @@ def sweep_even_b_words(max_sum: int) -> tuple[int, int]:
                 assert imported == model and export_json(imported) == text, where
                 assert render_svg(model) == oracle_model_svg(model), where
     return words, degenerate
+
+
+def word_regions_agree(word: ConwayWord) -> int:
+    """Slice ``word`` from its regions, as assembly does, and through the
+    plat pipeline, as ``strip_decompose(_curve(word, variant))``, for both
+    variants at every granularity: the two decompositions are equal, the
+    walk's numbering is ``_numbered`` of those strips field by field (its
+    values the same objects), and unless the word is degenerate, its
+    assembly holds that numbering and the blocks numbered as mapping each
+    distinct strip through ``_catalogue_key`` numbers them.  Returns the
+    number of models compared."""
+    models = 0
+    for variant in VARIANTS:
+        for granularity in GRANULARITIES:
+            where = (format_conway(word), variant, granularity)
+            walked, numbered = curves._word_strips(word, variant, granularity)
+            assert walked == curves.strip_decompose(curves._curve(word, variant), variant, granularity), where
+            expected = curves._numbered(walked.strips)
+            assert numbered == expected and list(map(type, numbered)) == list(map(type, expected)), where
+            assert len(numbered.values) == len(expected.values) and all(map(is_, numbered.values, expected.values)), where
+            try:
+                fraction_of(word)
+            except DegenerateFractionError:
+                continue
+            _forget()
+            model = assemble_stable_map(word, variant, granularity)
+            assert model.strips == walked and model._strips_numbered == expected, where
+            keys = map(morse._catalogue_key, expected.values, repeat(variant))
+            entries = morse._catalogued(expected, list(map(morse._CATALOGUE.__getitem__, keys)))
+            assert model._blocks_numbered == entries and model._blocks_numbered.values is morse._ENTRIES, where
+            models += 1
+    return models
+
+
+def check_word_regions(max_sum: int) -> tuple[int, int]:
+    """``word_regions_agree`` on every even-b word of ``all_entry_tuples(max_sum)``:
+    the number of words and of the models compared."""
+    words = models = 0
+    for entries in all_entry_tuples(max_sum):
+        word = ConwayWord(entries)
+        if all_b_even(word):
+            words, models = words + 1, models + word_regions_agree(word)
+    return words, models
 
 
 def _odd_b_words(max_sum: int):
@@ -230,6 +279,23 @@ def check_ladder_trace(k: int) -> int:
 
 def test_every_even_b_word_up_to_magnitude_sum_8():
     assert sweep_even_b_words(8) == (320, 28)
+
+
+def test_the_word_walk_slices_every_even_b_word_up_to_magnitude_sum_8_as_the_plat_does():
+    assert check_word_regions(8) == (320, 6 * (320 - 28))
+
+
+# up to 41 entries of up to 10**5 crossings each, every b entry even
+long_even_b_words = (
+    st.lists(st.integers(-(10**5), 10**5).filter(bool), min_size=1, max_size=41)
+    .filter(lambda l: len(l) % 2 == 1)
+    .map(lambda l: ConwayWord(tuple(2 * (e // 2) or 2 if i % 2 else e for i, e in enumerate(l))))
+)
+
+
+@given(long_even_b_words)
+def test_the_word_walk_slices_and_numbers_long_words_as_the_plat_does(word):
+    word_regions_agree(word)
 
 
 def test_every_normalize_witness_up_to_magnitude_sum_7():

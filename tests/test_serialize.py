@@ -467,16 +467,24 @@ def test_export_keeps_the_encoders_escaping():
 
 @pytest.mark.parametrize("variant", ["f2", "f3"])
 def test_a_cold_path_builds_each_distinct_block_once_and_frames_without_the_indent_encoder(variant, monkeypatch, cold):
-    # counted, not timed: assembly maps each distinct strip, not each run,
-    # and the export frame calls neither the indent encoder nor asdict
+    # counted, not timed: assembly reads the catalogue once per distinct
+    # strip, not per run, with the key read off the strip's kind and
+    # columns, and the export frame calls neither the indent encoder nor asdict
     word = ConwayWord(max(random_even_b_words(20250808, 200), key=len))
-    built = []
-    key = morse._catalogue_key
-    monkeypatch.setattr(morse, "_catalogue_key", lambda strip, variant: built.append(id(strip)) or key(strip, variant))
+    looked, checked = [], []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            looked.append(key)
+            return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(morse, "_CATALOGUE", Counted(morse._CATALOGUE))
+    monkeypatch.setattr(morse, "_catalogue_key", lambda strip, variant: checked.append(strip))
     model = cold(assemble_stable_map, word, variant, "fine")
     monkeypatch.undo()
-    assert sorted(built) == sorted({id(strip) for strip in model.strips.strips})
-    assert len(built) < len(model.strips.strips.runs)
+    distinct = model._strips_numbered.values
+    assert len(distinct) == len({id(strip) for strip in model.strips.strips}) < len(model.strips.strips.runs)
+    assert looked == [(strip.kind, len(strip.columns) % 2, variant) for strip in distinct] and not checked
     text = cold(export_json, model)  # fills the entry texts, cached per strip and block value
     dumps, calls = json.dumps, []
     monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(kwargs) or dumps(*args, **kwargs))
@@ -539,20 +547,25 @@ def test_equal_copies_of_catalogued_blocks_give_the_same_bytes(text, variant, gr
 @pytest.mark.parametrize("variant", ["f2", "f3"])
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_a_model_is_numbered_once_and_its_export_import_and_render_number_nothing(variant, granularity, monkeypatch, cold):
-    # the runs are numbered in the pass that maps strips to blocks; the
-    # export, a canonical import and the render read that numbering
+    # the runs are numbered in the walk that slices the word's regions into
+    # strips; assembly builds no plat diagram or curve and numbers no
+    # sequence, and the export, a canonical import and the render read
+    # the numbering assembly kept
     from twobridge import curves, render
 
-    numbered, calls = curves._numbered, []
-    for module in (morse, render):
+    numbered, calls, built = curves._numbered, [], []
+    for module in (curves, morse, render):
         monkeypatch.setattr(module, "_numbered", lambda items: calls.append(items) or numbered(items))
+    for cls in (curves.PlatDiagram, curves.ImmersedCurve):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs: built.append(self) or init(self, *args, **kwargs))
     assert not hasattr(curves, "_mapped")
     for text in random_even_b_words(20250808, 4):
         model = cold(assemble_stable_map, ConwayWord(text), variant, granularity)
-        assert calls == [model.strips.strips]
+        assert {"_strips_numbered", "_blocks_numbered", "_fraction"} <= vars(model).keys()
         text = export_json(model)
         assert import_json(text) is model and render_svg(model)
-        assert calls == [model.strips.strips]
-        back = cold(import_json, text)  # assembles the word again, and numbers that model
-        assert back == model and back is not model and len(calls) == 2
-        calls.clear()
+        back = cold(import_json, text)  # assembles the word again
+        assert back == model and back is not model
+        assert calls == [] and built == []
+    render_svg(curves._curve(model.word, variant))  # the counters count: a diagram, its curves, their columns
+    assert len(calls) == 1 and len(built) == 2 + (variant == "f3")
