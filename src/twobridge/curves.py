@@ -30,9 +30,10 @@ region, a curve one of six shared Column objects per twist region and a
 strip decomposition one Strip object per value, each as a run
 ``(object, count)`` of a run-length sequence (``_RunSeq``); a fine
 decomposition holds an interior strip and the empty filler after it as
-one pattern run ``((strip, filler), count)``.  So the work is per
-region, not per crossing, and a model's memory does not grow with its
-crossing count.
+one pattern run ``((strip, filler), count)``.  Only the runs say where a
+piece sits, so at every granularity the work is per region, not per
+crossing, from the diagram on, and a model's memory does not grow with
+its crossing count.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ from itertools import accumulate, chain, compress, repeat, starmap
 from operator import index, is_not, itemgetter, mul
 
 from .conway import ConwayWord
-from .errors import OddTwistError, UnsliceableShapeError, VariantMismatchError
+from .errors import (
+    OddTwistError,
+    UnsliceableShapeError,
+    VariantMismatchError,
+)
 
 VARIANTS = ("f2", "f3")
 GRANULARITIES = ("crossing", "region", "fine")
@@ -242,19 +247,31 @@ _Numbering = namedtuple("_Numbering", ("numbers", "counts", "patterns", "values"
 
 
 def _numbered(items) -> _Numbering:
-    """``items`` numbered by identity, at C speed: per run its count, and
-    its number, its object's place among the distinct ``values`` in order
-    of first sight, or in a patterned sequence its pattern's among the
-    distinct ``patterns`` (else None), tuples of their items' numbers."""
+    """``items`` numbered by identity, one step per run: per run its count,
+    and its number, its object's place among the distinct ``values`` in
+    order of first sight, or in a patterned sequence its pattern's among
+    the distinct ``patterns`` (else None), tuples of their items' numbers."""
     seq = _as_runs(items)
-    objects = list(map(_object, seq.runs))
-    distinct = list(dict(zip(map(id, objects), objects)).values())  # the objects, or the patterns, by first sight
-    items = list(chain.from_iterable(distinct)) if seq.patterned else distinct
-    values = list(dict(zip(map(id, items), items)).values())
-    place = dict(zip(map(id, values), range(len(values))))
-    patterns = [tuple(map(place.__getitem__, map(id, pattern))) for pattern in distinct] if seq.patterned else None
-    number = dict(zip(map(id, distinct), range(len(distinct)))) if seq.patterned else place
-    return _Numbering(list(map(number.__getitem__, map(id, objects))), tuple(map(_count, seq.runs)), patterns, values)
+    patterns = [] if seq.patterned else None
+    place, values, numbers = {}, [], []  # place: an object's or a pattern's number, by its id
+    for x, _ in seq.runs:
+        k = place.get(id(x))
+        if k is None:
+            if patterns is None:
+                k = place[id(x)] = len(values)
+                values.append(x)
+            else:  # a pattern: its items numbered in turn, and it among the patterns
+                pattern = []
+                for y in x:
+                    j = place.get(id(y))
+                    if j is None:
+                        j = place[id(y)] = len(values)
+                        values.append(y)
+                    pattern.append(j)
+                k = place[id(x)] = len(patterns)
+                patterns.append(tuple(pattern))
+        numbers.append(k)
+    return _Numbering(numbers, tuple(map(_count, seq.runs)), patterns, values)
 
 
 def _through(numbered: _Numbering, table) -> zip:
@@ -363,11 +380,14 @@ def _sliced(word: ConwayWord, variant: str, granularity: str, regions) -> tuple[
             if k == len(values):
                 values.append(strip)
             if fine:  # the pattern (strip, filler), made and numbered at the strip's first sight
-                strip, k = pattern_of.get(id(strip)) or ((strip, _FILLER), len(patterns))
-                if k == len(patterns):
-                    pattern_of[id(strip[0])] = strip, k
-                    patterns.append((place[id(strip[0])], place.setdefault(id(_FILLER), len(values))))
-                    values += [_FILLER] if patterns[-1][1] == len(values) else []
+                pattern, number = pattern_of.get(id(strip)) or ((strip, _FILLER), len(patterns))
+                if number == len(patterns):
+                    pattern_of[id(strip)] = pattern, number
+                    filler = place.setdefault(id(_FILLER), len(values))
+                    if filler == len(values):
+                        values.append(_FILLER)
+                    patterns.append((k, filler))
+                strip, k = pattern, number
             runs.append((strip, count))
             numbers.append(k)
     runs.append(((_CAP_OUT,) if fine else _CAP_OUT, 1))
@@ -403,7 +423,9 @@ def _word_strips(word: ConwayWord, variant: str, granularity: str) -> tuple[Stri
     return _sliced(word, variant, granularity, _word_regions(word, variant))
 
 
-def strip_decompose(curve: ImmersedCurve, variant: str, granularity: str = "crossing") -> StripDecomposition:
+def strip_decompose(
+    curve: ImmersedCurve, variant: str, granularity: str = "crossing"
+) -> StripDecomposition:
     """Slice the rectangle into Type 1..4 strips around the curve.
 
     A whole vertical twist region occupies one Type 2 strip in an f2
@@ -411,13 +433,16 @@ def strip_decompose(curve: ImmersedCurve, variant: str, granularity: str = "cros
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' puts the empty filler after each interior
     strip, as pattern runs); the Type 2 content is invariant.  Strips of
-    one kind over the same column runs are one object (``_strip``).  The
-    curve's regions are checked here, then sliced as a word's are
-    (``_sliced``).
+    one kind over the same column runs are one object, wherever they
+    sit and in whichever decomposition (``_strip``), and those that need
+    no word always are.  The curve's regions are checked here, then
+    sliced as a word's are (``_sliced``).
     """
     _require_known(variant, granularity)
     if curve.variant != variant:
-        raise VariantMismatchError(f"curve is {curve.variant}-style, decomposition wants {variant}")
+        raise VariantMismatchError(
+            f"curve is {curve.variant}-style, decomposition wants {variant}"
+        )
     regions = _regions(curve.columns)
     for kind, region, group in regions:
         if kind == "crossing":
@@ -425,7 +450,10 @@ def strip_decompose(curve: ImmersedCurve, variant: str, granularity: str = "cros
             entries = curve.word.entries  # a curve built by hand may have more regions
             expected = abs(entries[region]) if region < len(entries) else 0
             if count != expected:
-                raise UnsliceableShapeError(f"region {region}: {count} double points in one slice, expected the full twist region of {expected}")
+                raise UnsliceableShapeError(
+                    f"region {region}: {count} double points in one slice, "
+                    f"expected the full twist region of {expected}"
+                )
         elif kind not in _ONE_KIND:
             raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
     return _sliced(curve.word, variant, granularity, ((kind, group) for kind, _, group in regions))[0]

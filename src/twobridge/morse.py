@@ -22,8 +22,9 @@ checks the trace against the fraction and the census against the
 variant's closed form.  A model is valid when it equals the assembly of
 its word (``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
-differs, and both values.  Event slices carry tags relative to the
-block, and a document names them by position (``EVENT_SLICES``).
+differs, and the catalogued and actual values.  Event slices carry tags
+relative to the block, and a document names them by position
+(``EVENT_SLICES``).
 
 A Type 2 block contributes the singular-fiber events: two double-saddle
 fibers of type II2 in an f2 model (one at each intermediate slice), or
@@ -41,9 +42,30 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice, permutations, product, repeat
 
 from .conway import ConwayWord, all_b_even, component_count, fraction_of
-from .curves import GRANULARITIES, VARIANTS, Strip, StripDecomposition, _as_runs, _expand, _item_runs, _Numbering, _numbered
-from .curves import _runs, _RunSeq, _runs_of, _through, _word_strips
-from .errors import EvenBRequiredError, InvalidStripVariantError, InvariantViolationError, TraceMismatchError, TwoBridgeError, _quoted
+from .curves import (
+    GRANULARITIES,
+    VARIANTS,
+    Strip,
+    StripDecomposition,
+    _as_runs,
+    _expand,
+    _item_runs,
+    _Numbering,
+    _numbered,
+    _runs,
+    _RunSeq,
+    _runs_of,
+    _through,
+    _word_strips,
+)
+from .errors import (
+    EvenBRequiredError,
+    InvalidStripVariantError,
+    InvariantViolationError,
+    TraceMismatchError,
+    TwoBridgeError,
+    _quoted,
+)
 
 # The Reeb tree of the standard cross-section, which every slice carries:
 # leaves 1 and 2 meet at the upper saddle, 3 and 4 at the lower one.
@@ -258,9 +280,13 @@ def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
         # is read once.
         content = {column.kind for column, _ in _runs_of(strip.columns)}
         if variant == "f2" and content != {"crossing"}:
-            raise InvalidStripVariantError("an f2 Type 2 strip must hold a whole twist region of double points")
+            raise InvalidStripVariantError(
+                "an f2 Type 2 strip must hold a whole twist region of double points"
+            )
         if variant == "f3" and (content != {"tangency"} or len(strip.columns) != 1):
-            raise InvalidStripVariantError("an f3 Type 2 strip must hold exactly one self-tangency")
+            raise InvalidStripVariantError(
+                "an f3 Type 2 strip must hold exactly one self-tangency"
+            )
     return kind, len(strip.columns) % 2, variant
 
 
@@ -406,18 +432,23 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     return tuple(components)
 
 
-def assemble_stable_map(word: ConwayWord, variant: str, granularity: str = "crossing") -> StableMapModel:
+def assemble_stable_map(
+    word: ConwayWord, variant: str, granularity: str = "crossing"
+) -> StableMapModel:
     """The model of ``word``: the strips its twist regions slice into,
     the catalogued block of each, the trace and the census.
 
     Requires every vertical twist count even; the resulting model carries
     exactly 2m II2 events (f2) or half the total vertical crossings as
     II3 events (f3), and its definite-fold trace reproduces the link's
-    component count.  The last model built is kept, keyed on ``(word,
-    variant, granularity)``, and returned again for the same arguments, so
-    that importing the export of a model just built does not build it
-    twice; a model is frozen and a pure function of those arguments, and
-    a call that raises is not kept.
+    component count.
+
+    The last model built is kept, keyed on ``(word, variant,
+    granularity)``, and returned again for the same arguments, so that
+    importing the export of a model just built does not build it twice.
+    A model is frozen and a pure function of those arguments, so the kept
+    one equals a fresh one; it passed assembly's checks when it was built.
+    A call that raises is not kept.
     """
     if variant in VARIANTS and granularity in GRANULARITIES:
         return _last_model(word, variant, granularity)
@@ -428,7 +459,9 @@ def assemble_stable_map(word: ConwayWord, variant: str, granularity: str = "cros
 
 def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapModel:
     if not all_b_even(word):
-        raise EvenBRequiredError(f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i")
+        raise EvenBRequiredError(
+            f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i"
+        )
     fraction = fraction_of(word)
     # One walk over the word's regions slices and numbers the strips; each
     # distinct one is mapped to its block by its kind and crossing parity.
@@ -462,7 +495,10 @@ def trace_definite_folds(model: StableMapModel) -> DefiniteFoldTrace:
 def _check_trace(trace: DefiniteFoldTrace, fraction) -> DefiniteFoldTrace:
     expected = component_count(fraction)
     if trace.count != expected:
-        raise TraceMismatchError(f"definite-fold trace has {trace.count} components, fraction {fraction} demands {expected}")
+        raise TraceMismatchError(
+            f"definite-fold trace has {trace.count} components, "
+            f"fraction {fraction} demands {expected}"
+        )
     return trace
 
 

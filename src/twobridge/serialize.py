@@ -56,7 +56,8 @@ def _block_entry(kind: str, events: tuple, permutation: tuple[int, ...], slices)
 def _model_document(model: StableMapModel, strips, blocks) -> dict:
     """The document of ``model`` around the given "strips" and "blocks"
     entries, for the comparison in ``import_json``."""
-    fraction, census = model._fraction, model.census
+    fraction = model._fraction
+    census = model.census
     return {
         "schema_version": SCHEMA_VERSION,
         "conway": format_conway(model.word),
@@ -165,7 +166,8 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     """The parts of the export of ``model``, in order (``render._windowed``).
     Each entry of an array ends in its separator, and the last one's
     closes the array."""
-    word, census, strips, blocks, fraction = model.word, model.census, model.strips.strips, model.blocks, model._fraction
+    word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
+    fraction = model._fraction
     strings = (json.dumps(format_conway(word)), *(_QUOTED.get(s) or json.dumps(s) for s in (model.variant, model.granularity)))
     texts = _each(model._strips_numbered, _strip_text)
     closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array

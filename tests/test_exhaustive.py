@@ -21,7 +21,7 @@ from math import gcd
 from operator import is_
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -293,6 +293,7 @@ long_even_b_words = (
 )
 
 
+@settings(deadline=None, max_examples=100)
 @given(long_even_b_words)
 def test_the_word_walk_slices_and_numbers_long_words_as_the_plat_does(word):
     word_regions_agree(word)
