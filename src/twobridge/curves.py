@@ -29,11 +29,11 @@ A plat diagram holds one of four shared Crossing objects per twist
 region, a curve one of six shared Column objects per twist region and a
 strip decomposition one Strip object per value, each as a run
 ``(object, count)`` of a run-length sequence (``_RunSeq``); a fine
-decomposition holds an interior strip and the empty filler after it as
-one pattern run ``((strip, filler), count)``.  Only the runs say where a
-piece sits, so at every granularity the work is per region, not per
-crossing, from the diagram on, and a model's memory does not grow with
-its crossing count.
+decomposition holds the crossing-level runs, and the empty filler after
+each interior strip is a fact of the sequence (``_Filled``), not of its
+runs.  Only the runs say where a piece sits, so at every granularity the
+work is per region, not per crossing, from the diagram on, and a
+model's memory does not grow with its crossing count.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, repeat, starmap
-from operator import index, is_not, itemgetter, mul
+from itertools import accumulate, chain, compress, islice, repeat, starmap
+from operator import index, is_not, itemgetter
 
 from .conway import ConwayWord
 from .errors import (
@@ -59,14 +59,12 @@ GRANULARITIES = ("crossing", "region", "fine")
 A_STRANDS = (2, 3)
 B_STRANDS = (1, 2)
 
-_object, _count = itemgetter(0), itemgetter(1)  # of a run ``(object, count)``
+_count = itemgetter(1)  # of a run ``(object, count)``
 
 
 class _RunSeq:
-    """An immutable sequence held as runs ``(object, count)``, or in a
-    ``patterned`` one ``(pattern, count)``, a tuple of objects repeated
-    (a fine decomposition repeats ``(strip, filler)``).  Counts are
-    positive, on trust; adjacent runs may hold the same object.  As a
+    """An immutable sequence held as runs ``(object, count)``.  Counts
+    are positive, on trust; adjacent runs may hold the same object.  As a
     sequence it is ``tuple(self)``: its length, indexing, iteration,
     ``==``, ``hash`` and ``repr`` are those of the expanded tuple, and a
     slice is that tuple's slice.  Length is O(1), an index is a bisection
@@ -74,20 +72,19 @@ class _RunSeq:
     another run-length sequence whose runs line up takes one step per
     run; only ``hash``, ``repr`` and slices expand."""
 
-    __slots__ = ("runs", "patterned", "_ends")
+    __slots__ = ("runs", "_ends", "filler")
 
-    def __init__(self, runs=(), patterned=False, like=None):
-        """``like``, if given, is a sequence whose runs line up with these."""
+    def __init__(self, runs=(), like=None, filler=None):
+        """``like``: a sequence whose runs line up with these; ``filler``: a ``_Filled`` one's."""
         self.runs = runs = tuple(runs)
-        self.patterned = patterned
-        counts = map(_count, runs)
-        self._ends = like._ends if like else tuple(accumulate(map(mul, map(len, map(_object, runs)), counts) if patterned else counts))
+        self.filler = filler
+        self._ends = like._ends if like else tuple(accumulate(map(_count, runs)))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
-        return _expand(self.runs, self.patterned)
+        return _expand(self.runs)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -97,17 +94,14 @@ class _RunSeq:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("tuple index out of range")
-        run = bisect_right(self._ends, i)
-        item = self.runs[run][0]
-        # a pattern run ends on its pattern's last item
-        return item[(i - self._ends[run]) % len(item)] if self.patterned else item
+        return self._at(i)
 
-    def _shape(self) -> tuple:  # what two sequences whose runs line up share
-        return self._ends, self.patterned and tuple(map(len, map(_object, self.runs)))
+    def _at(self, i: int):
+        return self.runs[bisect_right(self._ends, i)][0]
 
     def __eq__(self, other):
         if isinstance(other, _RunSeq):
-            if self._shape() == other._shape():
+            if self._ends == other._ends and self.filler == other.filler:
                 return self.runs == other.runs
             return len(self) == len(other) and tuple(self) == tuple(other)
         if isinstance(other, tuple):
@@ -119,6 +113,26 @@ class _RunSeq:
 
     def __repr__(self) -> str:
         return repr(tuple(self))
+
+
+class _Filled(_RunSeq):
+    """A fine sequence: the items of the crossing-level ``runs``, whose
+    first and last are one cap each, with ``filler`` after every item but
+    those two.  As a sequence it is its tuple, as a ``_RunSeq`` is.  The
+    filler is the empty one (``_FILLER``, or its catalogued block), which
+    the numbering and the tables take it to be."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return 2 * self._ends[-1] - 2
+
+    def __iter__(self):
+        items = _expand(self.runs)  # the first, then each of the next n - 2 with the filler, then the last
+        return chain(islice(items, 1), chain.from_iterable(zip(islice(items, self._ends[-1] - 2), repeat(self.filler))), items)
+
+    def _at(self, i: int):
+        return super()._at((i + 1) // 2) if i % 2 or not i else self.filler
 
 
 @dataclass(frozen=True)
@@ -215,21 +229,9 @@ def _runs(items) -> list[tuple[object, int]]:
 
 
 def _runs_of(items) -> Sequence[tuple[object, int]]:
-    """The runs ``(object, count)`` of ``items``: those a run-length
-    sequence without patterns carries, or ``_runs`` of any other sequence,
-    such as a tuple put into a model after assembly.  A patterned
-    sequence is refused, since its runs are not of one object: a caller
-    that takes one writes it out (``_item_runs``)."""
-    if getattr(items, "patterned", False):
-        raise TypeError("a patterned sequence has no runs of one object")
-    return items.runs if isinstance(items, _RunSeq) else _runs(tuple(items))
-
-
-def _item_runs(items) -> Sequence[tuple[object, int]]:
-    """``_runs_of(items)``, with a patterned sequence written out first,
-    a step per item.  Only what writes out every item anyway (a trace's
-    components, a document's entries) asks for these."""
-    return _runs(tuple(items)) if getattr(items, "patterned", False) else _runs_of(items)
+    """The runs ``(object, count)`` of ``items``: a plain run-length
+    sequence's own, else ``_runs`` of its items, as of a fine one or a tuple."""
+    return items.runs if type(items) is _RunSeq else _runs(tuple(items))
 
 
 def _as_runs(items) -> _RunSeq:
@@ -237,55 +239,38 @@ def _as_runs(items) -> _RunSeq:
     return items if isinstance(items, _RunSeq) else _RunSeq(_runs(items))
 
 
-def _expand(runs, patterned=False):
+def _expand(runs):
     """The items of ``runs``, at C speed, never holding more than one."""
-    items = chain.from_iterable(starmap(repeat, runs))
-    return chain.from_iterable(items) if patterned else items
+    return chain.from_iterable(starmap(repeat, runs))
 
 
-_Numbering = namedtuple("_Numbering", ("numbers", "counts", "patterns", "values"))
+_Numbering = namedtuple("_Numbering", ("numbers", "counts", "fine", "values"))
 
 
 def _numbered(items) -> _Numbering:
     """``items`` numbered by identity, one step per run: per run its count,
     and its number, its object's place among the distinct ``values`` in
-    order of first sight, or in a patterned sequence its pattern's among
-    the distinct ``patterns`` (else None), tuples of their items' numbers."""
+    order of first sight; a ``fine`` one (``_Filled``) by its runs."""
     seq = _as_runs(items)
-    patterns = [] if seq.patterned else None
-    place, values, numbers = {}, [], []  # place: an object's or a pattern's number, by its id
+    place, values, numbers = {}, [], []  # place: an object's number, by its id
     for x, _ in seq.runs:
         k = place.get(id(x))
         if k is None:
-            if patterns is None:
-                k = place[id(x)] = len(values)
-                values.append(x)
-            else:  # a pattern: its items numbered in turn, and it among the patterns
-                pattern = []
-                for y in x:
-                    j = place.get(id(y))
-                    if j is None:
-                        j = place[id(y)] = len(values)
-                        values.append(y)
-                    pattern.append(j)
-                k = place[id(x)] = len(patterns)
-                patterns.append(tuple(pattern))
+            k = place[id(x)] = len(values)
+            values.append(x)
         numbers.append(k)
-    return _Numbering(numbers, tuple(map(_count, seq.runs)), patterns, values)
+    return _Numbering(numbers, tuple(map(_count, seq.runs)), seq.filler is not None, values)
 
 
 def _through(numbered: _Numbering, table) -> zip:
-    """The runs of ``numbered``, number k read as ``table[k]`` and a
-    pattern as the tuple of its items', at C speed."""
-    numbers, counts, patterns, _ = numbered
-    if patterns is not None:
-        table = [tuple(map(table.__getitem__, p)) for p in patterns]
-    return zip(map(table.__getitem__, numbers), counts)
+    """The runs of ``numbered``, number k read as ``table[k]``, at C speed."""
+    return zip(map(table.__getitem__, numbered.numbers), numbered.counts)
 
 
 def _each(numbered: _Numbering, f):
-    """The items of ``numbered`` as ``f`` of each distinct one, at C speed."""
-    return _expand(_through(numbered, list(map(f, numbered.values))), numbered.patterns is not None)
+    """The items of ``numbered`` as ``f`` of each distinct one (and of the filler), at C speed."""
+    runs = _through(numbered, list(map(f, numbered.values)))
+    return iter(_Filled(runs, filler=f(_FILLER))) if numbered.fine else _expand(runs)
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
@@ -352,51 +337,41 @@ _ONE_COLUMN = {
 
 
 @lru_cache(maxsize=1024)
-def _strip(kind: str, runs: tuple[tuple[Column, int], ...]) -> Strip:
-    """The one strip of ``kind`` over the column ``runs`` in this process,
-    while it is among the last 1024 asked for: a frozen value of its key,
-    so every decomposition that has the region may hold it."""
-    columns = _RunSeq(runs)
-    return Strip(kind, columns, param=runs[0][0].sign * len(columns))
+def _strip(kind: str, column_kind: str, sign: int, count: int) -> Strip:
+    """The one strip of ``kind`` over ``count`` columns of ``column_kind``
+    and ``sign`` in this process, while it is among the last 1024 asked
+    for: a frozen value of its key, so every decomposition that has the
+    region may hold it.  The key is plain values, which hash at C speed."""
+    return Strip(kind, _RunSeq([(Column(column_kind, sign), count)]), param=sign * count)
 
 
 def _sliced(word: ConwayWord, variant: str, granularity: str, regions) -> tuple[StripDecomposition, _Numbering]:
     """The strip decomposition of a curve of ``word`` with the twist
     ``regions`` ``(kind, column runs)``, and its numbering (``_numbered``),
     from one per-region emitter: each run is numbered by identity as it is
-    emitted, and at ``fine`` a strip's pattern ``(strip, filler)`` is made
-    and numbered when the strip is first emitted."""
-    fine = granularity == "fine"
-    runs, numbers, values = [((_CAP_IN,) if fine else _CAP_IN, 1)], [0], [_CAP_IN]
-    place, patterns, pattern_of = {id(_CAP_IN): 0}, [(0,)] if fine else None, {}  # by id: a strip's number, its pattern's
+    emitted.  A fine decomposition is the crossing one with the filler
+    after each interior strip (``_Filled``), and so is its numbering."""
+    runs, numbers, values, place = [(_CAP_IN, 1)], [0], [_CAP_IN], {id(_CAP_IN): 0}  # place: a strip's number, by its id
     for kind, group in regions:
         one = _ONE_KIND.get(kind)
         if kind == "crossing" or kind == "pass" and granularity == "region":  # the region is one strip
-            group, one = [(_strip(one or "type2", tuple(group)), 1)], None
+            column, count = group[0]  # shared, unless a hand-built curve holds the region as several runs
+            strip = _strip(one or "type2", column.kind, column.sign, count) if len(group) == 1 else Strip(one or "type2", _RunSeq(group), param=column.sign * sum(map(_count, group)))
+            group, one = [(strip, 1)], None
         for strip, count in group:
             if one:  # a strip per column: Type 3 over a pass, Type 2 over a tangency
-                strip = _ONE_COLUMN.get(id(strip)) or _strip(one, ((strip, 1),))
+                strip = _ONE_COLUMN.get(id(strip)) or _strip(one, strip.kind, strip.sign, 1)
             k = place.setdefault(id(strip), len(values))
             if k == len(values):
                 values.append(strip)
-            if fine:  # the pattern (strip, filler), made and numbered at the strip's first sight
-                pattern, number = pattern_of.get(id(strip)) or ((strip, _FILLER), len(patterns))
-                if number == len(patterns):
-                    pattern_of[id(strip)] = pattern, number
-                    filler = place.setdefault(id(_FILLER), len(values))
-                    if filler == len(values):
-                        values.append(_FILLER)
-                    patterns.append((k, filler))
-                strip, k = pattern, number
             runs.append((strip, count))
             numbers.append(k)
-    runs.append(((_CAP_OUT,) if fine else _CAP_OUT, 1))
-    numbers.append(len(patterns) if fine else len(values))
-    if fine:
-        patterns.append((len(values),))
+    runs.append((_CAP_OUT, 1))
+    numbers.append(len(values))
     values.append(_CAP_OUT)
-    numbering = _Numbering(numbers, tuple(map(_count, runs)), patterns, values)
-    return StripDecomposition(word, variant, granularity, _RunSeq(runs, fine)), numbering
+    fine = granularity == "fine"
+    numbering = _Numbering(numbers, tuple(map(_count, runs)), fine, values)
+    return StripDecomposition(word, variant, granularity, _Filled(runs, filler=_FILLER) if fine else _RunSeq(runs)), numbering
 
 
 def _require_known(variant, granularity) -> None:
@@ -432,8 +407,8 @@ def strip_decompose(
     decomposition; each self-tangency gets its own Type 2 strip in f3.
     Granularity only changes how smoothed-crossing marks distribute over
     Type 3 strips ('fine' puts the empty filler after each interior
-    strip, as pattern runs); the Type 2 content is invariant.  Strips of
-    one kind over the same column runs are one object, wherever they
+    strip, ``_Filled``); the Type 2 content is invariant.  Strips of
+    one kind over one run of one column value are one object, wherever they
     sit and in whichever decomposition (``_strip``), and those that need
     no word always are.  The curve's regions are checked here, then
     sliced as a word's are (``_sliced``).

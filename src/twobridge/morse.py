@@ -15,11 +15,11 @@ and ``REEB_EDGES``).  Assembly slices the word's twist regions into
 strips numbered as they are emitted (``curves._word_strips``), with no
 diagram or curve, reads each distinct strip's block off its kind and
 crossing parity, and numbers the blocks by entry (``_catalogued``); the
-model holds them as runs ``(block, count)`` (``curves._RunSeq``), and
-the trace and the census (``_walk``), the export and the render read
-each entry's facts from tables made beside the catalogue.  Assembly
-checks the trace against the fraction and the census against the
-variant's closed form.  A model is valid when it equals the assembly of
+model holds them as runs ``(block, count)`` (``curves._RunSeq``, at fine
+with the filler after each interior one), and the trace and the census
+(``_walk``), the export and the render read each entry's facts from
+tables made beside the catalogue.  Assembly checks the trace against
+the fraction and the census against the variant's closed form.  A model is valid when it equals the assembly of
 its word (``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
 differs, and the catalogued and actual values.  Event slices carry tags
@@ -48,11 +48,9 @@ from .curves import (
     Strip,
     StripDecomposition,
     _as_runs,
-    _expand,
-    _item_runs,
+    _Filled,
     _Numbering,
     _numbered,
-    _runs,
     _RunSeq,
     _runs_of,
     _through,
@@ -230,10 +228,9 @@ _NUMBER = {id(block): e for e, block in enumerate(_ENTRIES)}
 def _catalogued(numbered: _Numbering, blocks: list | None = None) -> _Numbering:
     """``numbered`` (``curves._numbered``), whose value k has the block
     ``blocks[k]`` (the value itself by default), numbered by catalogue
-    entry: a run's number is its block's, and a pattern is the tuple of
-    its blocks'.  Its values are ``_ENTRIES``, then any block equal to no
-    entry, numbered on."""
-    numbers, counts, patterns, values = numbered
+    entry: a run's number is its block's.  Its values are ``_ENTRIES``,
+    then any block equal to no entry, numbered on."""
+    numbers, counts, fine, values = numbered
     blocks = values if blocks is None else blocks
     entry, extra = list(map(_NUMBER.get, map(id, blocks))), []
     for k in range(len(blocks)) if None in entry else ():
@@ -243,9 +240,7 @@ def _catalogued(numbered: _Numbering, blocks: list | None = None) -> _Numbering:
             entry[k] = len(_ENTRIES) + len(extra)
             extra.append(blocks[k])
     table = _ENTRIES + tuple(extra) if extra else _ENTRIES
-    if patterns is None:
-        return _Numbering(list(map(entry.__getitem__, numbers)), counts, None, table)
-    return _Numbering(numbers, counts, [tuple(map(entry.__getitem__, pattern)) for pattern in patterns], table)
+    return _Numbering(list(map(entry.__getitem__, numbers)), counts, fine, table)
 
 
 def _facts(table: tuple, numbered: _Numbering, fact) -> tuple:
@@ -293,12 +288,10 @@ def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
 def _last_section(blocks: Sequence[BlockMap]) -> int:
     """n, the index of the last block and of the last section, once the
     first block is checked to be a Type 1 cap and the last a Type 4 one:
-    of a run-length sequence, the first and last runs' objects, or their
-    patterns' first and last items."""
+    of a run-length sequence, the first and last runs' objects."""
     n = len(blocks) - 1
     if n >= 1:
         first, last = (blocks.runs[0][0], blocks.runs[-1][0]) if isinstance(blocks, _RunSeq) else (blocks[0], blocks[n])
-        first, last = (first[0], last[-1]) if getattr(blocks, "patterned", False) else (first, last)
     if n < 1 or first.kind != "type1" or last.kind != "type4":
         raise TraceMismatchError("a model needs a cap block at either end")
     return n
@@ -369,28 +362,17 @@ def _walk(blocks: Sequence[BlockMap], numbered: _Numbering | None = None) -> tup
     """The trace and the census of ``blocks``, one step per run of their
     numbering by entry (``_catalogued``).  The caps pair the punctures
     (1,2) and (3,4) of the first and of the last section; a run of
-    ``count`` blocks 1..n-1 with permutation P, or a pattern run whose
-    blocks compose to P, carries the strands across as P to the power
-    ``count``, and the components are the cycles that their composition
-    makes with the caps' arcs (``_CYCLES``).  The indefinite fold set's
-    two curves close up only in the caps, so each circle takes two."""
+    ``count`` blocks 1..n-1 with permutation P carries the strands across
+    as P to the power ``count``, and the components are the cycles that
+    their composition makes with the caps' arcs (``_CYCLES``); at fine,
+    the filler has no events and permutes nothing.  The indefinite fold
+    set's two curves close up only in the caps, so each circle takes two."""
     n = _last_section(blocks)
-    numbers, counts, patterns, _ = numbered = numbered or _catalogued(_numbered(blocks))
+    numbers, counts, _, _ = numbered = numbered or _catalogued(_numbered(blocks))
     facts = _facts(_FACTS, numbered, _block_facts)
     if facts is not _FACTS and min(facts)[0] < 0:  # a block past the entries permutes no four punctures: is it among 1..n-1?
         for i, block in enumerate(islice(blocks, 1, n), 1):
             _permuting(block.permutation, i)
-    if patterns and not len(patterns[numbers[0]]) * counts[0] == 1 == len(patterns[numbers[-1]]) * counts[-1]:
-        numbers, counts = zip(*_runs(list(_expand(zip(map(patterns.__getitem__, numbers), counts), True))))
-        patterns = None  # a cap shares a pattern run: block by block
-    if patterns:  # a pattern's blocks composed (-1 if one permutes none), their events and caps summed
-        items, facts = facts, []
-        for pattern in patterns:
-            perm = ii2 = ii3 = caps = 0
-            for p, a, b, cap in map(items.__getitem__, pattern):
-                perm = _THEN[perm][p] if min(perm, p) >= 0 else -1
-                ii2, ii3, caps = ii2 + a, ii3 + b, caps + cap
-            facts.append((perm, ii2, ii3, caps))
     across = ii2 = ii3 = caps = 0  # across: where the punctures of section 1 have got to
     for i, (number, count) in enumerate(zip(numbers, counts)):
         perm, a, b, cap = facts[number]
@@ -413,7 +395,7 @@ def _components(blocks: Sequence[BlockMap]) -> tuple[tuple[tuple[int, int], ...]
     n = _last_section(blocks)
     tracks = [[pos] for pos in LEAVES]  # tracks[p - 1]: from puncture p of section 1
     start = 0
-    for block, count in _item_runs(blocks):
+    for block, count in _runs_of(blocks):
         lo, start = start or 1, start + count
         if lo < min(start, n):  # the run, cut to 1..n-1
             perm, count = _permuting(block.permutation, lo), min(start, n) - lo
@@ -467,7 +449,9 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     # distinct one is mapped to its block by its kind and crossing parity.
     strips, numbered = _word_strips(word, variant, granularity)
     entries = _catalogued(numbered, [_CATALOGUE[strip.kind, len(strip.columns) % 2, variant] for strip in numbered.values])
-    model = StableMapModel(strips, _RunSeq(_through(entries, entries.values), entries.patterns is not None, strips.strips))
+    runs = _through(entries, entries.values)
+    blocks = _Filled(runs, strips.strips, _CATALOGUE["type3", 0, variant]) if entries.fine else _RunSeq(runs, strips.strips)
+    model = StableMapModel(strips, blocks)
     trace, census = _walk(model.blocks, entries)
     vars(model).update(_blocks_numbered=entries, _strips_numbered=numbered, _fraction=fraction, trace=_check_trace(trace, fraction), census=census)
     # The variant's closed form: 2m II2 fibers, or sum|b|/2 II3 fibers.

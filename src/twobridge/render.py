@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
 
-from .curves import ImmersedCurve, StripDecomposition, _numbered, _through
+from .curves import ImmersedCurve, StripDecomposition, _numbered
 from .morse import _ENTRIES, REEB_EDGES, StableMapModel, _facts
 
 MARGIN = 16
@@ -173,16 +173,16 @@ def _layout(template: str, fields: tuple) -> _Layout:
 
 
 class _Text:
-    """Rows that are one text each."""
+    """Rows that are one text each: a template with no field."""
 
-    __slots__ = ("text",)
-    stride = 1
+    __slots__ = ("template",)
+    stride, fields = 1, ()
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, template: str):
+        self.template = template
 
     def fill(self, parts: list, first: int, n: int) -> None:
-        parts += repeat(self.text, n)
+        parts += repeat(self.template, n)
 
 
 class _Texts:
@@ -205,32 +205,26 @@ def _row(template: str, fields: tuple):
     return _layout(template, fields) if fields else _Text(template)
 
 
-@lru_cache(maxsize=64)
-def _pattern(rows: tuple, phase: int):
-    """The ``rows`` of a pattern's items (``_row``) as one row per
-    repetition, from item ``phase`` mod their number on: an item's fields
-    step per item, so in the joined row they step by the pattern."""
-    text, fields, width = "", (), len(rows)
-    for j, row in enumerate(rows):
-        if isinstance(row, _Layout):
-            text += re.sub(r"\{(\d+)\}", lambda m, k=len(fields): f"{{{int(m[1]) + k}}}", row.template)
-            fields += tuple((offset + (phase + j) * step, width * step) for offset, step in row.fields)
-        else:
-            text += row.text
-    return _row(text, fields)
+def _followed(row, filler):
+    """The row of a fine model's entry (``_row``): ``row``, then the
+    filler's, one joined row per strip and filler from strip 1 on, so
+    each field steps by two strips (``_run_rows``)."""
+    shifted = re.sub(r"\{(\d+)\}", lambda m: f"{{{int(m[1]) + len(row.fields)}}}", filler.template)
+    fields = tuple((offset + (1 + j) * step, 2 * step) for j, item in enumerate((row, filler)) for offset, step in item.fields)
+    return _row(row.template + shifted, fields)
 
 
-def _run_rows(numbered, rows):
+def _run_rows(numbered, rows, fine_rows=None):
     """The runs ``(row, count, first)`` (``_windowed``) of a sequence
     ``numbered`` (``curves._numbered``) whose distinct item k has the rows
-    ``rows[k]``, from its first item on; a pattern's joined (``_pattern``)."""
-    if numbered.patterns is None:
-        return zip(map(rows.__getitem__, numbered.numbers), numbered.counts, accumulate(numbered.counts, initial=0))
-    out, first = [], 0
-    for pattern, count in _through(numbered, rows):
-        out.append((_pattern(pattern, first % len(pattern)), count, first // len(pattern)))
-        first += len(pattern) * count
-    return out
+    ``rows[k]``, from its first item on; numbered fine, every run but the
+    caps takes ``fine_rows[k]`` (``_followed``), a row per item and filler."""
+    numbers, counts, fine, _ = numbered
+    if not fine:
+        return zip(map(rows.__getitem__, numbers), counts, accumulate(counts, initial=0))
+    runs = list(zip(map(fine_rows.__getitem__, numbers), counts, accumulate(counts, initial=-1)))
+    runs[0], runs[-1] = (rows[numbers[0]], 1, 0), (rows[numbers[-1]], 1, 2 * runs[-1][2] + 1)
+    return runs
 
 
 def _windowed(parts: list, runs, flush=None) -> list:
@@ -239,15 +233,16 @@ def _windowed(parts: list, runs, flush=None) -> list:
     count below 1, and return it.  With ``flush``, ``parts`` is handed to
     ``flush`` whenever ``_WINDOW`` parts have gone in and more are to go
     in, so never after the last row: it writes them and empties the list
-    (``cli._write_output``)."""
+    (``cli._write_output``); without it, a run is one fill."""
     for row, count, first in runs:
-        while count > 0:
-            if flush and len(parts) >= _WINDOW:
+        while flush and count > 0 and len(parts) + count * row.stride > _WINDOW:
+            if len(parts) >= _WINDOW:
                 flush(parts)
-            # the run, or the rows that fill the window and one more
-            k = min(count, (_WINDOW - len(parts)) // row.stride + 1) if flush else count
+            k = min(count, (_WINDOW - len(parts)) // row.stride + 1)  # to the window's end and one more
             row.fill(parts, first, k)
             first, count = first + k, count - k
+        if count > 0:
+            row.fill(parts, first, count)
     return parts
 
 
@@ -299,6 +294,7 @@ _RECTS = {
     )
     for kind in ("type1", "type2", "type3", "type4")
 }
+_FINE_RECTS = {rect: _followed(rect, _RECTS["type3"]) for rect in _RECTS.values()}  # each with the filler's after it
 _GAMMA = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n"
 
 
@@ -310,7 +306,8 @@ def _strip_runs(numbered, n: int) -> list:
         f'height="{STRIP_BOT - STRIP_TOP}" fill="none" stroke="black" stroke-width="2"/>\n'
     )
     rects = [_RECTS.get(strip.kind) or _RECTS["type3"] for strip in numbered.values]
-    return [*_run_rows(numbered, rects), (_Text(outline), 1, 0), (_layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),)), n - 1, 0)]
+    fine = numbered.fine and list(map(_FINE_RECTS.__getitem__, rects))
+    return [*_run_rows(numbered, rects, fine), (_Text(outline), 1, 0), (_layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),)), n - 1, 0)]
 
 
 # The standard cross-section tree, edge by edge: leaves 1 and 2 above,
@@ -341,25 +338,17 @@ _DOTS = tuple(map(_event_dots, _ENTRIES))  # by entry number
 def _dot_run(numbered) -> tuple[_Texts, int, int]:
     """The dots of the blocks ``numbered`` by entry (``morse._catalogued``)
     at the middle x of each strip, one run of texts formatted as taken:
-    cheaper than a fill per run where runs are one block long."""
-    numbers, counts, patterns, _ = numbered
+    cheaper than a fill per run where runs are one block long.  Numbered
+    fine, each block but the first is two strips wide, with the filler."""
+    numbers, counts, fine, _ = numbered
     dots = _facts(_DOTS, numbered, _event_dots)
-    texts, total, mid = [], 0, MARGIN + STRIP_W // 2
-    if patterns:  # each pattern's width, and the offset and dots of each of its blocks with events
-        patterns = [(len(pattern) * STRIP_W, [(j * STRIP_W, dots[k]) for j, k in enumerate(pattern) if dots[k]]) for pattern in patterns]
+    texts, total, step, first = [], 0, STRIP_W << fine, MARGIN + STRIP_W // 2
+    mid = first + STRIP_W - step  # where the first run would start, were it as wide as the others
     for number, count in zip(numbers, counts):
-        if patterns is None:
-            if dots[number]:
-                texts.append([str(mid).join(dots[number])] if count == 1 else map(str.join, map(str, range(mid, mid + count * STRIP_W, STRIP_W)), repeat(dots[number])))
-                total += count
-            mid += count * STRIP_W
-            continue
-        # A pattern's blocks take turns: block j of each repetition is j strips on.
-        step, dotted = patterns[number]
-        if dotted:
-            rows = [map(str.join, map(str, range(mid + dx, mid + dx + count * step, step)), repeat(split)) for dx, split in dotted]
-            texts.append(chain.from_iterable(zip(*rows)))
-            total += count * len(rows)
+        if dots[number]:
+            x = mid if mid > first else first
+            texts.append([str(x).join(dots[number])] if count == 1 else map(str.join, map(str, range(x, x + count * step, step)), repeat(dots[number])))
+            total += count
         mid += count * step
     return _Texts(chain.from_iterable(texts)), total, 0
 

@@ -23,10 +23,10 @@ from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _each, _item_runs
+from .curves import GRANULARITIES, VARIANTS, _each, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
-from .morse import _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
-from .render import _pieces, _row, _run_rows, _Text, _Texts, _windowed
+from .morse import _CATALOGUE, _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
+from .render import _followed, _pieces, _row, _run_rows, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -105,16 +105,16 @@ def _block_row(block):
 
 
 _BLOCK_ROWS = tuple(map(_block_row, _ENTRIES))  # by entry number
+_FILLER_ROW = _block_row(_CATALOGUE["type3", 0, "f2"])  # a fine model's filler block, in either variant
+_FINE_BLOCK_ROWS = tuple(_followed(row, _FILLER_ROW) for row in _BLOCK_ROWS)  # and after each block of a fine model
 # No export is shorter per block than the shortest strip and catalogued block texts with separators.
-_MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(
-    len(row.text if isinstance(row, _Text) else row.template) for row in _BLOCK_ROWS
-)
+_MIN_BLOCK_TEXT = len(_plain_strip_text("type1", 0)) + min(len(row.template) for row in _BLOCK_ROWS)
 
 
 def _block_entries(blocks) -> list[dict]:
     entries = []
     first = 0
-    for block, count in _item_runs(blocks):
+    for block, count in _runs_of(blocks):
         if block.events:
             slices = [EVENT_SLICES[e.slice] for e in block.events]
             for j in range(first, first + count):
@@ -176,7 +176,8 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
         index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
-    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows)], flush)
+    fine_rows = model._blocks_numbered.fine and _FINE_BLOCK_ROWS + tuple(_followed(row, _FILLER_ROW) for row in rows[len(_ENTRIES) :])
+    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows, fine_rows)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))

@@ -601,16 +601,16 @@ def acyclic_oracle(edges) -> bool:
     return len(seen) == len(adjacency)
 
 
-def pattern_runs(items, width: int) -> list[tuple[tuple, int]]:
-    """``items`` as runs ``(pattern, count)``: the next ``width`` items,
-    repeated for as long as they repeat, then the next ``width``."""
+def regrouped_runs(items, width: int) -> list[tuple[object, int]]:
+    """``items`` as runs ``(item, count)`` of at most ``width`` equal
+    items each: a maximal stretch of equal items cut into such runs."""
     items, runs, i = tuple(items), [], 0
     while i < len(items):
-        pattern, count = items[i : i + width], 1
-        while items[i + count * width : i + (count + 1) * width] == pattern:
+        count = 1
+        while count < width and i + count < len(items) and items[i + count] == items[i]:
             count += 1
-        runs.append((pattern, count))
-        i += count * len(pattern)
+        runs.append((items[i], count))
+        i += count
     return runs
 
 

@@ -3,16 +3,19 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import A_STRANDS, _braid_signs, _pattern_strand_sequence
+from twobridge import curves
 from twobridge.conway import ConwayWord
 from twobridge.curves import (
+    VARIANTS,
     Column,
     ImmersedCurve,
     PlatDiagram,
-    _item_runs,
+    Strip,
+    _Filled,
     _RunSeq,
     _runs,
     _runs_of,
@@ -22,10 +25,12 @@ from twobridge.curves import (
     strip_decompose,
 )
 from twobridge.errors import (
+    DegenerateFractionError,
     OddTwistError,
     UnsliceableShapeError,
     VariantMismatchError,
 )
+from twobridge.morse import BlockMap, assemble_stable_map
 
 def _count(items, kind) -> int:
     """How many of ``items`` (columns or strips) are of ``kind``."""
@@ -241,25 +246,29 @@ def test_granularity_only_changes_type3():
 
 # the first and the last column are equal but distinct objects
 POOL = (Column("pass", 1), Column("crossing", -2), Column("pass", 1))
-# runs of a pool index, or of a pattern of pool indices, with a count; a
-# run of count 0 is dropped, since a sequence takes its counts as positive
+# runs of a pool index with a count, plain or filled (``_Filled``, at
+# least two items); a run of count 0 is dropped, since a sequence takes
+# its counts as positive
 run_lists = st.tuples(st.just(False), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8)) | st.tuples(
-    st.just(True), st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.integers(0, 4)), max_size=8)
+    st.just(True), st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=2, max_size=8)
 )
 bounds = st.none() | st.integers(-30, 30)
 
 
-def _sequence(patterned, runs, pool=POOL):
-    """The run-length sequence of ``runs`` over ``pool``, and its tuple."""
-    runs = [([k] if not patterned else k, n) for k, n in runs if n]
-    seq = _RunSeq(((tuple(pool[k] for k in p), n) if patterned else (pool[p[0]], n) for p, n in runs), patterned)
-    return seq, tuple(pool[k] for p, n in runs for _ in range(n) for k in p)
+def _sequence(filled, runs, pool=POOL):
+    """The run-length sequence of ``runs`` over ``pool``, and its tuple;
+    filled, ``pool[0]`` follows each item but the first and the last."""
+    runs = [(pool[k], n) for k, n in runs if n]
+    items = tuple(x for x, n in runs for _ in range(n))
+    if not filled:
+        return _RunSeq(runs), items
+    return _Filled(runs, filler=pool[0]), (items[0], *(y for x in items[1:-1] for y in (x, pool[0])), items[-1])
 
 
 @given(run_lists, bounds, bounds, st.none() | st.sampled_from([1, 2, 3, -1, -2]))
 def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
-    patterned, runs = runs
-    seq, flat = _sequence(patterned, runs)
+    filled, runs = runs
+    seq, flat = _sequence(filled, runs)
     assert len(seq) == len(flat)
     assert list(seq) == list(flat)
     assert all(seq[i] is flat[i] for i in range(-len(flat), len(flat)))
@@ -272,14 +281,14 @@ def test_run_length_sequence_behaves_as_its_tuple(runs, start, stop, step):
     assert repr(seq) == repr(flat)
     regrouped = _RunSeq(_runs(flat))
     assert seq == regrouped and regrouped == seq and regrouped.runs == tuple(_runs(flat))
-    last = ((POOL[1],), 1) if patterned else (POOL[1], 1)
-    assert seq != flat + (POOL[1],) and _RunSeq([*seq.runs, last], patterned) != seq
+    longer = [*seq.runs, (POOL[1], 1)]
+    assert seq != flat + (POOL[1],) and (_Filled(longer, filler=POOL[0]) if filled else _RunSeq(longer)) != seq
     # runs that line up: equal but distinct objects are equal, another object is not
-    assert seq == _sequence(patterned, runs, (POOL[2], POOL[1], POOL[0]))[0]
+    assert seq == _sequence(filled, runs, (POOL[2], POOL[1], POOL[0]))[0]
     if flat:
         changed = (Column("tangency", 1),) + flat[1:]
         assert seq != changed and seq != _RunSeq(_runs(changed))
-        assert seq != _sequence(patterned, runs, (POOL[1], POOL[0], POOL[1]))[0]  # every item changes kind
+        assert seq != _sequence(filled, runs, (POOL[1], POOL[0], POOL[1]))[0]  # every item changes kind
 
 
 def test_a_run_length_sequence_equals_no_list():
@@ -289,14 +298,58 @@ def test_a_run_length_sequence_equals_no_list():
     assert seq != list(seq) and not seq == list(seq)
 
 
-def test_only_a_named_writing_out_takes_the_runs_of_one_object_of_a_patterned_sequence():
-    # a pattern run is not a run of one object, so taking it for one would lose the O(runs) bound unseen
-    seq = _RunSeq([((POOL[0], POOL[1]), 2), ((POOL[1],), 1)], True)
-    with pytest.raises(TypeError, match="patterned"):
-        _runs_of(seq)
-    assert _item_runs(seq) == _runs(tuple(seq)) == [(POOL[0], 1), (POOL[1], 1), (POOL[0], 1), (POOL[1], 2)]
+def test_only_a_plain_sequence_hands_out_its_runs_as_the_runs_of_its_items():
+    # a filled sequence's runs leave the filler out, so taking them for its
+    # items' would lose every filler unseen: its item runs are written out
+    seq = _Filled([(POOL[0], 1), (POOL[1], 2), (POOL[0], 1)], filler=POOL[2])
+    assert _runs_of(seq) == _runs(tuple(seq)) == [(POOL[0], 1), (POOL[1], 1), (POOL[2], 1), (POOL[1], 1), (POOL[2], 1), (POOL[0], 1)]
     plain = _RunSeq(_runs(tuple(seq)))
-    assert _item_runs(plain) is _runs_of(plain) is plain.runs
+    assert _runs_of(plain) is plain.runs
+
+
+# words of every size, b entries even, so that both variants assemble
+# unless the fraction is degenerate; C(1) and C(-1) have one interior strip
+small_words = (
+    st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=9)
+    .filter(lambda entries: len(entries) % 2 == 1)
+    .map(lambda entries: ConwayWord(tuple(2 * e if i % 2 else e for i, e in enumerate(entries))))
+)
+
+
+@given(small_words, st.sampled_from(VARIANTS), bounds, bounds, st.none() | st.sampled_from([1, 2, 3, -1, -2]))
+@example(ConwayWord((1,)), "f2", None, None, None)
+@example(ConwayWord((-1,)), "f3", -3, None, -1)
+@example(ConwayWord((2,)), "f2", 1, -1, None)
+def test_a_fine_sequence_behaves_as_the_crossing_items_with_a_filler_after_each_interior_one(word, variant, start, stop, step):
+    # the fine strips, and the fine blocks where the word assembles, against
+    # the crossing items with an independently built filler interleaved
+    fine, _ = curves._word_strips(word, variant, "fine")
+    crossing, _ = curves._word_strips(word, variant, "crossing")
+    cases = [(fine.strips, tuple(crossing.strips), Strip("type3"))]
+    try:
+        models = [assemble_stable_map(word, variant, granularity) for granularity in ("fine", "crossing")]
+    except DegenerateFractionError:
+        pass
+    else:
+        assert models[0].strips.strips == fine.strips
+        cases.append((models[0].blocks, tuple(models[1].blocks), BlockMap("type3", "F", "F", (), (1, 2, 3, 4))))
+    for seq, items, filler in cases:
+        flat = (items[0], *(y for x in items[1:-1] for y in (x, filler)), items[-1])
+        assert type(seq) is _Filled and seq.filler is not filler
+        assert len(seq) == len(flat) == 2 * len(items) - 2
+        assert list(seq) == list(flat) and list(map(type, seq)) == list(map(type, flat))
+        assert all(seq[i] == flat[i] for i in range(-len(flat), len(flat)))
+        for i in (len(flat), -len(flat) - 1, 10**6):
+            with pytest.raises(IndexError):
+                seq[i]
+        assert seq[start:stop:step] == flat[start:stop:step]
+        plain, other = _RunSeq(_runs(flat)), _Filled(list(seq.runs), filler=filler)
+        for equal in (flat, plain, other, seq):
+            assert seq == equal and equal == seq and not seq != equal and not equal != seq
+        assert hash(seq) == hash(flat) == hash(plain) == hash(other)
+        assert repr(seq) == repr(flat) == repr(plain)
+        for differ in (items, _RunSeq(_runs(items)), flat[:-1], _Filled(list(seq.runs), filler=items[0])):
+            assert seq != differ and differ != seq and not seq == differ and not differ == seq
 
 
 def test_decompositions_that_share_a_region_hold_one_strip(cold):

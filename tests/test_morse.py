@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import acyclic_oracle, oracle_trace, pattern_runs, plat_component_count_of_entries, random_even_b_words
+from oracles import acyclic_oracle, oracle_trace, plat_component_count_of_entries, random_even_b_words, regrouped_runs
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway, transform
 from twobridge import curves, morse
-from twobridge.curves import Column, ImmersedCurve, Strip, _RunSeq, strip_decompose
+from twobridge.curves import Column, ImmersedCurve, Strip, _Filled, _RunSeq, strip_decompose
 from twobridge.errors import (
     DegenerateFractionError,
     EvenBRequiredError,
@@ -571,13 +571,13 @@ def test_run_level_trace_matches_adjacency_oracle(runs, width):
     cap, middle, end = model.blocks[0], model.blocks[1], model.blocks[-1]
     blocks = _RunSeq([(cap, 1), *((replace(middle, permutation=p), n) for p, n in runs), (end, 1)])
     expected = oracle_trace(tuple(blocks))
-    # the same blocks as pattern runs of ``width`` blocks, with the caps inside them or each in a run of its own
-    caps = [((blocks[0],), 1)], [((blocks[-1],), 1)]
-    inside, alone = pattern_runs(blocks, width), caps[0] + pattern_runs(blocks[1:-1], width) + caps[1]
-    for seq in (blocks, tuple(blocks), _RunSeq(inside, True), _RunSeq(alone, True)):
+    # the same blocks regrouped into runs of at most ``width``, and with the
+    # identity filler after each middle block, which adds sections, not components
+    filled = _Filled(blocks.runs, filler=build_block(Strip("type3"), "f2"))
+    for seq, components in ((blocks, expected), (tuple(blocks), expected), (_RunSeq(regrouped_runs(blocks, width)), expected), (filled, oracle_trace(tuple(filled)))):
         trace = _walk(seq)[0]
-        assert trace.count == len(expected)
-        assert trace.components == expected
+        assert trace.count == len(components) == len(expected)
+        assert trace.components == components
 
 
 TAMPERS = ("kind", "slice", "permutation", "strand")
@@ -593,11 +593,9 @@ def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, gra
     model = assemble_stable_map(parse_conway(text), variant, granularity)
     seq = model.blocks
     runs = list(seq.runs)
-    i = data.draw(st.integers(0, len(runs) - 1))
-    # at fine granularity a run repeats a pattern of blocks: one of them is swapped
-    pattern, count = runs[i] if seq.patterned else ((runs[i][0],), runs[i][1])
-    j = data.draw(st.integers(0, len(pattern) - 1))
-    block = pattern[j]
+    # at fine granularity the filler after each middle block may be the one swapped (i == len(runs))
+    i = data.draw(st.integers(0, len(runs) - (seq.filler is None)))
+    block = runs[i][0] if i < len(runs) else seq.filler
     tamper = data.draw(st.sampled_from(TAMPERS))
     if tamper == "kind":  # a cap made a middle block, or a middle block of the other kind
         bad = replace(block, kind="type2" if block.kind == "type3" else "type3")
@@ -609,9 +607,10 @@ def test_validate_model_rejects_a_run_swapped_for_a_bad_block(text, variant, gra
     else:  # another permutation, or one that loses a strand
         other = tuple(block.permutation[j - 1] for j in (2, 1, 3, 4))
         bad = replace(block, permutation=other if tamper == "permutation" else (1, 1, 3, 4))
-    runs[i] = ((*pattern[:j], bad, *pattern[j + 1 :]) if seq.patterned else bad, count)
+    if i < len(runs):
+        runs[i] = (bad, runs[i][1])
     with pytest.raises((InvariantViolationError, TraceMismatchError)):
-        validate_model(replace(model, blocks=_RunSeq(runs, seq.patterned)))
+        validate_model(replace(model, blocks=_RunSeq(runs) if seq.filler is None else _Filled(runs, filler=bad if i == len(runs) else seq.filler)))
 
 
 # up to 10**5 crossings an entry, each b entry even
@@ -624,7 +623,7 @@ large_even_b_words = (
 
 @given(large_even_b_words, st.sampled_from(["f2", "f3"]))
 def test_a_fine_model_is_the_crossing_model_with_a_filler_after_each_interior_strip(word, variant):
-    # compared through runs: one pattern run (strip, filler) per crossing-level run
+    # compared through runs: the crossing model's runs, the filler after each interior item
     try:
         crossing = assemble_stable_map(word, variant)
     except DegenerateFractionError:
@@ -632,23 +631,16 @@ def test_a_fine_model_is_the_crossing_model_with_a_filler_after_each_interior_st
     fine = assemble_stable_map(word, variant, "fine")
     assert (fine.census, fine.trace.count) == (crossing.census, crossing.trace.count)
     for ours, theirs, filler in ((fine.strips.strips, crossing.strips.strips, Strip("type3")), (fine.blocks, crossing.blocks, build_block(Strip("type3"), variant))):
-        assert ours.patterned and not theirs.patterned and len(ours.runs) == len(theirs.runs)
-        (first, one), *middle, (last, other) = ours.runs
-        assert [(first, one), (last, other)] == [((theirs.runs[0][0],), 1), ((theirs.runs[-1][0],), 1)]
-        assert [(pattern[0], count) for pattern, count in middle] == list(theirs.runs[1:-1])
-        assert all(len(pattern) == 2 and pattern[1] == filler for pattern, _ in middle)
-
-
-def _run_heads(seq) -> list:
-    """``(item, count)`` per run; of a pattern run, the pattern's first item."""
-    return [(item[0] if seq.patterned else item, count) for item, count in seq.runs]
+        assert type(ours) is _Filled and type(theirs) is _RunSeq and ours.filler == filler
+        assert len(ours.runs) == len(theirs.runs) and ours.runs == theirs.runs
+        assert len(ours) == 2 * len(theirs) - 2
 
 
 @given(large_even_b_words)
 def test_reversed_and_mirrored_words_give_the_mirrored_models(word):
     # reversing a word reverses its strips and blocks, the caps exchanged;
     # mirroring it keeps the census.  Compared run by run: at fine, the
-    # filler follows each strip, so the expanded blocks do not reverse.
+    # filler follows each interior strip, which the runs leave out.
     try:
         fraction_of(word)
     except DegenerateFractionError:
@@ -658,16 +650,16 @@ def test_reversed_and_mirrored_words_give_the_mirrored_models(word):
         for granularity in ("crossing", "region", "fine"):
             model, reverse, mirror = (assemble_stable_map(w, variant, granularity) for w in (word, transform(word, "reverse"), transform(word, "mirror")))
             assert model.census == reverse.census == mirror.census
-            kinds = [(caps.get(strip.kind, strip.kind), count) for strip, count in _run_heads(model.strips.strips)]
-            assert kinds[::-1] == [(strip.kind, count) for strip, count in _run_heads(reverse.strips.strips)]
-            perms = [(block.permutation, count) for block, count in _run_heads(model.blocks)]
-            assert perms[::-1] == [(block.permutation, count) for block, count in _run_heads(reverse.blocks)]
+            kinds = [(caps.get(strip.kind, strip.kind), count) for strip, count in model.strips.strips.runs]
+            assert kinds[::-1] == [(strip.kind, count) for strip, count in reverse.strips.strips.runs]
+            perms = [(block.permutation, count) for block, count in model.blocks.runs]
+            assert perms[::-1] == [(block.permutation, count) for block, count in reverse.blocks.runs]
 
 
 @pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])
 @pytest.mark.parametrize("variant", ["f2", "f3"])
 def test_assembly_memory_does_not_grow_with_the_granularity(variant, granularity):
-    # fine holds one pattern run per crossing-level run, not one run per crossing
+    # fine holds the crossing-level runs, not one run per crossing
     word = parse_conway("C(100000,2,100000)")
     for each in ("crossing", granularity):  # the strips and their keys are kept once per process
         assemble_stable_map(word, variant, each)

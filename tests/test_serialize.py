@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobridge.conway import ConwayWord, parse_conway
-from oracles import model_entries, pattern_runs, random_even_b_words
-from twobridge.curves import GRANULARITIES, Column, Strip, _RunSeq, _runs
+from oracles import model_entries, random_even_b_words, regrouped_runs
+from twobridge.curves import GRANULARITIES, Column, Strip, _Filled, _RunSeq, _runs
 from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
 from twobridge import morse, serialize
 from twobridge.morse import assemble_stable_map, build_block, validate_model
@@ -184,8 +184,8 @@ def test_export_rejects_a_positioned_event_tag():
     strip = Strip("type2", (Column("crossing", 1),) * 2, param=2)
     blocks = list(model.blocks)
     blocks[j] = build_block(strip, "f2", index=4)
-    for width in (0, 1, 2, 3):  # the blocks as a tuple, or as pattern runs of ``width`` blocks
-        tampered = _RunSeq(pattern_runs(blocks, width), True) if width else tuple(blocks)
+    for width in (0, 1, 2, 3):  # the blocks as a tuple, or as runs of at most ``width`` blocks
+        tampered = _RunSeq(regrouped_runs(blocks, width)) if width else tuple(blocks)
         with pytest.raises(InvariantViolationError, match=f"block {j}: event slice \"F4'\""):
             export_json(replace(model, blocks=tampered))
 
@@ -196,22 +196,31 @@ def test_export_rejects_a_positioned_event_tag():
     st.sampled_from(GRANULARITIES),
     st.integers(1, 4),
 )
-def test_a_model_held_as_any_pattern_runs_exports_and_renders_the_same_bytes(text, variant, granularity, width):
-    # a pattern of several blocks with events, a cap inside a pattern, a pattern cut short at the end
+def test_a_model_held_as_any_equal_sequence_exports_and_renders_the_same_bytes(text, variant, granularity, width):
+    # its strips and blocks as tuples or as runs of at most ``width`` items:
+    # a fine model's then have no filler of their own, each filler an item
     model = assemble_stable_map(parse_conway(text), variant, granularity)
-    strips = _RunSeq(pattern_runs(model.strips.strips, width), True)
-    patterned = replace(model, strips=replace(model.strips, strips=strips), blocks=_RunSeq(pattern_runs(model.blocks, width), True))
-    assert patterned == model
-    assert "".join(serialize._export_parts(patterned)) == export_json(model)
-    assert render_svg(patterned) == render_svg(model) and render_svg(patterned.strips) == render_svg(model.strips)
-    assert (patterned.census, patterned.trace.components) == (model.census, model.trace.components)
-    validate_model(patterned)
+    for held in (tuple, lambda items: _RunSeq(regrouped_runs(items, width))):
+        hand = replace(model, strips=replace(model.strips, strips=held(model.strips.strips)), blocks=held(model.blocks))
+        assert hand == model
+        assert "".join(serialize._export_parts(hand)) == export_json(model)
+        assert render_svg(hand) == render_svg(model) and render_svg(hand.strips) == render_svg(model.strips)
+        assert (hand.census, hand.trace.components) == (model.census, model.trace.components)
+        validate_model(hand)
+    # at fine, a block with events in either cap's place is drawn and named where it sits, filled or not
+    for i in (0, -1) if model.blocks.filler is not None else ():
+        runs = list(model.blocks.runs)
+        runs[i] = (replace(runs[i][0], events=next(block for block in model.blocks if block.events).events), 1)
+        filled = replace(model, blocks=_Filled(runs, filler=model.blocks.filler))
+        plain = replace(filled, blocks=tuple(filled.blocks))
+        assert render_svg(filled) == render_svg(plain)
+        assert "".join(serialize._export_parts(filled)) == "".join(serialize._export_parts(plain))
     # a template field in the kind of the last middle block without events,
-    # which a pattern may put after one with events; a cap's kind is what the trace checks
+    # which may follow one with events; a cap's kind is what the trace checks
     j = max(i for i, block in enumerate(model.blocks) if not block.events and block.kind == "type3")
     blocks = list(model.blocks)
     blocks[j] = replace(blocks[j], kind="type{0}")
-    for tampered in (tuple(blocks), _RunSeq(pattern_runs(blocks, width), True)):
+    for tampered in (tuple(blocks), _RunSeq(regrouped_runs(blocks, width))):
         with pytest.raises(InvariantViolationError, match="template field"):
             serialize._export_parts(replace(model, blocks=tampered))
 
@@ -482,9 +491,11 @@ def test_a_cold_path_builds_each_distinct_block_once_and_frames_without_the_inde
     monkeypatch.setattr(morse, "_catalogue_key", lambda strip, variant: checked.append(strip))
     model = cold(assemble_stable_map, word, variant, "fine")
     monkeypatch.undo()
-    distinct = model._strips_numbered.values
-    assert len(distinct) == len({id(strip) for strip in model.strips.strips}) < len(model.strips.strips.runs)
-    assert looked == [(strip.kind, len(strip.columns) % 2, variant) for strip in distinct] and not checked
+    # the distinct strips are the numbering's and the filler, whose block is read once
+    distinct, filler = model._strips_numbered.values, model.strips.strips.filler
+    assert len(distinct) + 1 == len({id(strip) for strip in model.strips.strips}) < len(model.strips.strips.runs)
+    assert filler not in distinct and {id(strip) for strip in model.strips.strips} == {*map(id, distinct), id(filler)}
+    assert looked == [(strip.kind, len(strip.columns) % 2, variant) for strip in (*distinct, filler)] and not checked
     text = cold(export_json, model)  # fills the entry texts, cached per strip and block value
     dumps, calls = json.dumps, []
     monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(kwargs) or dumps(*args, **kwargs))
@@ -532,13 +543,17 @@ def test_a_document_whose_word_does_not_assemble_is_rejected(cold):
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_equal_copies_of_catalogued_blocks_give_the_same_bytes(text, variant, granularity):
     # a model built by hand is numbered by block value: a copy of an entry
-    # is that entry, held as plain runs, as pattern runs or as a tuple
+    # is that entry, held as plain runs, as regrouped runs or as a tuple, and
+    # a fine model's as the runs of copies with a copy of the filler after each
     model = assemble_stable_map(parse_conway(text), variant, granularity)
     copies = {id(block): replace(block) for block in model.blocks}
     assert all(copy == block and copy is not block for block in model.blocks for copy in [copies[id(block)]])
     blocks = [copies[id(block)] for block in model.blocks]
     expected = (export_json(model), render_svg(model), model.census, model.trace.components)
-    for held in (_RunSeq(_runs(blocks)), _RunSeq(pattern_runs(blocks, 2), True), tuple(blocks)):
+    helds = [_RunSeq(_runs(blocks)), _RunSeq(regrouped_runs(blocks, 2)), tuple(blocks)]
+    if granularity == "fine":
+        helds.append(_Filled([(copies[id(block)], count) for block, count in model.blocks.runs], filler=replace(model.blocks.filler)))
+    for held in helds:
         hand = replace(model, blocks=held)
         assert hand._blocks_numbered.values is morse._ENTRIES  # every block is an entry
         assert ("".join(serialize._export_parts(hand)), render_svg(hand), hand.census, hand.trace.components) == expected
