@@ -28,7 +28,6 @@ _NAMES = {
     ),
     "curves": (
         "Column",
-        "Crossing",
         "ImmersedCurve",
         "PlatDiagram",
         "Strip",

@@ -199,9 +199,10 @@ def _cmd_render(args, out) -> int:
     word = conway._require_size(conway.parse_conway(args.word))
     if args.subject == "model":
         subject = morse.assemble_stable_map(word, args.variant, args.granularity)
+    elif args.subject == "strips":
+        subject = curves.StripDecomposition(word, args.variant, args.granularity)
     else:
-        curve = curves._curve(word, args.variant)
-        subject = curves.strip_decompose(curve, args.variant, args.granularity) if args.subject == "strips" else curve
+        subject = curves.ImmersedCurve(word, args.variant)
     _write_output(partial(render._svg_parts, subject), args.output, out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Plat diagrams and the derived immersed curves and strip decompositions.
+"""Immersed curves and strip decompositions, read off a Conway word's twist regions.
 
 The plat model fixes one concrete realization of the Conway form:
 
@@ -15,25 +15,27 @@ The plat model fixes one concrete realization of the Conway form:
 Smoothing every outer-adjacent crossing horizontally disconnects the
 (3,4)-strand circle, which is discarded; the rest is a single closed
 curve whose double points are exactly the b-crossings.  For the f3
-variant, bigon reduction then pairs them into self-tangencies
-(``_curve``).  So each twist region fixes its run of columns, and
-assembly reads them off the word (``_word_regions``), building neither
-diagram nor curve; one per-region emitter (``_sliced``) slices those
-regions, or a curve's (``strip_decompose``), into strips.  The module
+variant, bigon reduction then pairs them into self-tangencies.  So each
+twist region fixes its run of columns, and a curve and a strip
+decomposition are their arguments, ``ImmersedCurve(word, variant)`` and
+``StripDecomposition(word, variant, granularity)``, checked when built:
+one region reader (``_word_regions``) gives their runs, and one
+per-region emitter (``_sliced``) slices and numbers the strips.  No
+diagram is built; the public stages (``outer_smooth``, ``bigon_reduce``,
+``strip_decompose``) are one constructor call each, and the test
+suite's oracle derives the same strips crossing by crossing.  The module
 owns the ``VARIANTS`` and ``GRANULARITIES``: assembly and import read
 them here, and the CLI's parser writes them out.  Geometry stays
-abstract: strips are combinatorial tokens, and coordinates only exist
-in the SVG renderer.
+abstract: strips are combinatorial tokens, and coordinates only exist in
+the SVG renderer.
 
-A plat diagram holds one of four shared Crossing objects per twist
-region, a curve one of six shared Column objects per twist region and a
+A curve holds one of six shared Column objects per twist region and a
 strip decomposition one Strip object per value, each as a run
 ``(object, count)`` of a run-length sequence (``_RunSeq``); a fine
 decomposition holds the crossing-level runs, and the empty filler after
 each interior strip is a fact of the sequence (``_Filled``), not of its
-runs.  Only the runs say where a piece sits, so at every granularity the
-work is per region, not per crossing, from the diagram on, and a
-model's memory does not grow with its crossing count.
+runs.  So at every granularity the work is per region, not per
+crossing, and a model's memory does not grow with its crossing count.
 """
 
 from __future__ import annotations
@@ -46,18 +48,11 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import index, is_not, itemgetter
 
-from .conway import ConwayWord
-from .errors import (
-    OddTwistError,
-    UnsliceableShapeError,
-    VariantMismatchError,
-)
+from .conway import ConwayWord, all_b_even
+from .errors import OddTwistError, VariantMismatchError
 
 VARIANTS = ("f2", "f3")
 GRANULARITIES = ("crossing", "region", "fine")
-
-A_STRANDS = (2, 3)
-B_STRANDS = (1, 2)
 
 _count = itemgetter(1)  # of a run ``(object, count)``
 
@@ -136,41 +131,12 @@ class _Filled(_RunSeq):
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """A crossing of the plat diagram, by orientation and sign.  There
-    are four, one per ``(outer_adjacent, entry_sign)``, and every diagram
-    shares them (``_CROSSINGS``).
-
-    ``braid_sign`` is the exponent of the underlying braid letter;
-    ``outer_adjacent`` marks the crossings smoothed by ``outer_smooth``.
-    """
-
-    strands: tuple[int, int]
-    braid_sign: int
-    entry_sign: int
-    outer_adjacent: bool
-
-
-_CROSSINGS = {
-    (outer, sign > 0): Crossing(A_STRANDS if outer else B_STRANDS, sign if outer else -sign, sign, outer)
-    for outer in (True, False)
-    for sign in (1, -1)
-}
-
-
-@dataclass(frozen=True)
 class PlatDiagram:
-    """The word's twist regions laid out left to right as a capped 4-plat:
-    ``crossings`` holds one run ``(crossing, |entry|)`` per region, in
-    the word's order, of the crossing for its orientation (horizontal for
-    even regions) and sign."""
+    """The word's twist regions laid out left to right as a capped
+    4-plat.  It holds only its word: ``outer_smooth`` reads its curve off
+    the word."""
 
     word: ConwayWord
-
-    @cached_property
-    def crossings(self) -> Sequence[Crossing]:
-        runs = ((_CROSSINGS[region % 2 == 0, entry > 0], abs(entry)) for region, entry in enumerate(self.word.entries))
-        return _RunSeq(runs)
 
 
 @dataclass(frozen=True)
@@ -190,9 +156,19 @@ _COLUMNS = {
 
 @dataclass(frozen=True)
 class ImmersedCurve:
+    """The ``variant`` curve of ``word``: ``columns`` holds one run
+    ``(column, count)`` per twist region (``_word_regions``), read off
+    the word when first asked for."""
+
     word: ConwayWord
     variant: str  # 'f2' (double points) | 'f3' (tangencies)
-    columns: Sequence[Column] = field(hash=False)
+
+    def __post_init__(self):
+        _check(self.word, self.variant)
+
+    @cached_property
+    def columns(self) -> Sequence[Column]:
+        return _RunSeq(_word_regions(self.word, self.variant))
 
 
 @dataclass(frozen=True)
@@ -208,10 +184,33 @@ class Strip:
 
 @dataclass(frozen=True)
 class StripDecomposition:
+    """The Type 1..4 strips around the ``variant`` curve of ``word``,
+    sliced off the word when first asked for (``_sliced``, which also
+    numbers them; assembly sets them as it builds one).
+
+    A whole vertical twist region occupies one Type 2 strip in an f2
+    decomposition; each self-tangency gets its own Type 2 strip in f3.
+    ``granularity`` only changes how smoothed-crossing marks distribute
+    over Type 3 strips ('fine' puts the empty filler after each interior
+    strip, ``_Filled``).  Strips of one kind over one run of one column
+    value are one object, wherever they sit and in whichever
+    decomposition (``_strip``), and those that need no word always are.
+    """
+
     word: ConwayWord
     variant: str
     granularity: str
-    strips: Sequence[Strip] = field(hash=False)
+
+    def __post_init__(self):
+        _check(self.word, self.variant, self.granularity)
+
+    @cached_property
+    def _slicing(self) -> tuple[Sequence[Strip], _Numbering]:
+        return _sliced(self.word, self.variant, self.granularity)
+
+    @property
+    def strips(self) -> Sequence[Strip]:
+        return self._slicing[0]
 
 
 build_plat_diagram = PlatDiagram  # the public name the benchmark times as curves.plat
@@ -275,54 +274,19 @@ def _each(numbered: _Numbering, f):
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:
     """Smooth every crossing adjacent to the outer region, drop the
-    outermost circle, and forget the remaining crossing information: each
-    region's run of crossings becomes a run of the shared Column for its
-    kind and sign."""
-    columns = _RunSeq(
-        (_COLUMNS["pass" if x.outer_adjacent else "crossing", x.entry_sign > 0], count)
-        for x, count in _runs_of(d.crossings)
-    )
+    outermost circle, and forget the remaining crossing information: the
+    f2 curve of the diagram's word, whose columns are each region's run
+    of the shared Column for its kind and sign."""
     # One closed curve always remains: caps join strands 1, 2 at both ends, whatever the crossings swap.
-    return ImmersedCurve(word=d.word, variant="f2", columns=columns)
-
-
-def _regions(columns: Sequence[Column]) -> list[tuple[str, int, list[tuple[Column, int]]]]:
-    """The runs of ``columns`` grouped by twist region, as ``(kind,
-    region, runs)``: a region is a maximal stretch of one kind, numbered
-    in order.  A plat's regions alternate kinds, so each is one run; a
-    curve built by hand may hold a region as several runs."""
-    regions = []
-    for run in _runs_of(columns):
-        if regions and regions[-1][0] == run[0].kind:
-            regions[-1][2].append(run)
-        else:
-            regions.append((run[0].kind, len(regions), [run]))
-    return regions
+    return ImmersedCurve(d.word, "f2")
 
 
 def bigon_reduce(c: ImmersedCurve) -> ImmersedCurve:
     """Replace each vertical twist region's double points pairwise by
-    self-tangencies; requires every b_i even."""
+    self-tangencies: the f3 curve, which requires every b_i even."""
     if c.variant != "f2":
         raise VariantMismatchError("bigon_reduce expects a pre-reduction curve")
-    runs: list[tuple[Column, int]] = []
-    for kind, region, group in _regions(c.columns):
-        if kind != "crossing":
-            runs += group
-            continue
-        count = sum(map(_count, group))
-        if count % 2 != 0:
-            raise OddTwistError(
-                f"region {region} has {count} double points; pairing impossible"
-            )
-        runs.append((_COLUMNS["tangency", group[0][0].sign > 0], count // 2))
-    return ImmersedCurve(word=c.word, variant="f3", columns=_RunSeq(runs))
-
-
-def _curve(word: ConwayWord, variant: str) -> ImmersedCurve:
-    """The curve of a ``variant`` model of ``word``: its plat's outer smoothing, bigon-reduced for f3."""
-    curve = outer_smooth(PlatDiagram(word))
-    return bigon_reduce(curve) if variant == "f3" else curve
+    return ImmersedCurve(c.word, "f3")
 
 
 # The strips that need no word: the caps, the empty filler, and the strip
@@ -345,33 +309,31 @@ def _strip(kind: str, column_kind: str, sign: int, count: int) -> Strip:
     return Strip(kind, _RunSeq([(Column(column_kind, sign), count)]), param=sign * count)
 
 
-def _sliced(word: ConwayWord, variant: str, granularity: str, regions) -> tuple[StripDecomposition, _Numbering]:
-    """The strip decomposition of a curve of ``word`` with the twist
-    ``regions`` ``(kind, column runs)``, and its numbering (``_numbered``),
-    from one per-region emitter: each run is numbered by identity as it is
-    emitted.  A fine decomposition is the crossing one with the filler
-    after each interior strip (``_Filled``), and so is its numbering."""
+def _sliced(word: ConwayWord, variant: str, granularity: str) -> tuple[Sequence[Strip], _Numbering]:
+    """The strips of the ``variant`` curve of ``word`` at ``granularity``,
+    sliced from its twist regions (``_word_regions``), and their numbering
+    (``_numbered``), from one per-region emitter: each run is numbered by
+    identity as it is emitted.  A fine decomposition is the crossing one
+    with the filler after each interior strip (``_Filled``), and so is
+    its numbering."""
     runs, numbers, values, place = [(_CAP_IN, 1)], [0], [_CAP_IN], {id(_CAP_IN): 0}  # place: a strip's number, by its id
-    for kind, group in regions:
-        one = _ONE_KIND.get(kind)
+    for column, count in _word_regions(word, variant):
+        kind = column.kind
         if kind == "crossing" or kind == "pass" and granularity == "region":  # the region is one strip
-            column, count = group[0]  # shared, unless a hand-built curve holds the region as several runs
-            strip = _strip(one or "type2", column.kind, column.sign, count) if len(group) == 1 else Strip(one or "type2", _RunSeq(group), param=column.sign * sum(map(_count, group)))
-            group, one = [(strip, 1)], None
-        for strip, count in group:
-            if one:  # a strip per column: Type 3 over a pass, Type 2 over a tangency
-                strip = _ONE_COLUMN.get(id(strip)) or _strip(one, strip.kind, strip.sign, 1)
-            k = place.setdefault(id(strip), len(values))
-            if k == len(values):
-                values.append(strip)
-            runs.append((strip, count))
-            numbers.append(k)
+            strip, count = _strip(_ONE_KIND.get(kind, "type2"), kind, column.sign, count), 1
+        else:  # a strip per column: Type 3 over a pass, Type 2 over a tangency
+            strip = _ONE_COLUMN[id(column)]
+        k = place.setdefault(id(strip), len(values))
+        if k == len(values):
+            values.append(strip)
+        runs.append((strip, count))
+        numbers.append(k)
     runs.append((_CAP_OUT, 1))
     numbers.append(len(values))
     values.append(_CAP_OUT)
     fine = granularity == "fine"
     numbering = _Numbering(numbers, tuple(map(_count, runs)), fine, values)
-    return StripDecomposition(word, variant, granularity, _Filled(runs, filler=_FILLER) if fine else _RunSeq(runs)), numbering
+    return (_Filled(runs, filler=_FILLER) if fine else _RunSeq(runs)), numbering
 
 
 def _require_known(variant, granularity) -> None:
@@ -381,54 +343,34 @@ def _require_known(variant, granularity) -> None:
         raise ValueError(f"unknown granularity {granularity!r}")
 
 
+def _check(word: ConwayWord, variant, granularity="crossing") -> None:
+    """Raise unless ``variant`` and ``granularity`` are known and, for
+    f3, every vertical twist region of ``word`` pairs into tangencies."""
+    _require_known(variant, granularity)
+    if variant == "f3" and not all_b_even(word):
+        region = next(i for i, b in enumerate(word.entries) if i % 2 and b % 2)
+        raise OddTwistError(f"region {region} has {abs(word.entries[region])} double points; pairing impossible")
+
+
 def _word_regions(word: ConwayWord, variant: str):
-    """The twist regions of ``word`` as the curve of a ``variant`` model
-    holds them (``_curve``), one column run each: a pass column at even
-    positions, and at odd ones the crossing column (f2) or |b|/2
-    tangencies (f3), every b even on trust."""
+    """The twist regions of ``word`` as its ``variant`` curve holds them,
+    one column run each: a pass column at even positions, and at odd ones
+    the crossing column (f2) or |b|/2 tangencies (f3), every b even as
+    ``_check`` has found."""
     odd = "tangency" if variant == "f3" else "crossing"
     for i, entry in enumerate(word.entries):
         kind = odd if i % 2 else "pass"
-        yield kind, [(_COLUMNS[kind, entry > 0], abs(entry) // 2 if kind == "tangency" else abs(entry))]
-
-
-def _word_strips(word: ConwayWord, variant: str, granularity: str) -> tuple[StripDecomposition, _Numbering]:
-    """The strip decomposition of a ``variant`` model of ``word``, sliced from its regions, and its numbering."""
-    _require_known(variant, granularity)
-    return _sliced(word, variant, granularity, _word_regions(word, variant))
+        yield _COLUMNS[kind, entry > 0], abs(entry) // 2 if kind == "tangency" else abs(entry)
 
 
 def strip_decompose(
     curve: ImmersedCurve, variant: str, granularity: str = "crossing"
 ) -> StripDecomposition:
-    """Slice the rectangle into Type 1..4 strips around the curve.
-
-    A whole vertical twist region occupies one Type 2 strip in an f2
-    decomposition; each self-tangency gets its own Type 2 strip in f3.
-    Granularity only changes how smoothed-crossing marks distribute over
-    Type 3 strips ('fine' puts the empty filler after each interior
-    strip, ``_Filled``); the Type 2 content is invariant.  Strips of
-    one kind over one run of one column value are one object, wherever they
-    sit and in whichever decomposition (``_strip``), and those that need
-    no word always are.  The curve's regions are checked here, then
-    sliced as a word's are (``_sliced``).
-    """
+    """Slice the rectangle into Type 1..4 strips around the curve: the
+    decomposition of its word (``StripDecomposition``)."""
     _require_known(variant, granularity)
     if curve.variant != variant:
         raise VariantMismatchError(
             f"curve is {curve.variant}-style, decomposition wants {variant}"
         )
-    regions = _regions(curve.columns)
-    for kind, region, group in regions:
-        if kind == "crossing":
-            count = sum(map(_count, group))
-            entries = curve.word.entries  # a curve built by hand may have more regions
-            expected = abs(entries[region]) if region < len(entries) else 0
-            if count != expected:
-                raise UnsliceableShapeError(
-                    f"region {region}: {count} double points in one slice, "
-                    f"expected the full twist region of {expected}"
-                )
-        elif kind not in _ONE_KIND:
-            raise UnsliceableShapeError(f"unknown tile kind {kind!r}")
-    return _sliced(curve.word, variant, granularity, ((kind, group) for kind, _, group in regions))[0]
+    return StripDecomposition(curve.word, variant, granularity)

@@ -68,10 +68,6 @@ class VariantMismatchError(TwoBridgeError):
     """Curve variant does not match the requested decomposition variant."""
 
 
-class UnsliceableShapeError(TwoBridgeError):
-    """A strip intersection matches none of the catalogued local shapes."""
-
-
 class InvalidStripVariantError(TwoBridgeError):
     """Strip token is not valid for the requested map variant."""
 

@@ -12,15 +12,16 @@ crossings and the variant, so the local models form a catalogue of
 relative blocks, one per key, built once (``_CATALOGUE``): every slice
 is its tag, and the module holds the tree once (``LEAVES``, ``SADDLES``
 and ``REEB_EDGES``).  Assembly slices the word's twist regions into
-strips numbered as they are emitted (``curves._word_strips``), with no
-diagram or curve, reads each distinct strip's block off its kind and
-crossing parity, and numbers the blocks by entry (``_catalogued``); the
-model holds them as runs ``(block, count)`` (``curves._RunSeq``, at fine
-with the filler after each interior one), and the trace and the census
-(``_walk``), the export and the render read each entry's facts from
-tables made beside the catalogue.  Assembly checks the trace against
-the fraction and the census against the variant's closed form.  A model is valid when it equals the assembly of
-its word (``validate_model``); a block that differs raises
+strips numbered as they are emitted (``curves._sliced``), kept by the
+model's decomposition, reads each distinct strip's block off its kind
+and crossing parity, and numbers the blocks by entry (``_catalogued``);
+the model holds them as runs ``(block, count)`` (``curves._RunSeq``, at
+fine with the filler after each interior one), and the trace and the
+census (``_walk``), the export and the render read each entry's facts
+from tables made beside the catalogue.  Assembly checks the trace
+against the fraction and the census against the variant's closed form.
+A model is valid when it equals the assembly of its word
+(``validate_model``); a block that differs raises
 ``InvariantViolationError`` naming its index, the first field that
 differs, and the catalogued and actual values.  Event slices carry tags
 relative to the block, and a document names them by position
@@ -53,8 +54,8 @@ from .curves import (
     _numbered,
     _RunSeq,
     _runs_of,
+    _sliced,
     _through,
-    _word_strips,
 )
 from .errors import (
     EvenBRequiredError,
@@ -179,7 +180,7 @@ class StableMapModel:
 
     @cached_property
     def _strips_numbered(self) -> _Numbering:
-        return _numbered(self.strips.strips)
+        return self.strips._slicing[1]
 
     @cached_property
     def _fraction(self):  # the word's, kept by assembly
@@ -447,10 +448,11 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
     fraction = fraction_of(word)
     # One walk over the word's regions slices and numbers the strips; each
     # distinct one is mapped to its block by its kind and crossing parity.
-    strips, numbered = _word_strips(word, variant, granularity)
+    strips = StripDecomposition(word, variant, granularity)
+    sequence, numbered = vars(strips)["_slicing"] = _sliced(word, variant, granularity)
     entries = _catalogued(numbered, [_CATALOGUE[strip.kind, len(strip.columns) % 2, variant] for strip in numbered.values])
     runs = _through(entries, entries.values)
-    blocks = _Filled(runs, strips.strips, _CATALOGUE["type3", 0, variant]) if entries.fine else _RunSeq(runs, strips.strips)
+    blocks = _Filled(runs, sequence, _CATALOGUE["type3", 0, variant]) if entries.fine else _RunSeq(runs, sequence)
     model = StableMapModel(strips, blocks)
     trace, census = _walk(model.blocks, entries)
     vars(model).update(_blocks_numbered=entries, _strips_numbered=numbered, _fraction=fraction, trace=_check_trace(trace, fraction), census=census)
@@ -490,10 +492,10 @@ def validate_model(model: StableMapModel) -> None:
     """Check that ``model`` equals the assembly of its word.  After one
     block per strip, the trace of the blocks is checked against the
     fraction first, so a permutation that changes the component count
-    raises ``TraceMismatchError``.  Then the strips and the blocks (run
-    by run, where their runs line up) are compared with the assembly's,
-    and the first difference, found block by block, raises
-    ``InvariantViolationError``."""
+    raises ``TraceMismatchError``.  Then the blocks (run by run, where
+    their runs line up) are compared with the assembly's, whose strips
+    are the model's, and the first difference, found block by block,
+    raises ``InvariantViolationError``."""
     if len(model.blocks) != len(model.strips.strips):
         raise InvariantViolationError("blocks and strips out of step")
     _check_trace(model.trace, fraction_of(model.word))
@@ -501,8 +503,6 @@ def validate_model(model: StableMapModel) -> None:
         fresh = assemble_stable_map(model.word, model.variant, model.granularity)
     except TwoBridgeError as err:
         raise InvariantViolationError(f"the word does not decompose: {err}") from None
-    if model.strips != fresh.strips:
-        raise InvariantViolationError(f"strips differ from the decomposition of {model.word}")
     if _as_runs(model.blocks) != fresh.blocks:  # the first block that differs, item by item
         index, block, catalogued = next((i, x, y) for i, (x, y) in enumerate(zip(model.blocks, fresh.blocks)) if x != y)
         # the first field that differs, or else the class

@@ -368,7 +368,7 @@ def _svg_parts(subject, flush=None) -> list[str]:
         parts, runs = _curve_runs(subject)
     elif isinstance(subject, StripDecomposition):
         n = len(subject.strips)
-        parts, runs = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + MARGIN), _strip_runs(_numbered(subject.strips), n)
+        parts, runs = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + MARGIN), _strip_runs(subject._slicing[1], n)
     elif isinstance(subject, StableMapModel):
         parts, runs = _model_runs(subject)
     else:

@@ -150,10 +150,10 @@ def export_json(model: StableMapModel) -> str:
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python, laid out as one list of parts and joined once
     (``_export_parts``): the frame as one text template (``_frame``), its
-    strings quoted from a table or else through ``json.dumps``, and the
-    arrays as one cached text per distinct strip or block, with the slice
-    tags of a block's events filled in per run.  The last text is kept
-    and returned again for an equal model, whose export it is.
+    strings quoted from a table, the word's through ``json.dumps``, and
+    the arrays as one cached text per distinct strip or block, with the
+    slice tags of a block's events filled in per run.  The last text is
+    kept and returned again for an equal model, whose export it is.
     """
     return "".join(_export_parts(model))
 
@@ -168,10 +168,10 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     closes the array."""
     word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
     fraction = model._fraction
-    strings = (json.dumps(format_conway(word)), *(_QUOTED.get(s) or json.dumps(s) for s in (model.variant, model.granularity)))
+    strings = (json.dumps(format_conway(word)), _QUOTED[model.variant], _QUOTED[model.granularity])
     texts = _each(model._strips_numbered, _strip_text)
-    closed = chain(islice(texts, max(len(strips) - 1, 0)), map(_closed, texts))  # the last one closes the array
-    parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n" if strips else "[]"]
+    closed = chain(islice(texts, len(strips) - 1), map(_closed, texts))  # the last one closes the array
+    parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
     rows = _facts(_BLOCK_ROWS, model._blocks_numbered, _block_row)
     if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
         index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)

@@ -8,7 +8,10 @@ definite-fold trace of a block sequence from walking an adjacency-list
 graph; the octahedron volume from summing the Lobachevsky series; the
 least even-b word from the bounded depth-first search over ``Fraction``
 targets that the library's integer construction replaced; a Conway word
-from a character-by-character scan of its text.
+from a character-by-character scan of its text; a word's curves and
+strip decompositions from the plat pipeline that the library's walk
+over the twist regions replaced: crossings, outer smoothing, bigon
+pairing and the slicing loop, with nothing taken from ``twobridge.curves``.
 """
 
 from __future__ import annotations
@@ -245,6 +248,60 @@ def plat_component_count_of_entries(entries) -> int:
     for pos in (1, 2, 3, 4):
         union(("L", pos), ("R", perm[pos]))
     return len({find(("L", pos)) for pos in (1, 2, 3, 4)})
+
+
+# The plat pipeline, one run ``(item, count)`` per twist region: a
+# crossing is (strands, braid sign, entry sign, outer adjacent), a column
+# (kind, sign) and a strip (kind, column runs, param).  A strip sequence is
+# runs of patterns, each pattern a tuple of strips laid down ``count``
+# times: one strip, or at fine a strip and the empty filler.
+_CAP_IN, _CAP_OUT, _FILLER = ("type1", (), 0), ("type4", (), 0), ("type3", (), 0)
+
+
+def plat_crossing_runs(entries):
+    """The crossings of the capped 4-plat of ``entries``: region a_i on
+    the middle strands with braid sign sign(a_i), region b_j on the top
+    strands with sign -sign(b_j)."""
+    runs = []
+    for region, entry in enumerate(entries):
+        sign, outer = (1 if entry > 0 else -1), region % 2 == 0
+        crossing = (A_STRANDS, sign, sign, True) if outer else (B_STRANDS, -sign, sign, False)
+        runs.append((crossing, abs(entry)))
+    return runs
+
+
+def plat_curve_runs(entries, variant):
+    """The columns of the ``variant`` curve of ``entries``: every
+    outer-adjacent crossing smoothed to a pass, every other kept as a
+    double point, and for f3 each region's double points paired into
+    self-tangencies."""
+    columns = [(("pass" if outer else "crossing", sign), count) for (_, _, sign, outer), count in plat_crossing_runs(entries)]
+    if variant == "f2":
+        return columns
+    paired = []
+    for (kind, sign), count in columns:
+        if kind == "crossing":
+            assert count % 2 == 0, "an odd region has a double point left unpaired"
+            kind, count = "tangency", count // 2
+        paired.append(((kind, sign), count))
+    return paired
+
+
+def plat_strip_runs(columns, granularity):
+    """The strips around a curve with the column runs ``columns``, as
+    ``strip_decompose`` sliced them: a whole vertical region in one Type 2
+    strip, a Type 2 strip per tangency, and a Type 3 strip per pass
+    column, or per horizontal region at ``region`` granularity; at
+    ``fine`` the empty filler follows each interior strip."""
+    interior = []
+    for column, count in columns:
+        kind, sign = column
+        if kind == "crossing" or kind == "pass" and granularity == "region":
+            interior.append((("type2" if kind == "crossing" else "type3", ((column, count),), sign * count), 1))
+        else:
+            interior.append((("type2" if kind == "tangency" else "type3", ((column, 1),), sign), count))
+    tail = (_FILLER,) if granularity == "fine" else ()
+    return [((_CAP_IN,), 1), *(((strip, *tail), count) for strip, count in interior), ((_CAP_OUT,), 1)]
 
 
 def orbit_equivalent(p: int, q1: int, q2: int, allow_mirror: bool) -> bool:

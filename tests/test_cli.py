@@ -19,7 +19,7 @@ from twobridge import cli, complexity, curves, morse, render, serialize
 from twobridge.cli import run_cli
 from twobridge.conway import SchubertFraction, all_b_even, fraction_of, parse_conway, schubert_equivalent
 from twobridge.errors import ConwaySyntaxError
-from twobridge.curves import _curve, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge.curves import ImmersedCurve, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
 from twobridge.render import render_svg
 from twobridge.serialize import export_json
@@ -147,7 +147,7 @@ def test_a_build_written_in_windows_is_the_library_document(variant, granularity
 @pytest.mark.parametrize("subject", ["model", "curve", "strips"])
 def test_a_render_written_in_windows_is_the_library_svg(subject, capsys):
     model = assemble_stable_map(parse_conway(_MANY_PARTS), "f2", "crossing")
-    drawn = {"model": model, "curve": _curve(model.word, "f2"), "strips": model.strips}[subject]
+    drawn = {"model": model, "curve": ImmersedCurve(model.word, "f2"), "strips": model.strips}[subject]
     assert len(render._svg_parts(drawn)) > 8192
     expected = render_svg(drawn)
     assert run_cli(["render", _MANY_PARTS, "--subject", subject]) == 0

@@ -1,4 +1,4 @@
-"""Plat diagrams, outer smoothing, bigon reduction, strips."""
+"""Curves and strip decompositions of a word, the public stages, and run-length sequences."""
 
 from dataclasses import fields
 
@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import A_STRANDS, _braid_signs, _pattern_strand_sequence
-from twobridge import curves
 from twobridge.conway import ConwayWord
 from twobridge.curves import (
+    GRANULARITIES,
     VARIANTS,
     Column,
     ImmersedCurve,
     PlatDiagram,
     Strip,
+    StripDecomposition,
     _Filled,
     _RunSeq,
     _runs,
@@ -27,7 +27,6 @@ from twobridge.curves import (
 from twobridge.errors import (
     DegenerateFractionError,
     OddTwistError,
-    UnsliceableShapeError,
     VariantMismatchError,
 )
 from twobridge.morse import BlockMap, assemble_stable_map
@@ -43,50 +42,47 @@ words = st.lists(entry, min_size=1, max_size=7).filter(lambda l: len(l) % 2 == 1
 )
 
 
-def test_diagram_crossing_counts():
-    d = build_plat_diagram(ConwayWord((3, 2, 3)))
-    assert len(d.crossings) == 8
-    assert tuple(n for _, n in d.crossings.runs) == (3, 2, 3)
-
-
-def test_diagram_sign_tags():
-    d = build_plat_diagram(ConwayWord((2, -2, 2)))
-    assert len(d.crossings) == 6
-    middle = d.crossings[2:4]
-    assert all(x.entry_sign == -1 for x in middle)
-    # negative b maps to a positive braid exponent under the alternating rule
-    assert all(x.braid_sign == 1 for x in middle)
-    assert all(not x.outer_adjacent for x in middle)
-    outer = d.crossings[:2] + d.crossings[4:]
-    assert all(x.outer_adjacent for x in outer)
-
-
-def test_diagram_single_region():
-    d = build_plat_diagram(ConwayWord((5,)))
-    assert len(d.crossings) == 5
-    assert tuple(n for _, n in d.crossings.runs) == (5,)
-
-
-@given(words)
-def test_plat_diagram_matches_the_per_crossing_oracle(word):
-    d = build_plat_diagram(word)
-    strands = _pattern_strand_sequence(tuple(map(abs, word.entries)))
-    assert [x.strands for x in d.crossings] == strands
-    assert [x.braid_sign for x in d.crossings] == _braid_signs(word.entries)
-    assert [x.entry_sign for x in d.crossings] == [e // abs(e) for e in word.entries for _ in range(abs(e))]
-    assert [x.outer_adjacent for x in d.crossings] == [s == A_STRANDS for s in strands]
-    # one run per twist region, of one of four shared crossings
-    assert len(d.crossings.runs) == len(word.entries)
-    assert len(set(map(id, d.crossings))) <= 4
-    kinds = [c.kind for c in outer_smooth(d).columns]
-    assert kinds == ["pass" if s == A_STRANDS else "crossing" for s in strands]
-
-
-def test_a_plat_diagram_is_its_word():
+def test_a_diagram_a_curve_and_a_decomposition_are_their_arguments():
     word = ConwayWord((3, -2, 3))
     assert [f.name for f in fields(PlatDiagram)] == ["word"]
     assert build_plat_diagram is PlatDiagram
     assert PlatDiagram(word) == build_plat_diagram(word)
+    assert [f.name for f in fields(ImmersedCurve)] == ["word", "variant"]
+    assert [f.name for f in fields(StripDecomposition)] == ["word", "variant", "granularity"]
+    # each public stage is the value of its arguments, equal and of equal hash
+    curve = outer_smooth(PlatDiagram(word))
+    assert curve == ImmersedCurve(word, "f2") and hash(curve) == hash(ImmersedCurve(word, "f2"))
+    assert bigon_reduce(curve) == ImmersedCurve(word, "f3")
+    for variant in VARIANTS:
+        for granularity in GRANULARITIES:
+            decomposition = strip_decompose(ImmersedCurve(word, variant), variant, granularity)
+            assert decomposition == StripDecomposition(word, variant, granularity)
+            assert decomposition.strips == assemble_stable_map(word, variant, granularity).strips.strips
+
+
+@pytest.mark.parametrize("build", [lambda word: ImmersedCurve(word, "f3"), *(lambda word, g=g: StripDecomposition(word, "f3", g) for g in GRANULARITIES)])
+def test_an_f3_curve_or_decomposition_of_an_odd_region_cannot_be_built(build):
+    # the message bigon_reduce gives, naming the first odd region by its place in the word
+    for text, message in (((2, 3, 2), "region 1 has 3 double points"), ((2, 2, 1, -5, 1), "region 3 has 5 double points")):
+        word = ConwayWord(text)
+        with pytest.raises(OddTwistError, match=f"^{message}; pairing impossible$"):
+            build(word)
+        with pytest.raises(OddTwistError, match=f"^{message}; pairing impossible$"):
+            bigon_reduce(outer_smooth(PlatDiagram(word)))
+    # f2 slices a whole odd region as one Type 2 strip
+    assert StripDecomposition(ConwayWord((2, 3, 2)), "f2", "region").strips[2].param == 3
+
+
+@pytest.mark.parametrize("variant, granularity, message", [("f4", "crossing", "unknown variant 'f4'"), ("F2", "fine", "unknown variant 'F2'"), ("f2", "coarse", "unknown granularity 'coarse'"), ("f3", None, "unknown granularity None")])
+def test_an_unknown_variant_or_granularity_cannot_be_built(variant, granularity, message):
+    word = ConwayWord((3, 2, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StripDecomposition(word, variant, granularity)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        strip_decompose(ImmersedCurve(word, "f2"), variant, granularity)
+    if granularity == "crossing":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ImmersedCurve(word, variant)
 
 
 # --- outer smoothing ---------------------------------------------------------
@@ -183,34 +179,6 @@ def test_variant_mismatch():
         strip_decompose(curve, "f3")
     with pytest.raises(VariantMismatchError):
         strip_decompose(bigon_reduce(curve), "f2")
-
-
-def test_unsliceable_shape_on_fragmented_region():
-    word = ConwayWord((2, 2, 2))
-    # b-region double points separated by a foreign column: no catalogued slice
-    broken = ImmersedCurve(
-        word=word,
-        variant="f2",
-        columns=(
-            Column("crossing", 1),
-            Column("pass", 1),
-            Column("crossing", 1),
-        ),
-    )
-    with pytest.raises(UnsliceableShapeError):
-        strip_decompose(broken, "f2")
-
-
-def test_unknown_column_kind_is_unsliceable():
-    curve = ImmersedCurve(word=ConwayWord((3,)), variant="f2", columns=(Column("loop", 1),) * 3)
-    with pytest.raises(UnsliceableShapeError, match="unknown tile kind 'loop'"):
-        strip_decompose(curve, "f2")
-
-
-def test_a_curve_with_more_regions_than_its_word_is_unsliceable():
-    curve = ImmersedCurve(ConwayWord((3,)), "f2", (Column("pass", 1), Column("crossing", 1)))
-    with pytest.raises(UnsliceableShapeError, match="region 1: 1 double points"):
-        strip_decompose(curve, "f2")
 
 
 @given(words.filter(lambda w: all(b % 2 == 0 for b in w.b_entries)), st.sampled_from(["crossing", "region", "fine"]))
@@ -323,8 +291,7 @@ small_words = (
 def test_a_fine_sequence_behaves_as_the_crossing_items_with_a_filler_after_each_interior_one(word, variant, start, stop, step):
     # the fine strips, and the fine blocks where the word assembles, against
     # the crossing items with an independently built filler interleaved
-    fine, _ = curves._word_strips(word, variant, "fine")
-    crossing, _ = curves._word_strips(word, variant, "crossing")
+    fine, crossing = (StripDecomposition(word, variant, granularity) for granularity in ("fine", "crossing"))
     cases = [(fine.strips, tuple(crossing.strips), Strip("type3"))]
     try:
         models = [assemble_stable_map(word, variant, granularity) for granularity in ("fine", "crossing")]
@@ -354,8 +321,8 @@ def test_a_fine_sequence_behaves_as_the_crossing_items_with_a_filler_after_each_
 
 def test_decompositions_that_share_a_region_hold_one_strip(cold):
     # the strips come from one process-wide cache keyed on (kind, column runs)
-    first = cold(strip_decompose, outer_smooth(build_plat_diagram(ConwayWord((5, 4, 3)))), "f2", "region").strips
-    second = strip_decompose(outer_smooth(build_plat_diagram(ConwayWord((3, 4, 7, -2, 5)))), "f2", "region").strips
+    first = cold(lambda: StripDecomposition(ConwayWord((5, 4, 3)), "f2", "region").strips)
+    second = StripDecomposition(ConwayWord((3, 4, 7, -2, 5)), "f2", "region").strips
     assert [strip.param for strip in first] == [0, 5, 4, 3, 0]
     # the b-region 4, and the a-regions 3 and 5, each at another place
     assert first[2] is second[2] and first[3] is second[1] and first[1] is second[5]

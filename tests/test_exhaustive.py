@@ -6,9 +6,10 @@ oracle's witnesses for the odd-b words of magnitude sum at most 7, and
 ``even_b_normalize`` against that oracle on the odd-b words of magnitude
 sum at most 8 and on the fractions with p at most 12 at every bound up to
 40, finds an even-b form for every fraction with p below 60, and
-compares the trace of C(100,2,100) with the oracle's.  Assembly's walk
-over a word's regions is checked against the plat pipeline on the same
-words, and on long words drawn by ``hypothesis``.  The larger sweeps run
+compares the trace of C(100,2,100) with the oracle's.  The curves and
+strip decompositions that the library reads off a word's regions are
+checked against the oracle's plat pipeline on the same words, and on
+long words drawn by ``hypothesis``.  The larger sweeps run
 as a CI step:
 
     PYTHONPATH=src:tests python -c 'import test_exhaustive as t; print(t.sweep_even_b_words(12), t.check_word_regions(12), t.check_odd_b_words(8, 12), t.check_normalize_witnesses(9), t.check_normalize_against_search(9), t.check_normalize_bounds(30), t.check_every_fraction(300), t.check_ladder_trace(10000))'
@@ -34,6 +35,8 @@ from oracles import (
     oracle_model_svg,
     oracle_trace,
     plat_component_count_of_entries,
+    plat_curve_runs,
+    plat_strip_runs,
 )
 from twobridge import curves, morse, serialize
 from twobridge.cli import run_cli
@@ -49,7 +52,7 @@ from twobridge.conway import (
     fraction_of,
     schubert_equivalent,
 )
-from twobridge.curves import GRANULARITIES, VARIANTS, bigon_reduce, build_plat_diagram, outer_smooth
+from twobridge.curves import GRANULARITIES, VARIANTS, ImmersedCurve, StripDecomposition, bigon_reduce, build_plat_diagram, outer_smooth
 from twobridge.errors import DegenerateFractionError, EvenBRequiredError
 from twobridge.morse import assemble_stable_map, validate_model
 from twobridge.render import render_svg
@@ -109,33 +112,52 @@ def sweep_even_b_words(max_sum: int) -> tuple[int, int]:
     return words, degenerate
 
 
+def _plain(strip) -> tuple:
+    """A strip as the oracle writes one: kind, column runs, param."""
+    return strip.kind, tuple(((c.kind, c.sign), n) for c, n in (strip.columns.runs if strip.columns else ())), strip.param
+
+
+def _pattern_runs(strips) -> list:
+    """A decomposition's strips as the oracle writes them
+    (``oracles.plat_strip_runs``): per run, its strip and, at fine
+    between the caps, the filler."""
+    tail = () if strips.filler is None else (_plain(strips.filler),)
+    runs = strips.runs
+    return [((_plain(strip), *(tail if 0 < i < len(runs) - 1 else ())), n) for i, (strip, n) in enumerate(runs)]
+
+
 def word_regions_agree(word: ConwayWord) -> int:
-    """Slice ``word`` from its regions, as assembly does, and through the
-    plat pipeline, as ``strip_decompose(_curve(word, variant))``, for both
-    variants at every granularity: the two decompositions are equal, the
-    walk's numbering is ``_numbered`` of those strips field by field (its
-    values the same objects), and unless the word is degenerate, its
-    assembly holds that numbering and the blocks numbered as mapping each
-    distinct strip through ``_catalogue_key`` numbers them.  Returns the
-    number of models compared."""
+    """Hold the curves and strip decompositions of ``word``, for both
+    variants at every granularity, to the oracle's plat pipeline, run by
+    run: ``ImmersedCurve(word, variant).columns`` to
+    ``oracles.plat_curve_runs`` and the strips to ``oracles.plat_strip_runs``.
+    A decomposition's numbering is ``_numbered`` of its strips field by
+    field (its values the same objects), and unless the word is
+    degenerate, its assembly holds the same strips and numbering, and the
+    blocks numbered as mapping each distinct strip through
+    ``_catalogue_key`` numbers them.  Returns the number of models
+    compared."""
     models = 0
     for variant in VARIANTS:
+        columns = plat_curve_runs(word.entries, variant)
+        assert [((c.kind, c.sign), n) for c, n in ImmersedCurve(word, variant).columns.runs] == columns, (format_conway(word), variant)
         for granularity in GRANULARITIES:
             where = (format_conway(word), variant, granularity)
-            walked, numbered = curves._word_strips(word, variant, granularity)
-            assert walked == curves.strip_decompose(curves._curve(word, variant), variant, granularity), where
-            expected = curves._numbered(walked.strips)
-            assert numbered == expected and list(map(type, numbered)) == list(map(type, expected)), where
-            assert len(numbered.values) == len(expected.values) and all(map(is_, numbered.values, expected.values)), where
+            decomposition = StripDecomposition(word, variant, granularity)
+            expected = plat_strip_runs(columns, granularity)
+            assert _pattern_runs(decomposition.strips) == expected, where
+            numbered, numbering = decomposition._slicing[1], curves._numbered(decomposition.strips)
+            assert numbered == numbering and list(map(type, numbered)) == list(map(type, numbering)), where
+            assert len(numbered.values) == len(numbering.values) and all(map(is_, numbered.values, numbering.values)), where
             try:
                 fraction_of(word)
             except DegenerateFractionError:
                 continue
             _forget()
             model = assemble_stable_map(word, variant, granularity)
-            assert model.strips == walked and model._strips_numbered == expected, where
-            keys = map(morse._catalogue_key, expected.values, repeat(variant))
-            entries = morse._catalogued(expected, list(map(morse._CATALOGUE.__getitem__, keys)))
+            assert _pattern_runs(model.strips.strips) == expected and model._strips_numbered == numbering, where
+            keys = map(morse._catalogue_key, numbering.values, repeat(variant))
+            entries = morse._catalogued(numbering, list(map(morse._CATALOGUE.__getitem__, keys)))
             assert model._blocks_numbered == entries and model._blocks_numbered.values is morse._ENTRIES, where
             models += 1
     return models

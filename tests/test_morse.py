@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from oracles import acyclic_oracle, oracle_trace, plat_component_count_of_entries, random_even_b_words, regrouped_runs
 from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway, transform
 from twobridge import curves, morse
-from twobridge.curves import Column, ImmersedCurve, Strip, _Filled, _RunSeq, strip_decompose
+from twobridge.curves import Column, Strip, _Filled, _RunSeq
 from twobridge.errors import (
     DegenerateFractionError,
     EvenBRequiredError,
     InvalidStripVariantError,
     InvariantViolationError,
+    OddTwistError,
     TraceMismatchError,
 )
 from twobridge.morse import (
@@ -372,14 +373,22 @@ def test_validate_model_rejects_a_positioned_block_for_its_sections():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
-@pytest.mark.parametrize("field, value", [("word", ConwayWord((2, 2, 2))), ("variant", "f3"), ("granularity", "fine")])
-def test_validate_model_rejects_a_model_whose_fields_disagree_with_its_strips(field, value):
-    # the model reads its word, variant and granularity off its strips, so
-    # the strips are relabelled: the model then claims what its strips do not hold
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("word", ConwayWord((2, 2, 2)), "^blocks and strips out of step$"),
+        ("variant", "f3", r"^block 4: events is \(FiberEvent\(kind='II2', slice=\"F'\"\), "),
+        ("granularity", "fine", "^blocks and strips out of step$"),
+    ],
+)
+def test_validate_model_rejects_a_model_whose_fields_disagree_with_its_blocks(field, value, error):
+    # the model reads its word, variant and granularity off its strips, and
+    # the strips are those of their arguments, so relabelling them puts the
+    # blocks out of step with the strips, or unequal to the assembly's
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     tampered = replace(model, strips=replace(model.strips, **{field: value}))
     assert getattr(tampered, field) == value and tampered.blocks is model.blocks
-    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\("):
+    with pytest.raises(InvariantViolationError, match=error):
         validate_model(tampered)
 
 
@@ -445,36 +454,32 @@ def test_validate_model_rejects_blocks_out_of_step_with_the_strips():
         validate_model(replace(model, blocks=tuple(blocks)))
 
 
-@pytest.mark.parametrize("other", ["fine", "C(-3,2,3)"])
-def test_validate_model_rejects_strips_that_are_not_the_decomposition_of_the_word(other):
-    # the fine model of C(3,2,3), or the model of its mirror-signed word,
-    # with strips labelled as the crossing strips of C(3,2,3): blocks, trace and census all hold
+def test_validate_model_rejects_blocks_of_another_granularity_under_the_strips_of_the_word():
+    # the fine blocks of C(3,2,3) with the crossing strips of C(3,2,3)
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
-    source = assemble_stable_map(parse_conway(other), "f2") if other.startswith("C") else assemble_stable_map(model.word, "f2", other)
-    tampered = replace(source, strips=replace(source.strips, word=model.word, granularity="crossing"))
+    tampered = replace(assemble_stable_map(model.word, "f2", "fine"), strips=model.strips)
     assert (tampered.word, tampered.granularity) == (model.word, "crossing")
-    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
+    with pytest.raises(InvariantViolationError, match="^blocks and strips out of step$"):
         validate_model(tampered)
-
-
-def test_validate_model_names_the_block_of_an_f2_type2_strip_that_holds_a_tangency():
-    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
-    strips = list(model.strips.strips)
-    assert strips[4].kind == "type2"
-    strips[4] = Strip("type2", (Column("tangency", 1),), param=1)
-    tampered = replace(model, strips=replace(model.strips, strips=tuple(strips)))
-    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
-        validate_model(tampered)
+    # the blocks of the mirror-signed word are the word's own: a block
+    # knows the parity of its strip's crossings, not their sign
+    mirrored = replace(assemble_stable_map(ConwayWord((-3, 2, 3)), "f2"), strips=model.strips)
+    assert mirrored == model
+    validate_model(mirrored)
 
 
 def test_validate_model_rejects_a_word_that_does_not_decompose():
-    # C(2,3,2) has an odd vertical twist count, so it has no assembly
-    model = assemble_stable_map(ConwayWord((3, 2, 3)), "f3")
+    # C(2,3,2) has an odd vertical twist count, so it has no assembly; its
+    # f2 strips match the blocks of C(2,2,2) in number and in trace
+    model = assemble_stable_map(ConwayWord((2, 2, 2)), "f2")
     word = ConwayWord((2, 3, 2))
     tampered = replace(model, strips=replace(model.strips, word=word))
-    assert tampered.word == word
+    assert tampered.word == word and len(tampered.strips.strips) == len(model.blocks)
     with pytest.raises(InvariantViolationError, match="^the word does not decompose: "):
         validate_model(tampered)
+    # its f3 strips cannot be built
+    with pytest.raises(OddTwistError, match="^region 1 has 3 double points; pairing impossible$"):
+        replace(assemble_stable_map(model.word, "f3").strips, word=word)
 
 
 def test_trace_rejects_blocks_that_lose_a_strand():
@@ -707,17 +712,6 @@ def test_hashing_a_model_takes_no_step_per_crossing(cold):
     model = assemble_stable_map(ConwayWord((3, 2, 3)), "f2")
     flat = replace(model, blocks=tuple(model.blocks))
     assert flat == model and hash(flat) == hash(model)
-
-
-def test_a_decomposition_with_the_wrong_type2_count_fails_its_check():
-    word = ConwayWord((3, 2, 3))
-    no_double_points = ((Column("pass", 1), 3), (Column("pass", 1), 4))  # as many strips as blocks
-    curve = ImmersedCurve(word=word, variant="f2", columns=_RunSeq(no_double_points))
-    decomposition = strip_decompose(curve, "f2")
-    model = replace(assemble_stable_map(word, "f2"), strips=decomposition)
-    assert [s.kind for s in decomposition.strips].count("type2") == 0
-    with pytest.raises(InvariantViolationError, match=r"^strips differ from the decomposition of C\(3,2,3\)$"):
-        validate_model(model)
 
 
 def test_the_shared_strips_and_their_keys_stay_within_their_bounds(cold):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from oracles import model_entries, oracle_curve_svg, oracle_model_svg
 from twobridge.conway import ConwayWord, parse_conway
-from twobridge.curves import StripDecomposition, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge import render
-from twobridge.morse import LEAVES, REEB_EDGES, SADDLES, StableMapModel, assemble_stable_map
+from twobridge.morse import LEAVES, REEB_EDGES, SADDLES, assemble_stable_map
 from twobridge.render import render_svg
 
 
@@ -114,13 +114,8 @@ def test_model_svg_matches_the_per_strip_oracle(entries, variant, granularity):
     model = assemble_stable_map(ConwayWord(entries), variant, granularity)
     expected = oracle_model_svg(model)
     assert render_svg(model) == expected
-    # strips and blocks put in as plain tuples, whose runs are found anew
-    plain = replace(
-        model,
-        blocks=tuple(model.blocks),
-        strips=replace(model.strips, strips=tuple(model.strips.strips)),
-    )
-    assert render_svg(plain) == expected
+    # blocks put in as a plain tuple, whose runs are found anew
+    assert render_svg(replace(model, blocks=tuple(model.blocks))) == expected
 
 
 @pytest.mark.parametrize(("text", "variant"), [("C(30000,2,3)", "f2"), ("C(-3,-20000,-3)", "f3")])
@@ -217,14 +212,3 @@ def test_model_render_peaks_under_1_7_times_its_length():
     finally:
         tracemalloc.stop()
     assert peak < 1.7 * len(svg), (peak, len(svg))
-
-
-_EMPTY_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 32 {0}" width="32" height="{0}">\n'
-_EMPTY_BODY = '<rect class="region-E" x="16" y="16" width="0" height="96" fill="none" stroke="black" stroke-width="2"/>\n</svg>\n'
-
-
-def test_a_decomposition_or_model_without_strips_renders_no_separator():
-    # no strip, no separator: no gamma line and no tree, as at e6450c6
-    strips = StripDecomposition(ConwayWord((3, 2, 3)), "f2", "crossing", ())
-    assert render_svg(strips) == _EMPTY_HEAD.format(128) + _EMPTY_BODY
-    assert render_svg(StableMapModel(strips, ())) == _EMPTY_HEAD.format(208) + _EMPTY_BODY
