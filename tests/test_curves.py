@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import A_STRANDS, _pattern_strand_sequence
 from twobridge.conway import ConwayWord
 from twobridge.curves import (
     GRANULARITIES,
@@ -40,6 +41,42 @@ entry = st.integers(min_value=-6, max_value=6).filter(lambda e: e != 0)
 words = st.lists(entry, min_size=1, max_size=7).filter(lambda l: len(l) % 2 == 1).map(
     lambda l: ConwayWord(tuple(l))
 )
+
+
+def test_diagram_crossing_counts():
+    # a diagram's crossings are its curve's columns, one run per region
+    columns = outer_smooth(build_plat_diagram(ConwayWord((3, 2, 3)))).columns
+    assert len(columns) == 8
+    assert tuple(n for _, n in columns.runs) == (3, 2, 3)
+
+
+def test_diagram_sign_tags():
+    columns = outer_smooth(build_plat_diagram(ConwayWord((2, -2, 2)))).columns
+    assert len(columns) == 6
+    # the b-region keeps its double points, signed by its entry
+    middle = columns[2:4]
+    assert all(c == Column("crossing", -1) for c in middle)
+    # the outer-adjacent crossings are smoothed to passes
+    outer = columns[:2] + columns[4:]
+    assert all(c == Column("pass", 1) for c in outer)
+
+
+def test_diagram_single_region():
+    columns = outer_smooth(build_plat_diagram(ConwayWord((5,)))).columns
+    assert len(columns) == 5
+    assert tuple(n for _, n in columns.runs) == (5,)
+
+
+@given(words)
+def test_plat_diagram_matches_the_per_crossing_oracle(word):
+    # the f2 curve column by column against the determinant oracle's strands
+    columns = outer_smooth(build_plat_diagram(word)).columns
+    strands = _pattern_strand_sequence(tuple(map(abs, word.entries)))
+    assert [c.kind for c in columns] == ["pass" if s == A_STRANDS else "crossing" for s in strands]
+    assert [c.sign for c in columns] == [e // abs(e) for e in word.entries for _ in range(abs(e))]
+    # one run per twist region, of one of four shared columns
+    assert len(columns.runs) == len(word.entries)
+    assert len(set(map(id, columns))) <= 4
 
 
 def test_a_diagram_a_curve_and_a_decomposition_are_their_arguments():
