@@ -9,17 +9,17 @@ SVG is never imported.
 A document is runs of rows: a strip rect, a gamma line, a tree, a column
 glyph of a curve, or in an export a strip or block entry; rects, glyphs
 and blocks are placed per run off their numbering (``_run_rows``).
-Along a run each x is ``offset + k*step``, so a row's text is shared pieces: per x
+Along a run each x is ``offset + k*step``, so a row is shared pieces: per x
 its thousands, and its last three digits with the template's next
 literal.  A template's rows are laid out once per process, only as far
-as calls ask, and a row past them is a slice of a cached page of its
-period (``_Layout``), so a call costs the same wherever its run starts.
-A document is one list of parts, filled run by run (``_windowed``),
-with an optional ``flush`` callback that is handed the list each time
-``_WINDOW`` more parts have gone in.  ``render_svg`` and ``export_json``
-pass none and join the list once; the CLI passes one that writes the
-parts and empties the list, so what it holds does not grow with the
-document.
+as calls ask, and joined, so a run of them is one slice of that text; a
+row past them is a slice of a cached page of its period (``_Layout``),
+so a call costs the same wherever its run starts.  A document is one
+list of parts, filled run by run (``_windowed``), with an optional
+``flush`` callback that is handed the list each time ``_WINDOW`` more
+row pieces have gone in.  ``render_svg`` and ``export_json`` pass none
+and join the list once; the CLI passes one that writes the parts and
+empties the list, so what it holds does not grow with the document.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ STRIP_BOT = 112
 TREE_H = 48
 TREE_W = 16
 
-_WINDOW = 1 << 13  # parts a flush is handed, give or take a row
+_WINDOW = 1 << 13  # row pieces a flush is handed, give or take a row
 
 
 def _opening(width: int, height: int) -> list[str]:
@@ -72,7 +72,7 @@ def _heads(x: int, step: int, n: int) -> list[str]:
     return heads
 
 
-# A row source has ``stride``, the parts of each of its rows, and
+# A row source has ``stride``, the pieces of each of its rows, and
 # ``fill(parts, first, n)``, which appends rows first to first + n - 1.
 
 
@@ -80,14 +80,16 @@ class _Layout:
     """The rows of ``template`` over the progressions ``fields``: a row is
     its first literal, then per field the thousands of its x and the rest
     with the next literal.  Rows are built as far as calls ask, until
-    every x is 1000 or more and then for the period of the tails (1000 /
-    gcd(step, 1000) rows), so a small document is one slice of them.  A
-    row past them is a row of a page, the period with the thousands of
-    one stretch of rows written in; the last page is kept.  Both lists are
-    swapped in whole and never changed after, so calls from two threads
-    at once read consistent rows."""
+    every x is 1000 or more (row ``low``) and then for the period of the
+    tails (1000 / gcd(step, 1000) rows), and held joined with each row's
+    start, so a run of them is one slice of the text.  The period's rows
+    are also held as pieces: a row past them is a row of a page, the
+    period with the thousands of one stretch of rows written in; the last
+    page is kept.  The built rows (text, starts and pieces) and the page
+    are each one value, swapped in whole and never changed after, so
+    calls from two threads at once read consistent rows."""
 
-    __slots__ = ("template", "fields", "pieces", "stride", "low", "period", "places", "rows", "page")
+    __slots__ = ("template", "fields", "pieces", "stride", "low", "period", "places", "built", "page")
 
     def __init__(self, template: str, fields: tuple):
         self.template, self.fields = template, fields
@@ -99,7 +101,7 @@ class _Layout:
         for at, name in enumerate(pieces[1::2]):
             places.setdefault(fields[int(name)], []).append(bool(pieces[0]) + 2 * at)
         self.places = tuple(places.items())
-        self.rows: list[str] = []
+        self.built: tuple[str, list[int], list[str]] = ("", [0], [])  # text, row starts, pieces of rows low on
         self.page: tuple[int, int, list[str]] = (0, 0, [])  # first row, end, rows
 
     def _build(self, start: int, end: int) -> list[str]:
@@ -114,23 +116,26 @@ class _Layout:
         return list(chain.from_iterable(zip(*columns)))
 
     def fill(self, parts: list, first: int, n: int) -> None:
-        """Append rows ``first`` to ``first + n - 1``, for ``n >= 1``."""
-        end, stride, rows = first + n, self.stride, self.rows
-        if end * stride <= len(rows):
-            parts += rows[first * stride : end * stride]
+        """Append rows ``first`` to ``first + n - 1``, for ``n >= 1``: one
+        text if they end inside the built rows."""
+        end, stride = first + n, self.stride
+        text, starts, rows = self.built
+        if end < len(starts):
+            parts.append(text[starts[first] : starts[end]])
             return
         start, stop, page = self.page
         if start <= first and end <= stop:
             parts += page[(first - start) * stride : (end - start) * stride]
             return
-        built, count = len(rows) // stride, self.low + self.period
-        if built < count:
-            rows = self.rows = rows + self._build(built, min(count, max(end, 2 * built, 16)))
-            built = len(rows) // stride
+        built, low, period = len(starts) - 1, self.low, self.period
+        if built < low + period:
+            new = self._build(built, min(low + period, max(end, 2 * built, 16)))
+            starts = starts + list(accumulate(map(len, new), initial=len(text)))[stride::stride]
+            text, rows = text + "".join(new), rows + new[max(0, low - built) * stride :]
+            self.built, built = (text, starts, rows), len(starts) - 1
         if first < built:
-            parts += rows[first * stride : min(end, built) * stride]
+            parts.append(text[starts[first] : starts[min(end, built)]])
             first = built
-        low, period = self.low, self.period
         if end - first <= period:  # a slice of a page or two
             while first < end:
                 start = first - (first - low) % period
@@ -139,7 +144,7 @@ class _Layout:
                 first = stop
             return
         # Longer: whole periods of the page, then the thousands written in.
-        page = self.page[2] or self._page(rows, count)[1]
+        page = self.page[2] or self._page(rows, low + period)[1]
         start, size = len(parts), (end - first) * stride
         at = (first - low) % period * stride
         parts += page[at : at + size]
@@ -153,11 +158,11 @@ class _Layout:
 
     def _page(self, rows: list, start: int) -> tuple[int, list[str]]:
         """The end and the rows of the page from row ``start`` on: the
-        period at the end of the whole ``rows``, with the thousands of rows
-        ``start`` onwards written in."""
+        period's pieces ``rows``, with the thousands of rows ``start``
+        onwards written in."""
         at, stop, page = self.page
         if at != start:
-            page, stop, stride = rows[self.low * self.stride :], start + self.period, self.stride
+            page, stop, stride = rows[:], start + self.period, self.stride
             for (offset, step), places in self.places:
                 heads = _heads(offset + start * step, step, self.period)
                 for j in places:
@@ -182,7 +187,7 @@ class _Text:
         self.template = template
 
     def fill(self, parts: list, first: int, n: int) -> None:
-        parts += repeat(self.template, n)
+        parts += [self.template] * n  # the one text n times: ``template * n`` would copy a long run once more
 
 
 class _Texts:
@@ -231,18 +236,24 @@ def _windowed(parts: list, runs, flush=None) -> list:
     """Append to ``parts`` the rows of each run ``(row, count, first)``,
     rows ``first`` to ``first + count - 1`` of a row source, none for a
     count below 1, and return it.  With ``flush``, ``parts`` is handed to
-    ``flush`` whenever ``_WINDOW`` parts have gone in and more are to go
-    in, so never after the last row: it writes them and empties the list
-    (``cli._write_output``); without it, a run is one fill."""
+    ``flush`` whenever ``_WINDOW`` row pieces have gone in and more are to
+    go in, so never after the last row: it writes them and empties the
+    list (``cli._write_output``).  A row counts as its ``stride`` pieces
+    and a part that ``parts`` starts with as one, however few strings a
+    fill appends: one text can hold thousands of rows.  Without
+    ``flush``, a run is one fill."""
+    held = len(parts)
     for row, count, first in runs:
-        while flush and count > 0 and len(parts) + count * row.stride > _WINDOW:
-            if len(parts) >= _WINDOW:
+        while flush and count > 0 and held + count * row.stride > _WINDOW:
+            if held >= _WINDOW:
                 flush(parts)
-            k = min(count, (_WINDOW - len(parts)) // row.stride + 1)  # to the window's end and one more
+                held = 0
+            k = min(count, (_WINDOW - held) // row.stride + 1)  # to the window's end and one more
             row.fill(parts, first, k)
-            first, count = first + k, count - k
+            first, count, held = first + k, count - k, held + k * row.stride
         if count > 0:
             row.fill(parts, first, count)
+            held += count * row.stride
     return parts
 
 

@@ -18,15 +18,14 @@ import re
 import reprlib
 from dataclasses import fields
 from functools import lru_cache
-from itertools import chain, islice
 from operator import attrgetter
 
 from .complexity import smc_upper_bound, weighted_sum
 from .conway import _require_size, format_conway, parse_conway
-from .curves import GRANULARITIES, VARIANTS, _each, _runs_of
+from .curves import _FILLER, GRANULARITIES, VARIANTS, _each, _runs_of
 from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
 from .morse import _CATALOGUE, _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
-from .render import _followed, _pieces, _row, _run_rows, _Text, _Texts, _windowed
+from .render import _followed, _pieces, _row, _run_rows, _Text, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -166,18 +165,20 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     """The parts of the export of ``model``, in order (``render._windowed``).
     Each entry of an array ends in its separator, and the last one's
     closes the array."""
-    word, census, strips, blocks = model.word, model.census, model.strips.strips, model.blocks
+    word, census, numbered, blocks = model.word, model.census, model._strips_numbered, model.blocks
     fraction = model._fraction
     strings = (json.dumps(format_conway(word)), _QUOTED[model.variant], _QUOTED[model.granularity])
-    texts = _each(model._strips_numbered, _strip_text)
-    closed = chain(islice(texts, len(strips) - 1), map(_closed, texts))  # the last one closes the array
+    texts = list(map(_strip_text, numbered.values))
+    texts[-1] = _closed(texts[-1])  # the outer cap's, last, closes the array
+    filler = numbered.fine and _strip_text(_FILLER)  # after each interior strip of a fine model
+    strips = _run_rows(numbered, list(map(_Text, texts)), numbered.fine and [_Text(text + filler) for text in texts])
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
     rows = _facts(_BLOCK_ROWS, model._blocks_numbered, _block_row)
     if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
         index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
     fine_rows = model._blocks_numbered.fine and _FINE_BLOCK_ROWS + tuple(_followed(row, _FILLER_ROW) for row in rows[len(_ENTRIES) :])
-    _windowed(parts, [(_Texts(closed), len(strips), 0), (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows, fine_rows)], flush)
+    _windowed(parts, [*strips, (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows, fine_rows)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
     parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))

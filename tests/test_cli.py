@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
@@ -165,6 +166,22 @@ def test_a_document_written_in_windows_of_any_size_is_the_library_one(window, mo
                 out = io.StringIO()
                 cli._write_output(lambda flush: write(model, flush), None, out)
                 assert out.getvalue() == document(model)
+
+
+@pytest.mark.parametrize("window", [render._WINDOW, 64])
+def test_a_window_holds_under_its_size_in_longest_rows(window, monkeypatch):
+    # a fill inside a layout's built rows appends them as one text, so a
+    # window counts row pieces, not parts: each text written stays under
+    # the window times the document's longest row (an entry of the
+    # export, a line of the SVG)
+    monkeypatch.setattr(render, "_WINDOW", window)
+    model = assemble_stable_map(parse_conway("C(3,2,30000)"), "f3", "crossing")
+    for write, document, row in ((serialize._export_parts, export_json, "\n    {"), (render._svg_parts, render_svg, "\n")):
+        texts = []
+        cli._write_output(lambda flush: write(model, flush), None, types.SimpleNamespace(write=texts.append))
+        longest = max(map(len, document(model).split(row)))
+        assert "".join(texts) == document(model) and len(texts) > 2
+        assert max(map(len, texts)) < window * longest, (write.__name__, max(map(len, texts)), longest)
 
 
 @pytest.mark.parametrize("argv", [["build", "C(3,2,3)", "--variant", "f2"], ["render", "C(3,2,3)"]])

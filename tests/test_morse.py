@@ -1,5 +1,6 @@
 """Cross-sections, blocks, assembly, censuses, and fold traces."""
 
+import gc
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -720,11 +721,13 @@ def test_the_shared_strips_and_their_keys_stay_within_their_bounds(cold):
     # catalogue keys, read off each strip, are kept by build_block alone
     cold(assemble_stable_map, ConwayWord((3, 2, 3)), "f2", "region")
     held = []
+    gc.collect()  # each reading is of what assembly holds, not of earlier tests' garbage
     tracemalloc.start()
     try:
         for start in (1, 1501):
             for k in range(start, start + 1500):
                 assemble_stable_map(ConwayWord((2 * k + 1, 2 * k, 2 * k + 1)), "f2", "region")
+            gc.collect()
             held.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()

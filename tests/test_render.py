@@ -1,5 +1,6 @@
 """SVG rendering: glyph counts, determinism, well-formedness."""
 
+import gc
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import model_entries, oracle_curve_svg, oracle_model_svg
 from twobridge.conway import ConwayWord, parse_conway
-from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
-from twobridge import render
+from twobridge.curves import ImmersedCurve, bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
+from twobridge import render, serialize
 from twobridge.morse import LEAVES, REEB_EDGES, SADDLES, assemble_stable_map
 from twobridge.render import render_svg
 
@@ -165,20 +166,28 @@ def _progressions(draw):
     st.integers(0, 5000),
     st.lists(st.integers(0, 300), max_size=4),
     st.booleans(),
+    st.tuples(st.sampled_from([0, 1, 3]), st.integers(1, 60), st.integers(1, 60)),
 )
-def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, literal, far, lengths, far_first):
+def test_coordinate_pieces_are_the_text_of_each_x(progression, other_step, literal, far, lengths, far_first, across):
     # rows are built on demand: each example starts from no layout, and a
     # far stretch, filled in consecutive runs as a document fills them,
-    # comes before or after the drawn run
+    # comes before or after the drawn run and a run across row low, the
+    # end of the built rows (a period past low) or a page's start; a run
+    # that ends inside the built rows is one text
     render._layout.cache_clear()
     offset, step, first, n = progression
     template = "<{0}" + literal + "{1}|{0}>"
     fields = ((offset, step), (offset + 8, other_step))
+    layout = render._layout(template, fields)
+    periods, before, after = across
+    boundary = layout.low + periods * layout.period
+    runs = [(first, n), (max(0, boundary - before), min(boundary, before) + after)]
     stretch = list(zip(accumulate(lengths, initial=far), lengths))
-    for first, n in [*stretch, (first, n)] if far_first else [(first, n), *stretch]:
+    for first, n in [*stretch, *runs] if far_first else [*runs, *stretch]:
         parts = ["before"]
         if n:
-            render._layout(template, fields).fill(parts, first, n)
+            layout.fill(parts, first, n)
+            assert first + n >= len(layout.built[1]) or len(parts) == 2, (first, n, layout.low, layout.period)
         expected = "".join(
             f"<{offset + k * step}{literal}{offset + 8 + k * other_step}|{offset + k * step}>" for k in range(first, first + n)
         )
@@ -200,6 +209,22 @@ def test_threads_rendering_at_once_write_the_same_bytes():
                 assert [future.result(timeout=60) for future in futures] == expected * 2
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_no_layout_holds_text_past_a_period_beyond_its_low_row():
+    # fills are fast because they hand out fewer pieces, not because
+    # layouts keep documents: whatever was exported and rendered, a layout
+    # holds text for its rows up to low + period, and pieces for its period
+    for text in ("C(10000,2,10000)", "C(-3,-20000,-3)"):
+        model = assemble_stable_map(parse_conway(text), "f3")
+        documents = ("".join(serialize._export_parts(model)), render_svg(model), render_svg(model.strips), render_svg(ImmersedCurve(model.word, "f3")))
+        assert all(len(document) > 10**6 for document in documents)
+    layouts = [obj for obj in gc.get_objects() if isinstance(obj, render._Layout)]
+    assert any(len(layout.built[1]) - 1 == layout.low + layout.period for layout in layouts)
+    for layout in layouts:
+        text, starts, rows = layout.built
+        assert len(starts) - 1 <= layout.low + layout.period and len(text) == starts[-1], layout.template
+        assert len(rows) <= layout.period * layout.stride, layout.template
 
 
 def test_model_render_peaks_under_1_7_times_its_length():
