@@ -11,13 +11,15 @@ facts drive everything here:
 
 Given a volume above (4m-2) * V_oct, (1) forces smc > 2m - 1 while (2)
 caps it at 2m, so smc = 2m exactly.  Volumes are always supplied by the
-caller or a census table; nothing here computes one.
+caller or a census table; nothing here computes one.  A certificate
+writes its chain out in words from its bounds when first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .conway import ConwayWord, all_b_even, twist_number
 from .errors import (
@@ -73,7 +75,8 @@ class Certificate:
 
     ``volume_inconsistent`` flags a supplied volume exceeding the
     4m * V_oct cap (the input contradicts the upper bound); the status
-    itself stays monotone in the volume.
+    itself stays monotone in the volume.  ``chain``, the steps in words,
+    is written from the fields when first read.
     """
 
     status: str  # 'certified' | 'inconclusive' | 'inapplicable'
@@ -87,7 +90,27 @@ class Certificate:
     lower_bound: int
     upper_bound: int | None
     volume_inconsistent: bool
-    chain: tuple[str, ...]
+
+    @cached_property
+    def chain(self) -> tuple[str, ...]:
+        if self.m == 0:
+            return ("m = 0: single twist region, torus link; the 2m upper bound is vacuous",)
+        volume, upper, lower = self.volume, self.upper_bound, self.lower_bound
+        certified = self.status == "certified"
+        chain = [
+            f"smc(E(L)) <= 2m = {upper}  [weighted sum of the f2 model]",
+            f"smc(E(L)) >= ceil(vol / (2 V_oct)) = ceil({volume!r} / {2 * V_OCT!r}) = {lower}",
+            f"vol = {volume!r} {'>' if certified else '<='} (4m-2) V_oct + eps = {self.threshold!r} + {self.epsilon!r}",
+            f"hence smc(E(L)) > 2m - 1 = {upper - 1}, so smc(E(L)) = {upper}"
+            if certified
+            else "the volume does not separate smc from 2m - 1; inconclusive",
+        ]
+        if self.volume_inconsistent:
+            chain.append(
+                f"warning: lower bound {lower} exceeds 2m = {upper}; "
+                f"the supplied volume is above the 4m V_oct cap {self.volume_cap!r} (bad input?)"
+            )
+        return tuple(chain)
 
 
 def _require_finite(volume: float) -> None:
@@ -135,7 +158,8 @@ def certify_smc(
 
     Comparisons within a finite, non-negative ``epsilon`` of the threshold
     stay inconclusive; floating-point noise never certifies.  m = 0 words
-    are inapplicable (the upper bound has no content).
+    are inapplicable (the upper bound has no content).  No prose is
+    written here: the certificate writes its chain when first read.
     """
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
@@ -146,33 +170,12 @@ def certify_smc(
     if m == 0:
         status, value, upper, inconsistent = "inapplicable", None, None, False
         threshold = cap = 0.0
-        chain = ["m = 0: single twist region, torus link; the 2m upper bound is vacuous"]
     else:
         threshold = (4 * m - 2) * V_OCT
         cap = 4 * m * V_OCT
         upper = 2 * m
         inconsistent = lower > upper
-        chain = [
-            f"smc(E(L)) <= 2m = {upper}  [weighted sum of the f2 model]",
-            f"smc(E(L)) >= ceil(vol / (2 V_oct)) = ceil({volume!r} / {2 * V_OCT!r}) = {lower}",
-        ]
-        if volume > threshold + epsilon:
-            chain.append(
-                f"vol = {volume!r} > (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
-            )
-            chain.append(f"hence smc(E(L)) > 2m - 1 = {upper - 1}, so smc(E(L)) = {upper}")
-            status, value = "certified", upper
-        else:
-            chain.append(
-                f"vol = {volume!r} <= (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}"
-            )
-            chain.append("the volume does not separate smc from 2m - 1; inconclusive")
-            status, value = "inconclusive", None
-        if inconsistent:
-            chain.append(
-                f"warning: lower bound {lower} exceeds 2m = {upper}; "
-                f"the supplied volume is above the 4m V_oct cap {cap!r} (bad input?)"
-            )
+        status, value = ("certified", upper) if volume > threshold + epsilon else ("inconclusive", None)
     return Certificate(
         status=status,
         word=word,
@@ -185,7 +188,6 @@ def certify_smc(
         lower_bound=lower,
         upper_bound=upper,
         volume_inconsistent=inconsistent,
-        chain=tuple(chain),
     )
 
 

@@ -266,10 +266,10 @@ def _through(numbered: _Numbering, table) -> zip:
     return zip(map(table.__getitem__, numbered.numbers), numbered.counts)
 
 
-def _each(numbered: _Numbering, f):
-    """The items of ``numbered`` as ``f`` of each distinct one (and of the filler), at C speed."""
-    runs = _through(numbered, list(map(f, numbered.values)))
-    return iter(_Filled(runs, filler=f(_FILLER))) if numbered.fine else _expand(runs)
+def _each(numbered: _Numbering, table: list, filler=None):
+    """The items of ``numbered``, value k as ``table[k]`` (and ``filler`` between, if fine), at C speed."""
+    runs = _through(numbered, table)
+    return iter(_Filled(runs, filler=filler)) if numbered.fine else _expand(runs)
 
 
 def outer_smooth(d: PlatDiagram) -> ImmersedCurve:

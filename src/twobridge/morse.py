@@ -53,6 +53,7 @@ from .curves import (
     _Numbering,
     _numbered,
     _RunSeq,
+    _require_known,
     _runs_of,
     _sliced,
     _through,
@@ -265,7 +266,7 @@ def build_block(strip: Strip, variant: str, index: int | None = None) -> BlockMa
 def _catalogue_key(strip: Strip, variant: str) -> tuple[str, int, str]:
     """The catalogue key of ``strip`` in a ``variant`` model, once the
     strip is checked against it (``build_block``: assembly reads the key of
-    the strips it slices off their kind and columns).  A strip is a frozen
+    the strips it slices off their kind and param).  A strip is a frozen
     value, so its key is kept per value and not checked again; the key,
     not the block, is kept, and the catalogue read on every call."""
     kind = strip.kind
@@ -446,11 +447,14 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
             f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    # One walk over the word's regions slices and numbers the strips; each
-    # distinct one is mapped to its block by its kind and crossing parity.
-    strips = StripDecomposition(word, variant, granularity)
-    sequence, numbered = vars(strips)["_slicing"] = _sliced(word, variant, granularity)
-    entries = _catalogued(numbered, [_CATALOGUE[strip.kind, len(strip.columns) % 2, variant] for strip in numbered.values])
+    # The decomposition, built past its own scan of b, just made here; one
+    # walk over the word's regions slices and numbers its strips, and each
+    # distinct one is mapped to its block by its kind and param's parity.
+    _require_known(variant, granularity)
+    strips = object.__new__(StripDecomposition)
+    vars(strips).update(word=word, variant=variant, granularity=granularity, _slicing=_sliced(word, variant, granularity))
+    sequence, numbered = strips._slicing
+    entries = _catalogued(numbered, [_CATALOGUE[strip.kind, strip.param % 2, variant] for strip in numbered.values])
     runs = _through(entries, entries.values)
     blocks = _Filled(runs, sequence, _CATALOGUE["type3", 0, variant]) if entries.fine else _RunSeq(runs, sequence)
     model = StableMapModel(strips, blocks)

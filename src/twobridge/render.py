@@ -306,7 +306,7 @@ _RECTS = {
     for kind in ("type1", "type2", "type3", "type4")
 }
 _FINE_RECTS = {rect: _followed(rect, _RECTS["type3"]) for rect in _RECTS.values()}  # each with the filler's after it
-_GAMMA = _line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n"
+_GAMMA = _layout(_line("{0}", STRIP_TOP, "{0}", STRIP_BOT, "gamma") + "\n", ((MARGIN + STRIP_W, STRIP_W),))
 
 
 def _strip_runs(numbered, n: int) -> list:
@@ -318,7 +318,7 @@ def _strip_runs(numbered, n: int) -> list:
     )
     rects = [_RECTS.get(strip.kind) or _RECTS["type3"] for strip in numbered.values]
     fine = numbered.fine and list(map(_FINE_RECTS.__getitem__, rects))
-    return [*_run_rows(numbered, rects, fine), (_Text(outline), 1, 0), (_layout(_GAMMA, ((MARGIN + STRIP_W, STRIP_W),)), n - 1, 0)]
+    return [*_run_rows(numbered, rects, fine), (_Text(outline), 1, 0), (_GAMMA, n - 1, 0)]
 
 
 # The standard cross-section tree, edge by edge: leaves 1 and 2 above,
@@ -326,8 +326,8 @@ def _strip_runs(numbered, n: int) -> list:
 # left, middle and right x.
 _TOP, _HI, _LO, _BOT = (STRIP_BOT + MARGIN + k * TREE_H // 3 for k in range(4))
 _PLACES = {1: ("{0}", _TOP), 2: ("{2}", _TOP), "s_hi": ("{1}", _HI), "s_lo": ("{1}", _LO), 3: ("{0}", _BOT), 4: ("{2}", _BOT)}
-_TREE = '<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in REEB_EDGES) + "</g>\n"
 _TREE_X = tuple((MARGIN + STRIP_W + dx, STRIP_W) for dx in (-TREE_W // 2, 0, TREE_W // 2))
+_TREE = _layout('<g class="reeb-tree">' + "".join(_line(*_PLACES[u], *_PLACES[v], "reeb-edge") for u, v in REEB_EDGES) + "</g>\n", _TREE_X)
 
 
 def _event_dots(block) -> tuple[str, ...]:
@@ -370,7 +370,7 @@ def _model_runs(model: StableMapModel) -> tuple[list[str], list]:
     MARGIN + k * STRIP_W."""
     n = len(model.strips.strips)
     parts = _opening(2 * MARGIN + n * STRIP_W, STRIP_BOT + TREE_H + 3 * MARGIN)
-    return parts, [*_strip_runs(model._strips_numbered, n), _dot_run(model._blocks_numbered), (_layout(_TREE, _TREE_X), n - 1, 0)]
+    return parts, [*_strip_runs(model._strips_numbered, n), _dot_run(model._blocks_numbered), (_TREE, n - 1, 0)]
 
 
 def _svg_parts(subject, flush=None) -> list[str]:

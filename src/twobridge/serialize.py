@@ -7,8 +7,8 @@ re-derived from the word and every stored structure is checked against
 the fresh one, and a text shorter than the export it names is parsed,
 never exported to compare.  ``granularity`` is stored so that
 round-trips are lossless across slicing conventions.  The arrays are
-written off the model's numbering: a text per distinct strip, and a
-block template per catalogue entry (``_BLOCK_ROWS``).
+written off the model's numbering: one run of a text per distinct strip,
+and a block template per catalogue entry (``_BLOCK_ROWS``).
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from dataclasses import fields
 from functools import lru_cache
 from operator import attrgetter
 
-from .complexity import smc_upper_bound, weighted_sum
+from .complexity import weighted_sum
 from .conway import _require_size, format_conway, parse_conway
 from .curves import _FILLER, GRANULARITIES, VARIANTS, _each, _runs_of
-from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError
+from .errors import InvariantViolationError, SchemaError, TwoBridgeError, WordTooLargeError, _quoted
 from .morse import _CATALOGUE, _ENTRIES, EVENT_SLICES, SingularFiberCensus, StableMapModel, _facts, assemble_stable_map
-from .render import _followed, _pieces, _row, _run_rows, _Text, _windowed
+from .render import _followed, _pieces, _row, _run_rows, _Text, _Texts, _windowed
 
 SCHEMA_VERSION = "1"
 
@@ -67,7 +67,7 @@ def _model_document(model: StableMapModel, strips, blocks) -> dict:
         "blocks": blocks,
         "census": dict(zip(_INT_FIELDS["census"], _census_values(census))),
         "bounds": {
-            "smc_upper": smc_upper_bound(model.word).smc_upper,
+            "smc_upper": 2 * model.word.m,
             "weighted_sum": weighted_sum(census),
         },
     }
@@ -149,10 +149,10 @@ def export_json(model: StableMapModel) -> str:
     The bytes are those of ``json.dumps(document, indent=2)``, whose
     encoder is pure Python, laid out as one list of parts and joined once
     (``_export_parts``): the frame as one text template (``_frame``), its
-    strings quoted from a table, the word's through ``json.dumps``, and
-    the arrays as one cached text per distinct strip or block, with the
-    slice tags of a block's events filled in per run.  The last text is
-    kept and returned again for an equal model, whose export it is.
+    strings quoted from a table, the word's through ``json.dumps``, the
+    strips as one run of a cached text per distinct strip, the blocks as
+    a template per distinct block with the slice tags filled in per run,
+    and 2m.  The last text is kept and returned again for an equal model.
     """
     return "".join(_export_parts(model))
 
@@ -170,18 +170,17 @@ def _export_parts(model: StableMapModel, flush=None) -> list[str]:
     strings = (json.dumps(format_conway(word)), _QUOTED[model.variant], _QUOTED[model.granularity])
     texts = list(map(_strip_text, numbered.values))
     texts[-1] = _closed(texts[-1])  # the outer cap's, last, closes the array
-    filler = numbered.fine and _strip_text(_FILLER)  # after each interior strip of a fine model
-    strips = _run_rows(numbered, list(map(_Text, texts)), numbered.fine and [_Text(text + filler) for text in texts])
+    strips = _Texts(_each(numbered, texts, numbered.fine and _strip_text(_FILLER))), len(model.strips.strips), 0
     parts = [_HEAD % (*strings, fraction.p, fraction.q), "[\n"]
     rows = _facts(_BLOCK_ROWS, model._blocks_numbered, _block_row)
     if None in rows:  # a block with an event slice none of EVENT_SLICES, which has no row
         index, bad = next((i, e.slice) for i, block in enumerate(blocks) for e in block.events if e.slice not in EVENT_SLICES)
         raise InvariantViolationError(f"block {index}: event slice {bad!r} is none of {list(EVENT_SLICES)}")
     fine_rows = model._blocks_numbered.fine and _FINE_BLOCK_ROWS + tuple(_followed(row, _FILLER_ROW) for row in rows[len(_ENTRIES) :])
-    _windowed(parts, [*strips, (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows, fine_rows)], flush)
+    _windowed(parts, [strips, (_MIDDLE_ROWS[bool(blocks)], 1, 0), *_run_rows(model._blocks_numbered, rows, fine_rows)], flush)
     if blocks:
         parts[-1] = _closed(parts[-1])
-    parts.append(_TAIL % (*_census_values(census), smc_upper_bound(word).smc_upper, weighted_sum(census)))
+    parts.append(_TAIL % (*_census_values(census), 2 * word.m, weighted_sum(census)))
     return parts
 
 
@@ -191,14 +190,14 @@ def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
     missing = [k for k in keys if k not in obj]
     unknown = [k for k in obj if k not in keys]
     if missing:
-        raise SchemaError(f"{where}: missing fields {missing}")
+        raise SchemaError(f"{where}: missing fields {_quoted(repr(missing), str)}")
     if unknown:
-        raise SchemaError(f"{where}: unknown fields {unknown}")
+        raise SchemaError(f"{where}: unknown fields {_quoted(repr(unknown), str)}")
 
 
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+        raise SchemaError(f"{where}: expected an integer, got {_quoted(repr(value), str)}")
     return value
 
 
@@ -270,11 +269,11 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
         raise SchemaError(f"not valid JSON: {err}") from None
     _require_keys(doc, _TOP_KEYS, "document")
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {doc['schema_version']!r}")
+        raise SchemaError(f"unsupported schema_version {_quoted(repr(doc['schema_version']), str)}")
     if doc["variant"] not in VARIANTS:
-        raise SchemaError(f"unknown variant {doc['variant']!r}")
+        raise SchemaError(f"unknown variant {_quoted(repr(doc['variant']), str)}")
     if doc["granularity"] not in GRANULARITIES:
-        raise SchemaError(f"unknown granularity {doc['granularity']!r}")
+        raise SchemaError(f"unknown granularity {_quoted(repr(doc['granularity']), str)}")
     for name, keys in _INT_FIELDS.items():
         _require_keys(doc[name], keys, name)
     if not isinstance(doc["strips"], list) or not isinstance(doc["blocks"], list):
@@ -299,7 +298,7 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
         for key in keys:
             _require_int(doc[name][key], f"{name}.{key}")
     if not isinstance(doc["conway"], str):
-        raise SchemaError(f"conway: expected a string, got {doc['conway']!r}")
+        raise SchemaError(f"conway: expected a string, got {_quoted(repr(doc['conway']), str)}")
 
     if model is None or (doc["conway"], doc["variant"], doc["granularity"]) != head.groups():
         try:
@@ -310,7 +309,9 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
         except TwoBridgeError as err:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
-    fresh = _model_document(model, list(_each(model._strips_numbered, _strip_entry)), _block_entries(model.blocks))
+    numbered = model._strips_numbered
+    strips = list(_each(numbered, list(map(_strip_entry, numbered.values)), _strip_entry(_FILLER)))
+    fresh = _model_document(model, strips, _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
             raise InvariantViolationError(_first_difference(key, doc[key], fresh[key]))

@@ -11,12 +11,14 @@ targets that the library's integer construction replaced; a Conway word
 from a character-by-character scan of its text; a word's curves and
 strip decompositions from the plat pipeline that the library's walk
 over the twist regions replaced: crossings, outer smoothing, bigon
-pairing and the slicing loop, with nothing taken from ``twobridge.curves``.
+pairing and the slicing loop, with nothing taken from ``twobridge.curves``;
+a certificate's chain from formatting each step as its bound is reached.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -484,6 +486,55 @@ def random_even_b_words(seed: int, count: int, m_min=1, m_max=6, mag_min=2, mag_
             entries.append(sign * magnitude)
         words.append(tuple(entries))
     return words
+
+
+# The volume of the regular ideal octahedron to the last digit of a
+# float, as the library pins it (its 4 leading digits are checked against
+# ``octahedron_volume_oracle``).
+V_OCT_DIGITS = 3.663862376708876
+
+
+def certify_cases(seed: int = 20250808) -> list[tuple[str, float]]:
+    """(word text, volume) pairs for certificates: the 200 corpus words,
+    each at the volume the benchmark draws for it from the seed's own
+    stream (just above or just below (4m - 2) V_oct), then a torus word
+    (m = 0), an inconclusive volume, one above the 4m V_oct cap and the
+    least float."""
+    rng = random.Random(f"{seed}:corpus-volumes")
+    cases = []
+    for entries in random_even_b_words(seed, 200):
+        threshold = (4 * (len(entries) // 2) - 2) * V_OCT_DIGITS
+        delta = rng.uniform(0.05, 1.0)
+        text = "C(" + ",".join(map(str, entries)) + ")"
+        cases.append((text, threshold + delta if rng.random() < 0.5 else threshold - delta))
+    return cases + [("C(3)", 10.0), ("C(3,2,3)", 3.0), ("C(3,2,3)", 100.0), ("C(3,2,3)", 5e-324)]
+
+
+def eager_chain(entries, volume: float, epsilon: float) -> tuple[str, ...]:
+    """The steps of the certificate chain in words, for an even-b word and
+    a finite positive volume, formatted step by step as each bound is
+    reached."""
+    m = (len(entries) - 1) // 2
+    if m == 0:
+        return ("m = 0: single twist region, torus link; the 2m upper bound is vacuous",)
+    lower = math.ceil(volume / (2 * V_OCT_DIGITS))
+    threshold, cap, upper = (4 * m - 2) * V_OCT_DIGITS, 4 * m * V_OCT_DIGITS, 2 * m
+    steps = [
+        f"smc(E(L)) <= 2m = {upper}  [weighted sum of the f2 model]",
+        f"smc(E(L)) >= ceil(vol / (2 V_oct)) = ceil({volume!r} / {2 * V_OCT_DIGITS!r}) = {lower}",
+    ]
+    if volume > threshold + epsilon:
+        steps.append(f"vol = {volume!r} > (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}")
+        steps.append(f"hence smc(E(L)) > 2m - 1 = {upper - 1}, so smc(E(L)) = {upper}")
+    else:
+        steps.append(f"vol = {volume!r} <= (4m-2) V_oct + eps = {threshold!r} + {epsilon!r}")
+        steps.append("the volume does not separate smc from 2m - 1; inconclusive")
+    if lower > upper:
+        steps.append(
+            f"warning: lower bound {lower} exceeds 2m = {upper}; "
+            f"the supplied volume is above the 4m V_oct cap {cap!r} (bad input?)"
+        )
+    return tuple(steps)
 
 
 def model_entries():

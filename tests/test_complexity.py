@@ -1,14 +1,17 @@
 """Complexity bounds, the certificate chain, and volume tables."""
 
+import dataclasses
+import functools
 import math
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import octahedron_volume_oracle
+from oracles import V_OCT_DIGITS, certify_cases, eager_chain, octahedron_volume_oracle
 from twobridge.complexity import (
     DEFAULT_EPSILON,
+    Certificate,
     ComplexityBounds,
     V_OCT,
     VolumeRecord,
@@ -19,7 +22,7 @@ from twobridge.complexity import (
     volume_upper_bound,
     weighted_sum,
 )
-from twobridge.conway import ConwayWord
+from twobridge.conway import ConwayWord, parse_conway
 from twobridge.errors import (
     DuplicateLabelError,
     EvenBRequiredError,
@@ -38,6 +41,7 @@ def _census(ii2, ii3):
 
 def test_v_oct_matches_lobachevsky_oracle():
     assert V_OCT == pytest.approx(octahedron_volume_oracle(), abs=1e-9)
+    assert V_OCT_DIGITS == V_OCT  # the value the certificate oracles write out
 
 
 def test_v_oct_matches_four_digit_value():
@@ -156,6 +160,19 @@ def test_certify_flags_inconsistent_volume():
     assert certificate.volume_inconsistent
     assert certificate.lower_bound > certificate.upper_bound
     assert certificate.status == "certified"  # status stays monotone
+
+
+def test_the_chain_is_written_when_first_read_and_reads_as_the_eager_text():
+    # not a field: equality, hashing and the constructor ignore it
+    assert "chain" not in {f.name for f in dataclasses.fields(Certificate)}
+    assert isinstance(vars(Certificate)["chain"], functools.cached_property)
+    for text, volume in certify_cases():
+        word = parse_conway(text)
+        for epsilon in (0.0, DEFAULT_EPSILON, 0.5):
+            certificate = certify_smc(word, volume, epsilon)
+            assert "chain" not in vars(certificate)
+            assert certificate.chain == eager_chain(word.entries, volume, epsilon), (text, volume, epsilon)
+            assert vars(certificate)["chain"] is certificate.chain
 
 
 def test_certificate_agrees_with_f2_model_weight():

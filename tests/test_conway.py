@@ -274,6 +274,14 @@ def test_all_b_even():
     assert all_b_even(ConwayWord((3, 2, 3)))
     assert not all_b_even(ConwayWord((2, 1, 2)))
     assert all_b_even(ConwayWord((7,)))  # m = 0, vacuous
+    assert not all_b_even(ConwayWord((2, -3, 2))) and all_b_even(ConwayWord((2, -4, 2, -2, 2)))
+
+
+@given(st.lists(st.integers(min_value=-(10**30), max_value=10**30).filter(bool), min_size=1, max_size=11))
+def test_all_b_even_agrees_with_the_remainder_of_each_b(entries):
+    # negative odd and negative even entries, and ints past a machine word
+    word = ConwayWord(tuple(entries[: len(entries) - 1 + len(entries) % 2]))
+    assert all_b_even(word) is all(b % 2 == 0 for b in word.b_entries)
 
 
 @pytest.mark.parametrize("entries,tw", [((2, 2, 2), 3), ((2, 2, 2, 2, 2), 5), ((7,), 1)])

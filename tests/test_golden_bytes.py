@@ -7,7 +7,7 @@ fine models past a layout's (``render._Layout``) first 1000 rows.  It also
 holds the sha256 of the curve render of every corpus word in both
 variants, and of its strip render at all three granularities, and of the
 CLI's ``certify`` text and ``--json`` output over a grid of words and
-volumes (``CERTIFY_CASES``).  Any change to the pipeline or the encoders
+volumes (``oracles.certify_cases``).  Any change to the pipeline or the encoders
 must reproduce these bytes exactly.
 
 Regenerate the data file (only when the output format is meant to
@@ -20,15 +20,13 @@ import contextlib
 import hashlib
 import io
 import json
-import random
 from pathlib import Path
 
 import pytest
 
-from oracles import random_even_b_words
+from oracles import certify_cases, random_even_b_words
 from twobridge.cli import run_cli
-from twobridge.complexity import V_OCT
-from twobridge.conway import ConwayWord, format_conway, parse_conway
+from twobridge.conway import ConwayWord, parse_conway
 from twobridge.curves import bigon_reduce, build_plat_diagram, outer_smooth, strip_decompose
 from twobridge.morse import assemble_stable_map
 from twobridge.render import render_svg
@@ -43,37 +41,14 @@ LADDER_WORDS = ("C(100,2,100)", "C(3,200,3)")
 FINE_WORDS = {"C(3,2000,3)": "C(3,2000,3)", "C(1000,2,1000)": "C(1000,2,1000)", "C(3,2,...,3) m=300": f"C({'3,2,' * 300}3)"}
 
 
-def _corpus_volumes(seed: int) -> list[float]:
-    """The volume of each corpus word, as the benchmark draws it: just
-    above or just below (4m - 2) V_oct, from the seed's own stream."""
-    rng = random.Random(f"{seed}:corpus-volumes")
-    volumes = []
-    for entries in random_even_b_words(seed, 200):
-        threshold = (4 * (len(entries) // 2) - 2) * V_OCT
-        delta = rng.uniform(0.05, 1.0)
-        volumes.append(threshold + delta if rng.random() < 0.5 else threshold - delta)
-    return volumes
-
-
-# (word, volume): the corpus at its volumes, a torus word (m = 0), an
-# inconclusive volume, one above the 4m V_oct cap and the least float.
-CERTIFY_CASES = [
-    *zip(map(format_conway, map(ConwayWord, random_even_b_words(CORPUS_SEED, 200))), _corpus_volumes(CORPUS_SEED)),
-    ("C(3)", 10.0),
-    ("C(3,2,3)", 3.0),
-    ("C(3,2,3)", 100.0),
-    ("C(3,2,3)", 5e-324),
-]
-
-
 def certify_digests() -> dict[str, str]:
     """The sha256 of ``twobridge certify WORD --volume V`` output over
-    ``CERTIFY_CASES``, as text and as ``--json``."""
+    ``oracles.certify_cases``, as text and as ``--json``."""
     digests = {}
     for form, flags in (("text", []), ("json", ["--json"])):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            statuses = {run_cli(["certify", word, "--volume", repr(volume), *flags]) for word, volume in CERTIFY_CASES}
+            statuses = {run_cli(["certify", word, "--volume", repr(volume), *flags]) for word, volume in certify_cases(CORPUS_SEED)}
         assert statuses == {0}
         digests[form] = _sha(out.getvalue())
     return digests

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import acyclic_oracle, oracle_trace, plat_component_count_of_entries, random_even_b_words, regrouped_runs
-from twobridge.conway import ConwayWord, component_count, fraction_of, parse_conway, transform
+from twobridge.conway import ConwayWord, all_b_even, component_count, fraction_of, parse_conway, transform
 from twobridge import curves, morse
 from twobridge.curves import Column, Strip, _Filled, _RunSeq
 from twobridge.errors import (
@@ -149,6 +149,29 @@ def test_assemble_requires_even_b():
     for _ in range(2):  # an error is never kept as the last model
         with pytest.raises(EvenBRequiredError):
             assemble_stable_map(ConwayWord((2, 1, 2)), "f2")
+
+
+@pytest.mark.parametrize("granularity", ["crossing", "region", "fine"])
+def test_an_f3_assembly_scans_the_b_entries_once(granularity, monkeypatch, cold):
+    # the decomposition assembly builds is not scanned again for the even b
+    # that assembly has just found; the names are still checked
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return all_b_even(word)
+
+    monkeypatch.setattr(morse, "all_b_even", counted)
+    monkeypatch.setattr(curves, "all_b_even", counted)
+    word = ConwayWord((3, 2, 3, -4, 5))
+    model = cold(assemble_stable_map, word, "f3", granularity)
+    assert calls == [word] and model == StableMapModel(curves.StripDecomposition(word, "f3", granularity), model.blocks)
+    with pytest.raises(ValueError, match="^unknown variant 'f4'$"):
+        assemble_stable_map(word, "f4", granularity)
+    with pytest.raises(ValueError, match="^unknown granularity 'atomic'$"):
+        assemble_stable_map(word, "f3", "atomic")
+    with pytest.raises(EvenBRequiredError):  # the word's b before the names
+        assemble_stable_map(ConwayWord((3, 3, 3)), "f4", granularity)
 
 
 def test_assembly_keeps_the_last_model():

@@ -14,7 +14,7 @@ from twobridge.conway import ConwayWord, parse_conway
 from oracles import model_entries, random_even_b_words, regrouped_runs
 from twobridge.curves import GRANULARITIES, Column, Strip, _Filled, _RunSeq, _runs
 from twobridge.errors import InvariantViolationError, SchemaError, TraceMismatchError, TwoBridgeError, WordTooLargeError
-from twobridge import morse, serialize
+from twobridge import complexity, morse, serialize
 from twobridge.morse import assemble_stable_map, build_block, validate_model
 from twobridge.render import render_svg
 from twobridge.serialize import export_json, import_json
@@ -315,6 +315,58 @@ def test_non_string_conway_rejected(model, conway):
     doc["conway"] = conway
     with pytest.raises(SchemaError):
         import_json(json.dumps(doc))
+
+
+_LONG = "x" * 1_000_000
+
+
+def _set_path(doc: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("variant",), _LONG),
+        (("granularity",), _LONG),
+        (("schema_version",), _LONG),
+        (("conway",), [_LONG]),
+        (("strips", 1, "param"), _LONG),
+        (("blocks", 1, "permutation", 0), _LONG),
+        (("census", "ii2"), _LONG),
+        ((_LONG,), 1),
+        (("strips", 1, _LONG), 1),
+    ],
+    ids=["variant", "granularity", "schema_version", "conway", "strip param", "permutation entry", "census count", "top-level key", "strip key"],
+)
+def test_a_schema_error_quotes_at_most_a_bounded_piece_of_a_long_value(model, path, value):
+    # each of these values or keys, a million characters long, is named in a message under 1 KB
+    doc = json.loads(export_json(model))
+    _set_path(doc, path, value)
+    with pytest.raises(SchemaError) as err:
+        import_json(json.dumps(doc))
+    message = str(err.value)
+    assert len(message) < 1024 and "characters)" in message, message[:300]
+
+
+def test_export_writes_2m_without_the_bounds_object(monkeypatch, cold):
+    # every corpus path: the bound is read off the word, in the export and
+    # in the document an import checks field by field
+    def refuse(word):
+        raise AssertionError("export called smc_upper_bound")
+
+    monkeypatch.setattr(complexity, "smc_upper_bound", refuse)
+    assert not hasattr(serialize, "smc_upper_bound")
+    for entries in random_even_b_words(20250808, 200):
+        word = ConwayWord(entries)
+        for variant in ("f2", "f3"):
+            for granularity in GRANULARITIES:
+                model = assemble_stable_map(word, variant, granularity)
+                text = cold(export_json, model)
+                assert json.loads(text)["bounds"]["smc_upper"] == 2 * word.m
+                assert import_json(json.dumps(json.loads(text))) == model
 
 
 def test_deeply_nested_text_rejected():
