@@ -447,9 +447,9 @@ def _assemble(word: ConwayWord, variant: str, granularity: str) -> StableMapMode
             f"{_quoted(str(word), str)} has an odd vertical twist count; the construction needs even b_i"
         )
     fraction = fraction_of(word)
-    # The decomposition, built past its own scan of b, just made here; one
-    # walk over the word's regions slices and numbers its strips, and each
-    # distinct one is mapped to its block by its kind and param's parity.
+    # The decomposition is built past its own scan of b, made just above;
+    # one walk over the word's regions slices and numbers its strips, and
+    # each distinct one is mapped to its block by its kind and param's parity.
     _require_known(variant, granularity)
     strips = object.__new__(StripDecomposition)
     vars(strips).update(word=word, variant=variant, granularity=granularity, _slicing=_sliced(word, variant, granularity))

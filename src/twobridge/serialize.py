@@ -310,7 +310,7 @@ def import_json(text: str | bytes | bytearray) -> StableMapModel:
             raise InvariantViolationError(f"document does not assemble: {err}") from None
 
     numbered = model._strips_numbered
-    strips = list(_each(numbered, list(map(_strip_entry, numbered.values)), _strip_entry(_FILLER)))
+    strips = list(_each(numbered, list(map(_strip_entry, numbered.values)), numbered.fine and _strip_entry(_FILLER)))
     fresh = _model_document(model, strips, _block_entries(model.blocks))
     for key in _TOP_KEYS:
         if doc[key] != fresh[key]:
